@@ -19,9 +19,12 @@ percentDelta(double from, double to)
     return from > 0.0 ? 100.0 * (to - from) / from : 0.0;
 }
 
-/** Requests per window: each window's p99 then has 10 samples beyond. */
+/** Requests per mb_s / p50 window. */
 constexpr size_t kWindowRequests = 1100;
 constexpr size_t kMaxWindows = 10;
+
+/** Requests per p99 group: enough for kMinBeyondP99 beyond its p99. */
+constexpr size_t kP99GroupRequests = 100 * kMinBeyondP99 + 100;
 
 struct Completion
 {
@@ -46,7 +49,6 @@ EndToEnd::metrics() const
     m.add("setup_s", setupSeconds, "s");
     m.add("mb_s", mbPerSecond, "MB/s");
     m.add("p50_ms", latency.p50 * 1e3, "ms");
-    m.add("p99_ms", latency.p99 * 1e3, "ms");
     m.add("ratio", ratio, "x");
     m.add("first_read_ms", firstReadMs, "ms");
     m.add("rss_mb", rssMb, "MiB");
@@ -244,6 +246,24 @@ Zipf::operator()(std::mt19937_64 &rng) const
     return std::min<size_t>(found - cdf_.begin(), cdf_.size() - 1);
 }
 
+double
+Zipf::share(size_t top) const
+{
+    return top ? cdf_[std::min(top, cdf_.size()) - 1] : 0.0;
+}
+
+double
+Zipf::exponentFor(size_t n, size_t top, double share)
+{
+    // share(top) rises with s: 0 gives top / n, large s gives ~1.
+    double lo = 0.0, hi = 4.0;
+    for (int i = 0; i < 50; ++i) {
+        const double s = 0.5 * (lo + hi);
+        (Zipf(n, s).share(top) < share ? lo : hi) = s;
+    }
+    return 0.5 * (lo + hi);
+}
+
 std::string
 traceSummary(const std::vector<Span> &spans, const std::string &path)
 {
@@ -323,16 +343,14 @@ closedLoop(const Options &options, double seconds, uint64_t salt,
         latencies[w].push_back(done.latency);
         bytes[w] += done.bytes;
         result.busySeconds += done.latency;
+        result.latencies.push_back(done.latency);
     }
-    result.fewestInWindow = result.fewestBeyondP99 = ~0ull;
+    result.fewestInWindow = ~0ull;
     for (size_t w = 0; w < windows; ++w) {
         const LatencyStats stats = LatencyStats::of(std::move(latencies[w]));
         result.windowMb.push_back(static_cast<double>(bytes[w]) / width / 1e6);
         result.windowP50.push_back(stats.p50);
-        result.windowP99.push_back(stats.p99);
         result.fewestInWindow = std::min(result.fewestInWindow, stats.samples);
-        result.fewestBeyondP99 =
-            std::min(result.fewestBeyondP99, stats.beyondP99);
     }
     return result;
 }
@@ -341,19 +359,36 @@ EndToEnd
 mergeSegments(const std::vector<LoopResult> &segments, std::string &note)
 {
     EndToEnd e2e;
-    std::vector<double> mbs, p50s, p99s, rss;
-    uint64_t fewest = ~0ull, fewest_beyond = ~0ull;
+    std::vector<double> mbs, p50s, rss;
+    uint64_t fewest = ~0ull;
+    // Whole segments, merged with their successors until each group
+    // holds kP99GroupRequests; a short tail joins the last group.
+    std::vector<std::vector<double>> groups(1);
     for (const LoopResult &segment : segments) {
         e2e.attempted += segment.attempted;
         e2e.failed += segment.failed;
         mbs.insert(mbs.end(), segment.windowMb.begin(), segment.windowMb.end());
         p50s.insert(p50s.end(), segment.windowP50.begin(),
                     segment.windowP50.end());
-        p99s.insert(p99s.end(), segment.windowP99.begin(),
-                    segment.windowP99.end());
+        if (groups.back().size() >= kP99GroupRequests)
+            groups.emplace_back();
+        groups.back().insert(groups.back().end(), segment.latencies.begin(),
+                             segment.latencies.end());
         rss.push_back(segment.rssMb);
         fewest = std::min(fewest, segment.fewestInWindow);
-        fewest_beyond = std::min(fewest_beyond, segment.fewestBeyondP99);
+    }
+    if (groups.size() > 1 && groups.back().size() < kP99GroupRequests) {
+        std::vector<double> &previous = groups[groups.size() - 2];
+        previous.insert(previous.end(), groups.back().begin(),
+                        groups.back().end());
+        groups.pop_back();
+    }
+    std::vector<double> p99s;
+    uint64_t fewest_beyond = ~0ull;
+    for (std::vector<double> &group : groups) {
+        const LatencyStats stats = LatencyStats::of(std::move(group));
+        p99s.push_back(stats.p99);
+        fewest_beyond = std::min(fewest_beyond, stats.beyondP99);
     }
     e2e.mbPerSecond = median(mbs);
     e2e.latency.samples = e2e.attempted;
@@ -365,7 +400,8 @@ mergeSegments(const std::vector<LoopResult> &segments, std::string &note)
     out << "latency  samples=" << e2e.attempted << " segments="
         << segments.size() << " windows=" << mbs.size()
         << " fewest_in_window=" << fewest
-        << " fewest_beyond_p99_in_window=" << fewest_beyond << "\n";
+        << " p99_groups=" << p99s.size()
+        << " fewest_beyond_p99_in_group=" << e2e.latency.beyondP99 << "\n";
     note += out.str();
     return e2e;
 }

@@ -45,6 +45,8 @@ struct Tally
         EndToEnd e2e;
         e2e.attempted = ops.size();
         e2e.failed = failed;
+        // One measurement, reported twice: mb_s and p50_ms both come
+        // from the median operation time.
         e2e.mbPerSecond =
             static_cast<double>(in.fastqBytes) / median(latencies) / 1e6;
         e2e.latency = LatencyStats::of(latencies);

@@ -99,6 +99,9 @@ main(int argc, char **argv)
               << " clients=" << options.clients << "\n"
               << "host " << sage::bench::hostMetaJson() << "\n"
               << outcome.info << end_to_end.text("e2e")
+              // Printed, but not a JSON metric: a slow spell of a shared
+              // host moves it by more than any bound could allow.
+              << "e2e  p99_ms = " << e2e.latency.p99 * 1e3 << " ms\n"
               << "e2e  failed_frac = " << failed_frac << " (" << e2e.failed
               << " of " << e2e.attempted << ")\n";
     if (options.trace)

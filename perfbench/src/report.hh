@@ -42,7 +42,7 @@ struct LatencyStats
     uint64_t samples = 0;
     double p50 = 0.0;
     double p99 = 0.0;
-    /** Samples strictly above p99 (the guide asks for at least 10). */
+    /** Samples strictly above p99 (a p99 needs at least 10). */
     uint64_t beyondP99 = 0;
 
     static LatencyStats of(std::vector<double> samples);

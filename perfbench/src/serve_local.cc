@@ -3,14 +3,12 @@
  * serve_local: archive -> reads in process. Client threads call
  * SageArchiveService directly, one whole chunk per request, with chunk
  * ids drawn from a seeded Zipf skew over both archives. The decoded
- * working set is four times the cache budget, so misses (fetch +
- * decode) dominate; there is no protocol, CRC or socket work.
+ * working set is four times the cache budget and the skew is set so
+ * that at least half of the requests miss and pay fetch + decode;
+ * there is no protocol, CRC or socket work.
  */
 
-#include <malloc.h>
-
 #include <algorithm>
-#include <filesystem>
 #include <memory>
 #include <sstream>
 
@@ -24,11 +22,19 @@ namespace perfbench {
 
 namespace {
 
-/** Zipf exponent of the chunk popularity skew. */
-constexpr double kZipfS = 0.8;
-
 /** Decoded working set over cache budget. */
 constexpr uint64_t kWorkingSetOverBudget = 4;
+
+/**
+ * Share of requests that an ideal cache (one holding the hottest chunks
+ * the budget allows) would serve. The Zipf exponent is solved from it,
+ * so that at least half of the requests miss and pay fetch + decode.
+ * With 34 chunks and a quarter of them cached, s comes out at about
+ * 0.66, inside the 0.64-0.83 range Breslau et al. measured for web
+ * request popularity ("Web Caching and Zipf-like Distributions:
+ * Evidence and Implications", INFOCOM 1999).
+ */
+constexpr double kIdealHitRatio = 0.5;
 
 uint64_t
 tagOf(size_t archive, size_t chunk)
@@ -61,139 +67,6 @@ struct Phase
     std::vector<sage::ServiceStats> before, after;
     IoSnapshot fetch;
     double openSeconds = 0.0;  ///< The segment's set-up opens.
-};
-
-class ServeLocal
-{
-  public:
-    ServeLocal(const Options &options, ServeCorpus &corpus)
-        : options_(options), corpus_(corpus)
-    {
-        for (size_t a = 0; a < corpus_.archives.size(); ++a) {
-            budgets_.push_back(corpus_.archives[a].decodedBytes /
-                               kWorkingSetOverBudget);
-            for (size_t c = 0; c < corpus_.archives[a].chunks(); ++c)
-                popular_.emplace_back(a, static_cast<uint32_t>(c));
-        }
-        // Which chunk is hot is seeded too, not always chunk 0.
-        std::mt19937_64 rng(options_.seed * 0x9E3779B97F4A7C15ull + 7);
-        std::shuffle(popular_.begin(), popular_.end(), rng);
-    }
-
-    uint64_t
-    budget() const
-    {
-        uint64_t total = 0;
-        for (uint64_t b : budgets_)
-            total += b;
-        return total;
-    }
-
-    /** Open every archive on a fresh pool, time each open to its first
-     *  served chunk, then warm the hottest chunks the budget holds. */
-    bool
-    setUp(Served &served, std::vector<double> &first_reads,
-          std::string &error)
-    {
-        served.pool = std::make_unique<sage::ThreadPool>(options_.clients);
-        for (size_t a = 0; a < corpus_.archives.size(); ++a) {
-            const ArchiveTruth &truth = corpus_.archives[a];
-            auto source = std::make_unique<TimingSource>(
-                std::make_unique<sage::FileSource>(truth.path), fetchIo_,
-                static_cast<uint32_t>(a));
-            source->setChunkMap(truth.chunkByOffset);
-            const double start = nowSeconds();
-            auto decoder = sage::SageDecoder::tryOpen(*source);
-            served.openSeconds += nowSeconds() - start;
-            if (!decoder.ok()) {
-                error = truth.name + ": " + decoder.status().toString();
-                return false;
-            }
-            sage::ServiceOptions service_options;
-            service_options.cacheBudgetBytes = budgets_[a];
-            service_options.cacheShards = 1;
-            service_options.pool = served.pool.get();
-            service_options.sessionReadahead = false;
-            served.services.push_back(
-                std::make_unique<sage::SageArchiveService>(
-                    std::move(decoder.value()), std::move(source),
-                    service_options));
-            if (!request(served, a, 0).ok) {
-                error = truth.name + ": first chunk failed";
-                return false;
-            }
-            first_reads.push_back((nowSeconds() - start) * 1e3);
-        }
-        uint64_t warmed = 0;
-        for (const ChunkRef &ref : popular_) {
-            const uint64_t bytes = corpus_.decodedBytes /
-                std::max<size_t>(popular_.size(), 1);
-            if (warmed + bytes > budget())
-                break;
-            warmed += bytes;
-            request(served, ref.first, ref.second);
-        }
-        return true;
-    }
-
-    Phase
-    run(Served &served, bool traced, double seconds, uint64_t salt)
-    {
-        Phase phase;
-        for (const auto &service : served.services)
-            phase.before.push_back(service->stats());
-        const IoSnapshot fetch_before = IoSnapshot::of(fetchIo_);
-        const Zipf zipf(popular_.size(), kZipfS);
-        Tracer::setEnabled(traced);
-        phase.loop = closedLoop(
-            options_, seconds, salt, kReplaySample,
-            [&](unsigned, std::mt19937_64 &rng) {
-                const ChunkRef ref = popular_[zipf(rng)];
-                return request(served, ref.first, ref.second);
-            });
-        Tracer::setEnabled(false);
-        for (const auto &service : served.services)
-            phase.after.push_back(service->stats());
-        phase.fetch = IoSnapshot::of(fetchIo_) - fetch_before;
-        phase.openSeconds = served.openSeconds;
-        return phase;
-    }
-
-  private:
-    /** One chunk-aligned readRange, re-sent on a non-Ok status,
-     *  checked against the set-up digests. */
-    Attempt
-    request(Served &served, size_t archive, uint32_t chunk)
-    {
-        const ArchiveTruth &truth = corpus_.archives[archive];
-        Attempt attempt;
-        attempt.range = {archive, truth.chunkFirst[chunk],
-                         truth.chunkFirst[chunk + 1] - truth.chunkFirst[chunk]};
-        const RangeRequest &range = attempt.range;
-        sage::ReadResult result;
-        const double start = nowSeconds();
-        {
-            ScopedSpan span("service.request", tagOf(archive, chunk));
-            result = served.services[archive]->readRange(
-                range.first, range.count, sage::RequestOptions{});
-            while (!result.ok() && attempt.retries + 1 < kAttempts) {
-                ++attempt.retries;
-                result = served.services[archive]->readRange(
-                    range.first, range.count, sage::RequestOptions{});
-            }
-        }
-        attempt.seconds = nowSeconds() - start;
-        attempt.ok = result.ok() && result.reads.size() == range.count &&
-            truth.matches(range.first, result.reads);
-        attempt.bytes = payloadBytes(result.reads);
-        return attempt;
-    }
-
-    const Options &options_;
-    ServeCorpus &corpus_;
-    std::vector<uint64_t> budgets_;
-    std::vector<ChunkRef> popular_;  ///< Zipf rank -> chunk.
-    IoCounters fetchIo_;
 };
 
 /** Service counters over @p phases, summed across archives. */
@@ -286,67 +159,158 @@ replayLayers(const Options &options, const ServeCorpus &corpus,
     return true;
 }
 
+class ServeLocal
+{
+  public:
+    ServeLocal(const Options &options, ServeCorpus &corpus)
+        : options_(options), corpus_(corpus)
+    {
+        for (size_t a = 0; a < corpus_.archives.size(); ++a) {
+            budgets_.push_back(corpus_.archives[a].decodedBytes /
+                               kWorkingSetOverBudget);
+            for (size_t c = 0; c < corpus_.archives[a].chunks(); ++c)
+                popular_.emplace_back(a, static_cast<uint32_t>(c));
+        }
+        // Which chunk is hot is seeded too, not always chunk 0.
+        std::mt19937_64 rng(options_.seed * 0x9E3779B97F4A7C15ull + 7);
+        std::shuffle(popular_.begin(), popular_.end(), rng);
+        cached_ = popular_.size() / kWorkingSetOverBudget;
+        zipfS_ = Zipf::exponentFor(popular_.size(), cached_, kIdealHitRatio);
+    }
+
+    std::string
+    describe() const
+    {
+        uint64_t budget = 0;
+        for (uint64_t b : budgets_)
+            budget += b;
+        std::ostringstream out;
+        out << corpus_.describe(budget) << "requests  whole_chunk zipf_s="
+            << zipfS_ << " cached_chunks=" << cached_
+            << " ideal_hit_ratio="
+            << Zipf(popular_.size(), zipfS_).share(cached_) << "\n";
+        return out.str();
+    }
+
+    /** Open every archive on a fresh pool, time each open to its first
+     *  served chunk, then warm the hottest chunks the budget holds. */
+    bool
+    setUp(Served &served, std::vector<double> &first_reads,
+          std::string &error)
+    {
+        served.pool = std::make_unique<sage::ThreadPool>(options_.clients);
+        for (size_t a = 0; a < corpus_.archives.size(); ++a) {
+            const ArchiveTruth &truth = corpus_.archives[a];
+            auto source = std::make_unique<TimingSource>(
+                std::make_unique<sage::FileSource>(truth.path), fetchIo_,
+                static_cast<uint32_t>(a));
+            source->setChunkMap(truth.chunkByOffset);
+            const double start = nowSeconds();
+            auto decoder = sage::SageDecoder::tryOpen(*source);
+            served.openSeconds += nowSeconds() - start;
+            if (!decoder.ok()) {
+                error = truth.name + ": " + decoder.status().toString();
+                return false;
+            }
+            sage::ServiceOptions service_options;
+            service_options.cacheBudgetBytes = budgets_[a];
+            service_options.cacheShards = 1;
+            service_options.pool = served.pool.get();
+            service_options.sessionReadahead = false;
+            served.services.push_back(
+                std::make_unique<sage::SageArchiveService>(
+                    std::move(decoder.value()), std::move(source),
+                    service_options));
+            if (!request(served, a, 0).ok) {
+                error = truth.name + ": first chunk failed";
+                return false;
+            }
+            first_reads.push_back((nowSeconds() - start) * 1e3);
+        }
+        for (size_t rank = 0; rank < cached_; ++rank)
+            request(served, popular_[rank].first, popular_[rank].second);
+        return true;
+    }
+
+    Phase
+    run(Served &served, bool traced, double seconds, uint64_t salt)
+    {
+        Phase phase;
+        for (const auto &service : served.services)
+            phase.before.push_back(service->stats());
+        const IoSnapshot fetch_before = IoSnapshot::of(fetchIo_);
+        const Zipf zipf(popular_.size(), zipfS_);
+        Tracer::setEnabled(traced);
+        phase.loop = closedLoop(
+            options_, seconds, salt, kReplaySample,
+            [&](unsigned, std::mt19937_64 &rng) {
+                const ChunkRef ref = popular_[zipf(rng)];
+                return request(served, ref.first, ref.second);
+            });
+        Tracer::setEnabled(false);
+        for (const auto &service : served.services)
+            phase.after.push_back(service->stats());
+        phase.fetch = IoSnapshot::of(fetchIo_) - fetch_before;
+        phase.openSeconds = served.openSeconds;
+        return phase;
+    }
+
+    bool
+    addLayers(Served &, const std::vector<Phase> &traced,
+              std::vector<Span> &spans,
+              const std::vector<RangeRequest> &sample, uint64_t requests,
+              LayerSet &layers, std::string &error)
+    {
+        addServiceCounters(traced, layers);
+        return replayLayers(options_, corpus_, spans, sample, requests,
+                            layers, error);
+    }
+
+  private:
+    /** One chunk-aligned readRange, re-sent on a non-Ok status,
+     *  checked against the set-up digests. */
+    Attempt
+    request(Served &served, size_t archive, uint32_t chunk)
+    {
+        const ArchiveTruth &truth = corpus_.archives[archive];
+        Attempt attempt;
+        attempt.range = {archive, truth.chunkFirst[chunk],
+                         truth.chunkFirst[chunk + 1] - truth.chunkFirst[chunk]};
+        const RangeRequest &range = attempt.range;
+        sage::ReadResult result;
+        const double start = nowSeconds();
+        {
+            ScopedSpan span("service.request", tagOf(archive, chunk));
+            result = served.services[archive]->readRange(
+                range.first, range.count, sage::RequestOptions{});
+            while (!result.ok() && attempt.retries + 1 < kAttempts) {
+                ++attempt.retries;
+                result = served.services[archive]->readRange(
+                    range.first, range.count, sage::RequestOptions{});
+            }
+        }
+        attempt.seconds = nowSeconds() - start;
+        attempt.ok = result.ok() && result.reads.size() == range.count &&
+            truth.matches(range.first, result.reads);
+        attempt.bytes = payloadBytes(result.reads);
+        return attempt;
+    }
+
+    const Options &options_;
+    ServeCorpus &corpus_;
+    std::vector<uint64_t> budgets_;
+    std::vector<ChunkRef> popular_;  ///< Zipf rank -> chunk.
+    size_t cached_ = 0;              ///< Hottest chunks the budget holds.
+    double zipfS_ = 0.0;
+    IoCounters fetchIo_;
+};
+
 } // namespace
 
 Outcome
 runServeLocal(const Options &options)
 {
-    Outcome out;
-    ServeCorpus corpus;
-    if (!buildServeCorpus(options, corpus, out.error))
-        return out;
-    malloc_trim(0);
-    ServeLocal bench(options, corpus);
-
-    std::vector<double> setups, first_reads;
-    std::vector<Phase> plain, traced;
-    Served served;
-    Tracer::clear();
-    for (int i = 0; i < kSegments; ++i) {
-        served.reset();
-        const double start = nowSeconds();
-        if (!bench.setUp(served, first_reads, out.error))
-            return out;
-        setups.push_back(nowSeconds() - start);
-        const bool trace = tracedSegment(options, i);
-        (trace ? traced : plain)
-            .push_back(bench.run(served, trace, options.seconds / kSegments,
-                                 static_cast<uint64_t>(i)));
-    }
-
-    std::string note;
-    out.endToEnd = mergePhases(plain, note);
-    out.endToEnd.setupSeconds = median(setups);
-    out.endToEnd.firstReadMs = median(first_reads);
-    out.endToEnd.ratio = corpus.ratio();
-
-    std::ostringstream info;
-    info << corpus.describe(bench.budget());
-    if (options.trace) {
-        const EndToEnd traced_e2e = mergePhases(traced, note);
-        out.layers.setOverhead(out.endToEnd, traced_e2e);
-        out.endToEnd.attempted += traced_e2e.attempted;
-        out.endToEnd.failed += traced_e2e.failed;
-
-        LayerSet &layers = out.layers;
-        layers.addIngest(corpus.ingests, corpus.ingests, corpus.writeIo);
-        addServiceCounters(traced, layers);
-        uint64_t requests = 0;
-        const std::vector<RangeRequest> sample =
-            replaySample(traced, requests);
-        std::vector<Span> spans = Tracer::collect();
-        if (!replayLayers(options, corpus, spans, sample, requests, layers,
-                          out.error))
-            return out;
-        info << traceSummary(spans, options.workdir + "/trace-serve_local-" +
-                                 std::to_string(options.seed) + ".jsonl");
-    }
-    info << note;
-    out.info = info.str();
-    served.reset();
-    std::filesystem::remove_all(corpus.dir);
-    out.ok = true;
-    return out;
+    return runServe<ServeLocal, Served, Phase>(options);
 }
 
 } // namespace perfbench

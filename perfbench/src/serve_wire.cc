@@ -7,12 +7,8 @@
  * set-up, so reply encoding, CRC, socket and client parsing dominate.
  */
 
-#include <malloc.h>
-
 #include <algorithm>
-#include <filesystem>
 #include <memory>
-#include <sstream>
 #include <thread>
 
 #include "net/client.hh"
@@ -62,15 +58,11 @@ class ServeWire
     {
     }
 
-    /** Global cache budget: each archive's partition is twice the
-     *  largest decoded archive, so the whole corpus stays resident. */
-    uint64_t
-    budget() const
+    std::string
+    describe() const
     {
-        uint64_t largest = 0;
-        for (const ArchiveTruth &truth : corpus_.archives)
-            largest = std::max(largest, truth.decodedBytes);
-        return 2 * largest * corpus_.archives.size();
+        return corpus_.describe(budget()) + "requests  read_range reads=" +
+            std::to_string(kBatchReads) + " offsets=uniform\n";
     }
 
     /** Start service and server, connect the clients, time OPEN to the
@@ -154,7 +146,66 @@ class ServeWire
         return phase;
     }
 
+    /** Decode, open and fetch from a replay of the set-up warm; server
+     *  counters from the traced phases; the serve path from a replay of
+     *  recorded requests on the last (traced) segment's service. */
+    bool
+    addLayers(Wire &wire, const std::vector<Phase> &traced,
+              std::vector<Span> &, const std::vector<RangeRequest> &sample,
+              uint64_t requests, LayerSet &layers, std::string &error)
+    {
+        std::vector<ChunkRef> chunks;
+        for (size_t a = 0; a < corpus_.archives.size(); ++a) {
+            for (size_t c = 0; c < corpus_.archives[a].chunks(); ++c)
+                chunks.emplace_back(a, static_cast<uint32_t>(c));
+        }
+        const DecodeSplit decode = replayDecode(corpus_.archives, chunks);
+        layers.addDecode(decode, 1.0);
+        layers.openS = decode.openSeconds;
+        layers.fetchS = decode.fetch.seconds;
+        layers.fetchBytes = static_cast<double>(decode.fetch.bytes);
+        layers.fetchCalls = static_cast<double>(decode.fetch.calls);
+
+        layers.errored = layers.retries = 0;
+        layers.framesIn = layers.bytesOut = layers.txPauses =
+            layers.crcMismatches = 0;
+        for (const Phase &phase : traced) {
+            const sage::net::ServerNetStats &b = phase.netBefore,
+                                            &e = phase.netAfter;
+            layers.framesIn += static_cast<double>(e.framesIn - b.framesIn);
+            layers.bytesOut += static_cast<double>(e.bytesOut - b.bytesOut);
+            layers.txPauses += static_cast<double>(e.txPauses - b.txPauses);
+            layers.crcMismatches +=
+                static_cast<double>(e.crcMismatches - b.crcMismatches);
+            layers.errored += static_cast<double>(
+                phase.serviceAfter.errored - phase.serviceBefore.errored);
+            layers.retries += static_cast<double>(phase.loop.retries);
+        }
+        const ServePathSplit split =
+            replayServePath(*wire.service, wire.ids, corpus_.archives, sample);
+        if (split.failed != 0) {
+            error = "replayed replies did not match the archives";
+            return false;
+        }
+        layers.addServePath(split, static_cast<double>(requests) /
+                                static_cast<double>(split.requests));
+        // On a warm cache a request is its assembly.
+        layers.requestS = layers.assembleS;
+        return true;
+    }
+
   private:
+    /** Global cache budget: each archive's partition is twice the
+     *  largest decoded archive, so the whole corpus stays resident. */
+    uint64_t
+    budget() const
+    {
+        uint64_t largest = 0;
+        for (const ArchiveTruth &truth : corpus_.archives)
+            largest = std::max(largest, truth.decodedBytes);
+        return 2 * largest * corpus_.archives.size();
+    }
+
     /** One READ_RANGE on client @p t, retried while the server answers
      *  with a retryable status, checked against the set-up digests. */
     Attempt
@@ -196,97 +247,9 @@ class ServeWire
 Outcome
 runServeWire(const Options &options)
 {
-    Outcome out;
-    ServeCorpus corpus;
-    if (!buildServeCorpus(options, corpus, out.error))
-        return out;
-    malloc_trim(0);
-    ServeWire bench(options, corpus);
-
-    std::vector<double> setups, first_reads;
-    std::vector<Phase> plain, traced;
-    Wire wire;
-    Tracer::clear();
-    for (int i = 0; i < kSegments; ++i) {
-        wire.reset();
-        const double start = nowSeconds();
-        if (!bench.setUp(wire, first_reads, out.error))
-            return out;
-        setups.push_back(nowSeconds() - start);
-        const bool trace = tracedSegment(options, i);
-        (trace ? traced : plain)
-            .push_back(bench.run(wire, trace, options.seconds / kSegments,
-                                 static_cast<uint64_t>(i)));
-    }
-
-    std::string note;
-    out.endToEnd = mergePhases(plain, note);
-    out.endToEnd.setupSeconds = median(setups);
-    out.endToEnd.firstReadMs = median(first_reads);
-    out.endToEnd.ratio = corpus.ratio();
-
-    std::ostringstream info;
-    info << corpus.describe(bench.budget());
-    if (options.trace) {
-        const EndToEnd traced_e2e = mergePhases(traced, note);
-        out.layers.setOverhead(out.endToEnd, traced_e2e);
-        out.endToEnd.attempted += traced_e2e.attempted;
-        out.endToEnd.failed += traced_e2e.failed;
-
-        LayerSet &layers = out.layers;
-        layers.addIngest(corpus.ingests, corpus.ingests, corpus.writeIo);
-        // Decode runs only in set-up here (the warm): replay it once.
-        std::vector<ChunkRef> chunks;
-        for (size_t a = 0; a < corpus.archives.size(); ++a) {
-            for (size_t c = 0; c < corpus.archives[a].chunks(); ++c)
-                chunks.emplace_back(a, static_cast<uint32_t>(c));
-        }
-        const DecodeSplit decode = replayDecode(corpus.archives, chunks);
-        layers.addDecode(decode, 1.0);
-        layers.openS = decode.openSeconds;
-        layers.fetchS = decode.fetch.seconds;
-        layers.fetchBytes = static_cast<double>(decode.fetch.bytes);
-        layers.fetchCalls = static_cast<double>(decode.fetch.calls);
-
-        uint64_t requests = 0;
-        const std::vector<RangeRequest> sample =
-            replaySample(traced, requests);
-        layers.errored = layers.retries = 0;
-        layers.framesIn = layers.bytesOut = layers.txPauses =
-            layers.crcMismatches = 0;
-        for (const Phase &phase : traced) {
-            const sage::net::ServerNetStats &b = phase.netBefore,
-                                            &e = phase.netAfter;
-            layers.framesIn += static_cast<double>(e.framesIn - b.framesIn);
-            layers.bytesOut += static_cast<double>(e.bytesOut - b.bytesOut);
-            layers.txPauses += static_cast<double>(e.txPauses - b.txPauses);
-            layers.crcMismatches +=
-                static_cast<double>(e.crcMismatches - b.crcMismatches);
-            layers.errored += static_cast<double>(
-                phase.serviceAfter.errored - phase.serviceBefore.errored);
-            layers.retries += static_cast<double>(phase.loop.retries);
-        }
-        // The last segment is traced, so its server is still up.
-        const ServePathSplit split =
-            replayServePath(*wire.service, wire.ids, corpus.archives, sample);
-        if (split.failed != 0) {
-            out.error = "replayed replies did not match the archives";
-            return out;
-        }
-        layers.addServePath(split, static_cast<double>(requests) /
-                                static_cast<double>(split.requests));
-        // On a warm cache a request is its assembly.
-        layers.requestS = layers.assembleS;
-        info << traceSummary(Tracer::collect(),
-                             options.workdir + "/trace-serve_wire-" +
-                                 std::to_string(options.seed) + ".jsonl");
-    }
-    info << note;
-    out.info = info.str();
-    wire.reset();
-    std::filesystem::remove_all(corpus.dir);
-    out.ok = true;
-    return out;
+    // The last segment is traced, so its server is still up for the
+    // serve-path replay in addLayers.
+    return runServe<ServeWire, Wire, Phase>(options);
 }
 
 } // namespace perfbench

@@ -9,10 +9,14 @@
 #ifndef PERFBENCH_WORKLOADS_HH
 #define PERFBENCH_WORKLOADS_HH
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -156,6 +160,13 @@ class Zipf
     Zipf(size_t n, double s);
     size_t operator()(std::mt19937_64 &rng) const;
 
+    /** Share of draws that land on the @p top most popular items. */
+    double share(size_t top) const;
+
+    /** The exponent s at which the @p top most popular of @p n items
+     *  draw @p share of the requests. */
+    static double exponentFor(size_t n, size_t top, double share);
+
   private:
     std::vector<double> cdf_;
 };
@@ -185,9 +196,11 @@ struct LoopResult
     uint64_t attempted = 0, failed = 0, retries = 0;
     double busySeconds = 0.0;  ///< Summed request latencies.
     double rssMb = 0.0;        ///< Live resident set at the end.
-    /** Per window: delivered MB/s, p50 and p99 latency (seconds). */
-    std::vector<double> windowMb, windowP50, windowP99;
-    uint64_t fewestInWindow = 0, fewestBeyondP99 = 0;
+    /** Per window: delivered MB/s and p50 latency (seconds). */
+    std::vector<double> windowMb, windowP50;
+    uint64_t fewestInWindow = 0;
+    /** Every request's latency (seconds), for p99. */
+    std::vector<double> latencies;
     /** The first requests issued, replayed for the per-layer split. */
     std::vector<RangeRequest> sample;
 };
@@ -196,18 +209,24 @@ struct LoopResult
  * Run options.clients closed-loop clients for @p seconds; client t
  * calls @p send(t, rng) back to back, where rng is seeded from the
  * workload seed, @p salt and t. The segment is cut into windows of at
- * least ~1100 requests, so each window's p99 has 10 samples beyond it.
+ * least ~1100 requests for mb_s and p50.
  */
 LoopResult closedLoop(const Options &options, double seconds, uint64_t salt,
                       size_t sample_size,
                       const std::function<Attempt(unsigned, std::mt19937_64 &)>
                           &send);
 
+/** Samples each p99 group must have beyond its p99, or the run fails. */
+constexpr uint64_t kMinBeyondP99 = 10;
+
 /**
- * End-to-end numbers of @p segments: mb_s, p50 and p99 are medians
- * over every window of every segment, rss_mb the median end-of-segment
- * resident set, so a slow spell of the host moves none of them much.
- * Appends the sample counts to @p note.
+ * End-to-end numbers of @p segments: mb_s and p50 are medians over
+ * every window of every segment; p99 is the median over groups of whole
+ * consecutive segments, each group large enough for kMinBeyondP99
+ * samples beyond its p99 (one segment a group unless the host is slow);
+ * rss_mb is the median end-of-segment resident set. A slow spell of the
+ * host that hits one segment thus moves none of them much. Appends the
+ * sample counts to @p note.
  */
 EndToEnd mergeSegments(const std::vector<LoopResult> &segments,
                        std::string &note);
@@ -249,6 +268,91 @@ std::string traceSummary(const std::vector<Span> &spans,
 
 /** Total bases + quality bytes of @p reads (the served payload). */
 uint64_t payloadBytes(const std::vector<sage::Read> &reads);
+
+/**
+ * The run both serve workloads share: build the corpus, then kSegments
+ * segments, each a fresh set-up and a closed loop, then the end-to-end
+ * merge and, on a traced run, the layers. Bench supplies the rest:
+ *
+ *   Bench(const Options &, ServeCorpus &);
+ *   std::string describe() const;   // input sizes and request shape
+ *   bool setUp(State &, std::vector<double> &first_read_ms, std::string &error);
+ *   Phase run(State &, bool traced, double seconds, uint64_t salt);
+ *   bool addLayers(State &, const std::vector<Phase> &traced,
+ *                  std::vector<Span> &spans,
+ *                  const std::vector<RangeRequest> &sample,
+ *                  uint64_t requests, LayerSet &, std::string &error);
+ *
+ * State holds one set-up's live objects and has reset(); Phase holds
+ * one segment's LoopResult as `loop`.
+ */
+template <typename Bench, typename State, typename Phase>
+Outcome
+runServe(const Options &options)
+{
+    Outcome out;
+    ServeCorpus corpus;
+    if (!buildServeCorpus(options, corpus, out.error))
+        return out;
+    malloc_trim(0);
+    Bench bench(options, corpus);
+
+    std::vector<double> setups, first_reads;
+    std::vector<Phase> plain, traced;
+    State state;
+    Tracer::clear();
+    for (int i = 0; i < kSegments; ++i) {
+        state.reset();
+        const double start = nowSeconds();
+        if (!bench.setUp(state, first_reads, out.error))
+            return out;
+        setups.push_back(nowSeconds() - start);
+        const bool trace = tracedSegment(options, i);
+        (trace ? traced : plain)
+            .push_back(bench.run(state, trace, options.seconds / kSegments,
+                                 static_cast<uint64_t>(i)));
+    }
+
+    std::string note;
+    out.endToEnd = mergePhases(plain, note);
+    out.endToEnd.setupSeconds = median(setups);
+    out.endToEnd.firstReadMs = median(first_reads);
+    out.endToEnd.ratio = corpus.ratio();
+    if (out.endToEnd.latency.beyondP99 < kMinBeyondP99) {
+        out.error = "too few requests for p99: a group has " +
+            std::to_string(out.endToEnd.latency.beyondP99) +
+            " beyond it, want " + std::to_string(kMinBeyondP99) +
+            "; raise --seconds";
+        return out;
+    }
+
+    std::ostringstream info;
+    info << bench.describe();
+    if (options.trace) {
+        const EndToEnd traced_e2e = mergePhases(traced, note);
+        out.layers.setOverhead(out.endToEnd, traced_e2e);
+        out.endToEnd.attempted += traced_e2e.attempted;
+        out.endToEnd.failed += traced_e2e.failed;
+
+        out.layers.addIngest(corpus.ingests, corpus.ingests, corpus.writeIo);
+        uint64_t requests = 0;
+        const std::vector<RangeRequest> sample =
+            replaySample(traced, requests);
+        std::vector<Span> spans = Tracer::collect();
+        if (!bench.addLayers(state, traced, spans, sample, requests,
+                             out.layers, out.error))
+            return out;
+        info << traceSummary(spans, options.workdir + "/trace-" +
+                                 options.workload + "-" +
+                                 std::to_string(options.seed) + ".jsonl");
+    }
+    info << note;
+    out.info = info.str();
+    state.reset();
+    std::filesystem::remove_all(corpus.dir);
+    out.ok = true;
+    return out;
+}
 
 } // namespace perfbench
 
