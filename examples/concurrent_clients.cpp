@@ -3,18 +3,22 @@
  * Concurrent clients over one shared archive: the SageArchiveService
  * tour (service/service.hh). One service owns the open archive and a
  * byte-budgeted decoded-chunk cache; any number of clients read
- * through it — sequential sessions, random ranges, async futures —
+ * through it — sequential sessions, random ranges, async callbacks —
  * and a hot chunk is decoded once no matter how many of them ask.
  *
- *   sage::SageArchiveService  -> shared server over one archive
- *   service.openSession()     -> per-client sequential cursor
- *   service.readRange(a, n)   -> stored-order span, any priority
- *   service.readRangeAsync()  -> future-based flavor
- *   RequestOptions            -> deadline + cancel token (qos.hh)
- *   service.stats()           -> hit rate, latency, queue counters
+ *   sage::SageArchiveService    -> shared server over one archive
+ *   service.openSession()       -> per-client sequential cursor
+ *   service.submit(a, n, o, f)  -> the request primitive: span
+ *                                  [a, a+n), f(ReadResult) on a worker
+ *   service.readRange(a, n, o)  -> submit() plus a blocking wait
+ *   RequestOptions              -> priority, deadline, cancel token
+ *                                  (qos.hh)
+ *   service.stats()             -> hit rate, latency, queue counters
  */
 
 #include <cstdio>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -65,23 +69,39 @@ main()
 
     // A range reader (e.g. a region query) at Interactive priority.
     clients.emplace_back([&] {
-        const std::vector<Read> span =
-            service.readRange(100, 200, RequestPriority::Interactive);
+        RequestOptions interactive;
+        interactive.priority = RequestPriority::Interactive;
+        const ReadResult span = service.readRange(100, 200, interactive);
         std::printf("  range client: reads [100, 300) -> %zu reads\n",
-                    span.size());
+                    span.reads.size());
     });
 
-    // An async consumer overlapping two requests.
+    // An async consumer overlapping two requests. submit() returns at
+    // once and hands the outcome to a callback on a pool worker; a
+    // caller that wants a future wraps it in its own promise. A whole
+    // chunk is requested as its read span.
     clients.emplace_back([&] {
-        auto a = service.readRangeAsync(0, 256);
-        auto b = service.readChunkAsync(service.chunkCount() - 1);
+        const auto async = [&](uint64_t first, uint64_t count) {
+            auto promise = std::make_shared<std::promise<ReadResult>>();
+            std::future<ReadResult> future = promise->get_future();
+            service.submit(first, count, RequestOptions{},
+                           [promise](ReadResult result) {
+                               promise->set_value(std::move(result));
+                           });
+            return future;
+        };
+        const size_t last = service.chunkCount() - 1;
+        auto a = async(0, 256);
+        auto b = async(service.chunkFirstRead(last),
+                       service.chunkReadCount(last));
         std::printf("  async client: %zu + %zu reads\n",
-                    a.get().size(), b.get().size());
+                    a.get().reads.size(), b.get().reads.size());
     });
 
-    // A latency-sensitive client: deadline + cancel token. The QoS
-    // overloads return ReadResult{status, reads} — check ok() before
-    // touching the data; an Expired/Cancelled request delivers none.
+    // A latency-sensitive client: deadline + cancel token. Every
+    // request completes with ReadResult{status, reads} — check ok()
+    // before touching the data; an Expired/Cancelled request delivers
+    // none.
     clients.emplace_back([&] {
         CancelSource source;  // cancel() from any thread to abort.
         RequestOptions qos;

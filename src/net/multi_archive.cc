@@ -344,13 +344,12 @@ MultiArchiveService::admitRange(uint32_t archive, uint64_t first,
     inflight_.fetch_add(1, std::memory_order_acq_rel);
     // The closure's shared_ptr keeps the archive (service, cache,
     // file) alive across eviction until this request completes.
-    open->service->readRangeCallback(
-        first, count,
+    open->service->submit(
+        first, count, options,
         [this, open, done = std::move(done)](ReadResult result) {
             done(std::move(result));
             finishRequest();
-        },
-        options);
+        });
     return Admission::Admitted;
 }
 

@@ -126,17 +126,6 @@ beginFrame(std::vector<uint8_t> &out)
     return at;
 }
 
-void
-patchFrameLength(std::vector<uint8_t> &out, size_t at)
-{
-    const uint32_t len =
-        static_cast<uint32_t>(out.size() - at - kLenBytes);
-    out[at + 0] = static_cast<uint8_t>(len);
-    out[at + 1] = static_cast<uint8_t>(len >> 8);
-    out[at + 2] = static_cast<uint8_t>(len >> 16);
-    out[at + 3] = static_cast<uint8_t>(len >> 24);
-}
-
 /** Append the frame CRC over the body built since beginFrame(), then
  *  backpatch the length prefix (which counts the CRC too). */
 void
@@ -144,14 +133,11 @@ endFrame(std::vector<uint8_t> &out, size_t at)
 {
     const size_t body = at + kLenBytes;
     putU32(out, Crc32::of(out.data() + body, out.size() - body));
-    patchFrameLength(out, at);
-}
-
-/** v1-shaped frames (version-mismatch rejections) carry no CRC. */
-void
-endFrameLegacy(std::vector<uint8_t> &out, size_t at)
-{
-    patchFrameLength(out, at);
+    const uint32_t len = static_cast<uint32_t>(out.size() - body);
+    out[at + 0] = static_cast<uint8_t>(len);
+    out[at + 1] = static_cast<uint8_t>(len >> 8);
+    out[at + 2] = static_cast<uint8_t>(len >> 16);
+    out[at + 3] = static_cast<uint8_t>(len >> 24);
 }
 
 void
@@ -169,12 +155,11 @@ putRequestHeader(std::vector<uint8_t> &out, MsgType type,
 
 void
 putReplyHeader(std::vector<uint8_t> &out, MsgType request_type,
-               WireStatus status, uint64_t request_id,
-               uint8_t version = kProtocolVersion)
+               WireStatus status, uint64_t request_id)
 {
     putU8(out, static_cast<uint8_t>(request_type) | kReplyFlag);
     putU8(out, static_cast<uint8_t>(status));
-    putU8(out, version);
+    putU8(out, kProtocolVersion);
     putU8(out, 0);
     putU64(out, request_id);
 }
@@ -353,20 +338,6 @@ appendErrorReply(std::vector<uint8_t> &out, MsgType request_type,
     putU16(out, static_cast<uint16_t>(len));
     putBytes(out, message.data(), len);
     endFrame(out, at);
-}
-
-void
-appendLegacyErrorReply(std::vector<uint8_t> &out, MsgType request_type,
-                       uint64_t request_id, WireStatus status,
-                       const std::string &message)
-{
-    const size_t at = beginFrame(out);
-    putReplyHeader(out, request_type, status, request_id,
-                   /*version=*/0);
-    const size_t len = std::min(message.size(), kMaxErrorMessageBytes);
-    putU16(out, static_cast<uint16_t>(len));
-    putBytes(out, message.data(), len);
-    endFrameLegacy(out, at);
 }
 
 void

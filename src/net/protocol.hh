@@ -19,16 +19,16 @@
  * over everything between the length prefix and the CRC itself. Both
  * ends call verifyFrame() before parsing; a flipped bit on the wire
  * surfaces as a CrcMismatch verdict (ProtocolError + connection
- * close), never as decoded garbage. Version-1 peers wrote 0 in that
- * byte, so an old client is detected on its first frame and answered
- * with a WireStatus::VersionMismatch error encoded in the v1 shape
- * (no CRC) that its parser still understands cleanly.
+ * close), never as decoded garbage. A frame with any other version
+ * byte is a VersionMismatch verdict, which the server answers with an
+ * ordinary error reply (WireStatus::VersionMismatch) before closing
+ * the connection.
  *
  * Request frame (after the u32 length):
  *
  *   u8  type        MsgType
  *   u8  priority    RequestPriority (0 Interactive, 1 Normal, 2 Background)
- *   u8  version     kProtocolVersion (v1 peers wrote 0 here)
+ *   u8  version     kProtocolVersion
  *   u8  reserved    must be 0
  *   u64 requestId   opaque, echoed in the reply
  *   u32 deadlineMs  0 = no deadline, else relative to arrival
@@ -69,9 +69,7 @@ namespace net {
 /** Bytes of the length prefix itself. */
 constexpr size_t kLenBytes = 4;
 
-/** Wire protocol version carried in byte 2 of every frame header.
- *  Version 1 wrote 0 there (the old reserved field) and had no frame
- *  CRC, which is exactly how a v1 peer is detected. */
+/** Wire protocol version carried in byte 2 of every frame header. */
 constexpr uint8_t kProtocolVersion = 2;
 
 /** Fixed request/reply header bytes after the length prefix. */
@@ -229,14 +227,6 @@ void appendErrorReply(std::vector<uint8_t> &out, MsgType request_type,
                       uint64_t request_id, WireStatus status,
                       const std::string &message);
 
-/** Error reply in the version-1 frame shape (version byte 0, no
- *  trailing CRC), so a v1 peer that just got VersionMismatch can
- *  still parse the rejection it is being sent. */
-void appendLegacyErrorReply(std::vector<uint8_t> &out,
-                            MsgType request_type, uint64_t request_id,
-                            WireStatus status,
-                            const std::string &message);
-
 void appendOpenReply(std::vector<uint8_t> &out, uint64_t request_id,
                      MsgType request_type, const OpenReply &reply);
 
@@ -264,8 +254,9 @@ const char *frameVerdictName(FrameVerdict verdict);
 /** Check a received frame's version byte and trailing CRC-32 before
  *  parsing. On Ok, @p body_size is set to @p size minus the CRC — the
  *  byte count to hand to parseRequestFrame()/parseReplyHeader().
- *  Version is checked before the CRC so a v1 peer (version byte 0,
- *  no CRC at all) is reported as VersionMismatch, not corruption. */
+ *  Version is checked before the CRC, so a peer speaking another
+ *  version (whose frames need not carry this CRC) is reported as
+ *  VersionMismatch, not corruption. */
 FrameVerdict verifyFrame(const uint8_t *frame, size_t size,
                          size_t *body_size);
 

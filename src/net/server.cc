@@ -49,13 +49,6 @@ loadLe32(const uint8_t *bytes)
 }
 
 uint64_t
-loadLe64(const uint8_t *bytes)
-{
-    return static_cast<uint64_t>(loadLe32(bytes)) |
-           static_cast<uint64_t>(loadLe32(bytes + 4)) << 32;
-}
-
-uint64_t
 secondsToMs(double seconds)
 {
     return seconds <= 0.0 ? 0
@@ -625,21 +618,13 @@ Server::handleFrame(Conn &conn, const uint8_t *frame, size_t size)
     case FrameVerdict::VersionMismatch: {
         versionMismatches_.fetch_add(1, std::memory_order_relaxed);
         protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-        // The v1 header layout matches ours through the request id
-        // (processRx guarantees >= kRequestHeaderBytes), so echo the
-        // type and id, and shape the reply so a v1 parser reads it.
-        uint8_t type = frame[0];
-        if (type < static_cast<uint8_t>(MsgType::Open) ||
-            type > static_cast<uint8_t>(MsgType::Close))
-            type = static_cast<uint8_t>(MsgType::Open);
         std::vector<uint8_t> reply;
-        appendLegacyErrorReply(
-            reply, static_cast<MsgType>(type), loadLe64(frame + 4),
-            WireStatus::VersionMismatch,
-            std::string("server speaks protocol version ") +
-                std::to_string(unsigned(kProtocolVersion)) +
-                ", client sent version " +
-                std::to_string(unsigned(frame[2])));
+        appendErrorReply(reply, MsgType::Open, 0,
+                         WireStatus::VersionMismatch,
+                         "server speaks protocol version " +
+                             std::to_string(unsigned(kProtocolVersion)) +
+                             ", client sent version " +
+                             std::to_string(unsigned(frame[2])));
         conn.closeAfterFlush = true;
         queueReply(conn, std::move(reply));
         return;

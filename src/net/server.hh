@@ -29,8 +29,8 @@
  * with a best-effort Overloaded reply and an immediate close, never a
  * silent accept-stall. Every received frame is integrity-checked
  * (version byte + CRC-32, net/protocol.hh) before parsing: wire
- * damage is a ProtocolError + close, and a version-1 peer gets a
- * VersionMismatch error in the v1 shape it can still parse.
+ * damage is a ProtocolError + close, and a frame of another protocol
+ * version is a VersionMismatch error + close.
  *
  * Graceful drain: beginDrain() (any thread; SIGTERM-safe via an
  * atomic flag) stops accepting, answers new requests with

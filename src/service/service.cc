@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <future>
 #include <utility>
 
 #include "util/logging.hh"
@@ -90,9 +91,28 @@ SageArchiveService::~SageArchiveService()
 // ---------------------------------------------------------------------
 
 void
-SageArchiveService::enqueue(RequestPriority priority,
-                            std::function<void()> work)
+SageArchiveService::schedule(
+    RequestOptions options,
+    std::function<ReadResult(const RequestOptions &)> serve,
+    std::function<void(ReadResult)> done)
 {
+    const Stopwatch clock;  // Latency includes the queue wait.
+    const RequestPriority priority = options.priority;
+    std::function<void()> work = [this, clock,
+                                  options = std::move(options),
+                                  serve = std::move(serve),
+                                  done = std::move(done)] {
+        // Dequeue-time QoS check: a request that sat out its deadline
+        // behind a backlog (or was cancelled while queued) completes
+        // immediately with its status — no decode, no assembly.
+        ReadResult result;
+        result.status = options.checkNow();
+        if (result.status == RequestStatus::Ok)
+            result = serve(options);
+        recordRequest(options.priority, result.status, clock.seconds(),
+                      result.reads);
+        done(std::move(result));
+    };
     {
         std::lock_guard<std::mutex> lock(schedMutex_);
         queues_[static_cast<size_t>(priority)].push_back(
@@ -206,10 +226,11 @@ SageArchiveService::recordChunkError(const Status &status)
 }
 
 DecodedChunkPtr
-SageArchiveService::fetchChunk(size_t chunk, const RequestOptions *qos,
-                               Status *error)
+SageArchiveService::fetchChunk(size_t chunk,
+                               const RequestOptions &options,
+                               ReadResult &outcome)
 {
-    return cache_.getOrDecode(
+    DecodedChunkPtr data = cache_.getOrDecode(
         chunk,
         [this](size_t index) -> StatusOr<DecodedChunkPtr> {
             StatusOr<std::vector<Read>> reads =
@@ -223,27 +244,23 @@ SageArchiveService::fetchChunk(size_t chunk, const RequestOptions *qos,
                 DecodedChunk::residentBytes(decoded->reads);
             return DecodedChunkPtr(std::move(decoded));
         },
-        qos, error);
-}
-
-DecodedChunkPtr
-SageArchiveService::fetchChunkForSession(size_t chunk,
-                                         const RequestOptions *qos,
-                                         Status *error)
-{
-    DecodedChunkPtr data = fetchChunk(chunk, qos, error);
-    // Speculate the client's next sequential chunk into the cache as
-    // Background work — the serving-layer analogue of the reader's
-    // prefetch-next-chunk mode, but per client and deduplicated by
-    // the cache's single-flight machinery. Pointless without a
-    // retaining cache (the warm's decode would be evicted on insert
-    // and re-done when the session arrives), so a zero budget
-    // disables speculation.
-    if (data && options_.sessionReadahead && cache_.budgetBytes() > 0 &&
-        chunk + 1 < chunkCount() && !cache_.contains(chunk + 1)) {
-        warmChunk(chunk + 1);
+        options.abandonable() ? &options : nullptr, &outcome.error);
+    if (data)
+        return data;
+    if (!outcome.error.ok()) {
+        // The chunk failed to decode (I/O fault or corrupt bytes).
+        // Only this request degrades: the cache kept no poisoned entry
+        // and other chunks are untouched.
+        outcome.status = RequestStatus::Error;
+    } else {
+        // Abandoned while coalesced-waiting on another request's
+        // decode; the status check is sticky, so re-reading it names
+        // the reason.
+        outcome.status = options.checkNow();
+        sage_assert(outcome.status != RequestStatus::Ok,
+                    "null chunk from a live request");
     }
-    return data;
+    return nullptr;
 }
 
 ReadResult
@@ -267,26 +284,10 @@ SageArchiveService::assembleRange(uint64_t first_read, uint64_t count,
                 return result;
             }
         }
-        Status error;
         const DecodedChunkPtr chunk =
-            fetchChunk(chunkForRead(pos),
-                       abandonable ? &options : nullptr, &error);
+            fetchChunk(chunkForRead(pos), options, result);
         if (!chunk) {
             result.reads.clear();
-            if (!error.ok()) {
-                // The chunk failed to decode (I/O fault or corrupt
-                // bytes). Only this request degrades: the cache kept
-                // no poisoned entry and other chunks are untouched.
-                result.status = RequestStatus::Error;
-                result.error = error;
-                return result;
-            }
-            // Abandoned while coalesced-waiting on another request's
-            // decode; the status check is sticky, so re-reading it
-            // names the reason.
-            result.status = options.checkNow();
-            sage_assert(result.status != RequestStatus::Ok,
-                        "null chunk from a live request");
             return result;
         }
         const uint64_t chunk_end =
@@ -328,137 +329,32 @@ SageArchiveService::recordRequest(RequestPriority priority,
 }
 
 void
-SageArchiveService::scheduleRange(
-    uint64_t first_read, uint64_t count, RequestOptions options,
-    std::function<void(ReadResult)> deliver)
+SageArchiveService::submit(uint64_t first_read, uint64_t count,
+                           const RequestOptions &options,
+                           std::function<void(ReadResult)> done)
 {
     sage_assert(first_read <= readCount() &&
                 count <= readCount() - first_read,
                 "read range [", first_read, ", ", first_read + count,
                 ") exceeds the archive's ", readCount(), " reads");
-    const Stopwatch clock;  // Latency includes the queue wait.
-    enqueue(options.priority,
-            [this, first_read, count, clock,
-             options = std::move(options),
-             deliver = std::move(deliver)] {
-                // Dequeue-time QoS check: a request that sat out its
-                // deadline behind a backlog (or was cancelled while
-                // queued) completes immediately with its status — no
-                // decode, no assembly.
-                ReadResult result;
-                result.status = options.checkNow();
-                if (result.status == RequestStatus::Ok) {
-                    result =
-                        assembleRange(first_read, count, options);
-                }
-                recordRequest(options.priority, result.status,
-                              clock.seconds(), result.reads);
-                deliver(std::move(result));
-            });
+    schedule(
+        options,
+        [this, first_read, count](const RequestOptions &live) {
+            return assembleRange(first_read, count, live);
+        },
+        std::move(done));
 }
 
-// ---- QoS flavors -----------------------------------------------------
-
-std::future<ReadResult>
-SageArchiveService::readRangeAsync(uint64_t first_read, uint64_t count,
-                                   const RequestOptions &options)
+ReadResult
+SageArchiveService::readRange(uint64_t first_read, uint64_t count,
+                              const RequestOptions &options)
 {
     auto promise = std::make_shared<std::promise<ReadResult>>();
     std::future<ReadResult> future = promise->get_future();
-    scheduleRange(first_read, count, options,
-                  [promise](ReadResult result) {
-                      promise->set_value(std::move(result));
-                  });
-    return future;
-}
-
-std::future<ReadResult>
-SageArchiveService::readChunkAsync(size_t chunk,
-                                   const RequestOptions &options)
-{
-    sage_assert(chunk < chunkCount(), "chunk index ", chunk,
-                " out of range (", chunkCount(), " chunks)");
-    return readRangeAsync(decoder_->chunkFirstRead(chunk),
-                          decoder_->chunkReadCount(chunk), options);
-}
-
-ReadResult
-SageArchiveService::readRange(uint64_t first_read, uint64_t count,
-                              const RequestOptions &options)
-{
-    return readRangeAsync(first_read, count, options).get();
-}
-
-ReadResult
-SageArchiveService::readChunk(size_t chunk,
-                              const RequestOptions &options)
-{
-    return readChunkAsync(chunk, options).get();
-}
-
-void
-SageArchiveService::readRangeCallback(
-    uint64_t first_read, uint64_t count,
-    std::function<void(ReadResult)> done,
-    const RequestOptions &options)
-{
-    scheduleRange(first_read, count, options, std::move(done));
-}
-
-// ---- plain (no-QoS) flavors ------------------------------------------
-
-std::future<std::vector<Read>>
-SageArchiveService::readRangeAsync(uint64_t first_read, uint64_t count,
-                                   RequestPriority priority)
-{
-    RequestOptions options;
-    options.priority = priority;
-    auto promise =
-        std::make_shared<std::promise<std::vector<Read>>>();
-    std::future<std::vector<Read>> future = promise->get_future();
-    scheduleRange(first_read, count, std::move(options),
-                  [promise](ReadResult result) {
-                      // No deadline/token => always Ok.
-                      promise->set_value(std::move(result.reads));
-                  });
-    return future;
-}
-
-std::future<std::vector<Read>>
-SageArchiveService::readChunkAsync(size_t chunk,
-                                   RequestPriority priority)
-{
-    sage_assert(chunk < chunkCount(), "chunk index ", chunk,
-                " out of range (", chunkCount(), " chunks)");
-    return readRangeAsync(decoder_->chunkFirstRead(chunk),
-                          decoder_->chunkReadCount(chunk), priority);
-}
-
-std::vector<Read>
-SageArchiveService::readRange(uint64_t first_read, uint64_t count,
-                              RequestPriority priority)
-{
-    return readRangeAsync(first_read, count, priority).get();
-}
-
-std::vector<Read>
-SageArchiveService::readChunk(size_t chunk, RequestPriority priority)
-{
-    return readChunkAsync(chunk, priority).get();
-}
-
-void
-SageArchiveService::readRangeCallback(
-    uint64_t first_read, uint64_t count,
-    std::function<void(std::vector<Read>)> done,
-    RequestPriority priority)
-{
-    RequestOptions options;
-    options.priority = priority;
-    scheduleRange(first_read, count, std::move(options),
-                  [done = std::move(done)](ReadResult result) {
-                      done(std::move(result.reads));
-                  });
+    submit(first_read, count, options, [promise](ReadResult result) {
+        promise->set_value(std::move(result));
+    });
+    return future.get();
 }
 
 void
@@ -470,16 +366,18 @@ SageArchiveService::warmChunk(size_t chunk)
         std::lock_guard<std::mutex> lock(statsMutex_);
         readaheadWarms_++;
     }
-    const Stopwatch clock;
-    enqueue(RequestPriority::Background, [this, chunk, clock] {
-        // A failed warm is already classified by the decode path; the
-        // request record just notes it did not complete Ok.
-        Status error;
-        const DecodedChunkPtr data = fetchChunk(chunk, nullptr, &error);
-        recordRequest(RequestPriority::Background,
-                      data ? RequestStatus::Ok : RequestStatus::Error,
-                      clock.seconds(), {});
-    });
+    RequestOptions options;
+    options.priority = RequestPriority::Background;
+    // A failed warm is already classified by the decode path; the
+    // request record just notes it did not complete Ok.
+    schedule(
+        std::move(options),
+        [this, chunk](const RequestOptions &live) {
+            ReadResult outcome;
+            fetchChunk(chunk, live, outcome);
+            return outcome;
+        },
+        [](ReadResult) {});
 }
 
 ServiceStats
@@ -556,48 +454,44 @@ ServiceSession::ensureChunk()
         status_ == RequestStatus::Cancelled) {
         return false;
     }
-    status_ = RequestStatus::Ok;
     // Chunk fetches go through the scheduler like any other request
-    // so a flood of Background warms cannot starve them.
+    // so a flood of Background warms cannot starve them; the
+    // session's token/deadline covers every fetch it issues. The
+    // fetched chunk travels beside the ReadResult: the worker stores
+    // it before done() fulfils the promise, which orders that store
+    // before this thread reads it.
+    struct Fetch
+    {
+        DecodedChunkPtr chunk;
+        std::promise<RequestStatus> status;
+    };
+    auto fetch = std::make_shared<Fetch>();
+    std::future<RequestStatus> status = fetch->status.get_future();
     const size_t index = service_->chunkForRead(position_);
-    using Outcome = std::pair<DecodedChunkPtr, RequestStatus>;
-    auto promise = std::make_shared<std::promise<Outcome>>();
-    std::future<Outcome> future = promise->get_future();
-    const Stopwatch clock;
-    SageArchiveService *service = service_;
-    const RequestOptions &options = options_;
-    service_->enqueue(
-        options_.priority,
-        [service, index, options, promise, clock] {
-            // Dequeue-time check, then an abandonable fetch: the
-            // session's token/deadline covers every fetch it issues.
-            RequestStatus status = options.checkNow();
-            DecodedChunkPtr data;
-            if (status == RequestStatus::Ok) {
-                Status error;
-                data = service->fetchChunkForSession(
-                    index, options.abandonable() ? &options : nullptr,
-                    &error);
-                if (data)
-                    status = RequestStatus::Ok;
-                else if (!error.ok())
-                    status = RequestStatus::Error;
-                else
-                    status = options.checkNow();
+    service_->schedule(
+        options_,
+        [service = service_, index, fetch](const RequestOptions &live) {
+            ReadResult outcome;
+            fetch->chunk = service->fetchChunk(index, live, outcome);
+            // Speculate the client's next sequential chunk into the
+            // cache as Background work — the serving-layer analogue
+            // of the reader's prefetch-next-chunk mode, but per client
+            // and deduplicated by the cache's single-flight machinery.
+            // Pointless without a retaining cache (the warm's decode
+            // would be evicted on insert and re-done when the session
+            // arrives), so a zero budget disables speculation.
+            if (fetch->chunk && service->options_.sessionReadahead &&
+                service->cache_.budgetBytes() > 0) {
+                service->warmChunk(index + 1);
             }
-            service->recordRequest(options.priority, status,
-                                   clock.seconds(), {});
-            promise->set_value(Outcome{std::move(data), status});
+            return outcome;
+        },
+        [fetch](ReadResult outcome) {
+            fetch->status.set_value(outcome.status);
         });
-    Outcome outcome = future.get();
-    chunk_ = std::move(outcome.first);
-    if (!chunk_) {
-        status_ = outcome.second;
-        sage_assert(status_ != RequestStatus::Ok,
-                    "session fetch abandoned without a cause");
-        return false;
-    }
-    return true;
+    status_ = status.get();
+    chunk_ = std::move(fetch->chunk);
+    return chunk_ != nullptr;
 }
 
 Read

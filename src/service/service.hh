@@ -15,10 +15,10 @@
  *     ghost set) with single-flight decode, so a hot chunk is
  *     decompressed once no matter how many clients want it and a
  *     64-client sequential sweep cannot flush it;
- *   - a request scheduler that drains readRange()/readChunk()
- *     requests onto a shared util/thread_pool in FIFO-within-priority
- *     order (an Interactive request overtakes queued Background
- *     warms, requests of equal priority run in arrival order);
+ *   - a request scheduler that drains requests onto a shared
+ *     util/thread_pool in FIFO-within-priority order (an Interactive
+ *     request overtakes queued Background warms, requests of equal
+ *     priority run in arrival order);
  *   - per-request QoS (service/qos.hh): RequestOptions carry a
  *     deadline and a CancelToken, checked when the request is
  *     dequeued and before each chunk decode, so an interactive
@@ -34,11 +34,14 @@
  *     (util/histogram.hh's LatencyHistogram), snapshotted
  *     consistently against scheduler mutation.
  *
- * Requests address reads by stored-order index — readRange(first,
- * count) spans chunk boundaries transparently — or whole chunks by
- * index. Sync, future- and callback-based async flavors all funnel
- * through the same scheduler. See docs/service.md for the cache and
- * scheduling model plus sizing guidance.
+ * There is one request primitive, submit(first, count, options, done):
+ * a stored-order span of reads (chunk boundaries are crossed
+ * transparently; a whole chunk is chunkFirstRead(c),
+ * chunkReadCount(c)) whose outcome is handed to @p done on a pool
+ * worker. readRange() is submit() plus a blocking wait, and sessions
+ * and readahead warms go through the same scheduling body. See
+ * docs/service.md for the cache and scheduling model plus sizing
+ * guidance.
  */
 
 #ifndef SAGE_SERVICE_SERVICE_HH
@@ -50,7 +53,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -103,7 +105,7 @@ struct ServiceOptions
     unsigned decodeRetries = 2;
 };
 
-/** What a QoS-bearing request completed with. */
+/** What a request completed with. */
 struct ReadResult
 {
     RequestStatus status = RequestStatus::Ok;
@@ -287,91 +289,39 @@ class SageArchiveService
         return decoder_->chunkReadCount(chunk);
     }
 
-    // ---- synchronous API (blocks the calling client thread) ----------
+    // ---- requests ----------------------------------------------------
 
     /**
-     * Reads [@p first_read, @p first_read + @p count) in stored
-     * order, assembled from the covering chunks through the cache.
-     * Scheduled like every other request; the caller blocks until its
-     * turn completes. Fatal on an out-of-range span.
+     * The request primitive: reads [@p first_read, @p first_read +
+     * @p count) in stored order, assembled from the covering chunks
+     * through the cache (a whole chunk is chunkFirstRead(c),
+     * chunkReadCount(c)). The request is queued at
+     * @p options.priority; its deadline and CancelToken are checked
+     * when the scheduler dequeues it and again before each chunk
+     * decode, so an abandoned request completes Expired/Cancelled with
+     * no reads instead of occupying a worker behind a deep backlog.
+     *
+     * @p done runs exactly once, on a pool worker (never the calling
+     * thread), with the outcome. It must not block on another request
+     * to this service (it would occupy the worker it is waiting for).
+     * Fatal on an out-of-range span.
      */
-    std::vector<Read>
-    readRange(uint64_t first_read, uint64_t count,
-              RequestPriority priority = RequestPriority::Normal);
+    void submit(uint64_t first_read, uint64_t count,
+                const RequestOptions &options,
+                std::function<void(ReadResult)> done);
 
-    /** All of chunk @p chunk's reads, in stored order. */
-    std::vector<Read>
-    readChunk(size_t chunk,
-              RequestPriority priority = RequestPriority::Normal);
-
-    // ---- QoS API: deadlines + cancellation ---------------------------
-
-    /**
-     * QoS flavor of readRange: the request's deadline and CancelToken
-     * are checked when the scheduler dequeues it and again before
-     * each chunk decode; an abandoned request completes with
-     * RequestStatus::Expired/Cancelled and empty reads instead of
-     * occupying a worker behind a deep backlog.
-     */
+    /** submit() that blocks the calling client thread until the
+     *  request completes. */
     ReadResult readRange(uint64_t first_read, uint64_t count,
-                         const RequestOptions &options);
-
-    /** QoS flavor of readChunk. */
-    ReadResult readChunk(size_t chunk, const RequestOptions &options);
-
-    /** Future-based QoS flavor. */
-    std::future<ReadResult>
-    readRangeAsync(uint64_t first_read, uint64_t count,
-                   const RequestOptions &options);
-
-    /** Future-based QoS flavor of readChunk. */
-    std::future<ReadResult>
-    readChunkAsync(size_t chunk, const RequestOptions &options);
-
-    /** Callback-based QoS flavor (same worker-thread rule as
-     *  readRangeCallback). */
-    void readRangeCallback(uint64_t first_read, uint64_t count,
-                           std::function<void(ReadResult)> done,
-                           const RequestOptions &options);
-
-    // ---- asynchronous API --------------------------------------------
-
-    /** Future-based flavor of readRange. */
-    std::future<std::vector<Read>>
-    readRangeAsync(uint64_t first_read, uint64_t count,
-                   RequestPriority priority = RequestPriority::Normal);
-
-    /** Future-based flavor of readChunk. */
-    std::future<std::vector<Read>>
-    readChunkAsync(size_t chunk,
-                   RequestPriority priority = RequestPriority::Normal);
-
-    /**
-     * Callback-based flavor: @p done runs on a worker thread with the
-     * assembled reads once the request is served. The callback must
-     * not block on another sync request to this service from the same
-     * thread pool (it would occupy the worker it is waiting for).
-     */
-    void readRangeCallback(uint64_t first_read, uint64_t count,
-                           std::function<void(std::vector<Read>)> done,
-                           RequestPriority priority =
-                               RequestPriority::Normal);
+                         const RequestOptions &options = {});
 
     // ---- sessions / cache control ------------------------------------
 
-    /** Open a sequential per-client cursor. */
+    /** Open a sequential per-client cursor; @p options (priority,
+     *  deadline, CancelToken) apply to every chunk fetch the session
+     *  issues. */
     ServiceSession
-    openSession(RequestPriority priority = RequestPriority::Normal)
-    {
-        RequestOptions options;
-        options.priority = priority;
-        return ServiceSession(*this, std::move(options));
-    }
-
-    /** Open a cursor with full QoS (deadline / CancelToken apply to
-     *  every chunk fetch the session issues). */
-    ServiceSession
-    openSession(const RequestOptions &options)
+    openSession(const RequestOptions &options = {})
     {
         return ServiceSession(*this, options);
     }
@@ -423,18 +373,13 @@ class SageArchiveService
     size_t chunkForRead(uint64_t read_index) const;
 
     /** Cache-mediated decoded chunk (single-flight on cold misses).
-     *  With @p qos, a coalesced wait is abandonable (nullptr with
-     *  @p error left Ok). A failed decode returns nullptr with the
-     *  failure in @p error — for the decoding leader and every
-     *  coalesced waiter alike. */
+     *  On nullptr, @p outcome says why: Error with the decode's Status
+     *  (for the decoding leader and every coalesced waiter alike), or
+     *  Expired/Cancelled when abandonable @p options fired during a
+     *  coalesced wait. */
     DecodedChunkPtr fetchChunk(size_t chunk,
-                               const RequestOptions *qos = nullptr,
-                               Status *error = nullptr);
-
-    /** fetchChunk + session-readahead of the successor chunk. */
-    DecodedChunkPtr fetchChunkForSession(size_t chunk,
-                                         const RequestOptions *qos,
-                                         Status *error = nullptr);
+                               const RequestOptions &options,
+                               ReadResult &outcome);
 
     /** tryDecodeChunkShared with the transient-retry policy applied:
      *  IoError re-attempts up to ServiceOptions::decodeRetries times
@@ -450,15 +395,17 @@ class SageArchiveService
     ReadResult assembleRange(uint64_t first_read, uint64_t count,
                              const RequestOptions &options);
 
-    /** Shared body of every range flavor: validate, enqueue, check
-     *  QoS at dequeue, assemble, record, then hand the result to
-     *  @p deliver on the worker. */
-    void scheduleRange(uint64_t first_read, uint64_t count,
-                       RequestOptions options,
-                       std::function<void(ReadResult)> deliver);
-
-    /** Queue @p work at @p priority; returns after enqueue. */
-    void enqueue(RequestPriority priority, std::function<void()> work);
+    /**
+     * The scheduling body behind submit(), session chunk fetches and
+     * readahead warms: time the request from enqueue, queue it at
+     * @p options.priority, and on a worker complete it with its QoS
+     * status if it expired or was cancelled while queued (or else run
+     * @p serve), record it, then hand the outcome to @p done.
+     */
+    void schedule(
+        RequestOptions options,
+        std::function<ReadResult(const RequestOptions &)> serve,
+        std::function<void(ReadResult)> done);
 
     /** Pop and run the oldest request of the best priority. */
     void runOne();

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "core/sage.hh"
 #include "io/fault_injection.hh"
 #include "simgen/synthesize.hh"
+#include "util/thread_pool.hh"
 
 namespace sage {
 namespace {
@@ -325,6 +327,14 @@ struct FaultedService
     std::unique_ptr<SageArchiveService> service;
 };
 
+/** Chunk @p chunk's reads, addressed as the chunk's read span. */
+ReadResult
+readChunk(SageArchiveService &service, size_t chunk)
+{
+    return service.readRange(service.chunkFirstRead(chunk),
+                             service.chunkReadCount(chunk));
+}
+
 TEST(ServiceFault, ErrorIsPerRequestAndNeverPoisonsTheCache)
 {
     const std::vector<uint8_t> bytes = makeArchiveBytes();
@@ -337,7 +347,7 @@ TEST(ServiceFault, ErrorIsPerRequestAndNeverPoisonsTheCache)
     ASSERT_GE(service.chunkCount(), 2u);
 
     // Affected request: clean Error with the decode's Status attached.
-    const ReadResult failed = service.readChunk(0, RequestOptions{});
+    const ReadResult failed = readChunk(service, 0);
     EXPECT_EQ(failed.status, RequestStatus::Error);
     EXPECT_TRUE(failed.reads.empty());
     EXPECT_FALSE(failed.error.ok());
@@ -346,7 +356,7 @@ TEST(ServiceFault, ErrorIsPerRequestAndNeverPoisonsTheCache)
     // The failure left no poisoned cache entry: once the fault
     // clears, the same chunk decodes on the next request.
     harness.faulty.setArmed(false);
-    const ReadResult recovered = service.readChunk(0, RequestOptions{});
+    const ReadResult recovered = readChunk(service, 0);
     EXPECT_EQ(recovered.status, RequestStatus::Ok);
     EXPECT_FALSE(recovered.reads.empty());
 
@@ -363,6 +373,48 @@ TEST(ServiceFault, ErrorIsPerRequestAndNeverPoisonsTheCache)
     EXPECT_EQ(stats.ioErrors, 1u);
     EXPECT_EQ(stats.corruptChunks, 0u);
     EXPECT_EQ(stats.retries, 0u);
+}
+
+TEST(ServiceFault, SubmitDeliversErrorOnceOnAPoolWorker)
+{
+    // submit()'s completion contract for the Error status (the other
+    // statuses are covered in test_service.cc): done runs exactly
+    // once, on a pool worker and never the submitting thread, and the
+    // request is counted once.
+    ThreadPool pool(1);
+    std::thread::id worker;
+    pool.submit([&worker] { worker = std::this_thread::get_id(); });
+    pool.wait();
+    const std::vector<uint8_t> bytes = makeArchiveBytes();
+    FaultConfig fault_config;
+    fault_config.failEveryN = 1;
+    ServiceOptions options;
+    options.decodeRetries = 0;
+    options.pool = &pool;
+    FaultedService harness(bytes, fault_config, options);
+    SageArchiveService &service = *harness.service;
+
+    std::atomic<int> calls{0};
+    std::promise<std::thread::id> ran_on;
+    service.submit(service.chunkFirstRead(0), service.chunkReadCount(0),
+                   RequestOptions{}, [&](ReadResult result) {
+                       EXPECT_EQ(result.status, RequestStatus::Error);
+                       EXPECT_EQ(result.error.code(),
+                                 StatusCode::IoError);
+                       EXPECT_TRUE(result.reads.empty());
+                       calls++;
+                       ran_on.set_value(std::this_thread::get_id());
+                   });
+    EXPECT_EQ(ran_on.get_future().get(), worker);
+    EXPECT_NE(worker, std::this_thread::get_id());
+    pool.wait(); // A second call would have landed by now.
+    EXPECT_EQ(calls.load(), 1);
+
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.requests, 1u);
+    EXPECT_EQ(stats.latencySamples, 1u);
+    EXPECT_EQ(stats.errored, 1u);
+    EXPECT_EQ(stats.ioErrors, 1u);
 }
 
 TEST(ServiceFault, ConcurrentRequestsAllSeeTheSharedError)
@@ -385,7 +437,7 @@ TEST(ServiceFault, ConcurrentRequestsAllSeeTheSharedError)
     for (int c = 0; c < kClients; c++) {
         fleet.emplace_back([&service, &errors] {
             const ReadResult result =
-                service.readChunk(0, RequestOptions{});
+                readChunk(service, 0);
             if (result.status == RequestStatus::Error &&
                 !result.error.ok())
                 errors.fetch_add(1, std::memory_order_relaxed);
@@ -399,7 +451,7 @@ TEST(ServiceFault, ConcurrentRequestsAllSeeTheSharedError)
 
     // Recovery still works after the pile-up.
     harness.faulty.setArmed(false);
-    EXPECT_EQ(service.readChunk(0, RequestOptions{}).status,
+    EXPECT_EQ(readChunk(service, 0).status,
               RequestStatus::Ok);
 }
 
@@ -449,7 +501,7 @@ TEST(ServiceFault, RetryAbsorbsTransientIoErrors)
     SageArchiveService service(flaky, options);
     flaky.setFailures(1); // ... one hiccup before the first decode.
 
-    const ReadResult result = service.readChunk(0, RequestOptions{});
+    const ReadResult result = readChunk(service, 0);
     EXPECT_EQ(result.status, RequestStatus::Ok);
     EXPECT_FALSE(result.reads.empty());
 

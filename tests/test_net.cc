@@ -408,12 +408,18 @@ TEST(NetProtocol, FrameIntegrityVerdicts)
             << "flip at byte " << at;
     }
 
-    // A v1 peer (version byte 0) is a version mismatch, never
-    // misreported as corruption — checked before the CRC.
-    std::vector<uint8_t> v1(body, body + size);
-    v1[2] = 0;
-    EXPECT_EQ(net::verifyFrame(v1.data(), v1.size(), nullptr),
-              net::FrameVerdict::VersionMismatch);
+    // Any other version byte is a version mismatch, never misreported
+    // as corruption — checked before the CRC, so it holds whether or
+    // not the peer appended a CRC at all.
+    for (const uint8_t version : {uint8_t{0}, uint8_t{3}}) {
+        std::vector<uint8_t> other(body, body + size);
+        other[2] = version;
+        EXPECT_EQ(net::verifyFrame(other.data(), other.size(), nullptr),
+                  net::FrameVerdict::VersionMismatch);
+        other.resize(other.size() - net::kFrameCrcBytes);
+        EXPECT_EQ(net::verifyFrame(other.data(), other.size(), nullptr),
+                  net::FrameVerdict::VersionMismatch);
+    }
 
     // Runts.
     EXPECT_EQ(net::verifyFrame(body, 0, nullptr),
@@ -423,23 +429,19 @@ TEST(NetProtocol, FrameIntegrityVerdicts)
     EXPECT_EQ(net::verifyFrame(body, net::kReplyHeaderBytes, nullptr),
               net::FrameVerdict::TooShort);
 
-    // The legacy (v1-shaped) error reply a version-mismatched peer is
-    // sent: version byte 0, no trailing CRC, parseable by the v1
-    // header/message parsers.
-    std::vector<uint8_t> legacy;
-    net::appendLegacyErrorReply(legacy, MsgType::Open, 7,
-                                WireStatus::VersionMismatch,
-                                "speak v2");
-    const uint8_t *reply = legacy.data() + net::kLenBytes;
-    const size_t reply_size = legacy.size() - net::kLenBytes;
-    EXPECT_EQ(reply[2], 0);
-    EXPECT_EQ(net::verifyFrame(reply, reply_size, nullptr),
-              net::FrameVerdict::VersionMismatch);
+    // The rejection a version-mismatched peer is sent is an ordinary
+    // v2 error reply: current version byte, trailing CRC, and the
+    // usual header/message parsers read it.
+    std::vector<uint8_t> rejection;
+    net::appendErrorReply(rejection, MsgType::Open, 0,
+                          WireStatus::VersionMismatch, "speak v2");
+    const uint8_t *reply = rejection.data() + net::kLenBytes;
+    const size_t reply_size = verifiedBodySize(rejection);
+    EXPECT_EQ(reply[2], net::kProtocolVersion);
     const StatusOr<ReplyHeader> header =
         net::parseReplyHeader(reply, reply_size);
     ASSERT_TRUE(header.ok()) << header.status().toString();
     EXPECT_EQ(header->status, WireStatus::VersionMismatch);
-    EXPECT_EQ(header->requestId, 7u);
     const StatusOr<std::string> message = net::parseErrorMessage(
         reply + net::kReplyHeaderBytes,
         reply_size - net::kReplyHeaderBytes);
@@ -1177,9 +1179,8 @@ TEST_F(NetServerTest, OldProtocolClientGetsCleanVersionMismatch)
     Server server(service);
     ASSERT_TRUE(server.start().ok());
 
-    // Shape the OPEN exactly as a v1 client would have sent it:
-    // version byte 0, no trailing CRC, length prefix shortened to
-    // match.
+    // An OPEN from a peer of another protocol version: version byte
+    // 0, no trailing CRC, length prefix shortened to match.
     std::vector<uint8_t> frame;
     net::appendOpenRequest(frame, 99, corpus_[0].name,
                            RequestPriority::Normal, 0);
@@ -1194,20 +1195,23 @@ TEST_F(NetServerTest, OldProtocolClientGetsCleanVersionMismatch)
     ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
               static_cast<ssize_t>(frame.size()));
 
-    // The reply must be v1-shaped (version 0, no CRC) so this old
-    // client's parser reads a clean VersionMismatch — not garbage,
-    // not a silent close.
+    // The reply is one ordinary v2 error frame (current version byte,
+    // valid CRC) carrying VersionMismatch — not garbage, not a silent
+    // close — and then the server closes the connection.
     const std::vector<uint8_t> got = recvAll(fd);
     ::close(fd);
     ASSERT_GT(got.size(), net::kLenBytes + net::kReplyHeaderBytes);
+    uint32_t reply_len = 0;
+    std::memcpy(&reply_len, got.data(), sizeof reply_len);
+    EXPECT_EQ(static_cast<size_t>(reply_len) + net::kLenBytes,
+              got.size());
     const uint8_t *reply = got.data() + net::kLenBytes;
-    const size_t reply_size = got.size() - net::kLenBytes;
-    EXPECT_EQ(reply[2], 0);
+    const size_t reply_size = verifiedBodySize(got);
+    EXPECT_EQ(reply[2], net::kProtocolVersion);
     const StatusOr<ReplyHeader> header =
         net::parseReplyHeader(reply, reply_size);
     ASSERT_TRUE(header.ok()) << header.status().toString();
     EXPECT_EQ(header->status, WireStatus::VersionMismatch);
-    EXPECT_EQ(header->requestId, 99u);
     const StatusOr<std::string> message = net::parseErrorMessage(
         reply + net::kReplyHeaderBytes,
         reply_size - net::kReplyHeaderBytes);

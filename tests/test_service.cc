@@ -2,8 +2,9 @@
  * @file
  * Tests for the concurrent archive service layer (service/service.hh):
  * ChunkCache LRU/eviction/single-flight semantics, the request
- * scheduler's priority ordering, sync/async/callback request APIs,
- * per-client sessions with readahead, and the acceptance stress test —
+ * scheduler's priority ordering, the submit()/readRange() request
+ * primitive, per-client sessions with readahead, and the acceptance
+ * stress test —
  * many clients over a FileSource-backed archive with a tiny cache
  * budget must produce byte-identical reads vs one sequential
  * SageReader. Runs under the ASan/UBSan and TSan presets in CI.
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <thread>
 
 #include "core/sage.hh"
@@ -46,6 +48,29 @@ expectSameReads(const std::vector<Read> &a, const std::vector<Read> &b)
         ASSERT_EQ(a[i].quals, b[i].quals) << "read " << i;
         ASSERT_EQ(a[i].header, b[i].header) << "read " << i;
     }
+}
+
+/** Chunk @p chunk's reads, addressed as the chunk's read span. */
+ReadResult
+readChunk(SageArchiveService &service, size_t chunk,
+          const RequestOptions &options = {})
+{
+    return service.readRange(service.chunkFirstRead(chunk),
+                             service.chunkReadCount(chunk), options);
+}
+
+/** A future over submit(), the way a caller that wants one wraps the
+ *  primitive. */
+std::future<ReadResult>
+submitAsync(SageArchiveService &service, uint64_t first, uint64_t count,
+            const RequestOptions &options = {})
+{
+    auto promise = std::make_shared<std::promise<ReadResult>>();
+    std::future<ReadResult> future = promise->get_future();
+    service.submit(first, count, options, [promise](ReadResult result) {
+        promise->set_value(std::move(result));
+    });
+    return future;
 }
 
 /** A decoded chunk of @p reads copies with ~@p bytes_each payload. */
@@ -451,7 +476,7 @@ TEST_F(ServiceTest, ReadRangeMatchesSequentialReader)
     EXPECT_EQ(service.readCount(), expected_.size());
 
     // Whole archive in one request.
-    expectSameReads(service.readRange(0, service.readCount()),
+    expectSameReads(service.readRange(0, service.readCount()).reads,
                     expected_);
 
     // Unaligned spans crossing chunk boundaries.
@@ -460,7 +485,7 @@ TEST_F(ServiceTest, ReadRangeMatchesSequentialReader)
             if (first + count > expected_.size())
                 continue;
             const std::vector<Read> got =
-                service.readRange(first, count);
+                service.readRange(first, count).reads;
             const std::vector<Read> want(
                 expected_.begin() + static_cast<ptrdiff_t>(first),
                 expected_.begin() +
@@ -482,7 +507,7 @@ TEST_F(ServiceTest, ReadChunkMatchesReaderChunks)
     SageArchiveService service(source);
     uint64_t first = 0;
     for (size_t c = 0; c < chunks_; c++) {
-        const std::vector<Read> got = service.readChunk(c);
+        const std::vector<Read> got = readChunk(service, c).reads;
         const std::vector<Read> want(
             expected_.begin() + static_cast<ptrdiff_t>(first),
             expected_.begin() +
@@ -496,21 +521,71 @@ TEST_F(ServiceTest, ReadChunkMatchesReaderChunks)
 TEST_F(ServiceTest, AsyncAndCallbackFlavorsMatchSync)
 {
     SageArchiveService service(path_);
-    auto future_a = service.readRangeAsync(0, 100);
-    auto future_b = service.readChunkAsync(1);
-    expectSameReads(future_a.get(),
+    auto future_a = submitAsync(service, 0, 100);
+    auto future_b = submitAsync(service, service.chunkFirstRead(1),
+                                service.chunkReadCount(1));
+    expectSameReads(future_a.get().reads,
                     {expected_.begin(), expected_.begin() + 100});
-    const std::vector<Read> chunk1 = service.readChunk(1);
-    expectSameReads(future_b.get(), chunk1);
+    const std::vector<Read> chunk1 = readChunk(service, 1).reads;
+    expectSameReads(future_b.get().reads, chunk1);
 
     std::promise<std::vector<Read>> done;
-    service.readRangeCallback(
-        5, 70,
-        [&](std::vector<Read> reads) {
-            done.set_value(std::move(reads));
-        });
+    service.submit(5, 70, RequestOptions{}, [&](ReadResult result) {
+        done.set_value(std::move(result.reads));
+    });
     expectSameReads(done.get_future().get(),
                     {expected_.begin() + 5, expected_.begin() + 75});
+}
+
+TEST_F(ServiceTest, SubmitCompletesOnceOnAPoolWorker)
+{
+    // The network server's completion queue relies on this contract:
+    // done runs exactly once, on a pool worker and never the
+    // submitting thread, whatever status the request completes with,
+    // and the request is counted once. (The Error status is covered
+    // in test_fault.cc, which has the fault-injection harness.)
+    ThreadPool pool(1);
+    std::thread::id worker;
+    pool.submit([&worker] { worker = std::this_thread::get_id(); });
+    pool.wait();
+    ServiceOptions service_options;
+    service_options.pool = &pool;
+    SageArchiveService service(path_, service_options);
+
+    CancelSource source;
+    source.cancel();
+    RequestOptions expired, cancelled;
+    expired.deadline = RequestOptions::deadlineIn(-1.0);
+    cancelled.cancel = source.token();
+    const std::vector<std::pair<RequestOptions, RequestStatus>> cases = {
+        {RequestOptions{}, RequestStatus::Ok},
+        {expired, RequestStatus::Expired},
+        {cancelled, RequestStatus::Cancelled},
+    };
+    for (const auto &request : cases) {
+        const RequestStatus want = request.second;
+        std::atomic<int> calls{0};
+        std::promise<std::thread::id> ran_on;
+        service.submit(0, 100, request.first, [&](ReadResult result) {
+            EXPECT_EQ(result.status, want);
+            EXPECT_EQ(result.reads.size(),
+                      want == RequestStatus::Ok ? 100u : 0u);
+            calls++;
+            ran_on.set_value(std::this_thread::get_id());
+        });
+        EXPECT_EQ(ran_on.get_future().get(), worker);
+        EXPECT_NE(worker, std::this_thread::get_id());
+        pool.wait();  // A second call would have landed by now.
+        EXPECT_EQ(calls.load(), 1) << requestStatusName(want);
+    }
+
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.requests, 3u);
+    EXPECT_EQ(stats.latencySamples, 3u);
+    EXPECT_EQ(stats.expired, 1u);
+    EXPECT_EQ(stats.cancelled, 1u);
+    EXPECT_EQ(stats.errored, 0u);
+    EXPECT_EQ(stats.readsServed, 100u);
 }
 
 TEST_F(ServiceTest, SessionWalksArchiveInStoredOrder)
@@ -562,7 +637,7 @@ TEST_F(ServiceTest, DnaOnlyServiceSkipsQuality)
     ServiceOptions options;
     options.dnaOnly = true;
     SageArchiveService service(path_, options);
-    const std::vector<Read> got = service.readRange(0, 64);
+    const std::vector<Read> got = service.readRange(0, 64).reads;
     for (size_t i = 0; i < got.size(); i++) {
         EXPECT_EQ(got[i].bases, expected_[i].bases) << "read " << i;
         EXPECT_TRUE(got[i].quals.empty()) << "read " << i;
@@ -587,7 +662,7 @@ TEST_F(ServiceTest, SharedExternalPoolAndWarm)
               1u);
     // The warmed chunk now hits without a decode.
     const ChunkCacheStats before = service.stats().cache;
-    service.readChunk(2);
+    readChunk(service, 2);
     const ChunkCacheStats after = service.stats().cache;
     EXPECT_EQ(after.misses, before.misses);
     EXPECT_GT(after.hits, before.hits);
@@ -595,14 +670,14 @@ TEST_F(ServiceTest, SharedExternalPoolAndWarm)
 
 TEST_F(ServiceTest, DestructorDrainsOutstandingRequests)
 {
-    std::future<std::vector<Read>> abandoned;
+    std::future<ReadResult> abandoned;
     {
         SageArchiveService service(path_);
-        abandoned = service.readRangeAsync(0, expected_.size());
+        abandoned = submitAsync(service, 0, expected_.size());
         // Service destroyed with the request possibly still queued.
     }
     // The drain guarantees the request completed before teardown.
-    expectSameReads(abandoned.get(), expected_);
+    expectSameReads(abandoned.get().reads, expected_);
 }
 
 TEST_F(ServiceTest, TinyCacheBudgetStillServesCorrectly)
@@ -611,7 +686,7 @@ TEST_F(ServiceTest, TinyCacheBudgetStillServesCorrectly)
     options.cacheBudgetBytes = 1;  // Effectively uncacheable entries.
     options.cacheShards = 2;
     SageArchiveService service(path_, options);
-    expectSameReads(service.readRange(0, service.readCount()),
+    expectSameReads(service.readRange(0, service.readCount()).reads,
                     expected_);
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.cache.residentBytes, 0u);
@@ -656,7 +731,7 @@ TEST_F(ServiceTest, StressManyClientsByteIdenticalToSequentialReader)
             if (t % 4 == 0) {
                 // Hot client: hammers the first two chunks.
                 for (int it = 0; it < 20; it++)
-                    check(service.readRange(0, 128), 0);
+                    check(service.readRange(0, 128).reads, 0);
             } else if (t % 4 == 1) {
                 // Session client: full sequential walk.
                 ServiceSession session = service.openSession();
@@ -669,22 +744,20 @@ TEST_F(ServiceTest, StressManyClientsByteIdenticalToSequentialReader)
                 for (size_t c = t % chunks_, n = 0; n < chunks_;
                      n++, c = (c + 3) % chunks_) {
                     // chunkReads=64, so chunk c starts at read 64*c.
-                    check(service.readChunk(c),
+                    check(readChunk(service, c).reads,
                           64 * static_cast<uint64_t>(c));
                 }
             } else {
                 // Async client: overlapping span futures.
-                std::vector<
-                    std::pair<uint64_t,
-                              std::future<std::vector<Read>>>>
+                std::vector<std::pair<uint64_t, std::future<ReadResult>>>
                     pending;
                 for (uint64_t first = t; first + 97 < expected_.size();
                      first += 101) {
                     pending.emplace_back(
-                        first, service.readRangeAsync(first, 97));
+                        first, submitAsync(service, first, 97));
                 }
                 for (auto &[first, future] : pending)
-                    check(future.get(), first);
+                    check(future.get().reads, first);
             }
         });
     }
@@ -739,8 +812,7 @@ TEST_F(ServiceQosTest, PreCancelledRequestCompletesWithoutDecode)
     source.cancel();
     RequestOptions options;
     options.cancel = source.token();
-    const ReadResult result =
-        service.readChunk(0, options);
+    const ReadResult result = readChunk(service, 0, options);
     EXPECT_EQ(result.status, RequestStatus::Cancelled);
     EXPECT_TRUE(result.reads.empty());
     const ServiceStats stats = service.stats();
@@ -784,8 +856,7 @@ TEST_F(ServiceQosTest, CancellationRacingCompletionNeverWedges)
         CancelSource source;
         RequestOptions options;
         options.cancel = source.token();
-        auto future =
-            service.readRangeAsync(0, expected_.size(), options);
+        auto future = submitAsync(service, 0, expected_.size(), options);
         std::thread canceller([&] {
             if (round % 4 != 0) {
                 std::this_thread::sleep_for(
@@ -855,11 +926,9 @@ TEST_F(ServiceQosTest, InteractiveOvertakesBacklogViaDeadline)
     service_options.ownedPoolThreads = 1;
     service_options.cacheBudgetBytes = 0;  // Every request decodes.
     SageArchiveService service(path_, service_options);
-    std::vector<std::future<std::vector<Read>>> backlog;
-    for (int i = 0; i < 16; i++) {
-        backlog.push_back(
-            service.readRangeAsync(0, expected_.size()));
-    }
+    std::vector<std::future<ReadResult>> backlog;
+    for (int i = 0; i < 16; i++)
+        backlog.push_back(submitAsync(service, 0, expected_.size()));
     RequestOptions options;
     options.priority = RequestPriority::Interactive;
     options.deadline = RequestOptions::deadlineIn(0.050);
@@ -877,7 +946,7 @@ TEST_F(ServiceQosTest, InteractiveOvertakesBacklogViaDeadline)
     // walks take far longer than this on one worker.
     EXPECT_LT(waited, 5.0);
     for (auto &future : backlog)
-        EXPECT_EQ(future.get().size(), expected_.size());
+        EXPECT_EQ(future.get().reads.size(), expected_.size());
 }
 
 TEST_F(ServiceQosTest, StatsSnapshotIsConsistentUnderLoad)
@@ -925,8 +994,8 @@ TEST_F(ServiceQosTest, StatsSnapshotIsConsistentUnderLoad)
                     RequestOptions options;
                     options.priority = RequestPriority::Interactive;
                     options.cancel = source.token();
-                    auto future = service.readRangeAsync(
-                        0, expected_.size(), options);
+                    auto future = submitAsync(
+                        service, 0, expected_.size(), options);
                     if (i % 2 == 0)
                         source.cancel();
                     future.get();
@@ -938,7 +1007,7 @@ TEST_F(ServiceQosTest, StatsSnapshotIsConsistentUnderLoad)
                                                        : 600.0);
                     service.readRange(0, 200, options);
                 } else {
-                    service.readChunk(i % 5);
+                    readChunk(service, i % 5);
                 }
             }
         });
