@@ -11,7 +11,9 @@
  * runtime-dispatched SIMD kernels (genomics/kernels.hh) — and writes a
  * machine-readable BENCH_kernels.json (via SAGE_BENCH_JSON_DIR) with
  * MB/s per tier plus host metadata, so CI baselines document how much
- * the dispatched kernels buy on that host.
+ * the dispatched kernels buy on that host. Its crc32 row times the
+ * frame and archive checksum the same way: the textbook bitwise loop,
+ * the slicing-by-8 tier and the dispatched tier (util/crc32.hh).
  */
 
 #include <benchmark/benchmark.h>
@@ -31,6 +33,7 @@
 #include "simgen/synthesize.hh"
 #include "util/bitio.hh"
 #include "util/cpu.hh"
+#include "util/crc32.hh"
 #include "util/rng.hh"
 #include "util/timing.hh"
 
@@ -414,6 +417,28 @@ writeKernelJson(const std::string &path)
                                         SeqFixture::kBases,
                                         out.data());
          })});
+    // CRC-32 over the same 4 MiB: the textbook 8-steps-per-byte loop,
+    // the slicing-by-8 tier, and whichever tier Crc32 dispatches to.
+    const uint8_t *bytes = reinterpret_cast<const uint8_t *>(f.acgt.data());
+    uint32_t crc = 0;
+    rows.push_back(
+        {"crc32",
+         bestMbPerSec([&] {
+             uint32_t c = 0xffffffffu;
+             for (size_t i = 0; i < SeqFixture::kBases; i++) {
+                 c ^= bytes[i];
+                 for (int k = 0; k < 8; k++)
+                     c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1)));
+             }
+             crc ^= c;
+         }),
+         bestMbPerSec([&] {
+             crc ^= crc32::slice8(0, bytes, SeqFixture::kBases);
+         }),
+         bestMbPerSec([&] {
+             crc ^= Crc32::of(bytes, SeqFixture::kBases);
+         })});
+    benchmark::DoNotOptimize(crc);
 
     FILE *json = std::fopen(path.c_str(), "w");
     if (!json) {
@@ -459,10 +484,11 @@ main(int argc, char **argv)
         if (arg.rfind("--json=", 0) == 0)
             json_path = arg.substr(7);
     }
-    std::printf("sequence-kernel dispatch: %s (hardware %s%s)\n",
+    std::printf("sequence-kernel dispatch: %s (hardware %s%s), crc32: %s\n",
                 sage::kernels::activeLevelName(),
                 sage::simdLevelName(sage::hardwareSimdLevel()),
-                sage::simdForcedScalar() ? ", SAGE_FORCE_SCALAR" : "");
+                sage::simdForcedScalar() ? ", SAGE_FORCE_SCALAR" : "",
+                sage::crc32::activeTierName());
     if (!json_path.empty())
         sage::writeKernelJson(json_path);
 

@@ -9,6 +9,7 @@
 
 #include "genomics/kernels.hh"
 #include "util/cpu.hh"
+#include "util/crc32.hh"
 #include "util/logging.hh"
 
 namespace sage {
@@ -240,7 +241,8 @@ hostMetaJson()
         << ", \"simdDetected\": \""
         << simdLevelName(hardwareSimdLevel()) << "\""
         << ", \"kernelDispatch\": \"" << kernels::activeLevelName()
-        << "\"" << ", \"forcedScalar\": "
+        << "\"" << ", \"crc32\": \"" << crc32::activeTierName() << "\""
+        << ", \"forcedScalar\": "
         << (simdForcedScalar() ? "true" : "false") << "}";
     return out.str();
 }

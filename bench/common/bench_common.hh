@@ -48,8 +48,9 @@ std::string jsonReportPath(const std::string &name);
 
 /**
  * Host-metadata JSON object value for bench reports: hardware
- * concurrency, compiler, detected SIMD level and the active kernel
- * dispatch (after SAGE_FORCE_SCALAR). Every BENCH_*.json embeds it as
+ * concurrency, compiler, detected SIMD level, the active kernel
+ * dispatch and CRC-32 tier (both after SAGE_FORCE_SCALAR). Every
+ * BENCH_*.json embeds it as
  * `"host": ...` so a committed baseline names the machine shape it was
  * measured on — a 1-core container baseline is then self-documenting
  * instead of a trap (ROADMAP perf follow-on).

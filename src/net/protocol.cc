@@ -9,6 +9,9 @@ namespace net {
 
 namespace {
 
+/** u16 headerLen + u32 basesLen + u32 qualsLen ahead of each read. */
+constexpr size_t kReadDescriptorBytes = 10;
+
 // ---- little-endian primitives ---------------------------------------
 
 void
@@ -352,10 +355,32 @@ appendOpenReply(std::vector<uint8_t> &out, uint64_t request_id,
     endFrame(out, at);
 }
 
-void
+Status
 appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
                 uint64_t request_id, const std::vector<Read> &reads)
 {
+    // Size the frame before writing a byte of it: refuse what the u16
+    // header lengths and the u32 frame length cannot carry, and
+    // allocate what they can exactly once. The frame length counts the
+    // reply header, the u32 read count, the reads and the CRC.
+    uint64_t frame = kReplyHeaderBytes + 4 + kFrameCrcBytes;
+    for (size_t i = 0; i < reads.size(); i++) {
+        const Read &read = reads[i];
+        if (read.header.size() > UINT16_MAX)
+            return Status::outOfRange(
+                "read ", i, " of the reply has a ", read.header.size(),
+                "-byte header; a reply header holds at most ",
+                UINT16_MAX, " bytes");
+        frame += kReadDescriptorBytes + read.header.size() +
+                 read.bases.size() + read.quals.size();
+    }
+    if (frame > UINT32_MAX)
+        return Status::outOfRange("a reply of ", reads.size(),
+                                  " reads needs a ", frame,
+                                  "-byte frame; a frame holds at most ",
+                                  UINT32_MAX, " bytes");
+    out.reserve(out.size() + kLenBytes + frame);
+
     const size_t at = beginFrame(out);
     putReplyHeader(out, request_type, WireStatus::Ok, request_id);
     putU32(out, static_cast<uint32_t>(reads.size()));
@@ -368,6 +393,7 @@ appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
         putBytes(out, read.quals.data(), read.quals.size());
     }
     endFrame(out, at);
+    return Status();
 }
 
 void
@@ -530,8 +556,8 @@ parseReadReplyPayload(const uint8_t *payload, size_t size)
     if (!cur.u32(count))
         return malformed("READ reply short");
     // A count can promise at most the remaining bytes (each read costs
-    // at least its 10-byte descriptor); reject before reserving.
-    if (count > cur.remaining() / 10 + 1)
+    // at least its descriptor); reject before reserving.
+    if (count > cur.remaining() / kReadDescriptorBytes + 1)
         return Status::corrupt(
             "malformed frame: read count ", count,
             " exceeds payload capacity");

@@ -230,9 +230,13 @@ void appendErrorReply(std::vector<uint8_t> &out, MsgType request_type,
 void appendOpenReply(std::vector<uint8_t> &out, uint64_t request_id,
                      MsgType request_type, const OpenReply &reply);
 
-void appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
-                     uint64_t request_id,
-                     const std::vector<Read> &reads);
+/** OutOfRange, with @p out unchanged, when a read's header exceeds
+ *  the u16 length field (65 535 bytes) or the frame would exceed the
+ *  u32 length prefix; the server answers that in band. Callers that
+ *  know their reads fit may ignore the result. */
+Status appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
+                       uint64_t request_id,
+                       const std::vector<Read> &reads);
 
 void appendStatReply(std::vector<uint8_t> &out, uint64_t request_id,
                      const WireServerStats &stats);

@@ -771,7 +771,12 @@ Server::handleRead(Conn &conn, const RequestFrame &request)
                      type = request.type](ReadResult result) {
         std::vector<uint8_t> frame;
         if (result.status == RequestStatus::Ok) {
-            appendReadReply(frame, type, request_id, result.reads);
+            const Status encoded =
+                appendReadReply(frame, type, request_id, result.reads);
+            if (!encoded.ok())
+                appendErrorReply(frame, type, request_id,
+                                 WireStatus::OutOfRange,
+                                 encoded.toString());
         } else {
             const std::string detail =
                 result.error.ok() ? requestStatusName(result.status)

@@ -26,6 +26,17 @@ probeHardware()
 }
 
 bool
+probeCarrylessMultiply()
+{
+#if SAGE_X86_DISPATCH
+    return __builtin_cpu_supports("pclmul") &&
+           __builtin_cpu_supports("sse4.1");
+#else
+    return false;
+#endif
+}
+
+bool
 probeForcedScalar()
 {
     const char *force = std::getenv("SAGE_FORCE_SCALAR");
@@ -54,6 +65,14 @@ detectedSimdLevel()
     static const SimdLevel level =
         simdForcedScalar() ? SimdLevel::Scalar : hardwareSimdLevel();
     return level;
+}
+
+bool
+detectedCarrylessMultiply()
+{
+    static const bool available =
+        !simdForcedScalar() && probeCarrylessMultiply();
+    return available;
 }
 
 const char *

@@ -1,7 +1,7 @@
 /**
  * @file
  * Host CPU capability detection for the runtime-dispatched sequence
- * kernels (genomics/kernels.hh).
+ * kernels (genomics/kernels.hh) and the CRC-32 tier (util/crc32.hh).
  *
  * The SAGe paper's premise is that data preparation must run at
  * hardware speed; on the software side that means the hot base-level
@@ -39,6 +39,14 @@ bool simdForcedScalar();
 
 /** Lower-case tier name: "scalar", "ssse3", "avx2". */
 const char *simdLevelName(SimdLevel level);
+
+/**
+ * True when the host has carry-less multiply (PCLMULQDQ, plus the
+ * SSE4.1 the CRC-32 folding kernel's reduction uses) and
+ * SAGE_FORCE_SCALAR is not set. Always false on non-x86 builds.
+ * Resolved once, like detectedSimdLevel().
+ */
+bool detectedCarrylessMultiply();
 
 /** std::thread::hardware_concurrency with a minimum of 1. */
 unsigned hardwareConcurrency();

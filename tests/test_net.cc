@@ -228,9 +228,26 @@ TEST(NetProtocol, ReadReplyRoundTrip)
     reads[2].header = "@r2 with spaces";
     reads[2].bases = std::string(1000, 'A');
     reads[2].quals = std::string(1000, '#');
+    reads.emplace_back();
+    reads[3].header = "@" + std::string(65534, 'h');  // u16 maximum.
+    reads[3].bases = "ACGT";
+    reads[3].quals = "IIII";
 
     std::vector<uint8_t> frame;
-    net::appendReadReply(frame, MsgType::ReadRange, 77, reads);
+    ASSERT_TRUE(
+        net::appendReadReply(frame, MsgType::ReadRange, 77, reads).ok());
+
+    // One byte more than the u16 header length holds is refused, and
+    // the buffer is left exactly as it was.
+    std::vector<Read> too_long = reads;
+    too_long[3].header.push_back('h');
+    std::vector<uint8_t> refused = frame;
+    const Status status =
+        net::appendReadReply(refused, MsgType::ReadRange, 78, too_long);
+    EXPECT_EQ(status.code(), StatusCode::OutOfRange);
+    EXPECT_NE(status.toString().find("65535"), std::string::npos)
+        << status.toString();
+    EXPECT_EQ(refused, frame);
 
     const size_t body = verifiedBodySize(frame);
     const StatusOr<ReplyHeader> header = net::parseReplyHeader(
@@ -948,6 +965,78 @@ TEST_F(NetServerTest, ErrorRepliesLeaveConnectionUsable)
     const StatusOr<WireServerStats> stats = (*client)->statServer();
     ASSERT_TRUE(stats.ok());
     EXPECT_EQ(stats->reopens, 1u);
+}
+
+TEST_F(NetServerTest, UnencodableReplyIsTerminalOutOfRange)
+{
+    // Neither FASTQ ingest nor the header stream bounds a header, but
+    // the reply's u16 header length does. A read past it must come
+    // back as an in-band, terminal OutOfRange that names the limit —
+    // not a truncated frame the client would take for wire damage and
+    // reconnect over until its budget ran out.
+    SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
+    ds.readSet.reads[5].header = "@" + std::string(69999, 'h');
+    SageConfig config;
+    config.chunkReads = 64;
+    const SageArchive archive =
+        sageCompress(ds.readSet, ds.reference, config);
+    const std::string name = "long_header.sage";
+    const std::string path = dir_ + "/" + name;
+    {
+        FileSink sink(path);
+        sink.writeBytes(archive.bytes);
+    }
+    std::vector<Read> expected;
+    {
+        SageReader reader(path);
+        for (size_t c = 0; c < reader.chunkCount(); c++) {
+            const std::vector<Read> reads = reader.readChunk(c);
+            expected.insert(expected.end(), reads.begin(), reads.end());
+        }
+    }
+    size_t long_at = expected.size();
+    for (size_t i = 0; i < expected.size(); i++) {
+        if (expected[i].header.size() == 70000)
+            long_at = i;
+    }
+    ASSERT_LT(long_at, expected.size());
+    ASSERT_GE(expected.size(), 20u);
+
+    MultiArchiveOptions service_options;
+    service_options.ownedPoolThreads = 2;
+    MultiArchiveService service(dir_, service_options);
+    Server server(service);
+    ASSERT_TRUE(server.start().ok());
+
+    ResilientClientOptions options;
+    options.retry.seed = 4;
+    ResilientClient client("127.0.0.1", server.port(), options);
+    const StatusOr<OpenReply> open = client.open(name);
+    ASSERT_TRUE(open.ok()) << open.status().toString();
+
+    StatusOr<net::ReadReply> reply =
+        client.readRange(open->archive, long_at, 1);
+    ASSERT_TRUE(reply.ok()) << reply.status().toString();
+    EXPECT_EQ(reply->status, WireStatus::OutOfRange);
+    EXPECT_NE(reply->message.find("65535"), std::string::npos)
+        << reply->message;
+
+    // The same connection goes on serving ranges without that read.
+    const uint64_t first = long_at >= 10 ? 0 : long_at + 1;
+    reply = client.readRange(open->archive, first, 10);
+    ASSERT_TRUE(reply.ok()) << reply.status().toString();
+    ASSERT_TRUE(reply->ok()) << reply->message;
+    expectSameReads(reply->reads,
+                    std::vector<Read>(expected.begin() + first,
+                                      expected.begin() + first + 10));
+
+    EXPECT_EQ(client.stats().connects, 1u);
+    EXPECT_EQ(client.stats().retries, 0u);
+    EXPECT_EQ(client.stats().transportRetries, 0u);
+    EXPECT_EQ(server.netStats().protocolErrors, 0u);
+
+    server.stop();
+    std::remove(path.c_str());
 }
 
 TEST_F(NetServerTest, OverloadProducesOverloadedRepliesNotDrops)

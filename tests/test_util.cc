@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
 #include <numeric>
 
 #include "util/bitio.hh"
+#include "util/cpu.hh"
 #include "util/crc32.hh"
 #include "util/histogram.hh"
 #include "util/prefix_code.hh"
@@ -184,6 +186,119 @@ TEST(Crc32, IncrementalMatchesOneShot)
     crc.update(data.data(), 400);
     crc.update(data.data() + 400, 600);
     EXPECT_EQ(crc.value(), Crc32::of(data));
+}
+
+/** One byte of the textbook CRC-32: 8 shift/xor steps on the raw
+ *  (pre-inverted) register. */
+uint32_t
+crcBitwiseStep(uint32_t c, uint8_t byte)
+{
+    c ^= byte;
+    for (int k = 0; k < 8; k++)
+        c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1)));
+    return c;
+}
+
+uint32_t
+crcBitwise(const uint8_t *data, size_t size)
+{
+    uint32_t c = 0xffffffffu;
+    for (size_t i = 0; i < size; i++)
+        c = crcBitwiseStep(c, data[i]);
+    return ~c;
+}
+
+std::vector<uint8_t>
+randomBytes(size_t size, uint64_t seed)
+{
+    std::vector<uint8_t> data(size);
+    Rng rng(seed);
+    for (auto &b : data)
+        b = static_cast<uint8_t>(rng.next());
+    return data;
+}
+
+TEST(Crc32, TiersMatchBitwiseAtEveryLengthAndOffset)
+{
+    // Lengths 0-1100 at offsets 0-15 cover below the 64-byte SIMD
+    // threshold, exactly 64, every 16-byte remainder and misaligned
+    // loads, for the slicing-by-8 tier and the dispatched one alike.
+    constexpr size_t kMaxLen = 1100;
+    const std::vector<uint8_t> data = randomBytes(kMaxLen + 16, 21);
+    for (size_t offset = 0; offset < 16; offset++) {
+        const uint8_t *base = data.data() + offset;
+        uint32_t reference = 0xffffffffu;
+        for (size_t len = 0; len <= kMaxLen; len++) {
+            ASSERT_EQ(crc32::slice8(0, base, len), ~reference)
+                << "offset " << offset << " length " << len;
+            ASSERT_EQ(Crc32::of(base, len), ~reference)
+                << "offset " << offset << " length " << len;
+            reference = crcBitwiseStep(reference, base[len]);
+        }
+    }
+}
+
+TEST(Crc32, SplitUpdatesMatchOneShot)
+{
+    const std::vector<uint8_t> small = randomBytes(300, 22);
+    const uint32_t small_crc = crcBitwise(small.data(), small.size());
+    for (size_t split = 0; split <= small.size(); split++) {
+        Crc32 crc;
+        crc.update(small.data(), split);
+        crc.update(small.data() + split, small.size() - split);
+        ASSERT_EQ(crc.value(), small_crc) << "split " << split;
+        const uint32_t head = crc32::slice8(0, small.data(), split);
+        ASSERT_EQ(crc32::slice8(head, small.data() + split,
+                                small.size() - split),
+                  small_crc)
+            << "split " << split;
+    }
+
+    // A 1 MiB buffer cut at seeded random points into pieces that
+    // straddle the SIMD threshold and the 16-byte block boundaries.
+    const std::vector<uint8_t> big = randomBytes(1 << 20, 23);
+    const uint32_t big_crc = crcBitwise(big.data(), big.size());
+    ASSERT_EQ(Crc32::of(big), big_crc);
+    Rng rng(24);
+    for (int trial = 0; trial < 8; trial++) {
+        Crc32 crc;
+        uint32_t chained = 0;
+        for (size_t at = 0; at < big.size();) {
+            const size_t piece = std::min<size_t>(
+                big.size() - at, rng.nextBelow(trial % 2 ? 200 : 70000));
+            crc.update(big.data() + at, piece);
+            chained = crc32::slice8(chained, big.data() + at, piece);
+            at += piece;
+        }
+        EXPECT_EQ(crc.value(), big_crc) << "trial " << trial;
+        EXPECT_EQ(chained, big_crc) << "trial " << trial;
+    }
+}
+
+TEST(Crc32, ZeroLengthUpdatesAreNoOps)
+{
+    const std::vector<uint8_t> data = randomBytes(200, 25);
+    EXPECT_EQ(Crc32::of(nullptr, 0), 0u);
+    EXPECT_EQ(crc32::slice8(0, nullptr, 0), 0u);
+    EXPECT_EQ(crc32::slice8(0x12345678u, data.data(), 0), 0x12345678u);
+
+    Crc32 crc;
+    crc.update(nullptr, 0);
+    crc.update(data.data(), 100);
+    crc.update(data.data() + 100, 0);
+    crc.update(data.data() + 100, 100);
+    crc.update(data.data() + 200, 0);
+    EXPECT_EQ(crc.value(), crcBitwise(data.data(), data.size()));
+}
+
+TEST(Crc32, TierHonoursForcedScalar)
+{
+    const std::string tier = crc32::activeTierName();
+    EXPECT_TRUE(tier == "pclmul" || tier == "slice8") << tier;
+    if (simdForcedScalar()) {
+        EXPECT_EQ(tier, "slice8");
+    }
+    EXPECT_EQ(tier == "pclmul", detectedCarrylessMultiply());
 }
 
 TEST(Varint, RoundTripEdges)
