@@ -9,8 +9,10 @@
  *   sage::SageArchiveService    -> shared server over one archive
  *   service.openSession()       -> per-client sequential cursor
  *   service.submit(a, n, o, f)  -> the request primitive: span
- *                                  [a, a+n), f(ReadResult) on a worker
- *   service.readRange(a, n, o)  -> submit() plus a blocking wait
+ *                                  [a, a+n), f(RangeResult) on a
+ *                                  worker, runs over cached chunks
+ *   service.readRange(a, n, o)  -> submit() plus a blocking wait and
+ *                                  a copy into owned reads
  *   RequestOptions              -> priority, deadline, cancel token
  *                                  (qos.hh)
  *   service.stats()             -> hit rate, latency, queue counters
@@ -82,10 +84,10 @@ main()
     // chunk is requested as its read span.
     clients.emplace_back([&] {
         const auto async = [&](uint64_t first, uint64_t count) {
-            auto promise = std::make_shared<std::promise<ReadResult>>();
-            std::future<ReadResult> future = promise->get_future();
+            auto promise = std::make_shared<std::promise<RangeResult>>();
+            std::future<RangeResult> future = promise->get_future();
             service.submit(first, count, RequestOptions{},
-                           [promise](ReadResult result) {
+                           [promise](RangeResult result) {
                                promise->set_value(std::move(result));
                            });
             return future;
@@ -94,8 +96,19 @@ main()
         auto a = async(0, 256);
         auto b = async(service.chunkFirstRead(last),
                        service.chunkReadCount(last));
-        std::printf("  async client: %zu + %zu reads\n",
-                    a.get().reads.size(), b.get().reads.size());
+        // The outcome is runs over the shared decoded chunks, read in
+        // place (copyReads() makes an owned copy).
+        uint64_t bases = 0;
+        const RangeResult head = a.get();
+        for (const ReadRun &run : head.runs) {
+            for (const Read &read : run)
+                bases += read.bases.size();
+        }
+        std::printf("  async client: %llu reads (%llu bases) + %llu "
+                    "reads\n",
+                    static_cast<unsigned long long>(head.readCount()),
+                    static_cast<unsigned long long>(bases),
+                    static_cast<unsigned long long>(b.get().readCount()));
     });
 
     // A latency-sensitive client: deadline + cancel token. Every

@@ -148,7 +148,7 @@ Client::sendAll(const std::vector<uint8_t> &bytes)
     return Status();
 }
 
-StatusOr<std::vector<uint8_t>>
+StatusOr<size_t>
 Client::recvFrame()
 {
     uint8_t prefix[kLenBytes];
@@ -180,11 +180,12 @@ Client::recvFrame()
     if (len < kReplyHeaderBytes || len > options_.maxReplyFrameBytes)
         return transportError(
             Status::ioError("bad reply frame length ", len));
-    std::vector<uint8_t> frame(len);
+    if (rx_.size() < len)
+        rx_.resize(len);
     have = 0;
     while (have < len) {
         const ssize_t n =
-            ::recv(fd_, frame.data() + have, len - have, 0);
+            ::recv(fd_, rx_.data() + have, len - have, 0);
         if (n > 0) {
             have += static_cast<size_t>(n);
             continue;
@@ -201,10 +202,10 @@ Client::recvFrame()
                 "s mid-frame (", have, " of ", len, " bytes)"));
         return transportError(Status::ioError("recv: ", errnoText()));
     }
-    return frame;
+    return static_cast<size_t>(len);
 }
 
-StatusOr<std::vector<uint8_t>>
+StatusOr<Client::Payload>
 Client::transact(const std::vector<uint8_t> &request,
                  uint64_t request_id, ReplyHeader &header)
 {
@@ -218,16 +219,15 @@ Client::transact(const std::vector<uint8_t> &request,
     if (!frame.ok())
         return frame.status();
     size_t body_size = 0;
-    switch (verifyFrame(frame->data(), frame->size(), &body_size)) {
+    switch (verifyFrame(rx_.data(), frame.value(), &body_size)) {
     case FrameVerdict::Ok:
-        frame->resize(body_size);
         break;
     case FrameVerdict::VersionMismatch:
         // The server speaks another protocol revision — terminal, a
         // reconnect cannot help.
         broken_ = true;
         return Status::corrupt(
-            "server speaks protocol version ", unsigned((*frame)[2]),
+            "server speaks protocol version ", unsigned(rx_[2]),
             ", this client speaks ", unsigned(kProtocolVersion));
     case FrameVerdict::TooShort:
     case FrameVerdict::CrcMismatch:
@@ -235,7 +235,7 @@ Client::transact(const std::vector<uint8_t> &request,
             "reply frame failed integrity check (CRC mismatch): "
             "bits flipped on the wire"));
     }
-    auto parsed = parseReplyHeader(frame->data(), frame->size());
+    auto parsed = parseReplyHeader(rx_.data(), body_size);
     if (!parsed.ok())
         return transportError(parsed.status());
     header = parsed.value();
@@ -245,7 +245,8 @@ Client::transact(const std::vector<uint8_t> &request,
             "reply id ", header.requestId,
             " does not match request ", request_id,
             " (stream desynced)"));
-    return frame;
+    return Payload{rx_.data() + kReplyHeaderBytes,
+                   body_size - kReplyHeaderBytes};
 }
 
 StatusOr<OpenReply>
@@ -255,18 +256,16 @@ Client::open(const std::string &name)
     std::vector<uint8_t> request;
     appendOpenRequest(request, id, name, RequestPriority::Normal, 0);
     ReplyHeader header;
-    auto frame = transact(request, id, header);
-    if (!frame.ok())
-        return frame.status();
-    const uint8_t *payload = frame->data() + kReplyHeaderBytes;
-    const size_t payload_size = frame->size() - kReplyHeaderBytes;
+    auto payload = transact(request, id, header);
+    if (!payload.ok())
+        return payload.status();
     if (header.status != WireStatus::Ok) {
-        auto message = parseErrorMessage(payload, payload_size);
+        auto message = parseErrorMessage(payload->data, payload->size);
         return statusFromWire(header.status,
                               message.ok() ? message.value()
                                            : "unparseable error");
     }
-    auto reply = parseOpenReplyPayload(payload, payload_size);
+    auto reply = parseOpenReplyPayload(payload->data, payload->size);
     if (!reply.ok())
         return reply.status();
     return reply.value();
@@ -281,20 +280,18 @@ Client::readRange(uint32_t archive, uint64_t first, uint64_t count,
     appendReadRangeRequest(request, id, archive, first, count,
                            priority, deadline_ms);
     ReplyHeader header;
-    auto frame = transact(request, id, header);
-    if (!frame.ok())
-        return frame.status();
-    const uint8_t *payload = frame->data() + kReplyHeaderBytes;
-    const size_t payload_size = frame->size() - kReplyHeaderBytes;
+    auto payload = transact(request, id, header);
+    if (!payload.ok())
+        return payload.status();
     ReadReply reply;
     reply.status = header.status;
     if (header.status != WireStatus::Ok) {
-        auto message = parseErrorMessage(payload, payload_size);
+        auto message = parseErrorMessage(payload->data, payload->size);
         if (message.ok())
             reply.message = std::move(message.value());
         return reply;
     }
-    auto reads = parseReadReplyPayload(payload, payload_size);
+    auto reads = parseReadReplyPayload(payload->data, payload->size);
     if (!reads.ok())
         return reads.status();
     reply.reads = std::move(reads.value());
@@ -310,20 +307,18 @@ Client::readChunk(uint32_t archive, uint64_t chunk,
     appendReadChunkRequest(request, id, archive, chunk, priority,
                            deadline_ms);
     ReplyHeader header;
-    auto frame = transact(request, id, header);
-    if (!frame.ok())
-        return frame.status();
-    const uint8_t *payload = frame->data() + kReplyHeaderBytes;
-    const size_t payload_size = frame->size() - kReplyHeaderBytes;
+    auto payload = transact(request, id, header);
+    if (!payload.ok())
+        return payload.status();
     ReadReply reply;
     reply.status = header.status;
     if (header.status != WireStatus::Ok) {
-        auto message = parseErrorMessage(payload, payload_size);
+        auto message = parseErrorMessage(payload->data, payload->size);
         if (message.ok())
             reply.message = std::move(message.value());
         return reply;
     }
-    auto reads = parseReadReplyPayload(payload, payload_size);
+    auto reads = parseReadReplyPayload(payload->data, payload->size);
     if (!reads.ok())
         return reads.status();
     reply.reads = std::move(reads.value());
@@ -337,18 +332,16 @@ Client::statServer()
     std::vector<uint8_t> request;
     appendStatRequest(request, id, kStatServer);
     ReplyHeader header;
-    auto frame = transact(request, id, header);
-    if (!frame.ok())
-        return frame.status();
-    const uint8_t *payload = frame->data() + kReplyHeaderBytes;
-    const size_t payload_size = frame->size() - kReplyHeaderBytes;
+    auto payload = transact(request, id, header);
+    if (!payload.ok())
+        return payload.status();
     if (header.status != WireStatus::Ok) {
-        auto message = parseErrorMessage(payload, payload_size);
+        auto message = parseErrorMessage(payload->data, payload->size);
         return statusFromWire(header.status,
                               message.ok() ? message.value()
                                            : "unparseable error");
     }
-    return parseStatReplyPayload(payload, payload_size);
+    return parseStatReplyPayload(payload->data, payload->size);
 }
 
 Status
@@ -358,13 +351,11 @@ Client::closeArchive(uint32_t archive)
     std::vector<uint8_t> request;
     appendCloseRequest(request, id, archive);
     ReplyHeader header;
-    auto frame = transact(request, id, header);
-    if (!frame.ok())
-        return frame.status();
+    auto payload = transact(request, id, header);
+    if (!payload.ok())
+        return payload.status();
     if (header.status != WireStatus::Ok) {
-        const uint8_t *payload = frame->data() + kReplyHeaderBytes;
-        auto message = parseErrorMessage(
-            payload, frame->size() - kReplyHeaderBytes);
+        auto message = parseErrorMessage(payload->data, payload->size);
         return statusFromWire(header.status,
                               message.ok() ? message.value()
                                            : "unparseable error");

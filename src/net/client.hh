@@ -97,18 +97,31 @@ class Client
     /** Record + return a transport failure (marks broken()). */
     Status transportError(Status status);
 
+    /** A verified reply's payload (the bytes after the reply header):
+     *  a view into rx_, valid until the next request. */
+    struct Payload
+    {
+        const uint8_t *data = nullptr;
+        size_t size = 0;
+    };
+
     Status sendAll(const std::vector<uint8_t> &bytes);
-    /** One whole reply frame, length prefix stripped. */
-    StatusOr<std::vector<uint8_t>> recvFrame();
-    /** send + recv + header decode, with request-id echo check. */
-    StatusOr<std::vector<uint8_t>>
-    transact(const std::vector<uint8_t> &request,
-             uint64_t request_id, ReplyHeader &header);
+    /** One whole reply frame, length prefix stripped, into the front
+     *  of rx_; returns its size. */
+    StatusOr<size_t> recvFrame();
+    /** send + recv + integrity check + header decode, with the
+     *  request-id echo check. */
+    StatusOr<Payload> transact(const std::vector<uint8_t> &request,
+                               uint64_t request_id,
+                               ReplyHeader &header);
 
     int fd_ = -1;
     ClientOptions options_;
     uint64_t nextRequestId_ = 1;
     bool broken_ = false;
+    /** Receive buffer reused across replies: it grows to the largest
+     *  frame seen and is never zero-filled again. */
+    std::vector<uint8_t> rx_;
 };
 
 } // namespace net

@@ -290,7 +290,7 @@ Admission
 MultiArchiveService::admitRange(uint32_t archive, uint64_t first,
                                 uint64_t count,
                                 const RequestOptions &options,
-                                std::function<void(ReadResult)> done,
+                                std::function<void(RangeResult)> done,
                                 Status *reject, bool chunk_addressed,
                                 uint64_t chunk)
 {
@@ -346,7 +346,7 @@ MultiArchiveService::admitRange(uint32_t archive, uint64_t first,
     // file) alive across eviction until this request completes.
     open->service->submit(
         first, count, options,
-        [this, open, done = std::move(done)](ReadResult result) {
+        [this, open, done = std::move(done)](RangeResult result) {
             done(std::move(result));
             finishRequest();
         });
@@ -357,7 +357,7 @@ Admission
 MultiArchiveService::readRange(uint32_t archive, uint64_t first,
                                uint64_t count,
                                const RequestOptions &options,
-                               std::function<void(ReadResult)> done,
+                               std::function<void(RangeResult)> done,
                                Status *reject)
 {
     return admitRange(archive, first, count, options, std::move(done),
@@ -367,7 +367,7 @@ MultiArchiveService::readRange(uint32_t archive, uint64_t first,
 Admission
 MultiArchiveService::readChunk(uint32_t archive, uint64_t chunk,
                                const RequestOptions &options,
-                               std::function<void(ReadResult)> done,
+                               std::function<void(RangeResult)> done,
                                Status *reject)
 {
     return admitRange(archive, 0, 0, options, std::move(done), reject,
@@ -380,16 +380,16 @@ MultiArchiveService::readRangeSync(uint32_t archive, uint64_t first,
                                    const RequestOptions &options)
 {
     SyncOutcome outcome;
-    std::promise<ReadResult> promise;
+    std::promise<RangeResult> promise;
     auto future = promise.get_future();
     outcome.admission = readRange(
         archive, first, count, options,
-        [&promise](ReadResult result) {
+        [&promise](RangeResult result) {
             promise.set_value(std::move(result));
         },
         &outcome.reject);
     if (outcome.admission == Admission::Admitted)
-        outcome.result = future.get();
+        outcome.result = future.get().copyReads();
     return outcome;
 }
 
@@ -398,16 +398,16 @@ MultiArchiveService::readChunkSync(uint32_t archive, uint64_t chunk,
                                    const RequestOptions &options)
 {
     SyncOutcome outcome;
-    std::promise<ReadResult> promise;
+    std::promise<RangeResult> promise;
     auto future = promise.get_future();
     outcome.admission = readChunk(
         archive, chunk, options,
-        [&promise](ReadResult result) {
+        [&promise](RangeResult result) {
             promise.set_value(std::move(result));
         },
         &outcome.reject);
     if (outcome.admission == Admission::Admitted)
-        outcome.result = future.get();
+        outcome.result = future.get().copyReads();
     return outcome;
 }
 

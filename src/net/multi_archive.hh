@@ -168,23 +168,26 @@ class MultiArchiveService
 
     /**
      * Admit-or-shed a range read. On Admitted, @p done runs exactly
-     * once on a worker thread with the outcome; on any other verdict
-     * @p done is never called and @p reject (when non-null) holds the
-     * reason. @p done must not block on synchronous requests to this
-     * service (it holds a pool worker).
+     * once on a worker thread with the outcome, passed through from
+     * SageArchiveService::submit as runs over the archive's cached
+     * chunks (they stay valid after the archive is evicted or closed);
+     * on any other verdict @p done is never called and @p reject (when
+     * non-null) holds the reason. @p done must not block on
+     * synchronous requests to this service (it holds a pool worker).
      */
     Admission readRange(uint32_t archive, uint64_t first,
                         uint64_t count, const RequestOptions &options,
-                        std::function<void(ReadResult)> done,
+                        std::function<void(RangeResult)> done,
                         Status *reject = nullptr);
 
     /** Chunk flavor (translated to the chunk's read span). */
     Admission readChunk(uint32_t archive, uint64_t chunk,
                         const RequestOptions &options,
-                        std::function<void(ReadResult)> done,
+                        std::function<void(RangeResult)> done,
                         Status *reject = nullptr);
 
-    /** Blocking conveniences for tests and in-process callers. */
+    /** Blocking conveniences for tests and in-process callers: the
+     *  runs are copied into owned reads on the calling thread. */
     struct SyncOutcome
     {
         Admission admission = Admission::Admitted;
@@ -260,7 +263,7 @@ class MultiArchiveService
     /** Shared admit/enqueue tail of readRange/readChunk. */
     Admission admitRange(uint32_t archive, uint64_t first,
                          uint64_t count, const RequestOptions &options,
-                         std::function<void(ReadResult)> done,
+                         std::function<void(RangeResult)> done,
                          Status *reject, bool chunk_addressed,
                          uint64_t chunk);
 

@@ -48,6 +48,23 @@ putBytes(std::vector<uint8_t> &out, const void *data, size_t size)
     out.insert(out.end(), bytes, bytes + size);
 }
 
+/** Store the low @p bytes bytes of @p v little-endian at @p p;
+ *  returns the position after them. */
+uint8_t *
+storeLe(uint8_t *p, uint64_t v, size_t bytes)
+{
+    for (size_t i = 0; i < bytes; i++)
+        *p++ = static_cast<uint8_t>(v >> (8 * i));
+    return p;
+}
+
+uint8_t *
+storeBytes(uint8_t *p, const std::string &bytes)
+{
+    std::memcpy(p, bytes.data(), bytes.size());
+    return p + bytes.size();
+}
+
 /** Bounds-checked little-endian cursor over an untrusted frame. */
 class Cursor
 {
@@ -357,25 +374,30 @@ appendOpenReply(std::vector<uint8_t> &out, uint64_t request_id,
 
 Status
 appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
-                uint64_t request_id, const std::vector<Read> &reads)
+                uint64_t request_id, const ReadSpan *spans,
+                size_t span_count)
 {
     // Size the frame before writing a byte of it: refuse what the u16
     // header lengths and the u32 frame length cannot carry, and
     // allocate what they can exactly once. The frame length counts the
     // reply header, the u32 read count, the reads and the CRC.
     uint64_t frame = kReplyHeaderBytes + 4 + kFrameCrcBytes;
-    for (size_t i = 0; i < reads.size(); i++) {
-        const Read &read = reads[i];
-        if (read.header.size() > UINT16_MAX)
-            return Status::outOfRange(
-                "read ", i, " of the reply has a ", read.header.size(),
-                "-byte header; a reply header holds at most ",
-                UINT16_MAX, " bytes");
-        frame += kReadDescriptorBytes + read.header.size() +
-                 read.bases.size() + read.quals.size();
+    uint64_t count = 0;
+    for (size_t s = 0; s < span_count; s++) {
+        for (size_t i = 0; i < spans[s].size; i++, count++) {
+            const Read &read = spans[s].data[i];
+            if (read.header.size() > UINT16_MAX)
+                return Status::outOfRange(
+                    "read ", count, " of the reply has a ",
+                    read.header.size(),
+                    "-byte header; a reply header holds at most ",
+                    UINT16_MAX, " bytes");
+            frame += kReadDescriptorBytes + read.header.size() +
+                     read.bases.size() + read.quals.size();
+        }
     }
     if (frame > UINT32_MAX)
-        return Status::outOfRange("a reply of ", reads.size(),
+        return Status::outOfRange("a reply of ", count,
                                   " reads needs a ", frame,
                                   "-byte frame; a frame holds at most ",
                                   UINT32_MAX, " bytes");
@@ -383,17 +405,33 @@ appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
 
     const size_t at = beginFrame(out);
     putReplyHeader(out, request_type, WireStatus::Ok, request_id);
-    putU32(out, static_cast<uint32_t>(reads.size()));
-    for (const Read &read : reads) {
-        putU16(out, static_cast<uint16_t>(read.header.size()));
-        putU32(out, static_cast<uint32_t>(read.bases.size()));
-        putU32(out, static_cast<uint32_t>(read.quals.size()));
-        putBytes(out, read.header.data(), read.header.size());
-        putBytes(out, read.bases.data(), read.bases.size());
-        putBytes(out, read.quals.data(), read.quals.size());
+    putU32(out, static_cast<uint32_t>(count));
+    // The reads are the bulk of the frame: grow it by their exact size
+    // once and write them through a pointer.
+    const size_t reads_at = out.size();
+    out.resize(at + kLenBytes + frame - kFrameCrcBytes);
+    uint8_t *p = out.data() + reads_at;
+    for (size_t s = 0; s < span_count; s++) {
+        for (size_t i = 0; i < spans[s].size; i++) {
+            const Read &read = spans[s].data[i];
+            p = storeLe(p, read.header.size(), 2);
+            p = storeLe(p, read.bases.size(), 4);
+            p = storeLe(p, read.quals.size(), 4);
+            p = storeBytes(p, read.header);
+            p = storeBytes(p, read.bases);
+            p = storeBytes(p, read.quals);
+        }
     }
     endFrame(out, at);
     return Status();
+}
+
+Status
+appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
+                uint64_t request_id, const std::vector<Read> &reads)
+{
+    const ReadSpan span{reads.data(), reads.size()};
+    return appendReadReply(out, request_type, request_id, &span, 1);
 }
 
 void

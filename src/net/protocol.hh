@@ -230,10 +230,27 @@ void appendErrorReply(std::vector<uint8_t> &out, MsgType request_type,
 void appendOpenReply(std::vector<uint8_t> &out, uint64_t request_id,
                      MsgType request_type, const OpenReply &reply);
 
-/** OutOfRange, with @p out unchanged, when a read's header exceeds
+/** A contiguous run of reads for the reply encoder to serialize, by
+ *  reference (C++17 has no std::span). The server points these at
+ *  the decoded chunks the service handed it, so a reply is encoded
+ *  without copying reads out first. */
+struct ReadSpan
+{
+    const Read *data = nullptr;
+    size_t size = 0;
+};
+
+/** One READ_* reply carrying the reads of @p spans in order, as a
+ *  single read list (the split into spans is invisible on the wire).
+ *  OutOfRange, with @p out unchanged, when a read's header exceeds
  *  the u16 length field (65 535 bytes) or the frame would exceed the
  *  u32 length prefix; the server answers that in band. Callers that
  *  know their reads fit may ignore the result. */
+Status appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
+                       uint64_t request_id, const ReadSpan *spans,
+                       size_t span_count);
+
+/** The same reply over one owned vector of reads. */
 Status appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
                        uint64_t request_id,
                        const std::vector<Read> &reads);

@@ -58,7 +58,8 @@ secondsToMs(double seconds)
 } // namespace
 
 Server::Server(MultiArchiveService &service, ServerOptions options)
-    : service_(service), options_(std::move(options))
+    : service_(service), options_(std::move(options)),
+      rxScratch_(kRecvChunkBytes)
 {}
 
 Server::~Server()
@@ -523,19 +524,20 @@ Server::onReadable(Conn &conn)
             conn.rxStalled = true;
             return;
         }
-        const size_t old = conn.rx.size();
-        conn.rx.resize(old + kRecvChunkBytes);
-        const ssize_t got = ::recv(conn.fd, conn.rx.data() + old,
-                                   kRecvChunkBytes, 0);
+        // Receive into the loop's scratch buffer and append only what
+        // arrived: growing rx by a whole chunk would zero-fill 64 KiB
+        // per recv, including the final one that returns EAGAIN.
+        const ssize_t got = ::recv(conn.fd, rxScratch_.data(),
+                                   rxScratch_.size(), 0);
         if (got > 0) {
-            conn.rx.resize(old + static_cast<size_t>(got));
+            conn.rx.insert(conn.rx.end(), rxScratch_.data(),
+                           rxScratch_.data() + got);
             conn.lastRxMs = loopNowMs();
             bytesIn_.fetch_add(static_cast<uint64_t>(got),
                                std::memory_order_relaxed);
             processRx(conn);
             continue;
         }
-        conn.rx.resize(old);
         if (got == 0) {
             closeConn(conn);
             return;
@@ -768,11 +770,17 @@ Server::handleRead(Conn &conn, const RequestFrame &request)
     pendingCallbacks_.fetch_add(1, std::memory_order_acq_rel);
     auto complete = [this, conn_id = conn.id,
                      request_id = request.requestId,
-                     type = request.type](ReadResult result) {
+                     type = request.type](RangeResult result) {
         std::vector<uint8_t> frame;
         if (result.status == RequestStatus::Ok) {
-            const Status encoded =
-                appendReadReply(frame, type, request_id, result.reads);
+            // Encode straight from the cached chunks the runs pin; the
+            // pins drop when this completion returns.
+            std::vector<ReadSpan> spans;
+            spans.reserve(result.runs.size());
+            for (const ReadRun &run : result.runs)
+                spans.push_back(ReadSpan{run.begin(), run.size()});
+            const Status encoded = appendReadReply(
+                frame, type, request_id, spans.data(), spans.size());
             if (!encoded.ok())
                 appendErrorReply(frame, type, request_id,
                                  WireStatus::OutOfRange,

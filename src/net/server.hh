@@ -9,9 +9,11 @@
  * written straight away with the remainder queued and flushed on
  * EPOLLOUT. Cheap requests (OPEN/STAT/CLOSE) are answered inline on
  * the event thread; READ_RANGE/READ_CHUNK go through the service's
- * admission control and complete on worker threads, which serialize
- * the reply and hand it back to the loop through a completion queue
- * plus eventfd wake — the event thread alone touches sockets.
+ * admission control and complete on worker threads, which encode the
+ * reply straight from the runs of cached decoded chunks the service
+ * hands them (no read is copied out first) and pass the frame back to
+ * the loop through a completion queue plus eventfd wake — the event
+ * thread alone touches sockets.
  *
  * Backpressure is byte-counted per connection: once the queued
  * transmit backlog crosses txHighWaterBytes the connection's request
@@ -257,6 +259,9 @@ class Server
     std::chrono::steady_clock::time_point loopEpoch_;
     TimerWheel wheel_;
     std::vector<uint64_t> dueTimers_;  ///< Scratch for runTimers().
+
+    /** Loop-thread recv() target; onReadable appends what arrived. */
+    std::vector<uint8_t> rxScratch_;
 
     std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
     uint64_t nextConnId_ = 2;  ///< 0/1 tag the listener/wake fds.

@@ -61,7 +61,8 @@ ChunkCache::ghostKey(Shard &shard, size_t chunk)
 }
 
 void
-ChunkCache::evictToBudget(Shard &shard)
+ChunkCache::evictToBudget(Shard &shard,
+                          std::vector<DecodedChunkPtr> &evicted)
 {
     // SIEVE sweep: the hand walks from the oldest entry toward the
     // newest; a visited entry is spared once (bit cleared, hand moves
@@ -89,6 +90,7 @@ ChunkCache::evictToBudget(Shard &shard)
         shard.residentBytes -= victim->data->bytes;
         shard.map.erase(victim->chunk);
         ghostKey(shard, victim->chunk);
+        evicted.push_back(std::move(victim->data));
         shard.entries.erase(victim);
         shard.evictions++;
     }
@@ -96,7 +98,8 @@ ChunkCache::evictToBudget(Shard &shard)
 
 void
 ChunkCache::insertAndTrim(Shard &shard, size_t chunk,
-                          const DecodedChunkPtr &data)
+                          const DecodedChunkPtr &data,
+                          std::vector<DecodedChunkPtr> &evicted)
 {
     sage_assert(shard.map.find(chunk) == shard.map.end(),
                 "double insert of chunk ", chunk);
@@ -122,7 +125,7 @@ ChunkCache::insertAndTrim(Shard &shard, size_t chunk,
     shard.map.emplace(chunk, shard.entries.begin());
     shard.residentBytes += data->bytes;
     shard.inserts++;
-    evictToBudget(shard);
+    evictToBudget(shard, evicted);
 }
 
 DecodedChunkPtr
@@ -196,6 +199,12 @@ ChunkCache::getOrDecode(size_t chunk, const DecodeFn &decode,
     // flight.
     DecodedChunkPtr data;
     Status failure;
+    // Chunks this insert evicts. When the cache held their last
+    // reference, dropping one frees every read string it owns, so that
+    // happens only after the shard lock is released and the flight is
+    // published: neither hits on this shard nor this chunk's waiters
+    // wait on it.
+    std::vector<DecodedChunkPtr> evicted;
     try {
         StatusOr<DecodedChunkPtr> decoded = decode(chunk);
         if (decoded.ok()) {
@@ -221,7 +230,7 @@ ChunkCache::getOrDecode(size_t chunk, const DecodeFn &decode,
             // A clear() while this decode was in flight bumped the
             // generation; honoring it means serving the waiters but
             // not re-populating the cache the caller just released.
-            insertAndTrim(shard, chunk, data);
+            insertAndTrim(shard, chunk, data, evicted);
         }
     }
     {
@@ -231,6 +240,7 @@ ChunkCache::getOrDecode(size_t chunk, const DecodeFn &decode,
         flight->ready = true;
     }
     flight->done.notify_all();
+    evicted.clear();
     if (!failure.ok() && error)
         *error = failure;
     return data;
@@ -248,14 +258,20 @@ void
 ChunkCache::clear()
 {
     for (auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->entries.clear();
-        shard->map.clear();
-        shard->hand = shard->entries.end();
-        shard->ghosts.clear();
-        shard->ghostMap.clear();
-        shard->residentBytes = 0;
-        shard->generation++;  // Invalidate in-flight publishes.
+        // Entries move out under the lock and are destroyed after it,
+        // as in getOrDecode: freeing decoded chunks must not stall the
+        // shard.
+        std::list<Entry> dropped;
+        {
+            std::lock_guard<std::mutex> lock(shard->mutex);
+            dropped.swap(shard->entries);
+            shard->map.clear();
+            shard->hand = shard->entries.end();
+            shard->ghosts.clear();
+            shard->ghostMap.clear();
+            shard->residentBytes = 0;
+            shard->generation++;  // Invalidate in-flight publishes.
+        }
     }
 }
 

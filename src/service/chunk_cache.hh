@@ -105,7 +105,8 @@ struct ChunkCacheStats
  * The byte budget is split evenly across shards; chunk index modulo
  * shard count picks the shard, so a sequential client walk spreads
  * across every shard lock. All methods are thread-safe. The decode
- * callback passed to getOrDecode runs outside any shard lock.
+ * callback passed to getOrDecode runs outside any shard lock, and so
+ * does the freeing of chunks an insert evicts or clear() drops.
  */
 class ChunkCache
 {
@@ -237,10 +238,14 @@ class ChunkCache
     /** Admit under the shard lock (ghost lookup decides the visited
      *  bit), then evict to budget with the SIEVE hand. */
     void insertAndTrim(Shard &shard, size_t chunk,
-                       const DecodedChunkPtr &data);
+                       const DecodedChunkPtr &data,
+                       std::vector<DecodedChunkPtr> &evicted);
 
-    /** Evict at the hand until the shard fits its budget. */
-    void evictToBudget(Shard &shard);
+    /** Evict at the hand until the shard fits its budget, moving each
+     *  victim's data into @p evicted so the caller frees it after
+     *  releasing the shard lock. */
+    void evictToBudget(Shard &shard,
+                       std::vector<DecodedChunkPtr> &evicted);
 
     /** Record an evicted key in the bounded ghost set. */
     void ghostKey(Shard &shard, size_t chunk);

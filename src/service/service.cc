@@ -13,17 +13,44 @@ namespace sage {
 
 namespace {
 
-/** Payload bytes a read vector delivers to a client. */
+/** Payload bytes (bases + quality) runs deliver to a client. */
 uint64_t
-payloadBytes(const std::vector<Read> &reads)
+payloadBytes(const std::vector<ReadRun> &runs)
 {
     uint64_t bytes = 0;
-    for (const Read &read : reads)
-        bytes += read.bases.size() + read.quals.size();
+    for (const ReadRun &run : runs) {
+        for (const Read &read : run)
+            bytes += read.bases.size() + read.quals.size();
+    }
     return bytes;
 }
 
 } // namespace
+
+// ---------------------------------------------------------------------
+// RangeResult
+// ---------------------------------------------------------------------
+
+uint64_t
+RangeResult::readCount() const
+{
+    uint64_t reads = 0;
+    for (const ReadRun &run : runs)
+        reads += run.size();
+    return reads;
+}
+
+ReadResult
+RangeResult::copyReads() const
+{
+    ReadResult out;
+    out.status = status;
+    out.error = error;
+    out.reads.reserve(static_cast<size_t>(readCount()));
+    for (const ReadRun &run : runs)
+        out.reads.insert(out.reads.end(), run.begin(), run.end());
+    return out;
+}
 
 // ---------------------------------------------------------------------
 // Construction / teardown
@@ -93,8 +120,8 @@ SageArchiveService::~SageArchiveService()
 void
 SageArchiveService::schedule(
     RequestOptions options,
-    std::function<ReadResult(const RequestOptions &)> serve,
-    std::function<void(ReadResult)> done)
+    std::function<RangeResult(const RequestOptions &)> serve,
+    std::function<void(RangeResult)> done)
 {
     const Stopwatch clock;  // Latency includes the queue wait.
     const RequestPriority priority = options.priority;
@@ -105,12 +132,11 @@ SageArchiveService::schedule(
         // Dequeue-time QoS check: a request that sat out its deadline
         // behind a backlog (or was cancelled while queued) completes
         // immediately with its status — no decode, no assembly.
-        ReadResult result;
+        RangeResult result;
         result.status = options.checkNow();
         if (result.status == RequestStatus::Ok)
             result = serve(options);
-        recordRequest(options.priority, result.status, clock.seconds(),
-                      result.reads);
+        recordRequest(options.priority, clock.seconds(), result);
         done(std::move(result));
     };
     {
@@ -228,7 +254,7 @@ SageArchiveService::recordChunkError(const Status &status)
 DecodedChunkPtr
 SageArchiveService::fetchChunk(size_t chunk,
                                const RequestOptions &options,
-                               ReadResult &outcome)
+                               RangeResult &outcome)
 {
     DecodedChunkPtr data = cache_.getOrDecode(
         chunk,
@@ -263,41 +289,39 @@ SageArchiveService::fetchChunk(size_t chunk,
     return nullptr;
 }
 
-ReadResult
+RangeResult
 SageArchiveService::assembleRange(uint64_t first_read, uint64_t count,
                                   const RequestOptions &options)
 {
-    ReadResult result;
-    result.reads.reserve(static_cast<size_t>(count));
+    RangeResult result;
     const bool abandonable = options.abandonable();
     uint64_t pos = first_read;
     const uint64_t end = first_read + count;
     while (pos < end) {
         // The pre-decode QoS check: a chunk fetch is the expensive
         // step, so an expired/cancelled request abandons here rather
-        // than decoding data nobody will consume. Partial reads are
-        // dropped — the contract is all-or-status.
+        // than decoding data nobody will consume. Runs already
+        // collected are dropped — the contract is all-or-status.
         if (abandonable) {
             result.status = options.checkNow();
             if (result.status != RequestStatus::Ok) {
-                result.reads.clear();
+                result.runs.clear();
                 return result;
             }
         }
-        const DecodedChunkPtr chunk =
+        DecodedChunkPtr chunk =
             fetchChunk(chunkForRead(pos), options, result);
         if (!chunk) {
-            result.reads.clear();
+            result.runs.clear();
             return result;
         }
         const uint64_t chunk_end =
             chunk->firstRead + chunk->reads.size();
         const uint64_t take = std::min(end, chunk_end) - pos;
-        for (uint64_t i = 0; i < take; i++) {
-            result.reads.push_back(
-                chunk->reads[static_cast<size_t>(
-                    pos - chunk->firstRead + i)]);
-        }
+        const size_t offset =
+            static_cast<size_t>(pos - chunk->firstRead);
+        result.runs.push_back(
+            ReadRun{std::move(chunk), offset, static_cast<size_t>(take)});
         pos += take;
     }
     return result;
@@ -309,20 +333,21 @@ SageArchiveService::assembleRange(uint64_t first_read, uint64_t count,
 
 void
 SageArchiveService::recordRequest(RequestPriority priority,
-                                  RequestStatus status, double seconds,
-                                  const std::vector<Read> &served)
+                                  double seconds,
+                                  const RangeResult &served)
 {
-    readsServed_.fetch_add(served.size(), std::memory_order_relaxed);
-    bytesServed_.fetch_add(payloadBytes(served),
+    readsServed_.fetch_add(served.readCount(),
+                           std::memory_order_relaxed);
+    bytesServed_.fetch_add(payloadBytes(served.runs),
                            std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(statsMutex_);
     requests_++;
     requestsByPriority_[static_cast<size_t>(priority)]++;
-    if (status == RequestStatus::Expired)
+    if (served.status == RequestStatus::Expired)
         expired_++;
-    else if (status == RequestStatus::Cancelled)
+    else if (served.status == RequestStatus::Cancelled)
         cancelled_++;
-    else if (status == RequestStatus::Error)
+    else if (served.status == RequestStatus::Error)
         errored_++;
     latency_.record(seconds);
     latencyByPriority_[static_cast<size_t>(priority)].record(seconds);
@@ -331,7 +356,7 @@ SageArchiveService::recordRequest(RequestPriority priority,
 void
 SageArchiveService::submit(uint64_t first_read, uint64_t count,
                            const RequestOptions &options,
-                           std::function<void(ReadResult)> done)
+                           std::function<void(RangeResult)> done)
 {
     sage_assert(first_read <= readCount() &&
                 count <= readCount() - first_read,
@@ -349,12 +374,12 @@ ReadResult
 SageArchiveService::readRange(uint64_t first_read, uint64_t count,
                               const RequestOptions &options)
 {
-    auto promise = std::make_shared<std::promise<ReadResult>>();
-    std::future<ReadResult> future = promise->get_future();
-    submit(first_read, count, options, [promise](ReadResult result) {
+    auto promise = std::make_shared<std::promise<RangeResult>>();
+    std::future<RangeResult> future = promise->get_future();
+    submit(first_read, count, options, [promise](RangeResult result) {
         promise->set_value(std::move(result));
     });
-    return future.get();
+    return future.get().copyReads();
 }
 
 void
@@ -373,11 +398,11 @@ SageArchiveService::warmChunk(size_t chunk)
     schedule(
         std::move(options),
         [this, chunk](const RequestOptions &live) {
-            ReadResult outcome;
+            RangeResult outcome;
             fetchChunk(chunk, live, outcome);
             return outcome;
         },
-        [](ReadResult) {});
+        [](RangeResult) {});
 }
 
 ServiceStats
@@ -457,7 +482,7 @@ ServiceSession::ensureChunk()
     // Chunk fetches go through the scheduler like any other request
     // so a flood of Background warms cannot starve them; the
     // session's token/deadline covers every fetch it issues. The
-    // fetched chunk travels beside the ReadResult: the worker stores
+    // fetched chunk travels beside the RangeResult: the worker stores
     // it before done() fulfils the promise, which orders that store
     // before this thread reads it.
     struct Fetch
@@ -471,7 +496,7 @@ ServiceSession::ensureChunk()
     service_->schedule(
         options_,
         [service = service_, index, fetch](const RequestOptions &live) {
-            ReadResult outcome;
+            RangeResult outcome;
             fetch->chunk = service->fetchChunk(index, live, outcome);
             // Speculate the client's next sequential chunk into the
             // cache as Background work — the serving-layer analogue
@@ -486,7 +511,7 @@ ServiceSession::ensureChunk()
             }
             return outcome;
         },
-        [fetch](ReadResult outcome) {
+        [fetch](RangeResult outcome) {
             fetch->status.set_value(outcome.status);
         });
     status_ = status.get();

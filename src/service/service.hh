@@ -38,10 +38,12 @@
  * a stored-order span of reads (chunk boundaries are crossed
  * transparently; a whole chunk is chunkFirstRead(c),
  * chunkReadCount(c)) whose outcome is handed to @p done on a pool
- * worker. readRange() is submit() plus a blocking wait, and sessions
- * and readahead warms go through the same scheduling body. See
- * docs/service.md for the cache and scheduling model plus sizing
- * guidance.
+ * worker as a RangeResult — ReadRuns over the cached chunks, which
+ * pin those chunks while held; no read is copied. readRange() is
+ * submit() plus a blocking wait and a copy into owned reads on the
+ * caller's thread, and sessions and readahead warms go through the
+ * same scheduling body. See docs/service.md for the cache and
+ * scheduling model plus sizing guidance.
  */
 
 #ifndef SAGE_SERVICE_SERVICE_HH
@@ -105,7 +107,7 @@ struct ServiceOptions
     unsigned decodeRetries = 2;
 };
 
-/** What a request completed with. */
+/** What a blocking request (readRange) completed with: owned reads. */
 struct ReadResult
 {
     RequestStatus status = RequestStatus::Ok;
@@ -118,6 +120,42 @@ struct ReadResult
     Status error;
 
     bool ok() const { return status == RequestStatus::Ok; }
+};
+
+/**
+ * Reads [offset, offset + count) of one decoded chunk, by reference.
+ * The chunk pointer pins the chunk: an eviction only drops the
+ * cache's reference, so a held run stays valid (and its memory stays
+ * allocated, outside the cache budget) until the run is released.
+ */
+struct ReadRun
+{
+    DecodedChunkPtr chunk;
+    size_t offset = 0;  ///< Index of the run's first read in chunk->reads.
+    size_t count = 0;
+
+    const Read *begin() const { return chunk->reads.data() + offset; }
+    const Read *end() const { return begin() + count; }
+    size_t size() const { return count; }
+};
+
+/** What submit() completed with: the span as runs over cached chunks,
+ *  in stored order (one run per covering chunk). */
+struct RangeResult
+{
+    RequestStatus status = RequestStatus::Ok;
+    /** Empty unless status == Ok (all-or-status, as for ReadResult). */
+    std::vector<ReadRun> runs;
+    /** Why status == Error, when it is; Ok otherwise. */
+    Status error;
+
+    bool ok() const { return status == RequestStatus::Ok; }
+
+    /** Reads across every run. */
+    uint64_t readCount() const;
+
+    /** The owned form: status, error and a copy of every run's reads. */
+    ReadResult copyReads() const;
 };
 
 /** Snapshot of the service's counters (see stats()). */
@@ -302,16 +340,24 @@ class SageArchiveService
      * no reads instead of occupying a worker behind a deep backlog.
      *
      * @p done runs exactly once, on a pool worker (never the calling
-     * thread), with the outcome. It must not block on another request
-     * to this service (it would occupy the worker it is waiting for).
-     * Fatal on an out-of-range span.
+     * thread), with the outcome: the span as ReadRuns over the cached
+     * chunks, nothing copied. The runs pin their chunks for as long as
+     * the result is held (outside the cache budget), so a consumer
+     * that serializes them — the network server's reply encoder —
+     * should release them once done. @p done must not block on another
+     * request to this service (it would occupy the worker it is
+     * waiting for). Fatal on an out-of-range span.
+     *
+     * Request latency (stats()) stops when the runs are ready, before
+     * @p done runs.
      */
     void submit(uint64_t first_read, uint64_t count,
                 const RequestOptions &options,
-                std::function<void(ReadResult)> done);
+                std::function<void(RangeResult)> done);
 
     /** submit() that blocks the calling client thread until the
-     *  request completes. */
+     *  request completes, then copies the runs into owned reads on
+     *  that thread (RangeResult::copyReads). */
     ReadResult readRange(uint64_t first_read, uint64_t count,
                          const RequestOptions &options = {});
 
@@ -332,6 +378,13 @@ class SageArchiveService
      * duplicate warms free.
      */
     void warmChunk(size_t chunk);
+
+    /** True when @p chunk is resident in the cache right now (no stats
+     *  impact; an introspection helper like ChunkCache::contains). */
+    bool chunkResident(size_t chunk) const
+    {
+        return cache_.contains(chunk);
+    }
 
     /** Counter snapshot, consistent against concurrent scheduler and
      *  request-completion mutation (both domains are locked for the
@@ -379,7 +432,7 @@ class SageArchiveService
      *  coalesced wait. */
     DecodedChunkPtr fetchChunk(size_t chunk,
                                const RequestOptions &options,
-                               ReadResult &outcome);
+                               RangeResult &outcome);
 
     /** tryDecodeChunkShared with the transient-retry policy applied:
      *  IoError re-attempts up to ServiceOptions::decodeRetries times
@@ -390,10 +443,11 @@ class SageArchiveService
     /** Classify a terminal chunk-decode failure into the counters. */
     void recordChunkError(const Status &status);
 
-    /** Copy the reads of [first, first+count) out of cached chunks,
-     *  re-checking @p options before each chunk decode. */
-    ReadResult assembleRange(uint64_t first_read, uint64_t count,
-                             const RequestOptions &options);
+    /** Collect [first, first+count) as runs over cached chunks (no
+     *  read is copied), re-checking @p options before each chunk
+     *  decode. */
+    RangeResult assembleRange(uint64_t first_read, uint64_t count,
+                              const RequestOptions &options);
 
     /**
      * The scheduling body behind submit(), session chunk fetches and
@@ -404,16 +458,16 @@ class SageArchiveService
      */
     void schedule(
         RequestOptions options,
-        std::function<ReadResult(const RequestOptions &)> serve,
-        std::function<void(ReadResult)> done);
+        std::function<RangeResult(const RequestOptions &)> serve,
+        std::function<void(RangeResult)> done);
 
     /** Pop and run the oldest request of the best priority. */
     void runOne();
 
-    /** Record a completed request's latency + served payload. */
-    void recordRequest(RequestPriority priority, RequestStatus status,
-                       double seconds,
-                       const std::vector<Read> &served);
+    /** Record a completed request's latency, status and the payload
+     *  its runs deliver. */
+    void recordRequest(RequestPriority priority, double seconds,
+                       const RangeResult &served);
 
     /** Owned for the path and pre-opened-decoder ctors. */
     std::unique_ptr<ByteSource> file_;

@@ -397,11 +397,11 @@ TEST(ServiceFault, SubmitDeliversErrorOnceOnAPoolWorker)
     std::atomic<int> calls{0};
     std::promise<std::thread::id> ran_on;
     service.submit(service.chunkFirstRead(0), service.chunkReadCount(0),
-                   RequestOptions{}, [&](ReadResult result) {
+                   RequestOptions{}, [&](RangeResult result) {
                        EXPECT_EQ(result.status, RequestStatus::Error);
                        EXPECT_EQ(result.error.code(),
                                  StatusCode::IoError);
-                       EXPECT_TRUE(result.reads.empty());
+                       EXPECT_TRUE(result.runs.empty());
                        calls++;
                        ran_on.set_value(std::this_thread::get_id());
                    });

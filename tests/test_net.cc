@@ -36,6 +36,7 @@
 
 #include "core/sage.hh"
 #include "simgen/synthesize.hh"
+#include "util/crc32.hh"
 #include "util/thread_pool.hh"
 
 namespace sage {
@@ -263,6 +264,86 @@ TEST(NetProtocol, ReadReplyRoundTrip)
                                    body - net::kReplyHeaderBytes);
     ASSERT_TRUE(back.ok()) << back.status().toString();
     expectSameReads(*back, reads);
+
+    // The span encoder, given a run that crosses a chunk boundary (the
+    // tail of one chunk's reads, then the head of the next), emits the
+    // vector overload's frame byte for byte.
+    Read other;
+    other.bases = "TTTT";
+    const std::vector<Read> chunk_a = {other, reads[0], reads[1]};
+    const std::vector<Read> chunk_b = {reads[2], reads[3], other};
+    const net::ReadSpan spans[] = {{chunk_a.data() + 1, 2},
+                                   {chunk_b.data(), 2}};
+    std::vector<uint8_t> spanned;
+    ASSERT_TRUE(net::appendReadReply(spanned, MsgType::ReadRange, 77,
+                                     spans, 2)
+                    .ok());
+    EXPECT_EQ(spanned, frame);
+
+    // The span encoder refuses the same over-long header, leaving the
+    // buffer as it was.
+    const net::ReadSpan too_long_spans[] = {{too_long.data(), 2},
+                                            {too_long.data() + 2, 2}};
+    refused = frame;
+    EXPECT_EQ(net::appendReadReply(refused, MsgType::ReadRange, 78,
+                                   too_long_spans, 2)
+                  .code(),
+              StatusCode::OutOfRange);
+    EXPECT_EQ(refused, frame);
+
+    // An empty reply: no spans, an empty span and an empty vector are
+    // the same zero-read frame.
+    std::vector<uint8_t> empty_vector, no_spans, empty_span;
+    ASSERT_TRUE(net::appendReadReply(empty_vector, MsgType::ReadChunk, 9,
+                                     std::vector<Read>{})
+                    .ok());
+    ASSERT_TRUE(
+        net::appendReadReply(no_spans, MsgType::ReadChunk, 9, nullptr, 0)
+            .ok());
+    const net::ReadSpan nothing{chunk_a.data(), 0};
+    ASSERT_TRUE(net::appendReadReply(empty_span, MsgType::ReadChunk, 9,
+                                     &nothing, 1)
+                    .ok());
+    EXPECT_EQ(no_spans, empty_vector);
+    EXPECT_EQ(empty_span, empty_vector);
+    const size_t empty_body = verifiedBodySize(empty_vector);
+    EXPECT_EQ(empty_body, net::kReplyHeaderBytes + 4);
+    const StatusOr<std::vector<Read>> none = net::parseReadReplyPayload(
+        empty_vector.data() + skip, empty_body - net::kReplyHeaderBytes);
+    ASSERT_TRUE(none.ok()) << none.status().toString();
+    EXPECT_TRUE(none->empty());
+}
+
+TEST(NetProtocol, ReadReplyMatchesTheDocumentedLayout)
+{
+    // Protocol v2 byte for byte, assembled by hand from the layout in
+    // net/protocol.hh, so an encoder rewrite cannot drift the wire
+    // format unnoticed.
+    Read read;
+    read.header = "@h";
+    read.bases = "ACG";
+    read.quals = "IJK";
+    std::vector<uint8_t> want = {
+        0x82, 0x00, net::kProtocolVersion, 0x00,  // type, status, v, 0
+        0x34, 0x12, 0, 0, 0, 0, 0, 0,             // request id
+        1, 0, 0, 0,                               // read count
+        2, 0, 3, 0, 0, 0, 3, 0, 0, 0,             // descriptor
+        '@', 'h', 'A', 'C', 'G', 'I', 'J', 'K'};
+    const uint32_t crc = Crc32::of(want.data(), want.size());
+    for (int shift = 0; shift < 32; shift += 8)
+        want.push_back(static_cast<uint8_t>(crc >> shift));
+    const uint32_t len = static_cast<uint32_t>(want.size());
+    want.insert(want.begin(),
+                {static_cast<uint8_t>(len), static_cast<uint8_t>(len >> 8),
+                 static_cast<uint8_t>(len >> 16),
+                 static_cast<uint8_t>(len >> 24)});
+
+    std::vector<uint8_t> frame = {0xAA};  // Appends after what is there.
+    ASSERT_TRUE(
+        net::appendReadReply(frame, MsgType::ReadRange, 0x1234, {read})
+            .ok());
+    want.insert(want.begin(), 0xAA);
+    EXPECT_EQ(frame, want);
 }
 
 TEST(NetProtocol, OpenStatErrorRepliesRoundTrip)
@@ -604,7 +685,7 @@ TEST(NetMultiArchive, ByteIdenticalAcrossArchives)
                   Admission::BadRange);
         EXPECT_EQ(service
                       .readRange(99, 0, 1, RequestOptions(),
-                                 [](ReadResult) { FAIL(); }, &reject)
+                                 [](RangeResult) { FAIL(); }, &reject)
                       ,
                   Admission::UnknownArchive);
         EXPECT_FALSE(reject.ok());
@@ -728,10 +809,10 @@ TEST(NetMultiArchive, AdmissionControlShedsAtHighWater)
             release.get_future().share();
         pool.submit([released] { released.wait(); });
 
-        std::promise<ReadResult> first_done;
+        std::promise<RangeResult> first_done;
         ASSERT_EQ(service.readRange(
                       meta->id, 0, 64, RequestOptions(),
-                      [&](ReadResult result) {
+                      [&](RangeResult result) {
                           first_done.set_value(std::move(result));
                       }),
                   Admission::Admitted);
@@ -742,13 +823,13 @@ TEST(NetMultiArchive, AdmissionControlShedsAtHighWater)
         Status reject;
         ASSERT_EQ(service.readRange(meta->id, 0, 64,
                                     RequestOptions(),
-                                    [](ReadResult) { FAIL(); },
+                                    [](RangeResult) { FAIL(); },
                                     &reject),
                   Admission::Overloaded);
         EXPECT_EQ(reject.code(), StatusCode::Exhausted);
 
         release.set_value();
-        const ReadResult result = first_done.get_future().get();
+        const ReadResult result = first_done.get_future().get().copyReads();
         ASSERT_TRUE(result.ok()) << result.error.toString();
         expectSameReads(result.reads,
                         std::vector<Read>(corpus[0].expected.begin(),

@@ -60,14 +60,14 @@ readChunk(SageArchiveService &service, size_t chunk,
 }
 
 /** A future over submit(), the way a caller that wants one wraps the
- *  primitive. */
-std::future<ReadResult>
+ *  primitive. The runs it yields pin their chunks until dropped. */
+std::future<RangeResult>
 submitAsync(SageArchiveService &service, uint64_t first, uint64_t count,
             const RequestOptions &options = {})
 {
-    auto promise = std::make_shared<std::promise<ReadResult>>();
-    std::future<ReadResult> future = promise->get_future();
-    service.submit(first, count, options, [promise](ReadResult result) {
+    auto promise = std::make_shared<std::promise<RangeResult>>();
+    std::future<RangeResult> future = promise->get_future();
+    service.submit(first, count, options, [promise](RangeResult result) {
         promise->set_value(std::move(result));
     });
     return future;
@@ -524,14 +524,14 @@ TEST_F(ServiceTest, AsyncAndCallbackFlavorsMatchSync)
     auto future_a = submitAsync(service, 0, 100);
     auto future_b = submitAsync(service, service.chunkFirstRead(1),
                                 service.chunkReadCount(1));
-    expectSameReads(future_a.get().reads,
+    expectSameReads(future_a.get().copyReads().reads,
                     {expected_.begin(), expected_.begin() + 100});
     const std::vector<Read> chunk1 = readChunk(service, 1).reads;
-    expectSameReads(future_b.get().reads, chunk1);
+    expectSameReads(future_b.get().copyReads().reads, chunk1);
 
     std::promise<std::vector<Read>> done;
-    service.submit(5, 70, RequestOptions{}, [&](ReadResult result) {
-        done.set_value(std::move(result.reads));
+    service.submit(5, 70, RequestOptions{}, [&](RangeResult result) {
+        done.set_value(result.copyReads().reads);
     });
     expectSameReads(done.get_future().get(),
                     {expected_.begin() + 5, expected_.begin() + 75});
@@ -566,9 +566,9 @@ TEST_F(ServiceTest, SubmitCompletesOnceOnAPoolWorker)
         const RequestStatus want = request.second;
         std::atomic<int> calls{0};
         std::promise<std::thread::id> ran_on;
-        service.submit(0, 100, request.first, [&](ReadResult result) {
+        service.submit(0, 100, request.first, [&](RangeResult result) {
             EXPECT_EQ(result.status, want);
-            EXPECT_EQ(result.reads.size(),
+            EXPECT_EQ(result.readCount(),
                       want == RequestStatus::Ok ? 100u : 0u);
             calls++;
             ran_on.set_value(std::this_thread::get_id());
@@ -668,16 +668,75 @@ TEST_F(ServiceTest, SharedExternalPoolAndWarm)
     EXPECT_GT(after.hits, before.hits);
 }
 
+TEST_F(ServiceTest, HeldRunsPinTheirChunksAcrossEviction)
+{
+    // submit() hands back runs over the cached chunks instead of
+    // copies. Hold a result spanning chunks 1 and 2 on a one-chunk
+    // budget, evict both, and the runs must still read what a
+    // sequential reader does (under ASan, a run that failed to pin its
+    // chunk reads freed memory here).
+    ServiceOptions options;
+    options.cacheShards = 1;
+    options.cacheBudgetBytes = 0;
+    for (size_t at = 0; at < expected_.size(); at += 64) {  // 64/chunk.
+        const size_t end = std::min(expected_.size(), at + 64);
+        options.cacheBudgetBytes = std::max(
+            options.cacheBudgetBytes,
+            DecodedChunk::residentBytes(
+                {expected_.begin() + at, expected_.begin() + end}));
+    }
+    SageArchiveService service(path_, options);
+
+    const uint64_t first = service.chunkFirstRead(1) + 10;
+    const uint64_t count = service.chunkReadCount(1);  // Ends in chunk 2.
+    const ServiceStats before = service.stats();
+    const RangeResult held = submitAsync(service, first, count).get();
+    const ServiceStats after = service.stats();
+    ASSERT_TRUE(held.ok());
+    ASSERT_EQ(held.runs.size(), 2u);
+    EXPECT_EQ(held.readCount(), count);
+
+    for (size_t c = 3; c < chunks_ && (service.chunkResident(1) ||
+                                       service.chunkResident(2));
+         c++) {
+        ASSERT_TRUE(readChunk(service, c).ok());
+    }
+    EXPECT_FALSE(service.chunkResident(1));
+    EXPECT_FALSE(service.chunkResident(2));
+    EXPECT_GT(service.stats().cache.evictions, after.cache.evictions);
+
+    std::vector<Read> pinned;
+    for (const ReadRun &run : held.runs)
+        pinned.insert(pinned.end(), run.begin(), run.end());
+    const std::vector<Read> want(expected_.begin() + first,
+                                 expected_.begin() + first + count);
+    expectSameReads(pinned, want);
+
+    // The runs are counted as the same reads and payload bytes as the
+    // copying readRange() of the span.
+    uint64_t payload = 0;
+    for (const Read &read : want)
+        payload += read.bases.size() + read.quals.size();
+    const ServiceStats copy_before = service.stats();
+    expectSameReads(service.readRange(first, count).reads, want);
+    const ServiceStats copy_after = service.stats();
+    EXPECT_EQ(after.readsServed - before.readsServed, count);
+    EXPECT_EQ(after.bytesServed - before.bytesServed, payload);
+    EXPECT_EQ(copy_after.readsServed - copy_before.readsServed, count);
+    EXPECT_EQ(copy_after.bytesServed - copy_before.bytesServed, payload);
+}
+
 TEST_F(ServiceTest, DestructorDrainsOutstandingRequests)
 {
-    std::future<ReadResult> abandoned;
+    std::future<RangeResult> abandoned;
     {
         SageArchiveService service(path_);
         abandoned = submitAsync(service, 0, expected_.size());
         // Service destroyed with the request possibly still queued.
     }
-    // The drain guarantees the request completed before teardown.
-    expectSameReads(abandoned.get().reads, expected_);
+    // The drain guarantees the request completed before teardown, and
+    // its runs outlive the service that served them.
+    expectSameReads(abandoned.get().copyReads().reads, expected_);
 }
 
 TEST_F(ServiceTest, TinyCacheBudgetStillServesCorrectly)
@@ -749,7 +808,7 @@ TEST_F(ServiceTest, StressManyClientsByteIdenticalToSequentialReader)
                 }
             } else {
                 // Async client: overlapping span futures.
-                std::vector<std::pair<uint64_t, std::future<ReadResult>>>
+                std::vector<std::pair<uint64_t, std::future<RangeResult>>>
                     pending;
                 for (uint64_t first = t; first + 97 < expected_.size();
                      first += 101) {
@@ -757,7 +816,7 @@ TEST_F(ServiceTest, StressManyClientsByteIdenticalToSequentialReader)
                         first, submitAsync(service, first, 97));
                 }
                 for (auto &[first, future] : pending)
-                    check(future.get().reads, first);
+                    check(future.get().copyReads().reads, first);
             }
         });
     }
@@ -864,14 +923,14 @@ TEST_F(ServiceQosTest, CancellationRacingCompletionNeverWedges)
             }
             source.cancel();
         });
-        ReadResult result = future.get();
+        const RangeResult result = future.get();
         canceller.join();
         if (result.status == RequestStatus::Ok) {
             ok_count++;
-            expectSameReads(result.reads, expected_);
+            expectSameReads(result.copyReads().reads, expected_);
         } else {
             EXPECT_EQ(result.status, RequestStatus::Cancelled);
-            EXPECT_TRUE(result.reads.empty());
+            EXPECT_TRUE(result.runs.empty());
             cancelled_count++;
         }
     }
@@ -926,7 +985,7 @@ TEST_F(ServiceQosTest, InteractiveOvertakesBacklogViaDeadline)
     service_options.ownedPoolThreads = 1;
     service_options.cacheBudgetBytes = 0;  // Every request decodes.
     SageArchiveService service(path_, service_options);
-    std::vector<std::future<ReadResult>> backlog;
+    std::vector<std::future<RangeResult>> backlog;
     for (int i = 0; i < 16; i++)
         backlog.push_back(submitAsync(service, 0, expected_.size()));
     RequestOptions options;
@@ -946,7 +1005,7 @@ TEST_F(ServiceQosTest, InteractiveOvertakesBacklogViaDeadline)
     // walks take far longer than this on one worker.
     EXPECT_LT(waited, 5.0);
     for (auto &future : backlog)
-        EXPECT_EQ(future.get().reads.size(), expected_.size());
+        EXPECT_EQ(future.get().readCount(), expected_.size());
 }
 
 TEST_F(ServiceQosTest, StatsSnapshotIsConsistentUnderLoad)
