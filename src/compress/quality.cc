@@ -6,6 +6,8 @@
 #include "compress/range_coder.hh"
 #include "util/logging.hh"
 #include "util/status.hh"
+#include "util/thread_pool.hh"
+#include "util/varint.hh"
 
 namespace sage {
 
@@ -48,38 +50,48 @@ QualityArchive::totalChars() const
 
 QualityArchive
 compressQuality(const std::vector<std::string> &quals,
-                const QualityConfig &config)
+                const QualityConfig &config, ThreadPool *pool)
 {
     QualityArchive archive;
 
-    // Build the alphabet map.
+    // Flatten characters; record per-read lengths.
+    size_t total = 0;
+    for (const auto &q : quals)
+        total += q.size();
+    std::string flat;
+    flat.reserve(total);
+    archive.readLengths.reserve(quals.size());
+    for (const auto &q : quals) {
+        archive.readLengths.push_back(static_cast<uint32_t>(q.size()));
+        flat += q;
+    }
+
+    // Build the alphabet map in order of first appearance.
     std::array<int, 256> symbol_of;
     symbol_of.fill(-1);
-    for (const auto &q : quals) {
-        for (char c : q) {
-            const auto u = static_cast<uint8_t>(c);
-            if (symbol_of[u] < 0) {
-                symbol_of[u] = static_cast<int>(archive.alphabet.size());
-                archive.alphabet.push_back(c);
-            }
+    for (char c : flat) {
+        const auto u = static_cast<uint8_t>(c);
+        if (symbol_of[u] < 0) {
+            symbol_of[u] = static_cast<int>(archive.alphabet.size());
+            archive.alphabet.push_back(c);
         }
     }
     if (archive.alphabet.empty())
         archive.alphabet.push_back('!');
     const unsigned alphabet = archive.alphabet.size();
 
-    // Flatten characters; record per-read lengths.
-    std::string flat;
-    for (const auto &q : quals) {
-        archive.readLengths.push_back(static_cast<uint32_t>(q.size()));
-        flat += q;
-    }
-
-    // Encode independent blocks with fresh model state each.
-    for (uint64_t off = 0; off < flat.size() || (off == 0 && flat.empty());
-         off += config.blockChars) {
+    // Encode independent blocks with fresh model state each (an empty
+    // input still gets one empty block).
+    const uint64_t block_chars = config.blockChars;
+    const size_t blocks = flat.empty()
+        ? 1
+        : static_cast<size_t>((flat.size() + block_chars - 1) / block_chars);
+    archive.blocks.resize(blocks);
+    archive.blockChars.resize(blocks);
+    auto encode_block = [&](size_t b) {
+        const uint64_t off = b * block_chars;
         const uint64_t len =
-            std::min<uint64_t>(config.blockChars, flat.size() - off);
+            std::min<uint64_t>(block_chars, flat.size() - off);
         RangeEncoder enc;
         std::vector<AdaptiveModel> models(
             static_cast<size_t>(alphabet) * 4, AdaptiveModel(alphabet));
@@ -93,12 +105,35 @@ compressQuality(const std::vector<std::string> &quals,
             prev2 = prev1;
             prev1 = static_cast<unsigned>(sym);
         }
-        archive.blocks.push_back(enc.finish());
-        archive.blockChars.push_back(len);
-        if (flat.empty())
-            break;
+        archive.blocks[b] = enc.finish();
+        archive.blockChars[b] = len;
+    };
+    if (pool != nullptr) {
+        pool->parallelFor(blocks, encode_block);
+    } else {
+        for (size_t b = 0; b < blocks; b++)
+            encode_block(b);
     }
     return archive;
+}
+
+std::vector<uint8_t>
+packQuality(const QualityArchive &archive)
+{
+    std::vector<uint8_t> out;
+    putVarint(out, archive.alphabet.size());
+    out.insert(out.end(), archive.alphabet.begin(), archive.alphabet.end());
+    putVarint(out, archive.readLengths.size());
+    for (uint32_t len : archive.readLengths)
+        putVarint(out, len);
+    putVarint(out, archive.blocks.size());
+    for (size_t b = 0; b < archive.blocks.size(); b++) {
+        putVarint(out, archive.blockChars[b]);
+        putVarint(out, archive.blocks[b].size());
+        out.insert(out.end(), archive.blocks[b].begin(),
+                   archive.blocks[b].end());
+    }
+    return out;
 }
 
 std::string

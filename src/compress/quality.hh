@@ -20,6 +20,8 @@
 
 namespace sage {
 
+class ThreadPool;
+
 /** A compressed quality stream with random block access. */
 struct QualityArchive
 {
@@ -47,9 +49,20 @@ struct QualityConfig
     uint64_t blockChars = 1 << 20;
 };
 
-/** Compress per-read quality strings (order preserved). */
+/**
+ * Compress per-read quality strings (order preserved). With a @p pool
+ * the independent blocks are range-coded in parallel; the output is the
+ * same either way.
+ */
 QualityArchive compressQuality(const std::vector<std::string> &quals,
-                               const QualityConfig &config = {});
+                               const QualityConfig &config = {},
+                               ThreadPool *pool = nullptr);
+
+/**
+ * Serialize an archive into its container stream (varint alphabet,
+ * read lengths, then each block's character count, size and bytes).
+ */
+std::vector<uint8_t> packQuality(const QualityArchive &archive);
 
 /** Decompress every block, restoring the original strings. */
 std::vector<std::string> decompressQuality(const QualityArchive &archive);

@@ -15,25 +15,6 @@ namespace springlike {
 
 namespace {
 
-/** Serialize a QualityArchive into raw bytes (already entropy-coded). */
-std::vector<uint8_t>
-packQuality(const QualityArchive &qa)
-{
-    std::vector<uint8_t> out;
-    putVarint(out, qa.alphabet.size());
-    out.insert(out.end(), qa.alphabet.begin(), qa.alphabet.end());
-    putVarint(out, qa.readLengths.size());
-    for (uint32_t len : qa.readLengths)
-        putVarint(out, len);
-    putVarint(out, qa.blocks.size());
-    for (size_t b = 0; b < qa.blocks.size(); b++) {
-        putVarint(out, qa.blockChars[b]);
-        putVarint(out, qa.blocks[b].size());
-        out.insert(out.end(), qa.blocks[b].begin(), qa.blocks[b].end());
-    }
-    return out;
-}
-
 QualityArchive
 unpackQuality(const std::vector<uint8_t> &bytes)
 {
@@ -210,7 +191,7 @@ compress(const ReadSet &rs, std::string_view consensus,
             quals.push_back(rs.reads[src].quals);
         }
         bundle.stream("quality") = packQuality(
-            compressQuality(quals, config.quality));
+            compressQuality(quals, config.quality, pool));
     }
 
     result.archive = bundle.serialize();

@@ -73,6 +73,13 @@ mergeOps(std::vector<EditOp> ops)
 std::optional<AlignResult>
 bandedAlign(std::string_view target, std::string_view query, uint32_t band)
 {
+    // Every base matches (equal strings, no N): the DP below prefers the
+    // diagonal on ties, so it would return distance 0 and an empty
+    // script. Most mapper pieces between exact seed anchors are this.
+    if (query.size() == target.size() &&
+        std::equal(query.begin(), query.end(), target.begin(), basesMatch))
+        return AlignResult{};
+
     const int64_t m = static_cast<int64_t>(query.size());
     const int64_t n = static_cast<int64_t>(target.size());
     const BandShape shape{n - m, static_cast<int64_t>(band)};

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "genomics/kmer.hh"
@@ -27,30 +26,67 @@ struct IndexConfig
     unsigned maxOccurrence = 64;  ///< Drop seeds more frequent than this.
 };
 
-/** Hash index from minimizer k-mer to consensus positions. */
+/**
+ * Consensus positions of one seed, in ascending order: a pointer-plus-
+ * count view into the index, valid while the index lives.
+ */
+struct SeedHits
+{
+    const uint32_t *data = nullptr;
+    uint32_t count = 0;
+
+    const uint32_t *begin() const { return data; }
+    const uint32_t *end() const { return data + count; }
+    size_t size() const { return count; }
+    bool empty() const { return count == 0; }
+};
+
+/**
+ * Hash index from minimizer k-mer to consensus positions.
+ *
+ * Flat layout: an open-addressing table (linear probing, power-of-two
+ * size, at most half full) of (k-mer, offset, count) slots over one
+ * positions array that holds each k-mer's positions contiguously.
+ */
 class MinimizerIndex
 {
   public:
     /** Build an index over @p consensus. The string must outlive us. */
     MinimizerIndex(std::string_view consensus, IndexConfig config = {});
 
-    /** All indexed positions of @p kmer (empty if absent/masked). */
-    const std::vector<uint32_t> &lookup(uint64_t kmer) const;
+    /**
+     * Indexed positions of @p kmer: the first maxOccurrence in
+     * ascending order, empty if absent.
+     */
+    SeedHits lookup(uint64_t kmer) const;
 
     const IndexConfig &config() const { return config_; }
     std::string_view consensus() const { return consensus_; }
 
     /** Number of distinct indexed minimizers. */
-    size_t distinctSeeds() const { return table_.size(); }
+    size_t distinctSeeds() const { return distinct_; }
 
-    /** Approximate index memory footprint in bytes (for Table 3). */
+    /** Index memory footprint in bytes (for Table 3): the slot table
+     *  plus the positions array. */
     size_t memoryBytes() const;
 
   private:
+    struct Slot
+    {
+        uint64_t kmer;
+        uint32_t offset;  ///< First position in positions_.
+        uint32_t count;   ///< Number of positions.
+    };
+
+    /** Marks an empty slot. A k-mer of k <= 31 packs into 62 bits, so
+     *  no k-mer can take this value. */
+    static constexpr uint64_t kEmptySlot = ~uint64_t(0);
+
     std::string_view consensus_;
     IndexConfig config_;
-    std::unordered_map<uint64_t, std::vector<uint32_t>> table_;
-    std::vector<uint32_t> empty_;
+    std::vector<Slot> slots_;
+    std::vector<uint32_t> positions_;
+    size_t distinct_ = 0;
 };
 
 } // namespace sage

@@ -473,22 +473,8 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
         quals.reserve(prep.order.size());
         for (uint32_t src : prep.order)
             quals.push_back(rs.reads[src].quals);
-        const QualityArchive qa = compressQuality(quals, config.quality);
-        std::vector<uint8_t> packed;
-        putVarint(packed, qa.alphabet.size());
-        packed.insert(packed.end(), qa.alphabet.begin(),
-                      qa.alphabet.end());
-        putVarint(packed, qa.readLengths.size());
-        for (uint32_t len : qa.readLengths)
-            putVarint(packed, len);
-        putVarint(packed, qa.blocks.size());
-        for (size_t b = 0; b < qa.blocks.size(); b++) {
-            putVarint(packed, qa.blockChars[b]);
-            putVarint(packed, qa.blocks[b].size());
-            packed.insert(packed.end(), qa.blocks[b].begin(),
-                          qa.blocks[b].end());
-        }
-        bundle.stream("quality") = std::move(packed);
+        bundle.stream("quality") = packQuality(
+            compressQuality(quals, config.quality, pool));
     }
 
     archive.streamSizes = bundle.sizes();

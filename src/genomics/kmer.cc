@@ -1,17 +1,19 @@
 #include "genomics/kmer.hh"
 
 #include <algorithm>
-#include <deque>
 
 namespace sage {
 
-std::vector<KmerHit>
-extractKmers(std::string_view seq, unsigned k)
-{
-    std::vector<KmerHit> hits;
-    if (seq.size() < k || k == 0 || k > 31)
-        return hits;
+namespace {
 
+/** Call @p fn(kmer, pos) for every valid (N-free) k-mer of @p seq, in
+ *  position order. */
+template <typename Fn>
+void
+forEachKmer(std::string_view seq, unsigned k, Fn &&fn)
+{
+    if (seq.size() < k || k == 0 || k > 31)
+        return;
     const uint64_t mask = (uint64_t(1) << (2 * k)) - 1;
     uint64_t kmer = 0;
     unsigned valid = 0; // Number of consecutive non-N bases accumulated.
@@ -23,45 +25,71 @@ extractKmers(std::string_view seq, unsigned k)
             continue;
         }
         kmer = ((kmer << 2) | code) & mask;
-        if (++valid >= k) {
-            hits.push_back({kmer,
-                            static_cast<uint32_t>(i + 1 - k)});
-        }
+        if (++valid >= k)
+            fn(kmer, static_cast<uint32_t>(i + 1 - k));
     }
+}
+
+} // namespace
+
+std::vector<KmerHit>
+extractKmers(std::string_view seq, unsigned k)
+{
+    std::vector<KmerHit> hits;
+    forEachKmer(seq, k, [&](uint64_t kmer, uint32_t pos) {
+        hits.push_back({kmer, pos});
+    });
     return hits;
 }
 
 std::vector<KmerHit>
 extractMinimizers(std::string_view seq, unsigned k, unsigned w)
 {
-    std::vector<KmerHit> all = extractKmers(seq, k);
-    std::vector<KmerHit> out;
-    if (all.empty())
-        return out;
     if (w <= 1)
-        return all;
+        return extractKmers(seq, k);
+    std::vector<KmerHit> out;
+    if (seq.size() < k)
+        return out;
+    out.reserve(2 * (seq.size() - k + 1) / (w + 1) + 1);
 
-    // Sliding-window minimum over hash values using a monotonic deque.
-    std::deque<size_t> window; // Indices into `all`, hashes increasing.
+    // Sliding-window minimum as a monotonic queue on a fixed ring: hashes
+    // strictly increase from head to tail, so a newer k-mer displaces an
+    // older one of equal hash. The window is by position (pos + w > the
+    // current position); it holds at most w entries, plus the newest one
+    // between its push and the eviction.
+    struct Entry
+    {
+        uint64_t hash;
+        uint64_t kmer;
+        uint32_t pos;
+    };
+    std::vector<Entry> ring(w + 1);
+    const size_t cap = ring.size();
+    size_t head = 0, tail = 0, live = 0; // tail: one past the newest.
+    uint64_t seen = 0;                   // Valid k-mers so far.
     uint32_t last_emitted_pos = UINT32_MAX;
-    for (size_t i = 0; i < all.size(); i++) {
-        const uint64_t h = hashKmer(all[i].kmer);
-        while (!window.empty() &&
-               hashKmer(all[window.back()].kmer) >= h) {
-            window.pop_back();
+    forEachKmer(seq, k, [&](uint64_t kmer, uint32_t pos) {
+        const uint64_t h = hashKmer(kmer);
+        while (live > 0) {
+            const size_t back = tail == 0 ? cap - 1 : tail - 1;
+            if (ring[back].hash < h)
+                break;
+            tail = back;
+            live--;
         }
-        window.push_back(i);
-        // Evict k-mers that left the window of w consecutive positions.
-        while (all[window.front()].pos + w <= all[i].pos)
-            window.pop_front();
-        if (i + 1 >= w) {
-            const KmerHit &min_hit = all[window.front()];
-            if (min_hit.pos != last_emitted_pos) {
-                out.push_back(min_hit);
-                last_emitted_pos = min_hit.pos;
-            }
+        ring[tail] = {h, kmer, pos};
+        tail = tail + 1 == cap ? 0 : tail + 1;
+        live++;
+        while (ring[head].pos + w <= pos) {
+            head = head + 1 == cap ? 0 : head + 1;
+            live--;
         }
-    }
+        // Emission starts at the w-th valid k-mer; each position once.
+        if (++seen >= w && ring[head].pos != last_emitted_pos) {
+            out.push_back({ring[head].kmer, ring[head].pos});
+            last_emitted_pos = ring[head].pos;
+        }
+    });
     return out;
 }
 

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 
 namespace sage {
 
@@ -46,9 +48,29 @@ ThreadPool::wait()
 void
 ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
 {
-    for (size_t i = 0; i < n; i++)
-        submit([&fn, i] { fn(i); });
+    std::atomic<size_t> cursor{0};
+    std::mutex error_mutex;
+    std::exception_ptr error;
+    const size_t tasks = std::min(n, workers_.size());
+    for (size_t t = 0; t < tasks; t++) {
+        submit([&] {
+            try {
+                for (size_t i = cursor.fetch_add(1); i < n;
+                     i = cursor.fetch_add(1))
+                    fn(i);
+            } catch (...) {
+                // Park the cursor at the end so every task stops taking
+                // indices; keep only the first failure.
+                cursor.store(n);
+                std::lock_guard<std::mutex> lock(error_mutex);
+                if (!error)
+                    error = std::current_exception();
+            }
+        });
+    }
     wait();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void

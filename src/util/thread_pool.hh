@@ -23,7 +23,8 @@ namespace sage {
  * Tasks are arbitrary void() callables; wait() blocks until every task
  * submitted so far has finished. The pool is intentionally simple — the
  * compressors submit large, independent block jobs, so work stealing or
- * futures would be over-engineering.
+ * futures would be over-engineering. A task passed to submit() must not
+ * throw; parallelFor() forwards exceptions to its caller.
  */
 class ThreadPool
 {
@@ -46,7 +47,14 @@ class ThreadPool
 
     /**
      * Run @p fn(i) for i in [0, n) across the pool and wait.
-     * Convenience for parallel-for style loops.
+     *
+     * Queues one task per worker (at most @p n); each task pulls indices
+     * from a shared atomic cursor, so the per-item cost is one atomic
+     * increment rather than one queued std::function. The first exception
+     * thrown by @p fn stops the cursor handing out further indices and is
+     * rethrown on the caller once every task has finished; the indices
+     * already taken still run. Like wait(), the call returns only when
+     * every task queued on the pool has finished, not just its own.
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 

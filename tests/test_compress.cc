@@ -227,6 +227,19 @@ TEST(Quality, BlockRandomAccessMatchesFullDecode)
     EXPECT_EQ(flat_blocks, flat_full);
 }
 
+TEST(Quality, BlocksOnPoolMatchSerial)
+{
+    const auto quals = makeQualStrings(2000, 150, 6, 81);
+    QualityConfig config;
+    config.blockChars = 40000; // Several blocks to spread over the pool.
+    ThreadPool pool(4);
+    const QualityArchive serial = compressQuality(quals, config);
+    const QualityArchive pooled = compressQuality(quals, config, &pool);
+    ASSERT_GT(serial.blocks.size(), 4u);
+    EXPECT_EQ(packQuality(pooled), packQuality(serial));
+    EXPECT_EQ(decompressQuality(pooled), quals);
+}
+
 TEST(Quality, CompressesBinnedScoresWell)
 {
     const auto quals = makeQualStrings(2000, 150, 4, 80);

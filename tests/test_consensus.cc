@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "consensus/align.hh"
 #include "consensus/index.hh"
 #include "consensus/mapper.hh"
@@ -14,6 +16,7 @@
 #include "genomics/alphabet.hh"
 #include "simgen/synthesize.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 namespace sage {
 namespace {
@@ -236,6 +239,67 @@ TEST(Index, MasksRepetitiveSeeds)
     }
 }
 
+/** lookup() against per-k-mer position lists built from the minimizers
+ *  (position order, first maxOccurrence kept); absent k-mers are empty. */
+void
+expectLookupMatchesReference(const std::string &consensus,
+                             const IndexConfig &config, Rng &rng)
+{
+    const MinimizerIndex index(consensus, config);
+    std::map<uint64_t, std::vector<uint32_t>> reference;
+    for (const auto &hit :
+         extractMinimizers(consensus, config.k, config.w)) {
+        std::vector<uint32_t> &positions = reference[hit.kmer];
+        if (positions.size() < config.maxOccurrence)
+            positions.push_back(hit.pos);
+    }
+    EXPECT_EQ(index.distinctSeeds(), reference.size());
+    for (const auto &[kmer, positions] : reference) {
+        const SeedHits hits = index.lookup(kmer);
+        EXPECT_EQ(std::vector<uint32_t>(hits.begin(), hits.end()),
+                  positions)
+            << "kmer " << kmer;
+    }
+
+    const uint64_t mask = (uint64_t(1) << (2 * config.k)) - 1;
+    size_t absent = 0;
+    for (const auto &hit : extractKmers(consensus, config.k)) {
+        if (reference.count(hit.kmer) == 0) {
+            EXPECT_TRUE(index.lookup(hit.kmer).empty());
+            absent++;
+        }
+    }
+    for (int i = 0; i < 2000; i++) {
+        const uint64_t kmer = rng.next() & mask;
+        if (reference.count(kmer) == 0) {
+            EXPECT_TRUE(index.lookup(kmer).empty());
+            absent++;
+        }
+    }
+    EXPECT_GT(absent, 0u);
+}
+
+TEST(Index, LookupMatchesReferenceLists)
+{
+    Rng rng(57);
+    IndexConfig config;
+    expectLookupMatchesReference(randomSeq(rng, 50000), config, rng);
+
+    // A 400-base unit repeated 200 times (every seed past maxOccurrence),
+    // point-mutated here and there, then a unique tail.
+    const std::string unit = randomSeq(rng, 400);
+    std::string repetitive;
+    for (int i = 0; i < 200; i++)
+        repetitive += unit;
+    for (int i = 0; i < 300; i++)
+        repetitive[rng.nextBelow(repetitive.size())] =
+            codeToBase(static_cast<uint8_t>(rng.nextBelow(4)));
+    repetitive += randomSeq(rng, 5000);
+    expectLookupMatchesReference(repetitive, config, rng);
+    config.maxOccurrence = 3;
+    expectLookupMatchesReference(repetitive, config, rng);
+}
+
 // ---------------------------------------------------------------------
 // Mapper
 // ---------------------------------------------------------------------
@@ -349,6 +413,41 @@ TEST(Mapper, MapAllReconstructsSimulatedLongReads)
             : ds.readSet.reads[i].bases;
         ASSERT_EQ(reconstructRead(ds.reference, mappings[i]), oriented)
             << "read " << i;
+    }
+}
+
+TEST(Mapper, MapAllOnPoolMatchesSerial)
+{
+    ThreadPool pool(4);
+    for (bool long_reads : {false, true}) {
+        SCOPED_TRACE(long_reads ? "long reads" : "short reads");
+        const SimulatedDataset ds =
+            synthesizeDataset(makeTinySpec(long_reads));
+        const ConsensusMapper mapper(ds.reference);
+        const auto serial = mapper.mapAll(ds.readSet);
+        const auto pooled = mapper.mapAll(ds.readSet, &pool);
+        ASSERT_EQ(pooled.size(), serial.size());
+        for (size_t i = 0; i < serial.size(); i++) {
+            const ReadMapping &a = serial[i];
+            const ReadMapping &b = pooled[i];
+            ASSERT_EQ(b.mapped, a.mapped) << "read " << i;
+            ASSERT_EQ(b.reverse, a.reverse) << "read " << i;
+            ASSERT_EQ(b.segments.size(), a.segments.size()) << "read " << i;
+            for (size_t s = 0; s < a.segments.size(); s++) {
+                const AlignedSegment &x = a.segments[s];
+                const AlignedSegment &y = b.segments[s];
+                EXPECT_EQ(y.consensusPos, x.consensusPos);
+                EXPECT_EQ(y.readStart, x.readStart);
+                EXPECT_EQ(y.readLength, x.readLength);
+                ASSERT_EQ(y.ops.size(), x.ops.size()) << "read " << i;
+                for (size_t o = 0; o < x.ops.size(); o++) {
+                    EXPECT_EQ(y.ops[o].readPos, x.ops[o].readPos);
+                    EXPECT_EQ(y.ops[o].type, x.ops[o].type);
+                    EXPECT_EQ(y.ops[o].length, x.ops[o].length);
+                    EXPECT_EQ(y.ops[o].bases, x.ops[o].bases);
+                }
+            }
+        }
     }
 }
 

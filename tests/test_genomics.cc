@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string_view>
+
 #include "genomics/alphabet.hh"
 #include "genomics/fastq.hh"
 #include "genomics/kmer.hh"
@@ -143,10 +146,86 @@ TEST(Kmer, MinimizersAreSubsetOfKmers)
     EXPECT_LT(mins.size(), all.size());
     EXPECT_GT(mins.size(), all.size() / 10);
     // Every minimizer must be a real k-mer at its position.
-    for (const auto &m : mins) {
-        EXPECT_EQ(seq.substr(m.pos, 15),
-                  seq.substr(m.pos, 15)); // Position validity.
-        ASSERT_LE(m.pos + 15, seq.size());
+    std::set<std::pair<uint32_t, uint64_t>> kmers;
+    for (const auto &hit : all)
+        kmers.emplace(hit.pos, hit.kmer);
+    for (const auto &m : mins)
+        EXPECT_EQ(kmers.count({m.pos, m.kmer}), 1u) << "pos " << m.pos;
+}
+
+/**
+ * Reference (w, k) minimizers, one window at a time: the window is by
+ * position (pos + w > the current k-mer's pos), emission starts at the
+ * w-th valid k-mer, the newer k-mer wins a hash tie, and a position is
+ * not emitted twice in a row (fronts only move forward, so that is
+ * once overall).
+ */
+std::vector<KmerHit>
+bruteForceMinimizers(std::string_view seq, unsigned k, unsigned w)
+{
+    const std::vector<KmerHit> all = extractKmers(seq, k);
+    if (w <= 1)
+        return all;
+    std::vector<KmerHit> out;
+    for (size_t i = 0; i < all.size(); i++) {
+        if (i + 1 < w)
+            continue;
+        const KmerHit *best = nullptr;
+        for (size_t j = 0; j <= i; j++) {
+            if (all[j].pos + w <= all[i].pos)
+                continue;
+            if (best == nullptr ||
+                hashKmer(all[j].kmer) <= hashKmer(best->kmer))
+                best = &all[j];
+        }
+        if (out.empty() || out.back().pos != best->pos)
+            out.push_back(*best);
+    }
+    return out;
+}
+
+TEST(Kmer, MinimizersMatchBruteForceWindowMinimum)
+{
+    Rng rng(19);
+    for (unsigned k : {11u, 15u, 31u}) {
+        for (unsigned w : {1u, 2u, 5u, 8u}) {
+            for (int trial = 0; trial < 40; trial++) {
+                // Every fourth sequence is shorter than k; the rest carry
+                // runs of N (upper or lower case) and tandem repeats,
+                // whose equal k-mers tie on hash, between ACGT stretches.
+                const size_t len = trial % 4 == 0 ? rng.nextBelow(k)
+                                                  : 1 + rng.nextBelow(300);
+                std::string seq;
+                while (seq.size() < len) {
+                    if (rng.nextBool(0.02)) {
+                        const char n = rng.nextBool(0.5) ? 'N' : 'n';
+                        seq.append(1 + rng.nextBelow(k + 3), n);
+                    } else if (rng.nextBool(0.01)) {
+                        std::string repeat_unit;
+                        for (uint64_t u = 1 + rng.nextBelow(3); u > 0; u--)
+                            repeat_unit.push_back(codeToBase(
+                                static_cast<uint8_t>(rng.nextBelow(4))));
+                        for (uint64_t r = k + rng.nextBelow(2 * k); r > 0; r--)
+                            seq += repeat_unit;
+                    } else {
+                        seq.push_back(codeToBase(
+                            static_cast<uint8_t>(rng.nextBelow(4))));
+                    }
+                }
+                seq.resize(len);
+                const auto expected = bruteForceMinimizers(seq, k, w);
+                const auto got = extractMinimizers(seq, k, w);
+                ASSERT_EQ(got.size(), expected.size())
+                    << "k=" << k << " w=" << w << " seq=" << seq;
+                for (size_t i = 0; i < got.size(); i++) {
+                    EXPECT_EQ(got[i].pos, expected[i].pos);
+                    EXPECT_EQ(got[i].kmer, expected[i].kmer);
+                    if (i > 0) {
+                        EXPECT_LT(got[i - 1].pos, got[i].pos);
+                    }
+                }
+            }
+        }
     }
 }
 

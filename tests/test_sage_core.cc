@@ -13,6 +13,7 @@
 #include "core/sage.hh"
 #include "simgen/synthesize.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 namespace sage {
 namespace {
@@ -321,6 +322,46 @@ TEST(SageRoundTripExtra, HigherLevelsNeverLargerDna)
         EXPECT_LT(static_cast<double>(archive.dnaBytes), prev * 1.02)
             << "level " << level;
         prev = static_cast<double>(archive.dnaBytes);
+    }
+}
+
+/** The archive's own CRC-32, stored little-endian in its last 4 bytes. */
+uint32_t
+trailerCrc(const std::vector<uint8_t> &archive)
+{
+    const size_t n = archive.size();
+    return uint32_t(archive[n - 4]) | uint32_t(archive[n - 3]) << 8 |
+        uint32_t(archive[n - 2]) << 16 | uint32_t(archive[n - 1]) << 24;
+}
+
+TEST(SageEncode, ByteIdenticalAcrossPoolSizes)
+{
+    // Pinned size and trailer CRC of each archive: a change to the
+    // mapper, index, pool or quality coder that alters any byte fails
+    // here. (Pin the stored CRC: a CRC over the whole archive, which
+    // ends in its own CRC, is always the CRC-32 residue.)
+    struct Case
+    {
+        bool longReads;
+        size_t bytes;
+        uint32_t crc;
+    };
+    ThreadPool one(1), four(4);
+    for (const Case &c : {Case{false, 35376, 0xbbaa5012u},
+                          Case{true, 38729, 0x624df32fu}}) {
+        SCOPED_TRACE(c.longReads ? "long reads" : "short reads");
+        const SimulatedDataset ds =
+            synthesizeDataset(makeTinySpec(c.longReads));
+        SageConfig config;
+        config.chunkReads = 4096;
+        const std::vector<uint8_t> serial =
+            sageCompress(ds.readSet, ds.reference, config).bytes;
+        EXPECT_EQ(sageCompress(ds.readSet, ds.reference, config, &one).bytes,
+                  serial);
+        EXPECT_EQ(sageCompress(ds.readSet, ds.reference, config, &four).bytes,
+                  serial);
+        ASSERT_EQ(serial.size(), c.bytes);
+        EXPECT_EQ(trailerCrc(serial), c.crc);
     }
 }
 

@@ -18,6 +18,7 @@
 #include "util/histogram.hh"
 #include "util/prefix_code.hh"
 #include "util/rng.hh"
+#include "util/status.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 #include "util/varint.hh"
@@ -461,6 +462,29 @@ TEST(ThreadPool, ParallelForCoversAll)
     ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(1000);
     pool.parallelFor(1000, [&](size_t i) { hits[i]++; });
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForRethrowsOnTheCaller)
+{
+    ThreadPool pool(4);
+    bool caught = false;
+    try {
+        pool.parallelFor(10000, [](size_t i) {
+            if (i == 4321)
+                throw StatusError(Status::corrupt("bad item ", i));
+        });
+    } catch (const StatusError &error) {
+        caught = true;
+        EXPECT_EQ(error.status().code(), StatusCode::Corrupt);
+        EXPECT_NE(error.status().message().find("4321"), std::string::npos);
+    }
+    EXPECT_TRUE(caught);
+
+    // The pool is still usable: the next loop covers every index once.
+    std::vector<std::atomic<int>> hits(10000);
+    pool.parallelFor(hits.size(), [&](size_t i) { hits[i]++; });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
