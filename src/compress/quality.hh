@@ -14,7 +14,10 @@
 #ifndef SAGE_COMPRESS_QUALITY_HH
 #define SAGE_COMPRESS_QUALITY_HH
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -64,12 +67,70 @@ QualityArchive compressQuality(const std::vector<std::string> &quals,
  */
 std::vector<uint8_t> packQuality(const QualityArchive &archive);
 
+/**
+ * Parse a packQuality() stream back into an archive. The framing is
+ * untrusted: an alphabet outside 1..256 symbols, a count that outruns
+ * the stream or a block payload past its end throws StatusError
+ * (Corrupt/Truncated).
+ */
+QualityArchive unpackQuality(const std::vector<uint8_t> &bytes);
+
 /** Decompress every block, restoring the original strings. */
 std::vector<std::string> decompressQuality(const QualityArchive &archive);
 
-/** Decompress a single block's character payload (random access). */
+/** Decompress a single block's character payload (random access).
+ *  Throws StatusError (Corrupt) on an out-of-range block or an
+ *  alphabet outside 1..256 symbols. */
 std::string decompressQualityBlock(const QualityArchive &archive,
                                    size_t block_index);
+
+/**
+ * Per-read access to a compressed quality stream that decodes each
+ * block the first time a read needs it (paper §5.1.5: quality stays
+ * off the data-preparation path until something asks for it).
+ * Construction keeps only the framing: the alphabet, each read's
+ * character offset and the block table. A read whose characters
+ * straddle a block boundary joins the blocks it spans.
+ *
+ * read() is safe from any number of threads. Each block decodes once,
+ * under its own lock, and concurrent first readers wait for that one
+ * decode; a decode that throws stores nothing, so the next reader
+ * retries. Decoded blocks stay resident for the store's lifetime.
+ */
+class QualityStore
+{
+  public:
+    /** Index @p archive (unpackQuality() or compressQuality() output).
+     *  Throws StatusError (Corrupt) when its blocks hold a different
+     *  number of characters than its reads. */
+    explicit QualityStore(QualityArchive archive);
+
+    /** Reads the stream holds. */
+    uint64_t readCount() const { return readStart_.size() - 1; }
+
+    /** Quality string of read @p index; decodes the blocks it spans
+     *  on first use. */
+    std::string read(uint64_t index) const;
+
+  private:
+    struct Block
+    {
+        std::vector<uint8_t> payload;
+        std::mutex mutex;  ///< Held while the block decodes.
+        std::atomic<bool> ready{false};
+        std::string chars;  ///< Decoded characters, once ready.
+    };
+
+    /** Block @p b's characters, decoding them on first use. */
+    const std::string &decoded(size_t b) const;
+
+    std::string alphabet_;
+    /** Character offset of each read; one extra entry ends the last. */
+    std::vector<uint64_t> readStart_;
+    /** Character offset of each block; one extra entry ends the last. */
+    std::vector<uint64_t> blockStart_;
+    std::unique_ptr<Block[]> blocks_;
+};
 
 } // namespace sage
 

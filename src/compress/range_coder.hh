@@ -130,56 +130,74 @@ class RangeDecoder
 };
 
 /**
- * Adaptive frequency model over a small alphabet with periodic halving.
+ * Adaptive frequency models over a small alphabet with periodic halving.
  * Linear cumulative search is fine for alphabets <= 64 symbols.
+ *
+ * One object holds @p contexts independent models in one contiguous
+ * frequency array (context c owns entries [c*symbols, (c+1)*symbols)),
+ * so a context-mixing coder indexes its models without a per-model
+ * allocation or pointer chase.
  */
 class AdaptiveModel
 {
   public:
-    explicit AdaptiveModel(unsigned symbols)
-        : freq_(symbols, 1), total_(symbols)
+    explicit AdaptiveModel(unsigned symbols, unsigned contexts = 1)
+        : symbols_(symbols),
+          freq_(static_cast<size_t>(symbols) * contexts, 1),
+          total_(contexts, symbols)
     {}
 
     void
-    encode(RangeEncoder &enc, unsigned symbol)
+    encode(RangeEncoder &enc, unsigned symbol, unsigned context = 0)
     {
+        const uint32_t *freq = frequencies(context);
         uint32_t cum = 0;
         for (unsigned s = 0; s < symbol; s++)
-            cum += freq_[s];
-        enc.encode(cum, cum + freq_[symbol], total_);
-        bump(symbol);
+            cum += freq[s];
+        enc.encode(cum, cum + freq[symbol], total_[context]);
+        bump(context, symbol);
     }
 
     unsigned
-    decode(RangeDecoder &dec)
+    decode(RangeDecoder &dec, unsigned context = 0)
     {
-        const uint32_t f = dec.decodeFreq(total_);
+        const uint32_t *freq = frequencies(context);
+        const uint32_t f = dec.decodeFreq(total_[context]);
         uint32_t cum = 0;
         unsigned symbol = 0;
-        while (cum + freq_[symbol] <= f)
-            cum += freq_[symbol++];
-        dec.decodeUpdate(cum, cum + freq_[symbol]);
-        bump(symbol);
+        while (cum + freq[symbol] <= f)
+            cum += freq[symbol++];
+        dec.decodeUpdate(cum, cum + freq[symbol]);
+        bump(context, symbol);
         return symbol;
     }
 
   private:
-    void
-    bump(unsigned symbol)
+    uint32_t *
+    frequencies(unsigned context)
     {
-        freq_[symbol] += 32;
-        total_ += 32;
-        if (total_ > (1u << 16)) {
-            total_ = 0;
-            for (auto &f : freq_) {
-                f = (f + 1) >> 1;
-                total_ += f;
+        return freq_.data() + static_cast<size_t>(context) * symbols_;
+    }
+
+    void
+    bump(unsigned context, unsigned symbol)
+    {
+        uint32_t *freq = frequencies(context);
+        uint32_t &total = total_[context];
+        freq[symbol] += 32;
+        total += 32;
+        if (total > (1u << 16)) {
+            total = 0;
+            for (unsigned s = 0; s < symbols_; s++) {
+                freq[s] = (freq[s] + 1) >> 1;
+                total += freq[s];
             }
         }
     }
 
+    unsigned symbols_;
     std::vector<uint32_t> freq_;
-    uint32_t total_;
+    std::vector<uint32_t> total_;
 };
 
 } // namespace sage

@@ -15,31 +15,6 @@ namespace springlike {
 
 namespace {
 
-QualityArchive
-unpackQuality(const std::vector<uint8_t> &bytes)
-{
-    QualityArchive qa;
-    size_t pos = 0;
-    const uint64_t alpha_len = getVarint(bytes, pos);
-    qa.alphabet.assign(bytes.begin() + pos, bytes.begin() + pos + alpha_len);
-    pos += alpha_len;
-    const uint64_t reads = getVarint(bytes, pos);
-    qa.readLengths.reserve(reads);
-    for (uint64_t i = 0; i < reads; i++)
-        qa.readLengths.push_back(
-            static_cast<uint32_t>(getVarint(bytes, pos)));
-    const uint64_t blocks = getVarint(bytes, pos);
-    for (uint64_t b = 0; b < blocks; b++) {
-        qa.blockChars.push_back(getVarint(bytes, pos));
-        const uint64_t size = getVarint(bytes, pos);
-        sage_assert(pos + size <= bytes.size(), "quality pack truncated");
-        qa.blocks.emplace_back(bytes.begin() + pos,
-                               bytes.begin() + pos + size);
-        pos += size;
-    }
-    return qa;
-}
-
 /** Per-read record flags. */
 constexpr uint8_t kFlagEscaped = 1;
 constexpr uint8_t kFlagReverse = 2;

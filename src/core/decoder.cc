@@ -1,11 +1,14 @@
 #include "core/decoder.hh"
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <numeric>
 #include <stdexcept>
 
 #include "compress/gpzip.hh"
+#include "compress/quality.hh"
 #include "core/tuned_array.hh"
 #include "util/bitio.hh"
 #include "util/logging.hh"
@@ -347,7 +350,12 @@ try {
         dnaExtents_[s] = dir_.extent(kChunkStreamNames[s]);
     }
 
-    // Host-side streams (skipped entirely in DNA-only mode).
+    // Host-side streams (skipped entirely in DNA-only mode). Headers
+    // stay one decoded text buffer indexed by line starts; quality keeps
+    // only its framing, and each block decodes when a read first needs
+    // it. The encoder writes one header line and one quality length per
+    // read, so a stream that disagrees with the read count is corrupt:
+    // serving it would hand out empty or misaligned fields.
     if (!dna_only) {
         status = dir_.tryLoad(*source_, "headers", raw);
         if (!status.ok())
@@ -355,16 +363,22 @@ try {
         StatusOr<std::vector<uint8_t>> headers = gpzip::tryDecompress(raw);
         if (!headers.ok())
             return headers.status();
-        const std::vector<uint8_t> &header_bytes = headers.value();
-        std::string cur;
-        for (uint8_t byte : header_bytes) {
-            if (byte == '\n') {
-                headers_.push_back(cur);
-                cur.clear();
-            } else {
-                cur.push_back(static_cast<char>(byte));
-            }
+        headerText_ = std::move(headers.value());
+        const uint8_t *text = headerText_.data();
+        const size_t size = headerText_.size();
+        headerStarts_.push_back(0);
+        for (size_t at = 0; at < size;) {
+            const void *newline = std::memchr(text + at, '\n', size - at);
+            sage_check_data(newline != nullptr, Corrupt,
+                            "header stream ends inside a line");
+            at = static_cast<size_t>(
+                static_cast<const uint8_t *>(newline) - text) + 1;
+            headerStarts_.push_back(at);
         }
+        sage_check_data(headerStarts_.size() - 1 == params.numReads,
+                        Corrupt, "header stream holds ",
+                        headerStarts_.size() - 1, " lines for ",
+                        params.numReads, " reads");
     }
     if (dir_.has("order")) {
         status = dir_.tryLoad(*source_, "order", raw);
@@ -374,34 +388,17 @@ try {
         while (pos < raw.size())
             order_.push_back(static_cast<uint32_t>(getVarint(raw, pos)));
     }
-    if (!dna_only && params.hasQuality && dir_.has("quality")) {
+    if (!dna_only && params.hasQuality) {
+        sage_check_data(dir_.has("quality"), Corrupt,
+                        "archive declares quality scores but has no "
+                        "quality stream");
         status = dir_.tryLoad(*source_, "quality", raw);
         if (!status.ok())
             return status;
-        const std::vector<uint8_t> &packed = raw;
-        QualityArchive qa;
-        size_t pos = 0;
-        const uint64_t alpha_len = getVarint(packed, pos);
-        sage_check_data(alpha_len <= packed.size() - pos, Truncated,
-                        "quality alphabet runs past the stream end");
-        qa.alphabet.assign(packed.begin() + pos,
-                           packed.begin() + pos + alpha_len);
-        pos += alpha_len;
-        const uint64_t reads = getVarint(packed, pos);
-        for (uint64_t i = 0; i < reads; i++)
-            qa.readLengths.push_back(
-                static_cast<uint32_t>(getVarint(packed, pos)));
-        const uint64_t blocks = getVarint(packed, pos);
-        for (uint64_t b = 0; b < blocks; b++) {
-            qa.blockChars.push_back(getVarint(packed, pos));
-            const uint64_t size = getVarint(packed, pos);
-            sage_check_data(size <= packed.size() - pos, Truncated,
-                            "quality block runs past the stream end");
-            qa.blocks.emplace_back(packed.begin() + pos,
-                                   packed.begin() + pos + size);
-            pos += size;
-        }
-        quals_ = decompressQuality(qa);
+        quals_ = std::make_unique<QualityStore>(unpackQuality(raw));
+        sage_check_data(quals_->readCount() == params.numReads, Corrupt,
+                        "quality stream holds ", quals_->readCount(),
+                        " reads; the archive has ", params.numReads);
     }
 
     matchCodec_ = std::make_unique<TunedFieldCodec>(params.matchPos);
@@ -488,24 +485,25 @@ SageDecoder::chunkCompressedBytes() const
 
 Read
 SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
-                       uint64_t &events, bool consume_host)
+                       uint64_t &events) const
+{
+    Read read;
+    read.bases = decodeBases(cur, events);
+    if (!headerStarts_.empty()) {
+        const uint64_t begin = headerStarts_[read_index];
+        read.header.assign(
+            reinterpret_cast<const char *>(headerText_.data()) + begin,
+            static_cast<size_t>(headerStarts_[read_index + 1] - 1 - begin));
+    }
+    if (quals_)
+        read.quals = quals_->read(read_index);
+    return read;
+}
+
+std::string
+SageDecoder::decodeBases(ChunkCursor &cur, uint64_t &events) const
 {
     const SageParams &params = info_.params;
-
-    Read read;
-    // On the one-shot paths headers and quality strings are emitted
-    // exactly once per read, so they move out of the decoder; random
-    // chunk access copies so a chunk can be decoded repeatedly.
-    if (read_index < headers_.size()) {
-        read.header = consume_host ? std::move(headers_[read_index])
-                                   : headers_[read_index];
-    }
-    auto take_quals = [&] {
-        if (read_index < quals_.size()) {
-            read.quals = consume_host ? std::move(quals_[read_index])
-                                      : quals_[read_index];
-        }
-    };
 
     // ---- Flags --------------------------------------------------------
     const bool reverse = cur.flags.readBit();
@@ -543,11 +541,11 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
         sage_check_data(packed_bytes <= escape.size &&
                         cur.escapeByte <= escape.size - packed_bytes,
                         Truncated, "escape stream underrun");
-        read.bases = unpackSequence(escape.data + cur.escapeByte,
-                                    packed_bytes, length,
-                                    OutputFormat::ThreeBit);
+        std::string bases = unpackSequence(escape.data + cur.escapeByte,
+                                           packed_bytes, length,
+                                           OutputFormat::ThreeBit);
         cur.escapeByte += packed_bytes;
-        take_quals();
+        return bases;
     };
 
     // ---- Matching position ---------------------------------------------
@@ -557,8 +555,7 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
 
     if (!params.cornerTrick && escaped) {
         // Pre-O4 escape: payload only.
-        take_escape();
-        return read;
+        return take_escape();
     }
 
     // ---- Segment table ---------------------------------------------------
@@ -604,8 +601,7 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
                 if (cur.mbta.readBit()) {
                     // Corner case: whole read comes from the escape
                     // stream, 3-bit packed.
-                    take_escape();
-                    return read;
+                    return take_escape();
                 }
             }
             first_event_of_read = false;
@@ -699,13 +695,11 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
     // per-read allocation (thread-local scratch in alphabet.cc).
     if (reverse)
         reverseComplementInPlace(oriented);
-    read.bases = std::move(oriented);
-    take_quals();
-    return read;
+    return oriented;
 }
 
-Read
-SageDecoder::next()
+SageDecoder::ChunkCursor &
+SageDecoder::advanceCursor()
 {
     sage_assert(hasNext(), "decoder exhausted");
     while (!cursor_ || cursor_->remaining == 0) {
@@ -714,8 +708,13 @@ SageDecoder::next()
         cursor_ = openChunk(nextChunk_++);
     }
     cursor_->remaining--;
-    Read read = decodeOne(*cursor_, emitted_, events_,
-                          /*consume_host=*/true);
+    return *cursor_;
+}
+
+Read
+SageDecoder::next()
+{
+    Read read = decodeOne(advanceCursor(), emitted_, events_);
     emitted_++;
     return read;
 }
@@ -728,23 +727,19 @@ SageDecoder::canDecodeParallel(const ThreadPool *pool,
 }
 
 // Chunks are independent slices: decode them concurrently, each worker
-// fetching its own chunk's byte slices and delivering to disjoint
-// stored-order indices (so stored order is preserved by construction,
-// and headers/quals move out race-free on the consume paths).
-template <typename Sink>
+// fetching its own chunk's byte slices and handling disjoint stored-order
+// indices (so stored order is preserved by construction).
+template <typename Body>
 void
 SageDecoder::decodeParallel(ThreadPool *pool, size_t first, size_t count,
-                            bool consume_host, const Sink &sink)
+                            const Body &body)
 {
     std::vector<uint64_t> chunk_events(count, 0);
     pool->parallelFor(count, [&](size_t i) {
         const ChunkSlice &slice = chunks_[first + i];
         ChunkCursor cur(*this, slice);
-        for (uint64_t r = 0; r < slice.readCount; r++) {
-            const uint64_t idx = slice.firstRead + r;
-            sink(idx, decodeOne(cur, idx, chunk_events[i],
-                                consume_host));
-        }
+        for (uint64_t r = 0; r < slice.readCount; r++)
+            body(cur, slice.firstRead + r, chunk_events[i]);
     });
     for (uint64_t e : chunk_events)
         events_ += e;
@@ -766,9 +761,11 @@ SageDecoder::decodeChunks(size_t first, size_t count, ThreadPool *pool)
         static_cast<size_t>(last.firstRead + last.readCount - base));
 
     if (canDecodeParallel(pool, count)) {
-        decodeParallel(pool, first, count, /*consume_host=*/false,
-                       [&](uint64_t idx, Read &&read) {
-                           rs.reads[idx - base] = std::move(read);
+        decodeParallel(pool, first, count,
+                       [&](ChunkCursor &cur, uint64_t idx,
+                           uint64_t &events) {
+                           rs.reads[idx - base] =
+                               decodeOne(cur, idx, events);
                        });
     } else {
         for (size_t c = first; c < first + count; c++) {
@@ -777,8 +774,7 @@ SageDecoder::decodeChunks(size_t first, size_t count, ThreadPool *pool)
             for (uint64_t r = 0; r < slice.readCount; r++) {
                 const uint64_t idx = slice.firstRead + r;
                 rs.reads[static_cast<size_t>(idx - base)] =
-                    decodeOne(*cur, idx, events_,
-                              /*consume_host=*/false);
+                    decodeOne(*cur, idx, events_);
             }
         }
     }
@@ -819,8 +815,7 @@ SageDecoder::tryDecodeChunkShared(size_t chunk)
         reads.reserve(static_cast<size_t>(slice.readCount));
         uint64_t events = 0;
         for (uint64_t r = 0; r < slice.readCount; r++) {
-            reads.push_back(decodeOne(cur, slice.firstRead + r, events,
-                                      /*consume_host=*/false));
+            reads.push_back(decodeOne(cur, slice.firstRead + r, events));
         }
         return StatusOr<std::vector<Read>>(std::move(reads));
     } catch (const StatusError &err) {
@@ -842,9 +837,10 @@ SageDecoder::decodeAll(ThreadPool *pool)
 
     if (emitted_ == 0 && canDecodeParallel(pool, chunks_.size())) {
         rs.reads.resize(total);
-        decodeParallel(pool, 0, chunks_.size(), /*consume_host=*/true,
-                       [&](uint64_t idx, Read &&read) {
-                           rs.reads[idx] = std::move(read);
+        decodeParallel(pool, 0, chunks_.size(),
+                       [&](ChunkCursor &cur, uint64_t idx,
+                           uint64_t &events) {
+                           rs.reads[idx] = decodeOne(cur, idx, events);
                        });
         emitted_ = total;
     } else {
@@ -867,11 +863,13 @@ SageDecoder::decodeAll(ThreadPool *pool)
 std::vector<std::vector<uint8_t>>
 SageDecoder::decodeAllPacked(OutputFormat fmt, ThreadPool *pool)
 {
-    auto pack = [fmt](const Read &read) {
+    // Bases only: packed output carries no header or quality, so no
+    // quality block is decoded here.
+    auto pack = [fmt](const std::string &bases) {
         const OutputFormat effective =
-            fmt == OutputFormat::TwoBit && !isAcgtOnly(read.bases)
+            fmt == OutputFormat::TwoBit && !isAcgtOnly(bases)
                 ? OutputFormat::ThreeBit : fmt;
-        return packSequence(read.bases, effective);
+        return packSequence(bases, effective);
     };
 
     std::vector<std::vector<uint8_t>> out;
@@ -879,15 +877,18 @@ SageDecoder::decodeAllPacked(OutputFormat fmt, ThreadPool *pool)
 
     if (emitted_ == 0 && canDecodeParallel(pool, chunks_.size())) {
         out.resize(total);
-        decodeParallel(pool, 0, chunks_.size(), /*consume_host=*/true,
-                       [&](uint64_t idx, Read &&read) {
-                           out[idx] = pack(read);
+        decodeParallel(pool, 0, chunks_.size(),
+                       [&](ChunkCursor &cur, uint64_t idx,
+                           uint64_t &events) {
+                           out[idx] = pack(decodeBases(cur, events));
                        });
         emitted_ = total;
     } else {
         out.reserve(total - emitted_);
-        while (hasNext())
-            out.push_back(pack(next()));
+        while (hasNext()) {
+            out.push_back(pack(decodeBases(advanceCursor(), events_)));
+            emitted_++;
+        }
     }
     return out;
 }

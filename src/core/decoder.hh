@@ -11,13 +11,21 @@
  *     and event counts this decoder reports.
  *
  * The decoder reads the container through a ByteSource
- * (io/byte_stream.hh): headers, chunk table and consensus are parsed
- * up front (a few KB of reads), while the 13 DNA streams are fetched
- * per chunk, exactly when a chunk is opened. Over a FileSource this
- * decodes any chunk subrange without ever loading the full archive;
- * over a MemorySource the per-chunk fetches are zero-copy views. A
- * StripedSource (io/striped.hh) serves chunk fetches from a device
- * array (paper Fig. 15).
+ * (io/byte_stream.hh): params, chunk table and consensus are parsed up
+ * front, while the 13 DNA streams are fetched per chunk, exactly when a
+ * chunk is opened. Over a FileSource this decodes any chunk subrange
+ * without ever loading the full archive; over a MemorySource the
+ * per-chunk fetches are zero-copy views. A StripedSource
+ * (io/striped.hh) serves chunk fetches from a device array (paper
+ * Fig. 15).
+ *
+ * The host-side streams are loaded at open but not expanded per read.
+ * Headers are gpzip-decoded into one text buffer indexed by line
+ * starts. Quality keeps only its framing (compress/quality.hh:
+ * QualityStore); each quality block range-decodes the first time a
+ * decoded read needs it and then stays resident for the decoder's
+ * lifetime (paper §5.1.5). Every decode call copies header and quality
+ * fields out of these shared stores rather than using them up.
  *
  * Container v2 archives carry a chunk index (format.hh): each chunk is
  * an independently decodable slice of the read set, the software
@@ -49,6 +57,7 @@
 
 namespace sage {
 
+class QualityStore;
 class ThreadPool;
 
 /** Per-archive structural info used by the hardware timing model. */
@@ -74,7 +83,10 @@ class SageDecoder
      *        read-mapping pipeline never touches quality scores (paper
      *        §5.1.5 — they are decoded lazily, per block, only around
      *        mismatches during later variant calling), so the prep
-     *        stage feeding an accelerator decodes DNA alone.
+     *        stage feeding an accelerator decodes DNA alone. Reads then
+     *        come back with empty headers and quality. A full decoder
+     *        already defers quality blocks to first use; dna_only also
+     *        skips loading the quality stream and decoding headers.
      * @param verify_checksum stream the whole archive through CRC32
      *        before decoding (reads every byte; defeats the streaming
      *        constructor's laziness, so it is opt-in here).
@@ -148,12 +160,13 @@ class SageDecoder
      * service layer's decode-into-cache entry point. Unlike the other
      * decode calls this touches no sequential, prefetch or event
      * state, so any number of threads may call it concurrently on one
-     * decoder (each call fetches its own byte slices through the
-     * thread-safe ByteSource and copies headers/quality rather than
-     * consuming them; the same chunk decodes repeatably). Must not be
-     * mixed with a concurrent decodeAll()/decodeAllPacked(), which
-     * move the host streams out. Decoded mismatch events are not
-     * added to eventsDecoded().
+     * decoder, also alongside one thread using the other decode calls.
+     * Each call fetches its own byte slices through the thread-safe
+     * ByteSource and copies headers and quality out of the shared host
+     * stores; the first call to need a quality block decodes it while
+     * concurrent callers wait for that one decode. The same chunk
+     * decodes repeatably. Decoded mismatch events are not added to
+     * eventsDecoded().
      */
     std::vector<Read> decodeChunkShared(size_t chunk);
 
@@ -166,18 +179,20 @@ class SageDecoder
     StatusOr<std::vector<Read>> tryDecodeChunkShared(size_t chunk);
 
     /**
-     * Decode everything into a ReadSet (restores original order when
-     * the archive preserved it). With a pool and a multi-chunk archive,
-     * chunks decode in parallel; the result is identical to the
-     * sequential path. One-shot: headers and quality strings move out
-     * of the decoder, so later decodeChunks() calls see them empty.
+     * Decode every read not yet taken through next() into a ReadSet
+     * (restores original order when the archive preserved it). With a
+     * pool and a multi-chunk archive, chunks decode in parallel; the
+     * result is identical to the sequential path. Like next(), it
+     * advances the sequential cursor; headers and quality are copied,
+     * so later decodeChunks() calls still return them.
      */
     ReadSet decodeAll(ThreadPool *pool = nullptr);
 
     /**
      * Decode everything into packed analysis format — what SAGe_Read
      * hands to an accelerator (paper §5.4): per-read packed bases.
-     * Optionally chunk-parallel, like decodeAll().
+     * Optionally chunk-parallel, like decodeAll(). Decodes no header
+     * or quality.
      */
     std::vector<std::vector<uint8_t>>
     decodeAllPacked(OutputFormat fmt, ThreadPool *pool = nullptr);
@@ -252,22 +267,30 @@ class SageDecoder
      *  of chunk @p index+1 when prefetching is on. */
     std::unique_ptr<ChunkCursor> openChunk(size_t index);
 
-    /** Decode one read via @p cur; @p read_index is its stored-order
-     *  position (indexes headers_/quals_). @p consume_host moves the
-     *  header/quality strings out (one-shot paths) instead of copying
-     *  (repeatable random access). */
+    /** Position the sequential cursor on the next read (opening
+     *  chunks as needed) and return it. Requires hasNext(). */
+    ChunkCursor &advanceCursor();
+
+    /** Decode one read's bases via @p cur, counting its mismatch
+     *  events into @p events. */
+    std::string decodeBases(ChunkCursor &cur, uint64_t &events) const;
+
+    /** Decode one read via @p cur: its bases, plus the header and
+     *  quality of stored-order read @p read_index copied from the host
+     *  stores (decoding quality blocks on first use). */
     Read decodeOne(ChunkCursor &cur, uint64_t read_index,
-                   uint64_t &events, bool consume_host);
+                   uint64_t &events) const;
 
     /** True when a chunk range may fan out across @p pool. */
     bool canDecodeParallel(const ThreadPool *pool, size_t count) const;
 
     /** Fan chunks [first, first+count) across @p pool, calling
-     *  sink(index, Read&&) for every read (indices are disjoint across
-     *  workers). Requires canDecodeParallel(pool, count). */
-    template <typename Sink>
+     *  body(cursor, index, events) for every read in stored order
+     *  within its chunk (indices are disjoint across workers).
+     *  Requires canDecodeParallel(pool, count). */
+    template <typename Body>
     void decodeParallel(ThreadPool *pool, size_t first, size_t count,
-                        bool consume_host, const Sink &sink);
+                        const Body &body);
 
     /** Owned backing for the legacy vector constructor. */
     std::unique_ptr<MemorySource> ownedSource_;
@@ -279,9 +302,13 @@ class SageDecoder
     ArchiveInfo info_;
     std::string consensus_;
 
-    // Host-side streams (owned; indexed by stored-order read index).
-    std::vector<std::string> headers_;
-    std::vector<std::string> quals_;
+    // Host-side stores, indexed by stored-order read index; empty in
+    // DNA-only mode. Read i's header is the line at
+    // [headerStarts_[i], headerStarts_[i + 1] - 1) of headerText_.
+    std::vector<uint8_t> headerText_;
+    std::vector<uint64_t> headerStarts_;
+    /** Null when the archive has no quality scores. */
+    std::unique_ptr<QualityStore> quals_;
     std::vector<uint32_t> order_;
 
     // Field codecs are immutable after construction and shared by all

@@ -1,13 +1,20 @@
 /**
  * @file
  * Tests for container v2: chunked archives, the chunk index, the
- * v1 backward-compatibility path, and chunk-parallel decode being
- * byte-identical to sequential decode.
+ * v1 backward-compatibility path, chunk-parallel decode being
+ * byte-identical to sequential decode, and quality blocks decoding on
+ * first use on every decode path.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <numeric>
+#include <random>
 #include <set>
+#include <thread>
+#include <tuple>
 
 #include "core/sage.hh"
 #include "simgen/synthesize.hh"
@@ -307,6 +314,154 @@ TEST(ChunkTableSer, ChunkedArchiveIsOnlyMarginallyLarger)
     const SageArchive a2 = sageCompress(ds.readSet, ds.reference, v2);
     EXPECT_LT(static_cast<double>(a2.bytes.size()),
               1.05 * static_cast<double>(a1.bytes.size()));
+}
+
+// ---------------------------------------------------------------------
+// Lazy quality: blocks decode on first use, on every decode path
+// ---------------------------------------------------------------------
+
+using Record = std::tuple<std::string, std::string, std::string>;
+
+/** (header, bases, quals) of each read, in order. */
+std::vector<Record>
+records(const std::vector<Read> &reads)
+{
+    std::vector<Record> out;
+    out.reserve(reads.size());
+    for (const Read &read : reads)
+        out.emplace_back(read.header, read.bases, read.quals);
+    return out;
+}
+
+/** records(), sorted: compares stored-order output with the input. */
+std::vector<Record>
+sortedRecords(const std::vector<Read> &reads)
+{
+    std::vector<Record> out = records(reads);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/** A tiny-spec archive in 64-read chunks whose 997-character quality
+ *  blocks leave many reads straddling a block boundary (and long reads
+ *  spanning several). */
+struct LazyQualityArchive
+{
+    explicit LazyQualityArchive(bool long_reads)
+        : ds(synthesizeDataset(makeTinySpec(long_reads)))
+    {
+        SageConfig config;
+        config.chunkReads = 64;
+        config.quality.blockChars = 997;
+        config.preserveOrder = true;
+        bytes = sageCompress(ds.readSet, ds.reference, config).bytes;
+    }
+
+    SimulatedDataset ds;
+    std::vector<uint8_t> bytes;
+};
+
+TEST(LazyQuality, EveryDecodePathMatchesInput)
+{
+    ThreadPool pool(4);
+    for (const bool long_reads : {false, true}) {
+        SCOPED_TRACE(long_reads ? "long reads" : "short reads");
+        const LazyQualityArchive archive(long_reads);
+        const ReadSet &input = archive.ds.readSet;
+        ASSERT_FALSE(input.reads.front().quals.empty());
+        const std::vector<Record> expected = sortedRecords(input.reads);
+
+        {
+            SageDecoder decoder(archive.bytes);
+            ASSERT_GT(decoder.chunkCount(), 1u);
+            std::vector<Read> reads;
+            while (decoder.hasNext())
+                reads.push_back(decoder.next());
+            EXPECT_EQ(sortedRecords(reads), expected) << "next()";
+        }
+        for (ThreadPool *decode_pool : {static_cast<ThreadPool *>(nullptr),
+                                        &pool}) {
+            SCOPED_TRACE(decode_pool ? "pooled" : "serial");
+            SageDecoder decoder(archive.bytes);
+            expectSameReads(decoder.decodeAll(decode_pool), input);
+            // Host fields are copied, not moved out: a range decode after
+            // decodeAll still returns headers and quality.
+            EXPECT_EQ(sortedRecords(
+                          decoder.decodeChunks(0, decoder.chunkCount())
+                              .reads),
+                      expected)
+                << "decodeChunks after decodeAll";
+        }
+        {
+            SageDecoder decoder(archive.bytes);
+            EXPECT_EQ(sortedRecords(
+                          decoder.decodeChunks(0, decoder.chunkCount())
+                              .reads),
+                      expected)
+                << "decodeChunks";
+        }
+        {
+            SageDecoder decoder(archive.bytes);
+            std::vector<Read> reads;
+            for (size_t c = decoder.chunkCount(); c-- > 0;) {
+                StatusOr<std::vector<Read>> chunk =
+                    decoder.tryDecodeChunkShared(c);
+                ASSERT_TRUE(chunk.ok()) << chunk.status().toString();
+                reads.insert(reads.end(), chunk.value().begin(),
+                             chunk.value().end());
+            }
+            EXPECT_EQ(sortedRecords(reads), expected)
+                << "tryDecodeChunkShared, last chunk first";
+        }
+    }
+}
+
+TEST(LazyQuality, ConcurrentFirstTouchMatchesSerial)
+{
+    const LazyQualityArchive archive(false);
+    SageDecoder serial(archive.bytes);
+    const size_t chunks = serial.chunkCount();
+    std::vector<std::vector<Record>> expected;
+    for (size_t c = 0; c < chunks; c++)
+        expected.push_back(records(serial.decodeChunkShared(c)));
+
+    // A fresh decoder: every quality block is first touched by racing
+    // threads, each walking all chunks in its own order.
+    SageDecoder shared(archive.bytes);
+    constexpr unsigned kThreads = 8;
+    std::vector<std::vector<std::vector<Record>>> got(
+        kThreads, std::vector<std::vector<Record>>(chunks));
+    std::vector<std::string> errors(kThreads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            std::vector<size_t> order(chunks);
+            std::iota(order.begin(), order.end(), size_t{0});
+            std::shuffle(order.begin(), order.end(), std::mt19937(t));
+            while (!go.load())
+                std::this_thread::yield();
+            for (const size_t c : order) {
+                StatusOr<std::vector<Read>> reads =
+                    shared.tryDecodeChunkShared(c);
+                if (!reads.ok()) {
+                    errors[t] = reads.status().toString();
+                    return;
+                }
+                got[t][c] = records(reads.value());
+            }
+        });
+    }
+    go.store(true);
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (unsigned t = 0; t < kThreads; t++) {
+        SCOPED_TRACE("thread " + std::to_string(t));
+        EXPECT_EQ(errors[t], "");
+        for (size_t c = 0; c < chunks; c++)
+            EXPECT_TRUE(got[t][c] == expected[c]) << "chunk " << c;
+    }
 }
 
 } // namespace

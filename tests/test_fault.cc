@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <future>
@@ -19,10 +20,14 @@
 #include <thread>
 #include <vector>
 
+#include "compress/gpzip.hh"
+#include "compress/quality.hh"
+#include "compress/streams.hh"
 #include "core/sage.hh"
 #include "io/fault_injection.hh"
 #include "simgen/synthesize.hh"
 #include "util/thread_pool.hh"
+#include "util/varint.hh"
 
 namespace sage {
 namespace {
@@ -300,6 +305,84 @@ TEST(CorruptArchive, TryOpenReportsMissingStreams)
     const StatusOr<std::unique_ptr<SageDecoder>> opened =
         SageDecoder::tryOpen(source);
     ASSERT_FALSE(opened.ok());
+}
+
+/** Status of a checksum-verified open of @p bundle's serialization.
+ *  Re-framing keeps the container framing and trailer CRC valid, so
+ *  only the edited stream content is wrong. */
+Status
+reframedOpenStatus(const StreamBundle &bundle)
+{
+    const std::vector<uint8_t> bytes = bundle.serialize();
+    const MemorySource source(bytes);
+    const StatusOr<std::unique_ptr<SageDecoder>> opened =
+        SageDecoder::tryOpen(source, /*dna_only=*/false,
+                             /*verify_checksum=*/true);
+    return opened.ok() ? Status() : opened.status();
+}
+
+TEST(CorruptArchive, EmptyQualityAlphabetIsCorrupt)
+{
+    StreamBundle bundle = StreamBundle::deserialize(makeArchiveBytes());
+    std::vector<uint8_t> &quality = bundle.stream("quality");
+    // Zero the alphabet-size varint and drop the alphabet itself, so
+    // every later field of the quality framing still parses.
+    size_t pos = 0;
+    const uint64_t alphabet = getVarint(quality, pos);
+    ASSERT_GT(alphabet, 0u);
+    std::vector<uint8_t> zeroed = {0};
+    zeroed.insert(zeroed.end(), quality.begin() + pos + alphabet,
+                  quality.end());
+    quality = std::move(zeroed);
+    EXPECT_EQ(reframedOpenStatus(bundle).code(), StatusCode::Corrupt);
+
+    // The block codec refuses it on its own too (SpringLike decodes
+    // through it without the open-time check).
+    QualityArchive archive = compressQuality({"II#I"});
+    archive.alphabet.clear();
+    EXPECT_THROW(decompressQualityBlock(archive, 0), StatusError);
+}
+
+TEST(CorruptArchive, ShortHeaderStreamIsCorrupt)
+{
+    StreamBundle bundle = StreamBundle::deserialize(makeArchiveBytes());
+    std::vector<uint8_t> text = gpzip::decompress(bundle.stream("headers"));
+    ASSERT_FALSE(text.empty());
+    ASSERT_EQ(text.back(), '\n');
+    // Drop the last line, keeping the stream well formed.
+    text.pop_back();
+    text.erase(std::find(text.rbegin(), text.rend(), '\n').base(),
+               text.end());
+    bundle.stream("headers") = gpzip::compress(text.data(), text.size());
+    EXPECT_EQ(reframedOpenStatus(bundle).code(), StatusCode::Corrupt);
+}
+
+TEST(CorruptArchive, QualityStreamMustCoverEveryRead)
+{
+    const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
+    SageConfig config;
+    config.chunkReads = 512;
+    const StreamBundle bundle = StreamBundle::deserialize(
+        sageCompress(ds.readSet, ds.reference, config).bytes);
+    ASSERT_TRUE(bundle.has("quality"));
+
+    // A well-framed quality stream for one read fewer.
+    std::vector<std::string> quals;
+    for (size_t i = 0; i + 1 < ds.readSet.reads.size(); i++)
+        quals.push_back(ds.readSet.reads[i].quals);
+    StreamBundle short_quality = bundle;
+    short_quality.stream("quality") = packQuality(compressQuality(quals));
+    EXPECT_EQ(reframedOpenStatus(short_quality).code(),
+              StatusCode::Corrupt);
+
+    // No quality stream although the params declare quality scores.
+    StreamBundle no_quality;
+    for (const auto &[name, size] : bundle.sizes()) {
+        (void)size;
+        if (name != "quality")
+            no_quality.stream(name) = bundle.stream(name);
+    }
+    EXPECT_EQ(reframedOpenStatus(no_quality).code(), StatusCode::Corrupt);
 }
 
 // ---------------------------------------------------------------------
