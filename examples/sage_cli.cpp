@@ -24,8 +24,10 @@
  *
  * `serve` and `chaos-proxy` print a machine-parseable "PORT <n>" line
  * on stdout once listening (the ephemeral port when --port is 0), and
- * both drain gracefully on SIGTERM/SIGINT. net-get exits 75
- * (EX_TEMPFAIL) when the server is draining, so wrappers can retry.
+ * both drain gracefully on SIGTERM/SIGINT. net-get retries resets,
+ * damaged frames and Overloaded sheds (up to 64 attempts per call)
+ * and exits 75 (EX_TEMPFAIL) when its last answer was the server
+ * draining, so wrappers can retry.
  *
  * The reference file is plain text of A/C/G/T (one consensus sequence).
  * Built on the streaming session API (io/session.hh): compression
@@ -292,10 +294,10 @@ parseHostPort(const std::string &spec, std::string &host,
 /**
  * serve-stress --connect: the same fleet walk, but through the
  * socket path against a live `sage_cli serve` — every walker on a
- * ResilientClient (net/resilient_client.hh), so connection resets,
+ * retrying net::Client (maxAttempts 64), so connection resets,
  * stalls and corrupted frames from a chaos proxy in the path are
  * absorbed by reconnect + retry instead of failing the walk. A read
- * the resilience layer still cannot deliver is a *lost read* and
+ * the retry loop still cannot deliver is a *lost read* and
  * fails the run (non-zero exit): under chaos the contract is "slower,
  * never wrong, never silently short". Per-client resilience costs
  * (reconnects, retries, backoff time) are reported at the end.
@@ -331,19 +333,26 @@ serveStressConnect(const std::string &connect,
     std::atomic<uint64_t> total_bytes{0}, total_reads{0};
     std::atomic<uint64_t> overloaded{0}, expired{0}, errors{0};
     std::atomic<uint64_t> lost_reads{0}, failures{0};
-    std::vector<net::ResilientClientStats> costs(clients);
+    std::vector<net::ClientStats> costs(clients);
     Stopwatch clock;
     std::vector<std::thread> fleet;
     for (unsigned c = 0; c < clients; c++) {
         fleet.emplace_back([&, c] {
-            net::ResilientClientOptions options;
-            options.retry.seed = 0x5a6e0000u + c;
-            options.retry.maxAttempts = 64;
+            net::ClientOptions options;
+            options.seed = 0x5a6e0000u + c;
+            options.maxAttempts = 64;
             // A corrupted length prefix can leave a recv waiting for
             // bytes that never come; keep that bounded so the retry
             // loop (not the socket) owns recovery time.
-            options.client.ioTimeoutSeconds = 5.0;
-            net::ResilientClient client(host, port, options);
+            options.ioTimeoutSeconds = 5.0;
+            auto connected = net::Client::connect(host, port, options);
+            if (!connected.ok()) {
+                std::fprintf(stderr, "client %u connect: %s\n", c,
+                             connected.status().toString().c_str());
+                failures.fetch_add(1, std::memory_order_relaxed);
+                return;
+            }
+            net::Client &client = *connected.value();
             auto opened = client.open(archive_name);
             if (!opened.ok()) {
                 std::fprintf(stderr, "client %u open: %s\n", c,
@@ -425,8 +434,8 @@ serveStressConnect(const std::string &connect,
                 static_cast<unsigned long long>(overloaded.load()),
                 static_cast<unsigned long long>(expired.load()),
                 static_cast<unsigned long long>(errors.load()));
-    net::ResilientClientStats sum;
-    for (const net::ResilientClientStats &cost : costs) {
+    net::ClientStats sum;
+    for (const net::ClientStats &cost : costs) {
         sum.connects += cost.connects;
         sum.reconnects += cost.reconnects;
         sum.retries += cost.retries;
@@ -940,7 +949,8 @@ cmdServe(int argc, char **argv)
     return 0;
 }
 
-/** Fetch one archive over the socket into a FASTQ file. */
+/** Fetch one archive over the socket into a FASTQ file, each call
+ *  retried by the client (maxAttempts 64, as serve-stress). */
 int
 cmdNetGet(int argc, char **argv)
 {
@@ -955,7 +965,9 @@ cmdNetGet(int argc, char **argv)
     if (!parseHostPort(argv[2], host, port))
         return 1;
 
-    auto connected = net::Client::connect(host, port);
+    net::ClientOptions options;
+    options.maxAttempts = 64;
+    auto connected = net::Client::connect(host, port, options);
     if (!connected.ok()) {
         std::fprintf(stderr, "net-get: %s\n",
                      connected.status().toString().c_str());
@@ -973,7 +985,6 @@ cmdNetGet(int argc, char **argv)
     rs.name = argv[3];
     rs.reads.reserve(opened->readCount);
     uint64_t at = 0;
-    unsigned overload_retries = 1000;
     while (at < opened->readCount) {
         const uint64_t batch =
             std::min<uint64_t>(4096, opened->readCount - at);
@@ -982,16 +993,6 @@ cmdNetGet(int argc, char **argv)
             std::fprintf(stderr, "net-get read: %s\n",
                          reply.status().toString().c_str());
             return 1;
-        }
-        if (reply->status == net::WireStatus::Overloaded) {
-            if (overload_retries-- == 0) {
-                std::fprintf(stderr,
-                             "net-get: server stayed overloaded\n");
-                return 1;
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(5));
-            continue;
         }
         if (reply->status == net::WireStatus::ShuttingDown) {
             // EX_TEMPFAIL: the server is draining; a wrapper should

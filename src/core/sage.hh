@@ -49,7 +49,6 @@
 #include "net/chaos_proxy.hh"
 #include "net/client.hh"
 #include "net/multi_archive.hh"
-#include "net/resilient_client.hh"
 #include "net/server.hh"
 #include "service/service.hh"
 

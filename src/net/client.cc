@@ -1,8 +1,12 @@
 #include "net/client.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <thread>
 
 #include <netdb.h>
 #include <netinet/in.h>
@@ -12,10 +16,23 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include "util/crc32.hh"
+
 namespace sage {
 namespace net {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/** Reply frames larger than this are a protocol error. Sized for
+ *  maxReadsPerRequest worth of payload. */
+constexpr uint32_t kMaxReplyFrameBytes = 256u << 20;
+
+/** First backoff; later sleeps draw uniformly from
+ *  [base, 3 * previous] (decorrelated jitter), capped at the max. */
+constexpr double kBaseBackoffSeconds = 0.002;
+constexpr double kMaxBackoffSeconds = 0.250;
 
 std::string
 errnoText()
@@ -69,11 +86,9 @@ connectRetryIntr(int fd, const sockaddr *addr, socklen_t len)
     return 0;
 }
 
-} // namespace
-
-StatusOr<std::unique_ptr<Client>>
-Client::connect(const std::string &host, uint16_t port,
-                ClientOptions options)
+/** Resolve @p host and connect a TCP socket to it. */
+StatusOr<int>
+dial(const std::string &host, uint16_t port, double io_timeout_seconds)
 {
     addrinfo hints{};
     hints.ai_family = AF_UNSPEC;
@@ -108,8 +123,86 @@ Client::connect(const std::string &host, uint16_t port,
 
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    setIoTimeout(fd, options.ioTimeoutSeconds);
-    return std::unique_ptr<Client>(new Client(fd, options));
+    setIoTimeout(fd, io_timeout_seconds);
+    return fd;
+}
+
+uint64_t
+splitmix64(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+void
+appendRequest(std::vector<uint8_t> &out, const RequestFrame &request)
+{
+    switch (request.type) {
+    case MsgType::Open:
+        appendOpenRequest(out, request.requestId, request.name,
+                          request.priority, request.deadlineMs);
+        break;
+    case MsgType::ReadRange:
+        appendReadRangeRequest(out, request.requestId, request.archive,
+                               request.first, request.count,
+                               request.priority, request.deadlineMs);
+        break;
+    case MsgType::ReadChunk:
+        appendReadChunkRequest(out, request.requestId, request.archive,
+                               request.chunk, request.priority,
+                               request.deadlineMs);
+        break;
+    case MsgType::Stat:
+        appendStatRequest(out, request.requestId, request.archive);
+        break;
+    case MsgType::Close:
+        appendCloseRequest(out, request.requestId, request.archive);
+        break;
+    }
+}
+
+/** True when the trailing CRC-32 of @p frame covers the rest of it. */
+bool
+crcVerifies(const uint8_t *frame, size_t size)
+{
+    if (size < kFrameCrcBytes)
+        return false;
+    const size_t body = size - kFrameCrcBytes;
+    uint32_t stored = 0;
+    for (size_t i = 0; i < kFrameCrcBytes; i++)
+        stored |= static_cast<uint32_t>(frame[body + i]) << (8 * i);
+    return Crc32::of(frame, body) == stored;
+}
+
+/** A server-reported failure of OPEN/STAT/CLOSE as a local Status. */
+Status
+inBandError(WireStatus status, const uint8_t *payload, size_t size)
+{
+    auto message = parseErrorMessage(payload, size);
+    return statusFromWire(status, message.ok() ? message.value()
+                                               : "unparseable error");
+}
+
+} // namespace
+
+StatusOr<std::unique_ptr<Client>>
+Client::connect(const std::string &host, uint16_t port,
+                ClientOptions options)
+{
+    auto fd = dial(host, port, options.ioTimeoutSeconds);
+    if (!fd.ok())
+        return fd.status();
+    return std::unique_ptr<Client>(
+        new Client(fd.value(), host, port, options));
+}
+
+Client::Client(int fd, std::string host, uint16_t port,
+               ClientOptions options)
+    : fd_(fd), host_(std::move(host)), port_(port), options_(options)
+{
+    stats_.connects = 1;
 }
 
 Client::~Client()
@@ -126,13 +219,12 @@ Client::transportError(Status status)
 }
 
 Status
-Client::sendAll(const std::vector<uint8_t> &bytes)
+Client::sendAll()
 {
     size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t n =
-            ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                   MSG_NOSIGNAL);
+    while (sent < tx_.size()) {
+        const ssize_t n = ::send(fd_, tx_.data() + sent,
+                                 tx_.size() - sent, MSG_NOSIGNAL);
         if (n > 0) {
             sent += static_cast<size_t>(n);
             continue;
@@ -177,7 +269,7 @@ Client::recvFrame()
                          static_cast<uint32_t>(prefix[3]) << 24;
     // A bad length means framing is lost (most likely wire damage):
     // a transport failure, not trusted data saying "corrupt".
-    if (len < kReplyHeaderBytes || len > options_.maxReplyFrameBytes)
+    if (len < kReplyHeaderBytes || len > kMaxReplyFrameBytes)
         return transportError(
             Status::ioError("bad reply frame length ", len));
     if (rx_.size() < len)
@@ -206,13 +298,12 @@ Client::recvFrame()
 }
 
 StatusOr<Client::Payload>
-Client::transact(const std::vector<uint8_t> &request,
-                 uint64_t request_id, ReplyHeader &header)
+Client::exchange(RequestFrame &request, ReplyHeader &header)
 {
-    if (broken_)
-        return Status::ioError(
-            "connection broken by an earlier transport failure");
-    Status sent = sendAll(request);
+    request.requestId = nextRequestId_++;
+    tx_.clear();
+    appendRequest(tx_, request);
+    Status sent = sendAll();
     if (!sent.ok())
         return sent;
     auto frame = recvFrame();
@@ -223,12 +314,18 @@ Client::transact(const std::vector<uint8_t> &request,
     case FrameVerdict::Ok:
         break;
     case FrameVerdict::VersionMismatch:
-        // The server speaks another protocol revision — terminal, a
-        // reconnect cannot help.
-        broken_ = true;
-        return Status::corrupt(
-            "server speaks protocol version ", unsigned(rx_[2]),
-            ", this client speaks ", unsigned(kProtocolVersion));
+        // The CRC covers the version byte. A frame that verifies was
+        // written by a server speaking another revision, which no
+        // reconnect can help; one that does not is wire damage.
+        if (crcVerifies(rx_.data(), frame.value())) {
+            broken_ = true;
+            return Status::corrupt(
+                "server speaks protocol version ", unsigned(rx_[2]),
+                ", this client speaks ", unsigned(kProtocolVersion));
+        }
+        return transportError(Status::ioError(
+            "reply frame with version byte ", unsigned(rx_[2]),
+            " failed its CRC: bits flipped on the wire"));
     case FrameVerdict::TooShort:
     case FrameVerdict::CrcMismatch:
         return transportError(Status::ioError(
@@ -240,34 +337,169 @@ Client::transact(const std::vector<uint8_t> &request,
         return transportError(parsed.status());
     header = parsed.value();
     // One outstanding request per connection: replies cannot reorder.
-    if (header.requestId != request_id)
+    if (header.requestId != request.requestId)
         return transportError(Status::ioError(
-            "reply id ", header.requestId,
-            " does not match request ", request_id,
-            " (stream desynced)"));
+            "reply id ", header.requestId, " does not match request ",
+            request.requestId, " (stream desynced)"));
     return Payload{rx_.data() + kReplyHeaderBytes,
                    body_size - kReplyHeaderBytes};
+}
+
+StatusOr<Client::Payload>
+Client::attempt(RequestFrame &request, ReplyHeader &header)
+{
+    if (broken_) {
+        if (options_.maxAttempts <= 1)
+            return Status::ioError(
+                "connection broken by an earlier transport failure");
+        if (fd_ >= 0)
+            ::close(fd_);
+        auto fd = dial(host_, port_, options_.ioTimeoutSeconds);
+        fd_ = fd.ok() ? fd.value() : -1;
+        if (!fd.ok())
+            return fd.status();
+        broken_ = false;
+        stats_.connects++;
+        stats_.reconnects++;
+    }
+    if (request.type == MsgType::Open || request.type == MsgType::Stat)
+        return exchange(request, header);
+    // The first use of a held id on a new connection confirms it by
+    // name: a replacement server on the same port may have numbered
+    // its archives in another order.
+    auto held = held_.find(request.archive);
+    if (held != held_.end() &&
+        held->second.confirmedOn != stats_.connects) {
+        RequestFrame reopen;
+        reopen.type = MsgType::Open;
+        reopen.name = held->second.name;
+        auto payload = exchange(reopen, header);
+        if (!payload.ok() || header.status != WireStatus::Ok)
+            return payload;
+        auto opened =
+            parseOpenReplyPayload(payload->data, payload->size);
+        if (!opened.ok())
+            return opened.status();
+        if (opened->archive != request.archive)
+            return Status::corrupt(
+                "archive \"", held->second.name,
+                "\" changed id across a reconnect (", request.archive,
+                " -> ", opened->archive,
+                "); refusing to read from a different server");
+        held->second.confirmedOn = stats_.connects;
+    }
+    return exchange(request, header);
+}
+
+double
+Client::backoff(double remaining_seconds)
+{
+    const uint64_t bits = splitmix64(
+        options_.seed ^ (0xd1342543de82ef95ull * ++rngCounter_));
+    const double uniform =
+        static_cast<double>(bits >> 11) * (1.0 / 9007199254740992.0);
+    // Decorrelated jitter: sleep ~ U[base, 3 * previous], capped.
+    const double hi = std::max(
+        kBaseBackoffSeconds,
+        3.0 * (prevSleepSeconds_ > 0.0 ? prevSleepSeconds_
+                                       : kBaseBackoffSeconds));
+    const double sleep = std::min(
+        {kBaseBackoffSeconds + (hi - kBaseBackoffSeconds) * uniform,
+         kMaxBackoffSeconds, remaining_seconds});
+    prevSleepSeconds_ = sleep;
+    stats_.backoffSeconds += sleep;
+    std::this_thread::sleep_for(std::chrono::duration<double>(sleep));
+    return sleep;
+}
+
+StatusOr<Client::Payload>
+Client::call(RequestFrame &request, ReplyHeader &header)
+{
+    // Only a retrying call with a deadline reads the clock.
+    const uint32_t deadline_ms = request.deadlineMs;
+    const bool timed = options_.maxAttempts > 1 && deadline_ms != 0;
+    const Clock::time_point start =
+        timed ? Clock::now() : Clock::time_point();
+    for (unsigned tries = 1;; tries++) {
+        StatusOr<Payload> outcome = attempt(request, header);
+        // Every transport failure is an IoError; any other outer
+        // failure (a CRC-valid foreign protocol version, a held id
+        // that changed) is terminal. The server closes a connection
+        // after a ProtocolError reply: our frame was damaged in transit.
+        const bool transport =
+            outcome.ok() ? header.status == WireStatus::ProtocolError
+                         : outcome.status().code() == StatusCode::IoError;
+        if (!transport &&
+            (!outcome.ok() || !wireStatusRetryable(header.status)))
+            return outcome;  // Ok, or terminal.
+
+        double remaining = std::numeric_limits<double>::infinity();
+        if (timed)
+            remaining = deadline_ms / 1000.0 -
+                        std::chrono::duration<double>(Clock::now() -
+                                                      start)
+                            .count();
+        if (tries >= options_.maxAttempts || remaining <= 0.0) {
+            if (outcome.ok() || tries == 1)
+                return outcome;
+            return Status::ioError(
+                "retries exhausted; last transport error: ",
+                outcome.status().toString());
+        }
+        stats_.retries++;
+        (transport ? stats_.transportRetries
+                   : stats_.overloadedRetries)++;
+        // After a ProtocolError, and from a draining server that takes
+        // no new work, retry on a new connection (in production,
+        // perhaps another replica behind the same address).
+        if (outcome.ok() && (header.status == WireStatus::ProtocolError ||
+                             header.status == WireStatus::ShuttingDown))
+            broken_ = true;
+        const double slept = backoff(remaining);
+        if (timed)
+            request.deadlineMs = static_cast<uint32_t>(
+                std::max(1.0, (remaining - slept) * 1000.0));
+    }
+}
+
+StatusOr<ReadReply>
+Client::readReply(RequestFrame &request)
+{
+    ReplyHeader header;
+    auto payload = call(request, header);
+    if (!payload.ok())
+        return payload.status();
+    ReadReply reply;
+    reply.status = header.status;
+    if (header.status != WireStatus::Ok) {
+        auto message = parseErrorMessage(payload->data, payload->size);
+        if (message.ok())
+            reply.message = std::move(message.value());
+        return reply;
+    }
+    auto reads = parseReadReplyPayload(payload->data, payload->size);
+    if (!reads.ok())
+        return reads.status();
+    reply.reads = std::move(reads.value());
+    return reply;
 }
 
 StatusOr<OpenReply>
 Client::open(const std::string &name)
 {
-    const uint64_t id = nextRequestId_++;
-    std::vector<uint8_t> request;
-    appendOpenRequest(request, id, name, RequestPriority::Normal, 0);
+    RequestFrame request;
+    request.type = MsgType::Open;
+    request.name = name;
     ReplyHeader header;
-    auto payload = transact(request, id, header);
+    auto payload = call(request, header);
     if (!payload.ok())
         return payload.status();
-    if (header.status != WireStatus::Ok) {
-        auto message = parseErrorMessage(payload->data, payload->size);
-        return statusFromWire(header.status,
-                              message.ok() ? message.value()
-                                           : "unparseable error");
-    }
+    if (header.status != WireStatus::Ok)
+        return inBandError(header.status, payload->data, payload->size);
     auto reply = parseOpenReplyPayload(payload->data, payload->size);
     if (!reply.ok())
         return reply.status();
+    held_[reply->archive] = Held{name, stats_.connects};
     return reply.value();
 }
 
@@ -275,91 +507,57 @@ StatusOr<ReadReply>
 Client::readRange(uint32_t archive, uint64_t first, uint64_t count,
                   RequestPriority priority, uint32_t deadline_ms)
 {
-    const uint64_t id = nextRequestId_++;
-    std::vector<uint8_t> request;
-    appendReadRangeRequest(request, id, archive, first, count,
-                           priority, deadline_ms);
-    ReplyHeader header;
-    auto payload = transact(request, id, header);
-    if (!payload.ok())
-        return payload.status();
-    ReadReply reply;
-    reply.status = header.status;
-    if (header.status != WireStatus::Ok) {
-        auto message = parseErrorMessage(payload->data, payload->size);
-        if (message.ok())
-            reply.message = std::move(message.value());
-        return reply;
-    }
-    auto reads = parseReadReplyPayload(payload->data, payload->size);
-    if (!reads.ok())
-        return reads.status();
-    reply.reads = std::move(reads.value());
-    return reply;
+    RequestFrame request;
+    request.type = MsgType::ReadRange;
+    request.priority = priority;
+    request.deadlineMs = deadline_ms;
+    request.archive = archive;
+    request.first = first;
+    request.count = count;
+    return readReply(request);
 }
 
 StatusOr<ReadReply>
 Client::readChunk(uint32_t archive, uint64_t chunk,
                   RequestPriority priority, uint32_t deadline_ms)
 {
-    const uint64_t id = nextRequestId_++;
-    std::vector<uint8_t> request;
-    appendReadChunkRequest(request, id, archive, chunk, priority,
-                           deadline_ms);
-    ReplyHeader header;
-    auto payload = transact(request, id, header);
-    if (!payload.ok())
-        return payload.status();
-    ReadReply reply;
-    reply.status = header.status;
-    if (header.status != WireStatus::Ok) {
-        auto message = parseErrorMessage(payload->data, payload->size);
-        if (message.ok())
-            reply.message = std::move(message.value());
-        return reply;
-    }
-    auto reads = parseReadReplyPayload(payload->data, payload->size);
-    if (!reads.ok())
-        return reads.status();
-    reply.reads = std::move(reads.value());
-    return reply;
+    RequestFrame request;
+    request.type = MsgType::ReadChunk;
+    request.priority = priority;
+    request.deadlineMs = deadline_ms;
+    request.archive = archive;
+    request.chunk = chunk;
+    return readReply(request);
 }
 
 StatusOr<WireServerStats>
 Client::statServer()
 {
-    const uint64_t id = nextRequestId_++;
-    std::vector<uint8_t> request;
-    appendStatRequest(request, id, kStatServer);
+    RequestFrame request;
+    request.type = MsgType::Stat;
+    request.archive = kStatServer;
     ReplyHeader header;
-    auto payload = transact(request, id, header);
+    auto payload = call(request, header);
     if (!payload.ok())
         return payload.status();
-    if (header.status != WireStatus::Ok) {
-        auto message = parseErrorMessage(payload->data, payload->size);
-        return statusFromWire(header.status,
-                              message.ok() ? message.value()
-                                           : "unparseable error");
-    }
+    if (header.status != WireStatus::Ok)
+        return inBandError(header.status, payload->data, payload->size);
     return parseStatReplyPayload(payload->data, payload->size);
 }
 
 Status
 Client::closeArchive(uint32_t archive)
 {
-    const uint64_t id = nextRequestId_++;
-    std::vector<uint8_t> request;
-    appendCloseRequest(request, id, archive);
+    RequestFrame request;
+    request.type = MsgType::Close;
+    request.archive = archive;
     ReplyHeader header;
-    auto payload = transact(request, id, header);
+    auto payload = call(request, header);
+    held_.erase(archive);
     if (!payload.ok())
         return payload.status();
-    if (header.status != WireStatus::Ok) {
-        auto message = parseErrorMessage(payload->data, payload->size);
-        return statusFromWire(header.status,
-                              message.ok() ? message.value()
-                                           : "unparseable error");
-    }
+    if (header.status != WireStatus::Ok)
+        return inBandError(header.status, payload->data, payload->size);
     return Status();
 }
 

@@ -14,9 +14,11 @@
  * The resilience layer rides the same fixtures: protocol-v2 frame
  * integrity (version byte + CRC-32, verifyFrame), the timer wheel,
  * connection hygiene (idle / header-read timeouts, max-connection
- * shed), graceful drain, and the ResilientClient driven through a
- * ChaosProxy — byte identity against the sequential reader must
- * survive deterministic resets, corruption, stalls and splits.
+ * shed), graceful drain, and the retrying Client (maxAttempts > 1):
+ * held-id re-validation across a server restart, version-byte damage,
+ * Overloaded retries, and a ChaosProxy in the path — byte identity
+ * against the sequential reader must survive deterministic resets,
+ * corruption, stalls and splits.
  */
 
 #include <gtest/gtest.h>
@@ -50,8 +52,6 @@ using net::MsgType;
 using net::OpenReply;
 using net::ReplyHeader;
 using net::RequestFrame;
-using net::ResilientClient;
-using net::ResilientClientOptions;
 using net::Server;
 using net::ServerOptions;
 using net::WireServerStats;
@@ -1089,9 +1089,13 @@ TEST_F(NetServerTest, UnencodableReplyIsTerminalOutOfRange)
     Server server(service);
     ASSERT_TRUE(server.start().ok());
 
-    ResilientClientOptions options;
-    options.retry.seed = 4;
-    ResilientClient client("127.0.0.1", server.port(), options);
+    ClientOptions options;
+    options.maxAttempts = 8;
+    options.seed = 4;
+    StatusOr<std::unique_ptr<Client>> connected =
+        Client::connect("127.0.0.1", server.port(), options);
+    ASSERT_TRUE(connected.ok()) << connected.status().toString();
+    Client &client = **connected;
     const StatusOr<OpenReply> open = client.open(name);
     ASSERT_TRUE(open.ok()) << open.status().toString();
 
@@ -1618,7 +1622,11 @@ TEST_F(NetServerTest, GracefulDrainFlushesInFlightAndRejectsNew)
     EXPECT_GE(server.netStats().drainRejects, 1u);
 }
 
-TEST(NetClient, IoTimeoutSurfacesAsRetryableIoError)
+/** Client tests share NetServerTest's corpus of three archives. */
+class NetClient : public NetServerTest
+{};
+
+TEST_F(NetClient, IoTimeoutSurfacesAsRetryableIoError)
 {
     // A listener whose backlog completes TCP handshakes but never
     // accepts or replies: the client's blocking recv must time out.
@@ -1670,36 +1678,31 @@ TEST(NetClient, IoTimeoutSurfacesAsRetryableIoError)
     ::close(lfd);
 }
 
-TEST(NetResilientClient, RetryBudgetBoundedByRequestDeadline)
+TEST_F(NetClient, RetryBudgetBoundedByRequestDeadline)
 {
-    // Reserve an ephemeral port, then close it: connects to it are
-    // refused fast, so the retry loop is pure backoff.
-    const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(probe, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = 0;
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::bind(probe, reinterpret_cast<sockaddr *>(&addr),
-                     sizeof(addr)),
-              0);
-    socklen_t len = sizeof(addr);
-    ASSERT_EQ(::getsockname(
-                  probe, reinterpret_cast<sockaddr *>(&addr), &len),
-              0);
-    const uint16_t dead_port = ntohs(addr.sin_port);
-    ::close(probe);
+    MultiArchiveOptions service_options;
+    service_options.ownedPoolThreads = 1;
+    MultiArchiveService service(dir_, service_options);
+    Server server(service);
+    ASSERT_TRUE(server.start().ok());
 
-    ResilientClientOptions options;
-    options.retry.maxAttempts = 1u << 20;  // Only the deadline stops it.
-    options.retry.baseBackoffSeconds = 0.005;
-    options.retry.maxBackoffSeconds = 0.05;
-    options.retry.seed = 5;
-    ResilientClient client("127.0.0.1", dead_port, options);
+    ClientOptions options;
+    options.maxAttempts = 1u << 20;  // Only the deadline stops it.
+    options.seed = 5;
+    StatusOr<std::unique_ptr<Client>> connected =
+        Client::connect("127.0.0.1", server.port(), options);
+    ASSERT_TRUE(connected.ok()) << connected.status().toString();
+    Client &client = **connected;
+    const StatusOr<OpenReply> open = client.open(corpus_[0].name);
+    ASSERT_TRUE(open.ok()) << open.status().toString();
 
+    // With the server gone, reconnects to its port are refused fast,
+    // so the retry loop is pure backoff.
+    server.stop();
     const auto start = std::chrono::steady_clock::now();
     const StatusOr<net::ReadReply> reply = client.readRange(
-        1, 0, 1, RequestPriority::Normal, /*deadline_ms=*/400);
+        open->archive, 0, 1, RequestPriority::Normal,
+        /*deadline_ms=*/400);
     const double elapsed =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
@@ -1712,13 +1715,13 @@ TEST(NetResilientClient, RetryBudgetBoundedByRequestDeadline)
     EXPECT_GT(client.stats().retries, 0u);
     EXPECT_GT(client.stats().backoffSeconds, 0.0);
     EXPECT_LE(client.stats().backoffSeconds, 0.45);
-    EXPECT_FALSE(client.connected());
+    EXPECT_TRUE(client.broken());
 }
 
 /** Walk the whole archive through @p client in small batches,
  *  asserting byte identity against @p expected. */
 void
-walkArchive(ResilientClient &client, uint32_t archive,
+walkArchive(Client &client, uint32_t archive,
             const std::vector<Read> &expected)
 {
     std::vector<Read> got;
@@ -1736,7 +1739,7 @@ walkArchive(ResilientClient &client, uint32_t archive,
     expectSameReads(got, expected);
 }
 
-TEST_F(NetServerTest, ResilientClientSurvivesResetsByteIdentical)
+TEST_F(NetServerTest, RetryingClientSurvivesResetsByteIdentical)
 {
     MultiArchiveOptions service_options;
     service_options.ownedPoolThreads = 2;
@@ -1750,11 +1753,14 @@ TEST_F(NetServerTest, ResilientClientSurvivesResetsByteIdentical)
     ChaosProxy proxy("127.0.0.1", server.port(), chaos);
     ASSERT_TRUE(proxy.start().ok());
 
-    ResilientClientOptions options;
-    options.retry.maxAttempts = 64;
-    options.retry.seed = 3;
-    options.client.ioTimeoutSeconds = 5.0;
-    ResilientClient client("127.0.0.1", proxy.port(), options);
+    ClientOptions options;
+    options.ioTimeoutSeconds = 5.0;
+    options.maxAttempts = 64;
+    options.seed = 3;
+    StatusOr<std::unique_ptr<Client>> connected =
+        Client::connect("127.0.0.1", proxy.port(), options);
+    ASSERT_TRUE(connected.ok()) << connected.status().toString();
+    Client &client = **connected;
     const StatusOr<OpenReply> open = client.open(corpus_[0].name);
     ASSERT_TRUE(open.ok()) << open.status().toString();
 
@@ -1794,11 +1800,14 @@ TEST_F(NetServerTest, CorruptedFramesNeverYieldWrongBytes)
     ChaosProxy proxy("127.0.0.1", server.port(), chaos);
     ASSERT_TRUE(proxy.start().ok());
 
-    ResilientClientOptions options;
-    options.retry.maxAttempts = 64;
-    options.retry.seed = 9;
-    options.client.ioTimeoutSeconds = 5.0;
-    ResilientClient client("127.0.0.1", proxy.port(), options);
+    ClientOptions options;
+    options.ioTimeoutSeconds = 5.0;
+    options.maxAttempts = 64;
+    options.seed = 9;
+    StatusOr<std::unique_ptr<Client>> connected =
+        Client::connect("127.0.0.1", proxy.port(), options);
+    ASSERT_TRUE(connected.ok()) << connected.status().toString();
+    Client &client = **connected;
     const StatusOr<OpenReply> open = client.open(corpus_[0].name);
     ASSERT_TRUE(open.ok()) << open.status().toString();
 
@@ -1816,6 +1825,218 @@ TEST_F(NetServerTest, CorruptedFramesNeverYieldWrongBytes)
 
     proxy.stop();
     server.stop();
+}
+
+TEST_F(NetClient, ReconnectRevalidatesEveryHeldArchive)
+{
+    // MultiArchiveService numbers archives from 0 in first-open order,
+    // so a replacement server on the same port can give a held id to
+    // another archive. Every held id must be confirmed by name on the
+    // new connection before it is read, the id 0 included.
+    MultiArchiveOptions service_options;
+    service_options.ownedPoolThreads = 1;
+    auto service =
+        std::make_unique<MultiArchiveService>(dir_, service_options);
+    auto server = std::make_unique<Server>(*service);
+    ASSERT_TRUE(server->start().ok());
+    ServerOptions same_port;
+    same_port.port = server->port();
+
+    ClientOptions options;
+    options.maxAttempts = 8;
+    StatusOr<std::unique_ptr<Client>> connected =
+        Client::connect("127.0.0.1", same_port.port, options);
+    ASSERT_TRUE(connected.ok()) << connected.status().toString();
+    Client &client = **connected;
+    const StatusOr<OpenReply> rs0 = client.open(corpus_[0].name);
+    const StatusOr<OpenReply> rs1 = client.open(corpus_[1].name);
+    ASSERT_TRUE(rs0.ok() && rs1.ok());
+    ASSERT_EQ(rs0->archive, 0u);
+    ASSERT_EQ(rs1->archive, 1u);
+
+    // Replace the server, its archives opened in @p order first.
+    auto restart = [&](std::vector<size_t> order) {
+        server.reset();
+        service =
+            std::make_unique<MultiArchiveService>(dir_, service_options);
+        for (size_t i : order)
+            ASSERT_TRUE(service->open(corpus_[i].name).ok());
+        server = std::make_unique<Server>(*service, same_port);
+        ASSERT_TRUE(server->start().ok());
+    };
+
+    // Swapped ids: both reads fail Corrupt, never with the other
+    // archive's reads.
+    restart({1, 0});
+    for (uint32_t id : {rs0->archive, rs1->archive}) {
+        const StatusOr<net::ReadReply> reply =
+            client.readRange(id, 0, 10);
+        ASSERT_FALSE(reply.ok()) << "held id " << id << " was read blind";
+        EXPECT_EQ(reply.status().code(), StatusCode::Corrupt)
+            << reply.status().toString();
+    }
+    EXPECT_EQ(client.stats().reconnects, 1u);
+
+    // A restart that keeps the ids goes on serving byte-identical
+    // reads.
+    restart({0, 1});
+    walkArchive(client, rs0->archive, corpus_[0].expected);
+    walkArchive(client, rs1->archive, corpus_[1].expected);
+    EXPECT_EQ(client.stats().reconnects, 2u);
+}
+
+TEST_F(NetClient, FlippedVersionByteIsRetried)
+{
+    // A fake server answering one OPEN per connection. The first
+    // reply has bit 5 of its version byte flipped (2 -> 34), as
+    // ChaosProxy's corruption does, so its CRC no longer verifies;
+    // the second is clean; the third is a well-formed frame of
+    // protocol version 3, CRC included.
+    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(lfd, 4), 0);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::getsockname(
+                  lfd, reinterpret_cast<sockaddr *>(&addr), &len),
+              0);
+    const uint16_t port = ntohs(addr.sin_port);
+    std::thread fake([lfd] {
+        for (int conn = 0; conn < 3; conn++) {
+            const int fd = ::accept(lfd, nullptr, nullptr);
+            if (fd < 0)
+                return;
+            const std::vector<uint8_t> frame = recvFrame(fd);
+            size_t body = 0;
+            if (net::verifyFrame(frame.data(), frame.size(), &body) !=
+                net::FrameVerdict::Ok) {
+                ::close(fd);
+                return;
+            }
+            const StatusOr<RequestFrame> request =
+                net::parseRequestFrame(frame.data(), body);
+            OpenReply open;
+            open.archive = 7;
+            std::vector<uint8_t> reply;
+            net::appendOpenReply(reply, request.ok() ? request->requestId : 0,
+                                 MsgType::Open, open);
+            uint8_t *version = &reply[net::kLenBytes + 2];
+            if (conn == 0)
+                *version ^= 0x20;
+            if (conn == 2) {
+                *version = 3;
+                const size_t crc_at = reply.size() - net::kFrameCrcBytes;
+                const uint32_t crc =
+                    Crc32::of(reply.data() + net::kLenBytes,
+                              crc_at - net::kLenBytes);
+                for (size_t i = 0; i < net::kFrameCrcBytes; i++)
+                    reply[crc_at + i] = static_cast<uint8_t>(crc >> (8 * i));
+            }
+            ::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+            ::close(fd);
+        }
+    });
+
+    // Each check runs in a lambda, so a failed ASSERT returns from it
+    // and the fake is still joined below.
+    ClientOptions options;
+    options.maxAttempts = 8;
+    [&] {
+        // The damaged reply is wire damage: retried after one
+        // reconnect, then served.
+        StatusOr<std::unique_ptr<Client>> client =
+            Client::connect("127.0.0.1", port, options);
+        ASSERT_TRUE(client.ok()) << client.status().toString();
+        const StatusOr<OpenReply> open = (*client)->open("any.sage");
+        ASSERT_TRUE(open.ok()) << open.status().toString();
+        EXPECT_EQ(open->archive, 7u);
+        EXPECT_EQ((*client)->stats().reconnects, 1u);
+        EXPECT_EQ((*client)->stats().transportRetries, 1u);
+    }();
+    [&] {
+        // A server that really speaks another version: terminal.
+        StatusOr<std::unique_ptr<Client>> client =
+            Client::connect("127.0.0.1", port, options);
+        ASSERT_TRUE(client.ok()) << client.status().toString();
+        const StatusOr<OpenReply> open = (*client)->open("any.sage");
+        ASSERT_FALSE(open.ok());
+        EXPECT_EQ(open.status().code(), StatusCode::Corrupt);
+        EXPECT_NE(open.status().message().find("protocol version 3"),
+                  std::string::npos)
+            << open.status().toString();
+        EXPECT_EQ((*client)->stats().retries, 0u);
+    }();
+    ::shutdown(lfd, SHUT_RDWR);  // Wakes the fake's accept if it waits.
+    fake.join();
+    ::close(lfd);
+}
+
+TEST_F(NetClient, RetriesOverloadedUntilAdmitted)
+{
+    ThreadPool pool(1);
+    MultiArchiveOptions service_options;
+    service_options.pool = &pool;
+    service_options.admissionHighWater = 1;
+    MultiArchiveService service(dir_, service_options);
+    Server server(service);
+    ASSERT_TRUE(server.start().ok());
+
+    ClientOptions options;
+    options.maxAttempts = 64;
+    options.seed = 6;
+    StatusOr<std::unique_ptr<Client>> stuck =
+        Client::connect("127.0.0.1", server.port());
+    StatusOr<std::unique_ptr<Client>> retrying =
+        Client::connect("127.0.0.1", server.port(), options);
+    ASSERT_TRUE(stuck.ok() && retrying.ok());
+    const StatusOr<OpenReply> open = (*stuck)->open(corpus_[0].name);
+    ASSERT_TRUE(open.ok()) << open.status().toString();
+
+    // Block the only worker and park one admitted read: the queue
+    // sits at the high-water mark, so the next read is shed.
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    pool.submit([released] { released.wait(); });
+    std::thread parked([&] {
+        const StatusOr<net::ReadReply> reply =
+            (*stuck)->readRange(open->archive, 0, 64);
+        EXPECT_TRUE(reply.ok() && reply->ok());
+    });
+    const auto give_up = std::chrono::steady_clock::now() +
+        std::chrono::seconds(10);
+    while (service.queueDepth() < 1 &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(service.queueDepth(), 1u);
+
+    // The retrying read is shed, backs off and asks again; once the
+    // server has shed it, free the worker so a later attempt is
+    // admitted.
+    std::future<StatusOr<net::ReadReply>> admitted =
+        std::async(std::launch::async, [&] {
+            return (*retrying)->readRange(open->archive, 0, 64);
+        });
+    while (service.stats().overloaded < 1 &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(service.stats().overloaded, 1u);
+    release.set_value();
+    parked.join();
+
+    const StatusOr<net::ReadReply> reply = admitted.get();
+    ASSERT_TRUE(reply.ok()) << reply.status().toString();
+    ASSERT_TRUE(reply->ok()) << reply->message;
+    expectSameReads(reply->reads,
+                    std::vector<Read>(corpus_[0].expected.begin(),
+                                      corpus_[0].expected.begin() + 64));
+    EXPECT_GE((*retrying)->stats().overloadedRetries, 1u);
+    // Overloaded retries stay on the same connection.
+    EXPECT_EQ((*retrying)->stats().reconnects, 0u);
 }
 
 } // namespace
