@@ -34,14 +34,11 @@ ArchiveInfo::dnaStreamBytes() const
  * no cross-chunk delta state (format.hh), so a cursor built from the
  * chunk-table offsets decodes its slice with no predecessor knowledge —
  * that independence is what the parallel decode path exploits.
- *
- * Construction fetches exactly this chunk's byte slices through the
- * decoder's ByteSource: zero-copy views when the source can provide
- * them (resident archives), owned copies otherwise (files, stripes).
+ * tryOpenChunk() fills the spans and then calls initReaders().
  */
 struct SageDecoder::ChunkCursor
 {
-    /** One stream's slice: either a view or an owned fetch. */
+    /** One stream's slice: a view into the source, or an owned fetch. */
     struct Span
     {
         std::vector<uint8_t> owned;
@@ -49,52 +46,7 @@ struct SageDecoder::ChunkCursor
         size_t size = 0;
     };
 
-    ChunkCursor(const SageDecoder &d, const ChunkSlice &slice)
-        : remaining(slice.readCount)
-    {
-        // Zero-copy views where the source provides them; everything
-        // else is gathered in one batched read (FileSource coalesces
-        // the slices into preadv calls instead of 13 separate preads).
-        std::array<ByteSource::Extent, kChunkStreamCount> fetch;
-        size_t fetches = 0;
-        for (unsigned s = 0; s < kChunkStreamCount; s++) {
-            const StreamExtent &extent = d.dnaExtents_[s];
-            const uint64_t offset = extent.offset + slice.offsets[s];
-            const uint64_t size = slice.sizes[s];
-            Span &span = spans[s];
-            span.size = static_cast<size_t>(size);
-            if (size == 0)
-                continue;
-            if (const uint8_t *direct =
-                    d.source_->view(offset, span.size)) {
-                span.data = direct;
-            } else {
-                span.owned.resize(span.size);
-                span.data = span.owned.data();
-                fetch[fetches++] = {offset, span.owned.data(),
-                                    span.size};
-            }
-        }
-        if (fetches > 0)
-            d.source_->readBatch(fetch.data(), fetches);
-        initReaders();
-    }
-
-    /** Adopt slices already fetched by the prefetcher. */
-    ChunkCursor(const ChunkSlice &slice, ChunkBytes &&bytes)
-        : remaining(slice.readCount)
-    {
-        for (unsigned s = 0; s < kChunkStreamCount; s++) {
-            Span &span = spans[s];
-            span.owned = std::move(bytes.streams[s]);
-            span.size = span.owned.size();
-            sage_assert(span.size == slice.sizes[s],
-                        "prefetched chunk slice size mismatch");
-            if (span.size > 0)
-                span.data = span.owned.data();
-        }
-        initReaders();
-    }
+    explicit ChunkCursor(uint64_t reads) : remaining(reads) {}
 
     void
     initReaders()
@@ -188,43 +140,40 @@ SageDecoder::setPrefetchPool(ThreadPool *pool)
         return prefetchState_ != PrefetchState::InFlight;
     });
     prefetchState_ = PrefetchState::Idle;
-    prefetchBytes_ = ChunkBytes{};
+    prefetched_.reset();
     prefetchPool_ = pool;
 }
 
-StatusOr<SageDecoder::ChunkBytes>
-SageDecoder::tryFetchChunkBytes(const ChunkSlice &slice) const
+SageDecoder::OpenedChunk
+SageDecoder::tryOpenChunk(size_t chunk) const
 {
-    // One batched read covers all 13 stream slices (coalesced into
-    // preadv calls by FileSource).
-    ChunkBytes bytes;
+    const ChunkSlice &slice = chunks_[chunk];
+    auto cur = std::make_unique<ChunkCursor>(slice.readCount);
+    // Zero-copy views where the source provides them; everything else
+    // is gathered in one batched read (FileSource coalesces the slices
+    // into preadv calls instead of 13 separate preads).
     std::array<ByteSource::Extent, kChunkStreamCount> fetch;
     size_t fetches = 0;
     for (unsigned s = 0; s < kChunkStreamCount; s++) {
-        const uint64_t size = slice.sizes[s];
-        if (size == 0)
+        ChunkCursor::Span &span = cur->spans[s];
+        span.size = static_cast<size_t>(slice.sizes[s]);
+        if (span.size == 0)
             continue;
-        const uint64_t offset =
-            dnaExtents_[s].offset + slice.offsets[s];
-        bytes.streams[s].resize(static_cast<size_t>(size));
-        fetch[fetches++] = {offset, bytes.streams[s].data(),
-                            static_cast<size_t>(size)};
+        const uint64_t offset = dnaExtents_[s].offset + slice.offsets[s];
+        span.data = source_->view(offset, span.size);
+        if (!span.data) {
+            span.owned.resize(span.size);
+            span.data = span.owned.data();
+            fetch[fetches++] = {offset, span.owned.data(), span.size};
+        }
     }
     if (fetches > 0) {
         Status status = source_->tryReadBatch(fetch.data(), fetches);
         if (!status.ok())
             return status;
     }
-    return StatusOr<ChunkBytes>(std::move(bytes));
-}
-
-SageDecoder::ChunkBytes
-SageDecoder::fetchChunkBytes(const ChunkSlice &slice) const
-{
-    StatusOr<ChunkBytes> bytes = tryFetchChunkBytes(slice);
-    if (!bytes.ok())
-        sage_fatal(bytes.status().message());
-    return std::move(bytes.value());
+    cur->initReaders();
+    return OpenedChunk(std::move(cur));
 }
 
 void
@@ -233,69 +182,69 @@ SageDecoder::startPrefetch(size_t chunk)
     {
         std::lock_guard<std::mutex> lock(prefetchMutex_);
         // The slot can still be busy with a speculation a random
-        // access abandoned; never stack fetches behind it.
+        // access abandoned; never stack opens behind it.
         if (prefetchState_ != PrefetchState::Idle)
             return;
         prefetchState_ = PrefetchState::InFlight;
         prefetchChunk_ = chunk;
     }
     prefetchPool_->submit([this, chunk] {
-        ChunkBytes bytes = fetchChunkBytes(chunks_[chunk]);
+        // A failed open is kept, not fatal: the walk reports it only
+        // if it reaches this chunk.
+        OpenedChunk opened = tryOpenChunk(chunk);
         std::lock_guard<std::mutex> lock(prefetchMutex_);
-        prefetchBytes_ = std::move(bytes);
+        prefetched_.emplace(std::move(opened));
         prefetchState_ = PrefetchState::Ready;
         prefetchCv_.notify_all();
     });
 }
 
-bool
-SageDecoder::takePrefetched(size_t chunk, ChunkBytes &out)
+std::optional<SageDecoder::OpenedChunk>
+SageDecoder::takePrefetched(size_t chunk)
 {
     std::unique_lock<std::mutex> lock(prefetchMutex_);
-    // Wait only for a fetch of the chunk we want; an in-flight fetch
+    // Wait only for an open of the chunk we want; an in-flight open
     // of some other chunk means a random access jumped past the
-    // speculation — fetch inline instead of blocking behind it (its
-    // stale payload is discarded by a later take).
+    // speculation — open inline instead of blocking behind it (its
+    // stale result is discarded by a later take).
     prefetchCv_.wait(lock, [&] {
         return prefetchState_ != PrefetchState::InFlight ||
             prefetchChunk_ != chunk;
     });
     if (prefetchState_ == PrefetchState::InFlight)
-        return false;
-    const bool hit =
-        prefetchState_ == PrefetchState::Ready && prefetchChunk_ == chunk;
-    if (hit)
-        out = std::move(prefetchBytes_);
-    prefetchBytes_ = ChunkBytes{};
+        return std::nullopt;
+    std::optional<OpenedChunk> taken;
+    if (prefetchState_ == PrefetchState::Ready && prefetchChunk_ == chunk)
+        taken = std::move(prefetched_);
+    prefetched_.reset();
     prefetchState_ = PrefetchState::Idle;
-    return hit;
+    return taken;
 }
 
 std::unique_ptr<SageDecoder::ChunkCursor>
 SageDecoder::openChunk(size_t index)
 {
-    if (!prefetchPool_)
-        return std::make_unique<ChunkCursor>(*this, chunks_[index]);
-
-    // Double buffering: adopt the slices fetched behind chunk index-1
-    // (or fetch in line on a miss — first chunk, or a range jump),
-    // then put the slot to work on chunk index+1 while the caller
-    // decodes this one. Speculate only while the walk looks
-    // sequential (first open, successor of the last open, or a
-    // prefetch hit): scattered random access would otherwise pay a
-    // wasted full-chunk fetch per open.
-    ChunkBytes bytes;
-    const bool hit = takePrefetched(index, bytes);
-    if (!hit)
-        bytes = fetchChunkBytes(chunks_[index]);
-    const bool sequential = hit ||
-        lastOpenedChunk_ == SIZE_MAX ||
-        index == lastOpenedChunk_ + 1;
-    lastOpenedChunk_ = index;
+    // Double buffering: take the chunk opened behind chunk index-1 (or
+    // open in line on a miss — first chunk, or a range jump), then put
+    // the slot to work on chunk index+1 while the caller decodes this
+    // one. Speculate only while the walk looks sequential (first open,
+    // successor of the last open, or a prefetch hit): scattered random
+    // access would otherwise pay a wasted full-chunk fetch per open.
+    std::optional<OpenedChunk> opened;
+    bool sequential = false;
+    if (prefetchPool_) {
+        opened = takePrefetched(index);
+        sequential = opened || lastOpenedChunk_ == SIZE_MAX ||
+            index == lastOpenedChunk_ + 1;
+        lastOpenedChunk_ = index;
+    }
+    if (!opened)
+        opened = tryOpenChunk(index);
+    if (!opened->ok())
+        sage_fatal(opened->status().message());
     if (sequential && index + 1 < chunks_.size())
         startPrefetch(index + 1);
-    return std::make_unique<ChunkCursor>(chunks_[index],
-                                         std::move(bytes));
+    return std::move(opened->value());
 }
 
 void
@@ -484,11 +433,10 @@ SageDecoder::chunkCompressedBytes() const
 }
 
 Read
-SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
-                       uint64_t &events) const
+SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index) const
 {
     Read read;
-    read.bases = decodeBases(cur, events);
+    read.bases = decodeBases(cur);
     if (!headerStarts_.empty()) {
         const uint64_t begin = headerStarts_[read_index];
         read.header.assign(
@@ -501,7 +449,7 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
 }
 
 std::string
-SageDecoder::decodeBases(ChunkCursor &cur, uint64_t &events) const
+SageDecoder::decodeBases(ChunkCursor &cur) const
 {
     const SageParams &params = info_.params;
 
@@ -605,7 +553,6 @@ SageDecoder::decodeBases(ChunkCursor &cur, uint64_t &events) const
                 }
             }
             first_event_of_read = false;
-            events++;
 
             // Copy the consensus run up to the event position.
             if (read_i < event_pos) {
@@ -714,35 +661,35 @@ SageDecoder::advanceCursor()
 Read
 SageDecoder::next()
 {
-    Read read = decodeOne(advanceCursor(), emitted_, events_);
+    Read read = decodeOne(advanceCursor(), emitted_);
     emitted_++;
     return read;
 }
 
-bool
-SageDecoder::canDecodeParallel(const ThreadPool *pool,
-                               size_t count) const
-{
-    return pool && pool->threadCount() > 1 && count > 1;
-}
-
-// Chunks are independent slices: decode them concurrently, each worker
-// fetching its own chunk's byte slices and handling disjoint stored-order
+// Chunks are independent slices: a pool decodes them concurrently, each
+// worker opening its own chunk and handling disjoint stored-order
 // indices (so stored order is preserved by construction).
 template <typename Body>
 void
-SageDecoder::decodeParallel(ThreadPool *pool, size_t first, size_t count,
-                            const Body &body)
+SageDecoder::walkChunks(size_t first, size_t count, ThreadPool *pool,
+                        const Body &body)
 {
-    std::vector<uint64_t> chunk_events(count, 0);
-    pool->parallelFor(count, [&](size_t i) {
-        const ChunkSlice &slice = chunks_[first + i];
-        ChunkCursor cur(*this, slice);
+    auto walk = [&](ChunkCursor &cur, size_t chunk) {
+        const ChunkSlice &slice = chunks_[chunk];
         for (uint64_t r = 0; r < slice.readCount; r++)
-            body(cur, slice.firstRead + r, chunk_events[i]);
-    });
-    for (uint64_t e : chunk_events)
-        events_ += e;
+            body(cur, slice.firstRead + r);
+    };
+    if (pool && pool->threadCount() > 1 && count > 1) {
+        pool->parallelFor(count, [&](size_t i) {
+            OpenedChunk opened = tryOpenChunk(first + i);
+            if (!opened.ok())
+                sage_fatal(opened.status().message());
+            walk(*opened.value(), first + i);
+        });
+    } else {
+        for (size_t c = first; c < first + count; c++)
+            walk(*openChunk(c), c);
+    }
 }
 
 ReadSet
@@ -759,35 +706,10 @@ SageDecoder::decodeChunks(size_t first, size_t count, ThreadPool *pool)
     const ChunkSlice &last = chunks_[first + count - 1];
     rs.reads.resize(
         static_cast<size_t>(last.firstRead + last.readCount - base));
-
-    if (canDecodeParallel(pool, count)) {
-        decodeParallel(pool, first, count,
-                       [&](ChunkCursor &cur, uint64_t idx,
-                           uint64_t &events) {
-                           rs.reads[idx - base] =
-                               decodeOne(cur, idx, events);
-                       });
-    } else {
-        for (size_t c = first; c < first + count; c++) {
-            const ChunkSlice &slice = chunks_[c];
-            const std::unique_ptr<ChunkCursor> cur = openChunk(c);
-            for (uint64_t r = 0; r < slice.readCount; r++) {
-                const uint64_t idx = slice.firstRead + r;
-                rs.reads[static_cast<size_t>(idx - base)] =
-                    decodeOne(*cur, idx, events_);
-            }
-        }
-    }
+    walkChunks(first, count, pool, [&](ChunkCursor &cur, uint64_t idx) {
+        rs.reads[static_cast<size_t>(idx - base)] = decodeOne(cur, idx);
+    });
     return rs;
-}
-
-std::vector<Read>
-SageDecoder::decodeChunkShared(size_t chunk)
-{
-    StatusOr<std::vector<Read>> reads = tryDecodeChunkShared(chunk);
-    if (!reads.ok())
-        sage_fatal(reads.status().message());
-    return std::move(reads.value());
 }
 
 StatusOr<std::vector<Read>>
@@ -798,25 +720,20 @@ SageDecoder::tryDecodeChunkShared(size_t chunk)
                                   " out of range (archive has ",
                                   chunks_.size(), " chunks)");
     }
+    // A private cursor: nothing here writes decoder state, which is
+    // what makes concurrent calls safe. A failed fetch comes back from
+    // the open; decode errors on corrupt bytes surface as StatusError
+    // from the bit readers and bounds checks in decodeOne.
+    OpenedChunk opened = tryOpenChunk(chunk);
+    if (!opened.ok())
+        return opened.status();
+    ChunkCursor &cur = *opened.value();
     const ChunkSlice &slice = chunks_[chunk];
-    // The fetch goes through the non-fatal source path so a failing
-    // disk reports IoError here instead of killing the process; decode
-    // errors on corrupt bytes surface as StatusError from the bit
-    // readers and bounds checks in decodeOne.
-    StatusOr<ChunkBytes> bytes = tryFetchChunkBytes(slice);
-    if (!bytes.ok())
-        return bytes.status();
     try {
-        // A private cursor and a local event counter: nothing here
-        // writes decoder state, which is what makes concurrent calls
-        // safe.
-        ChunkCursor cur(slice, std::move(bytes.value()));
         std::vector<Read> reads;
         reads.reserve(static_cast<size_t>(slice.readCount));
-        uint64_t events = 0;
-        for (uint64_t r = 0; r < slice.readCount; r++) {
-            reads.push_back(decodeOne(cur, slice.firstRead + r, events));
-        }
+        for (uint64_t r = 0; r < slice.readCount; r++)
+            reads.push_back(decodeOne(cur, slice.firstRead + r));
         return StatusOr<std::vector<Read>>(std::move(reads));
     } catch (const StatusError &err) {
         return err.status();
@@ -833,18 +750,11 @@ ReadSet
 SageDecoder::decodeAll(ThreadPool *pool)
 {
     ReadSet rs;
-    const uint64_t total = info_.params.numReads;
-
-    if (emitted_ == 0 && canDecodeParallel(pool, chunks_.size())) {
-        rs.reads.resize(total);
-        decodeParallel(pool, 0, chunks_.size(),
-                       [&](ChunkCursor &cur, uint64_t idx,
-                           uint64_t &events) {
-                           rs.reads[idx] = decodeOne(cur, idx, events);
-                       });
-        emitted_ = total;
+    if (emitted_ == 0) {
+        rs = decodeChunks(0, chunks_.size(), pool);
+        emitted_ = info_.params.numReads;
     } else {
-        rs.reads.reserve(total - emitted_);
+        rs.reads.reserve(info_.params.numReads - emitted_);
         while (hasNext())
             rs.reads.push_back(next());
     }
@@ -874,19 +784,17 @@ SageDecoder::decodeAllPacked(OutputFormat fmt, ThreadPool *pool)
 
     std::vector<std::vector<uint8_t>> out;
     const uint64_t total = info_.params.numReads;
-
-    if (emitted_ == 0 && canDecodeParallel(pool, chunks_.size())) {
+    if (emitted_ == 0) {
         out.resize(total);
-        decodeParallel(pool, 0, chunks_.size(),
-                       [&](ChunkCursor &cur, uint64_t idx,
-                           uint64_t &events) {
-                           out[idx] = pack(decodeBases(cur, events));
-                       });
+        walkChunks(0, chunks_.size(), pool,
+                   [&](ChunkCursor &cur, uint64_t idx) {
+                       out[idx] = pack(decodeBases(cur));
+                   });
         emitted_ = total;
     } else {
         out.reserve(total - emitted_);
         while (hasNext()) {
-            out.push_back(pack(decodeBases(advanceCursor(), events_)));
+            out.push_back(pack(decodeBases(advanceCursor())));
             emitted_++;
         }
     }

@@ -8,16 +8,18 @@
  * sequential accesses. The same functional core backs:
  *   - SAGeSW (host software decompression, paper §7 config v), and
  *   - the hardware timing model (hw/), which replays the stream sizes
- *     and event counts this decoder reports.
+ *     this decoder reports and the bases it reconstructs.
  *
  * The decoder reads the container through a ByteSource
  * (io/byte_stream.hh): params, chunk table and consensus are parsed up
- * front, while the 13 DNA streams are fetched per chunk, exactly when a
- * chunk is opened. Over a FileSource this decodes any chunk subrange
- * without ever loading the full archive; over a MemorySource the
- * per-chunk fetches are zero-copy views. A StripedSource
- * (io/striped.hh) serves chunk fetches from a device array (paper
- * Fig. 15).
+ * front, while the 13 DNA streams are fetched per chunk. Every decode
+ * call opens its chunks through one non-fatal fetch: zero-copy views
+ * where the source offers them (a MemorySource), and one batched read
+ * for the rest (a FileSource coalesces it into preadv calls; a
+ * StripedSource, io/striped.hh, serves it from a device array, paper
+ * Fig. 15). Over a FileSource this decodes any chunk subrange without
+ * ever loading the full archive. The Status-returning calls hand a
+ * failed fetch back; the others die with its message.
  *
  * The host-side streams are loaded at open but not expanded per read.
  * Headers are gpzip-decoded into one text buffer indexed by line
@@ -30,10 +32,10 @@
  * Container v2 archives carry a chunk index (format.hh): each chunk is
  * an independently decodable slice of the read set, the software
  * analogue of the paper's per-Scan-Unit slices. decodeAll(),
- * decodeAllPacked() and decodeChunks() accept an optional ThreadPool
- * and fan chunks across it, preserving output order; the sequential
- * next() API walks the chunks in order. v1 archives load as a single
- * chunk.
+ * decodeAllPacked() and decodeChunks() walk a chunk range in order, or
+ * fan it across an optional ThreadPool, preserving output order; the
+ * sequential next() API walks the chunks in order. v1 archives load as
+ * a single chunk.
  *
  * Most users should prefer the session API (io/session.hh:
  * SageWriter/SageReader) over constructing a SageDecoder directly.
@@ -46,6 +48,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -157,24 +160,17 @@ class SageDecoder
 
     /**
      * Decode chunk @p chunk alone into stored-order reads — the
-     * service layer's decode-into-cache entry point. Unlike the other
-     * decode calls this touches no sequential, prefetch or event
-     * state, so any number of threads may call it concurrently on one
+     * service layer's decode-into-cache entry point. I/O failures and
+     * corrupt chunk data come back as a Status instead of aborting, so
+     * one bad chunk degrades one request, not the process. Unlike the
+     * other decode calls this touches no sequential or prefetch state,
+     * so any number of threads may call it concurrently on one
      * decoder, also alongside one thread using the other decode calls.
-     * Each call fetches its own byte slices through the thread-safe
-     * ByteSource and copies headers and quality out of the shared host
-     * stores; the first call to need a quality block decodes it while
+     * Each call opens its own chunk through the thread-safe ByteSource
+     * and copies headers and quality out of the shared host stores;
+     * the first call to need a quality block decodes it while
      * concurrent callers wait for that one decode. The same chunk
-     * decodes repeatably. Decoded mismatch events are not added to
-     * eventsDecoded().
-     */
-    std::vector<Read> decodeChunkShared(size_t chunk);
-
-    /**
-     * Non-fatal flavor of decodeChunkShared(): I/O failures and
-     * corrupt chunk data come back as a Status instead of aborting,
-     * so one bad chunk degrades one request, not the process. Same
-     * thread-safety contract as decodeChunkShared().
+     * decodes repeatably.
      */
     StatusOr<std::vector<Read>> tryDecodeChunkShared(size_t chunk);
 
@@ -200,14 +196,15 @@ class SageDecoder
     /**
      * Enable prefetch-next-chunk mode: while the sequential decode
      * paths (next(), and decodeChunks()/decodeAll() without a decode
-     * pool) work through chunk i, a task on @p pool fetches chunk
-     * i+1's byte slices through the ByteSource, so real FileSource /
-     * StripedSource I/O overlaps decode — the host-software analogue
-     * of the paper's NAND-streaming/decode double buffering (§5.2.2).
-     * Output is byte-identical to non-prefetched decoding.
+     * pool) work through chunk i, a task on @p pool opens chunk i+1
+     * through the ByteSource, so real FileSource / StripedSource I/O
+     * overlaps decode — the host-software analogue of the paper's
+     * NAND-streaming/decode double buffering (§5.2.2). Output is
+     * byte-identical to non-prefetched decoding; a failed background
+     * open is reported only when the walk reaches that chunk.
      *
      * The pool must outlive this decoder (one thread is enough: the
-     * fetch task blocks on pread, not CPU). Pass nullptr to disable.
+     * open task blocks on pread, not CPU). Pass nullptr to disable.
      * Chunk-parallel decodes ignore the prefetcher — their workers
      * already overlap fetch and decode per chunk.
      */
@@ -217,11 +214,10 @@ class SageDecoder
      *  (The HW streams the consensus; software keeps it resident.) */
     uint64_t workingSetBytes() const;
 
-    /** Total mismatch events decoded so far (HW model input). */
-    uint64_t eventsDecoded() const { return events_; }
-
   private:
     struct ChunkCursor;
+    /** An opened chunk, or why it could not be opened. */
+    using OpenedChunk = StatusOr<std::unique_ptr<ChunkCursor>>;
 
     /** Per-chunk slice bounds resolved from the chunk table. */
     struct ChunkSlice
@@ -230,12 +226,6 @@ class SageDecoder
         uint64_t firstRead = 0;  ///< Prefix sum of readCount.
         std::array<uint64_t, kChunkStreamCount> offsets{};
         std::array<uint64_t, kChunkStreamCount> sizes{};
-    };
-
-    /** One chunk's byte slices, owned (the prefetcher's payload). */
-    struct ChunkBytes
-    {
-        std::array<std::vector<uint8_t>, kChunkStreamCount> streams;
     };
 
     /** tryOpen's blank instance; every member has a safe default. */
@@ -247,50 +237,49 @@ class SageDecoder
      *  untrusted container framing, stream tables and host streams. */
     Status tryParseContainer(bool dna_only);
 
-    /** Synchronously read every stream slice of @p slice. */
-    ChunkBytes fetchChunkBytes(const ChunkSlice &slice) const;
+    /**
+     * The one chunk fetch: open chunk @p chunk (< chunkCount()) for
+     * decode, viewing its 13 stream slices where the source offers
+     * views and fetching the rest in one tryReadBatch. Reads only
+     * immutable decoder state, so any thread may call it.
+     */
+    OpenedChunk tryOpenChunk(size_t chunk) const;
 
-    /** Non-fatal fetch of every stream slice of @p slice. */
-    StatusOr<ChunkBytes> tryFetchChunkBytes(const ChunkSlice &slice) const;
-
-    /** Queue a background fetch of chunk @p chunk (requires an idle
-     *  prefetch slot; callers take the slot first). */
+    /** Queue a background open of chunk @p chunk (no-op while the
+     *  prefetch slot is busy). */
     void startPrefetch(size_t chunk);
 
-    /** Claim the prefetch slot: wait out any in-flight fetch, then
-     *  move its payload into @p out when it was for @p chunk.
-     *  Leaves the slot idle. Returns whether @p out was filled. */
-    bool takePrefetched(size_t chunk, ChunkBytes &out);
+    /** Claim the prefetch slot: wait out an in-flight open of
+     *  @p chunk, then hand back the slot's result when it was for
+     *  @p chunk (nullopt otherwise). Leaves the slot idle unless
+     *  another chunk's open is still in flight. */
+    std::optional<OpenedChunk> takePrefetched(size_t chunk);
 
-    /** Open chunk @p index for sequential decode: consume a matching
-     *  prefetched payload (or fetch in line), then kick off the fetch
-     *  of chunk @p index+1 when prefetching is on. */
+    /** Open chunk @p index for sequential decode: take a matching
+     *  prefetched chunk (or open in line), then start opening chunk
+     *  @p index+1 when prefetching is on. Fatal when the open failed. */
     std::unique_ptr<ChunkCursor> openChunk(size_t index);
 
     /** Position the sequential cursor on the next read (opening
      *  chunks as needed) and return it. Requires hasNext(). */
     ChunkCursor &advanceCursor();
 
-    /** Decode one read's bases via @p cur, counting its mismatch
-     *  events into @p events. */
-    std::string decodeBases(ChunkCursor &cur, uint64_t &events) const;
+    /** Decode one read's bases via @p cur. */
+    std::string decodeBases(ChunkCursor &cur) const;
 
     /** Decode one read via @p cur: its bases, plus the header and
      *  quality of stored-order read @p read_index copied from the host
      *  stores (decoding quality blocks on first use). */
-    Read decodeOne(ChunkCursor &cur, uint64_t read_index,
-                   uint64_t &events) const;
+    Read decodeOne(ChunkCursor &cur, uint64_t read_index) const;
 
-    /** True when a chunk range may fan out across @p pool. */
-    bool canDecodeParallel(const ThreadPool *pool, size_t count) const;
-
-    /** Fan chunks [first, first+count) across @p pool, calling
-     *  body(cursor, index, events) for every read in stored order
-     *  within its chunk (indices are disjoint across workers).
-     *  Requires canDecodeParallel(pool, count). */
+    /** Walk chunks [first, first+count), calling body(cursor, index)
+     *  for every read in stored order within its chunk: in order
+     *  through openChunk(), or across @p pool when it has more than
+     *  one thread and the range more than one chunk (indices are
+     *  disjoint across workers). */
     template <typename Body>
-    void decodeParallel(ThreadPool *pool, size_t first, size_t count,
-                        const Body &body);
+    void walkChunks(size_t first, size_t count, ThreadPool *pool,
+                    const Body &body);
 
     /** Owned backing for the legacy vector constructor. */
     std::unique_ptr<MemorySource> ownedSource_;
@@ -320,7 +309,6 @@ class SageDecoder
     std::unique_ptr<ChunkCursor> cursor_;  ///< Sequential next() state.
     size_t nextChunk_ = 0;                 ///< Next chunk to open.
     uint64_t emitted_ = 0;
-    uint64_t events_ = 0;
 
     // Prefetch-next-chunk state: a one-deep slot (double buffering —
     // the chunk being decoded plus the chunk in flight, exactly the
@@ -331,7 +319,7 @@ class SageDecoder
     std::condition_variable prefetchCv_;
     PrefetchState prefetchState_ = PrefetchState::Idle;
     size_t prefetchChunk_ = 0;      ///< Chunk the slot refers to.
-    ChunkBytes prefetchBytes_;      ///< Payload when Ready.
+    std::optional<OpenedChunk> prefetched_;  ///< Result when Ready.
     /** Last chunk openChunk() served; SIZE_MAX before the first open.
      *  Speculation continues only across sequential opens. */
     size_t lastOpenedChunk_ = SIZE_MAX;

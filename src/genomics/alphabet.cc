@@ -1,6 +1,7 @@
 #include "genomics/alphabet.hh"
 
 #include "genomics/kernels.hh"
+#include "util/status.hh"
 
 namespace sage {
 
@@ -59,10 +60,13 @@ unpackSequence(const uint8_t *packed, size_t packed_size,
         return std::string(packed, packed + packed_size);
 
     std::string out(num_bases, '\0');
-    if (fmt == OutputFormat::TwoBit)
+    if (fmt == OutputFormat::TwoBit) {
         kernels::unpack2bit(packed, packed_size, num_bases, out.data());
-    else
-        kernels::unpack3bit(packed, packed_size, num_bases, out.data());
+    } else {
+        sage_check_data(kernels::unpack3bit(packed, packed_size,
+                                            num_bases, out.data()),
+                        Corrupt, "bad base code in 3-bit stream");
+    }
     return out;
 }
 

@@ -93,7 +93,9 @@ bitsPerBase(OutputFormat fmt)
 /** Pack a sequence at 2 or 3 bits/base (ASCII passes through). */
 std::vector<uint8_t> packSequence(std::string_view seq, OutputFormat fmt);
 
-/** Invert packSequence given the base count. */
+/** Invert packSequence given the base count. A 3-bit code that is no
+ *  base (5-7) throws StatusError (Corrupt): packed bytes come from
+ *  archives, and bad ones must not abort the process. */
 std::string unpackSequence(const uint8_t *packed, size_t packed_size,
                            size_t num_bases, OutputFormat fmt);
 

@@ -195,7 +195,7 @@ unpack2bitScalar(const uint8_t *packed, size_t packed_size, size_t count,
     }
 }
 
-void
+bool
 unpack3bitScalar(const uint8_t *packed, size_t packed_size, size_t count,
                  char *out)
 {
@@ -225,7 +225,7 @@ unpack3bitScalar(const uint8_t *packed, size_t packed_size, size_t count,
         invalid |= static_cast<unsigned>(code > 4);
         out[i] = kCodeChar[code];
     }
-    sage_assert(invalid == 0, "bad base code in 3-bit stream");
+    return invalid == 0;
 }
 
 void
@@ -386,7 +386,7 @@ unpack2bitAvx2(const uint8_t *packed, size_t packed_size, size_t count,
 /** Per-lane 1 << (13 - (3k & 7)) multipliers for codes 0-7. */
 #define SAGE_UNPACK3_MUL 8192, 1024, 128, 4096, 512, 64, 2048, 256
 
-SAGE_TARGET_SSSE3 void
+SAGE_TARGET_SSSE3 bool
 unpack3bitSsse3(const uint8_t *packed, size_t packed_size, size_t count,
                 char *out)
 {
@@ -416,16 +416,15 @@ unpack3bitSsse3(const uint8_t *packed, size_t packed_size, size_t count,
         _mm_storeu_si128(reinterpret_cast<__m128i *>(out + i),
                          _mm_shuffle_epi8(ascii, codes));
     }
-    sage_assert(_mm_movemask_epi8(badAcc) == 0,
-                "bad base code in 3-bit stream");
-    if (i < count) {
-        // i is a multiple of 8, so 3i/8 whole bytes are consumed.
-        unpack3bitScalar(packed + o, packed_size - o, count - i,
-                         out + i);
-    }
+    const bool valid = _mm_movemask_epi8(badAcc) == 0;
+    if (i == count)
+        return valid;
+    // i is a multiple of 8, so 3i/8 whole bytes are consumed.
+    return unpack3bitScalar(packed + o, packed_size - o, count - i,
+                            out + i) && valid;
 }
 
-SAGE_TARGET_AVX2 void
+SAGE_TARGET_AVX2 bool
 unpack3bitAvx2(const uint8_t *packed, size_t packed_size, size_t count,
                char *out)
 {
@@ -464,12 +463,11 @@ unpack3bitAvx2(const uint8_t *packed, size_t packed_size, size_t count,
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i),
                             _mm256_shuffle_epi8(ascii, codes));
     }
-    sage_assert(_mm256_movemask_epi8(badAcc) == 0,
-                "bad base code in 3-bit stream");
-    if (i < count) {
-        unpack3bitSsse3(packed + o, packed_size - o, count - i,
-                        out + i);
-    }
+    const bool valid = _mm256_movemask_epi8(badAcc) == 0;
+    if (i == count)
+        return valid;
+    return unpack3bitSsse3(packed + o, packed_size - o, count - i,
+                           out + i) && valid;
 }
 
 SAGE_TARGET_SSSE3 void
@@ -625,7 +623,7 @@ struct KernelTable
     void (*pack2)(const char *, size_t, uint8_t *);
     void (*pack3)(const char *, size_t, uint8_t *);
     void (*unpack2)(const uint8_t *, size_t, size_t, char *);
-    void (*unpack3)(const uint8_t *, size_t, size_t, char *);
+    bool (*unpack3)(const uint8_t *, size_t, size_t, char *);
     void (*revcomp)(const char *, size_t, char *);
     bool (*acgtOnly)(const char *, size_t);
     SimdLevel level;
@@ -701,11 +699,11 @@ unpack2bit(const uint8_t *packed, size_t packed_size, size_t count,
     active().unpack2(packed, packed_size, count, out);
 }
 
-void
+bool
 unpack3bit(const uint8_t *packed, size_t packed_size, size_t count,
            char *out)
 {
-    active().unpack3(packed, packed_size, count, out);
+    return active().unpack3(packed, packed_size, count, out);
 }
 
 void
@@ -771,11 +769,11 @@ unpack2bit(const uint8_t *packed, size_t packed_size, size_t count,
     unpack2bitScalar(packed, packed_size, count, out);
 }
 
-void
+bool
 unpack3bit(const uint8_t *packed, size_t packed_size, size_t count,
            char *out)
 {
-    unpack3bitScalar(packed, packed_size, count, out);
+    return unpack3bitScalar(packed, packed_size, count, out);
 }
 
 void

@@ -71,10 +71,11 @@ void unpack2bit(const uint8_t *packed, size_t packed_size, size_t count,
 
 /**
  * Unpack @p count 3-bit bases from @p packed (@p packed_size bytes)
- * into @p out (capacity >= count chars). Panics on underrun and on
- * invalid base codes (5-7), like codeToBase.
+ * into @p out (capacity >= count chars). Panics on underrun. Returns
+ * false when any code is invalid (5-7: corrupt input); those bases
+ * come out as 'N'.
  */
-void unpack3bit(const uint8_t *packed, size_t packed_size, size_t count,
+bool unpack3bit(const uint8_t *packed, size_t packed_size, size_t count,
                 char *out);
 
 /**
@@ -117,7 +118,7 @@ void pack2bit(const char *bases, size_t count, uint8_t *out);
 void pack3bit(const char *bases, size_t count, uint8_t *out);
 void unpack2bit(const uint8_t *packed, size_t packed_size, size_t count,
                 char *out);
-void unpack3bit(const uint8_t *packed, size_t packed_size, size_t count,
+bool unpack3bit(const uint8_t *packed, size_t packed_size, size_t count,
                 char *out);
 void reverseComplement(const char *seq, size_t count, char *out);
 bool isAcgtOnly(const char *seq, size_t count);

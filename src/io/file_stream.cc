@@ -95,7 +95,6 @@ FileSource::classifyReadError(int err, uint64_t offset,
         }
         const unsigned attempt = kTransientRetryBudget - transient_left;
         transient_left--;
-        retries_.fetch_add(1, std::memory_order_relaxed);
         const unsigned sleep_us = std::min(
             kBackoffCapMicros, kBackoffStartMicros << attempt);
         std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
@@ -166,23 +165,6 @@ FileSource::tryPreadvExact(uint64_t offset, struct iovec *iov,
         }
     }
     return Status();
-}
-
-void
-FileSource::preadExact(uint64_t offset, void *dst, size_t size) const
-{
-    Status status = tryPreadExact(offset, dst, size);
-    if (!status.ok())
-        sage_fatal(status.message());
-}
-
-void
-FileSource::preadvExact(uint64_t offset, struct iovec *iov,
-                        size_t count) const
-{
-    Status status = tryPreadvExact(offset, iov, count);
-    if (!status.ok())
-        sage_fatal(status.message());
 }
 
 Status

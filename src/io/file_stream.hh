@@ -14,7 +14,6 @@
 #ifndef SAGE_IO_FILE_STREAM_HH
 #define SAGE_IO_FILE_STREAM_HH
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 
@@ -59,7 +58,7 @@ class FileSource final : public ByteSource
      * file ends mid-read, IoError on syscall failure, Exhausted when
      * the transient-error retry budget runs out. EINTR is retried
      * immediately and EAGAIN/EWOULDBLOCK with bounded exponential
-     * backoff (counted in transientRetries()) before giving up.
+     * backoff before giving up.
      */
     Status tryReadAt(uint64_t offset, void *dst,
                      size_t size) const override;
@@ -67,13 +66,6 @@ class FileSource final : public ByteSource
                         size_t count) const override;
 
     std::string describe() const override { return path_; }
-
-    /** Transient-error retries (EINTR excluded) performed so far. */
-    uint64_t
-    transientRetries() const
-    {
-        return retries_.load(std::memory_order_relaxed);
-    }
 
   private:
     /** Adopt an already-opened descriptor (tryOpen's tail). */
@@ -93,15 +85,10 @@ class FileSource final : public ByteSource
     static constexpr size_t kCacheBytes = 64 * 1024;
 
     /** pread loop directly into @p dst (no cache). */
-    void preadExact(uint64_t offset, void *dst, size_t size) const;
+    Status tryPreadExact(uint64_t offset, void *dst, size_t size) const;
 
     /** preadv loop filling @p iov completely (mutates the iovecs to
      *  track partial progress). */
-    void preadvExact(uint64_t offset, struct iovec *iov,
-                     size_t count) const;
-
-    /** Status-returning cores the fatal loops above wrap. */
-    Status tryPreadExact(uint64_t offset, void *dst, size_t size) const;
     Status tryPreadvExact(uint64_t offset, struct iovec *iov,
                           size_t count) const;
 
@@ -113,7 +100,6 @@ class FileSource final : public ByteSource
     std::string path_;
     int fd_ = -1;
     uint64_t size_ = 0;
-    mutable std::atomic<uint64_t> retries_{0};
 
     // Read-ahead window for small sequential reads (directory walks).
     mutable std::mutex mutex_;

@@ -82,7 +82,7 @@ SageReader::SageReader(const ByteSource &source,
       decoder_(std::make_unique<SageDecoder>(source, options.dnaOnly,
                                              options.verifyChecksum))
 {
-    enablePrefetch(options);
+    decoder_->setPrefetchPool(options.prefetchPool);
 }
 
 SageReader::SageReader(const std::string &path, SageReaderOptions options)
@@ -90,27 +90,13 @@ SageReader::SageReader(const std::string &path, SageReaderOptions options)
       decoder_(std::make_unique<SageDecoder>(*file_, options.dnaOnly,
                                              options.verifyChecksum))
 {
-    enablePrefetch(options);
+    decoder_->setPrefetchPool(options.prefetchPool);
 }
 
 Status
 SageReader::verify() const
 {
     return verifyArchiveChecksumStatus(*source_);
-}
-
-void
-SageReader::enablePrefetch(const SageReaderOptions &options)
-{
-    if (!options.prefetch)
-        return;
-    ThreadPool *pool = options.prefetchPool;
-    if (!pool) {
-        // One thread suffices: the fetch task blocks on I/O, not CPU.
-        prefetchPool_ = std::make_unique<ThreadPool>(1);
-        pool = prefetchPool_.get();
-    }
-    decoder_->setPrefetchPool(pool);
 }
 
 SageReader::~SageReader() = default;

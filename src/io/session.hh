@@ -124,19 +124,15 @@ struct SageReaderOptions
      *  (The legacy sageDecompress wrapper always verifies.) */
     bool verifyChecksum = false;
     /**
-     * Prefetch-next-chunk mode: a background task fetches chunk i+1's
-     * byte slices through the source while chunk i decodes,
-     * overlapping real FileSource/StripedSource I/O with decode on
-     * the sequential paths (next(), decodeRange()/decodeAll() without
-     * a decode pool). Byte-identical output; pointless over a
-     * MemorySource (chunk fetches are zero-copy views there anyway).
-     */
-    bool prefetch = false;
-    /**
-     * Pool to run prefetch tasks on (must outlive the reader; one
-     * thread is plenty — the task blocks on I/O). When null and
-     * prefetch is set, the reader owns a one-thread pool. Sharing a
-     * pool across many short-lived readers amortizes thread startup.
+     * Prefetch-next-chunk mode, on when set: a task on this pool opens
+     * chunk i+1 through the source while chunk i decodes, overlapping
+     * real FileSource/StripedSource I/O with decode on the sequential
+     * paths (next(), decodeRange()/decodeAll() without a decode pool).
+     * Byte-identical output; pointless over a MemorySource (chunk
+     * fetches are zero-copy views there anyway). The pool must outlive
+     * the reader; one thread is plenty (the task blocks on I/O), and
+     * sharing it across many short-lived readers amortizes thread
+     * startup.
      */
     ThreadPool *prefetchPool = nullptr;
 };
@@ -236,15 +232,8 @@ class SageReader
     Status verify() const;
 
   private:
-    void enablePrefetch(const SageReaderOptions &options);
-
     std::unique_ptr<FileSource> file_;  ///< Owned for the path ctor.
     const ByteSource *source_ = nullptr;
-    /** Owned fetch pool for SageReaderOptions::prefetch (unused when
-     *  the options supplied one). Declared before decoder_: the
-     *  decoder's destructor drains any in-flight fetch before the
-     *  pool goes away. */
-    std::unique_ptr<ThreadPool> prefetchPool_;
     std::unique_ptr<SageDecoder> decoder_;
 };
 

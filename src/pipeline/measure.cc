@@ -172,7 +172,6 @@ measureWorkload(const SimulatedDataset &ds, const MeasureConfig &config)
         // Shared fetch pool: thread startup stays outside the timing,
         // as it would in any long-lived ingest process.
         ThreadPool prefetch_pool(1);
-        opt.prefetch = true;
         opt.prefetchPool = &prefetch_pool;
         art.work.sageSwFilePrefetchSeconds =
             timeMedian(config.repetitions, [&] {

@@ -71,7 +71,7 @@ struct WorkloadMeasurement
     /**
      * Measured sequential SAGe decode over a real FileSource — I/O
      * included — without and with prefetch-next-chunk mode
-     * (SageReaderOptions::prefetch: chunk i+1's slices fetched in the
+     * (SageReaderOptions::prefetchPool: chunk i+1 opened in the
      * background while chunk i decodes). The prefetched number is an
      * end-to-end I/O+decode wall clock with the two stages overlapped,
      * so the SageSW pipeline projection treats it as another measured

@@ -168,10 +168,6 @@ class ChunkCache
     ChunkCacheStats stats() const;
 
     uint64_t budgetBytes() const { return budget_; }
-    unsigned shardCount() const
-    {
-        return static_cast<unsigned>(shards_.size());
-    }
 
   private:
     /** An in-flight decode other callers can join. */

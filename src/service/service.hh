@@ -28,7 +28,7 @@
  *   - per-client ServiceSession handles that track sequential
  *     position, letting the service speculate each client's next
  *     chunk into the cache (the serving-layer analogue of
- *     SageReaderOptions::prefetch);
+ *     SageReaderOptions::prefetchPool);
  *   - ServiceStats: request/byte counters, cache hit rate, queue
  *     depth, and request latency both overall and per priority class
  *     (util/histogram.hh's LatencyHistogram), snapshotted
@@ -407,13 +407,6 @@ class SageArchiveService
     queueDepth() const
     {
         return queued_.load(std::memory_order_relaxed);
-    }
-
-    /** Queue-depth high-water mark (same relaxed-read contract). */
-    uint64_t
-    queueDepthHighWater() const
-    {
-        return maxQueueDepth_.load(std::memory_order_relaxed);
     }
 
   private:

@@ -139,11 +139,17 @@ class BitReader
         return nbits < 64 ? acc_ & ((uint64_t(1) << nbits) - 1) : acc_;
     }
 
-    /** Discard @p nbits previously peeked bits. */
+    /**
+     * Discard @p nbits previously peeked bits. A prefix code decoded
+     * from a peek that ran past the end of the stream can be longer
+     * than the bits left; like readBits, that underrun throws
+     * StatusError (Truncated).
+     */
     void
     skipBits(unsigned nbits)
     {
-        sage_assert(accBits_ >= nbits, "skipBits beyond peeked window");
+        sage_check_data(accBits_ >= nbits, Truncated,
+                        "bit stream underrun at bit ", bitPosition());
         acc_ >>= nbits;
         accBits_ -= nbits;
     }
@@ -160,13 +166,6 @@ class BitReader
 
     /** Bits consumed so far. */
     uint64_t bitPosition() const { return byte_ * 8 - accBits_; }
-
-    /** Whether at least @p nbits more bits are available. */
-    bool
-    hasBits(uint64_t nbits) const
-    {
-        return bitPosition() + nbits <= size_ * 8;
-    }
 
     /** Skip to the next byte boundary of the stream. */
     void

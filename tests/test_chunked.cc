@@ -2,14 +2,16 @@
  * @file
  * Tests for container v2: chunked archives, the chunk index, the
  * v1 backward-compatibility path, chunk-parallel decode being
- * byte-identical to sequential decode, and quality blocks decoding on
- * first use on every decode path.
+ * byte-identical to sequential decode, quality blocks decoding on
+ * first use on every decode path, and every decode path opening a
+ * chunk through one fetch.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <set>
@@ -194,7 +196,6 @@ TEST(ParallelDecode, MatchesSequentialReadSet)
     SageDecoder par(archive.bytes);
     const ReadSet got = par.decodeAll(&pool);
     expectSameReads(got, expect);
-    EXPECT_EQ(par.eventsDecoded(), seq.eventsDecoded());
 }
 
 TEST(ParallelDecode, RestoresPreservedOrder)
@@ -422,8 +423,11 @@ TEST(LazyQuality, ConcurrentFirstTouchMatchesSerial)
     SageDecoder serial(archive.bytes);
     const size_t chunks = serial.chunkCount();
     std::vector<std::vector<Record>> expected;
-    for (size_t c = 0; c < chunks; c++)
-        expected.push_back(records(serial.decodeChunkShared(c)));
+    for (size_t c = 0; c < chunks; c++) {
+        StatusOr<std::vector<Read>> reads = serial.tryDecodeChunkShared(c);
+        ASSERT_TRUE(reads.ok()) << reads.status().toString();
+        expected.push_back(records(reads.value()));
+    }
 
     // A fresh decoder: every quality block is first touched by racing
     // threads, each walking all chunks in its own order.
@@ -461,6 +465,158 @@ TEST(LazyQuality, ConcurrentFirstTouchMatchesSerial)
         EXPECT_EQ(errors[t], "");
         for (size_t c = 0; c < chunks; c++)
             EXPECT_TRUE(got[t][c] == expected[c]) << "chunk " << c;
+    }
+}
+
+// ---------------------------------------------------------------------
+// One chunk fetch behind every decode path
+// ---------------------------------------------------------------------
+
+/** Counts the reads made through it; offers the inner source's views
+ *  only when asked to. */
+class CountingSource final : public ByteSource
+{
+  public:
+    CountingSource(const ByteSource &inner, bool views)
+        : inner_(inner), views_(views)
+    {}
+
+    uint64_t size() const override { return inner_.size(); }
+    void
+    readAt(uint64_t offset, void *dst, size_t size) const override
+    {
+        singles_++;
+        inner_.readAt(offset, dst, size);
+    }
+    const uint8_t *
+    view(uint64_t offset, size_t size) const override
+    {
+        return views_ ? inner_.view(offset, size) : nullptr;
+    }
+    void
+    readBatch(const Extent *extents, size_t count) const override
+    {
+        batches_++;
+        inner_.readBatch(extents, count);
+    }
+    Status
+    tryReadAt(uint64_t offset, void *dst, size_t size) const override
+    {
+        singles_++;
+        return inner_.tryReadAt(offset, dst, size);
+    }
+    Status
+    tryReadBatch(const Extent *extents, size_t count) const override
+    {
+        batches_++;
+        return inner_.tryReadBatch(extents, count);
+    }
+    std::string describe() const override { return "<counting>"; }
+
+    void
+    reset()
+    {
+        singles_ = 0;
+        batches_ = 0;
+    }
+    uint64_t singles() const { return singles_; }
+    uint64_t batches() const { return batches_; }
+
+  private:
+    const ByteSource &inner_;
+    const bool views_;
+    mutable std::atomic<uint64_t> singles_{0}, batches_{0};
+};
+
+/** Reads made by one decode path's full walk, counted after open. */
+struct WalkReads
+{
+    std::string path;
+    uint64_t singles = 0;
+    uint64_t batches = 0;
+};
+
+/** Walk a fresh decoder over @p source with every decode path. */
+std::vector<WalkReads>
+countWalkReads(CountingSource &source)
+{
+    ThreadPool pool(3);
+    ThreadPool prefetch(1);
+    const std::vector<std::pair<std::string,
+                                std::function<void(SageDecoder &)>>>
+        paths = {
+            {"next", [](SageDecoder &d) {
+                 while (d.hasNext())
+                     d.next();
+             }},
+            {"decodeChunks", [](SageDecoder &d) {
+                 d.decodeChunks(0, d.chunkCount());
+             }},
+            {"decodeChunks+pool", [&](SageDecoder &d) {
+                 d.decodeChunks(0, d.chunkCount(), &pool);
+             }},
+            {"decodeAll", [](SageDecoder &d) { d.decodeAll(); }},
+            {"decodeAllPacked+pool", [&](SageDecoder &d) {
+                 d.decodeAllPacked(OutputFormat::TwoBit, &pool);
+             }},
+            {"tryDecodeChunkShared", [](SageDecoder &d) {
+                 for (size_t c = 0; c < d.chunkCount(); c++)
+                     ASSERT_TRUE(d.tryDecodeChunkShared(c).ok());
+             }},
+            {"prefetch next", [&](SageDecoder &d) {
+                 d.setPrefetchPool(&prefetch);
+                 while (d.hasNext())
+                     d.next();
+             }},
+            {"prefetch decodeAll", [&](SageDecoder &d) {
+                 d.setPrefetchPool(&prefetch);
+                 d.decodeAll();
+             }},
+        };
+    std::vector<WalkReads> out;
+    for (const auto &[name, walk] : paths) {
+        SageDecoder decoder(source);
+        source.reset();
+        walk(decoder);
+        out.push_back({name, source.singles(), source.batches()});
+    }
+    return out;
+}
+
+/** A multi-chunk archive with escapes, quality and preserved order. */
+std::vector<uint8_t>
+fetchTestArchive()
+{
+    DatasetSpec spec = makeTinySpec(false);
+    spec.sequencer.nReadProb = 0.05;
+    const SimulatedDataset ds = synthesizeDataset(spec);
+    SageConfig config;
+    config.chunkReads = 11;
+    config.preserveOrder = true;
+    return sageCompress(ds.readSet, ds.reference, config).bytes;
+}
+
+TEST(ChunkFetch, ViewsMeanNoReads)
+{
+    const std::vector<uint8_t> bytes = fetchTestArchive();
+    const MemorySource memory(bytes);
+    CountingSource source(memory, /*views=*/true);
+    for (const WalkReads &walk : countWalkReads(source)) {
+        EXPECT_EQ(walk.singles, 0u) << walk.path;
+        EXPECT_EQ(walk.batches, 0u) << walk.path;
+    }
+}
+
+TEST(ChunkFetch, OneBatchedReadPerChunk)
+{
+    const std::vector<uint8_t> bytes = fetchTestArchive();
+    const MemorySource memory(bytes);
+    CountingSource source(memory, /*views=*/false);
+    const size_t chunks = SageDecoder(memory).chunkCount();
+    ASSERT_GT(chunks, 2u);
+    for (const WalkReads &walk : countWalkReads(source)) {
+        EXPECT_EQ(walk.singles, 0u) << walk.path;
+        EXPECT_EQ(walk.batches, chunks) << walk.path;
     }
 }
 

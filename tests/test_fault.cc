@@ -26,6 +26,7 @@
 #include "core/sage.hh"
 #include "io/fault_injection.hh"
 #include "simgen/synthesize.hh"
+#include "util/rng.hh"
 #include "util/thread_pool.hh"
 #include "util/varint.hh"
 
@@ -383,6 +384,116 @@ TEST(CorruptArchive, QualityStreamMustCoverEveryRead)
             no_quality.stream(name) = bundle.stream(name);
     }
     EXPECT_EQ(reframedOpenStatus(no_quality).code(), StatusCode::Corrupt);
+}
+
+TEST(CorruptArchive, BadThreeBitCodeIsCorrupt)
+{
+    // A consensus with an N in front is stored 3-bit packed, and reads
+    // holding an N escape whole, 3-bit packed. Here only the all-N
+    // reads escape, so both streams start with code 4 (N); with its
+    // low bit flipped it is 5, which is no base.
+    Rng rng(19);
+    std::string consensus = "N";
+    for (int i = 0; i < 4000; i++)
+        consensus += "ACGT"[rng.nextBelow(4)];
+    ReadSet rs;
+    for (int i = 0; i < 48; i++) {
+        Read read;
+        read.header = "r" + std::to_string(i);
+        read.bases = i % 6 == 0 ? std::string(100, 'N')
+                                : consensus.substr(1 + 71 * i, 100);
+        read.quals = std::string(100, 'I');
+        rs.reads.push_back(std::move(read));
+    }
+    SageConfig config;
+    config.chunkReads = 8;
+    const std::vector<uint8_t> bytes =
+        sageCompress(rs, consensus, config).bytes;
+    const StreamDirectory dir =
+        StreamDirectory::parse(MemorySource(bytes));
+
+    for (const char *stream : {"consensus", "escape"}) {
+        std::vector<uint8_t> flipped = bytes;
+        const uint64_t at = dir.extent(stream).offset;
+        ASSERT_EQ(flipped[at] & 7, 4) << stream << " starts with no N";
+        flipped[at] ^= 1;
+        const MemorySource source(flipped);
+        const StatusOr<std::unique_ptr<SageDecoder>> opened =
+            SageDecoder::tryOpen(source);
+        Status status = opened.ok() ? Status() : opened.status();
+        for (size_t c = 0; opened.ok() && c < (*opened)->chunkCount() &&
+             status.ok(); c++) {
+            const StatusOr<std::vector<Read>> reads =
+                (*opened)->tryDecodeChunkShared(c);
+            if (!reads.ok())
+                status = reads.status();
+        }
+        EXPECT_EQ(status.code(), StatusCode::Corrupt) << stream;
+        EXPECT_NE(status.message().find("bad base code"),
+                  std::string::npos)
+            << stream << ": " << status.toString();
+    }
+}
+
+/** Flip every bit of @p bytes in [first, last), one at a time, handing
+ *  each variant to @p check. */
+template <typename Check>
+void
+forEachBitFlip(std::vector<uint8_t> bytes, size_t first, size_t last,
+               const Check &check)
+{
+    for (size_t at = first; at < last; at++) {
+        for (unsigned bit = 0; bit < 8; bit++) {
+            bytes[at] ^= static_cast<uint8_t>(1u << bit);
+            check(bytes);
+            bytes[at] ^= static_cast<uint8_t>(1u << bit);
+        }
+    }
+}
+
+TEST(CorruptArchive, GpzipBitFlipsAlwaysReturnStatus)
+{
+    // Flips in a gpzip stream's framing (its block sizes) or near the
+    // end of its last block can leave a prefix code that needs more
+    // bits than the stream holds. gpzip, and the archive open that
+    // decodes the header stream through it, report that as Truncated.
+    constexpr size_t kFramingBytes = 16;
+    constexpr size_t kTailBytes = 64;
+
+    const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
+    std::string text;
+    for (const Read &read : ds.readSet.reads)
+        text += read.header + '\n';
+    const std::vector<uint8_t> stream = gpzip::compress(text);
+    ASSERT_GT(stream.size(), kFramingBytes + kTailBytes);
+    uint64_t truncated = 0;
+    const auto decompress = [&](const std::vector<uint8_t> &bytes) {
+        const StatusOr<std::vector<uint8_t>> out =
+            gpzip::tryDecompress(bytes);
+        truncated += !out.ok() && out.status().code() == StatusCode::Truncated;
+    };
+    forEachBitFlip(stream, 0, kFramingBytes, decompress);
+    forEachBitFlip(stream, stream.size() - kTailBytes, stream.size(),
+                   decompress);
+    EXPECT_GT(truncated, 0u);
+
+    const std::vector<uint8_t> archive = makeArchiveBytes();
+    const StreamExtent headers =
+        StreamDirectory::parse(MemorySource(archive)).extent("headers");
+    ASSERT_GT(headers.size, kFramingBytes + kTailBytes);
+    truncated = 0;
+    const auto open = [&](const std::vector<uint8_t> &bytes) {
+        const MemorySource source(bytes);
+        const StatusOr<std::unique_ptr<SageDecoder>> opened =
+            SageDecoder::tryOpen(source);
+        truncated += !opened.ok() &&
+            opened.status().code() == StatusCode::Truncated;
+    };
+    forEachBitFlip(archive, headers.offset, headers.offset + kFramingBytes,
+                   open);
+    forEachBitFlip(archive, headers.offset + headers.size - kTailBytes,
+                   headers.offset + headers.size, open);
+    EXPECT_GT(truncated, 0u);
 }
 
 // ---------------------------------------------------------------------

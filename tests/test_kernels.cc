@@ -126,15 +126,46 @@ TEST(Kernel3Bit, MatchesPerBitReferenceAcrossLengths)
         ASSERT_EQ(packed, expect) << "len " << len;
 
         std::string out(len, '\0');
-        kernels::unpack3bit(packed.data(), packed.size(), len,
-                            out.data());
+        ASSERT_TRUE(kernels::unpack3bit(packed.data(), packed.size(), len,
+                                        out.data()));
         ASSERT_EQ(out, seq) << "len " << len;
         ASSERT_EQ(perBitUnpack(packed, len, 3), seq);
 
         std::string scalar_out(len, '\0');
-        kernels::scalar::unpack3bit(packed.data(), packed.size(), len,
-                                    scalar_out.data());
+        ASSERT_TRUE(kernels::scalar::unpack3bit(
+            packed.data(), packed.size(), len, scalar_out.data()));
         ASSERT_EQ(scalar_out, seq) << "len " << len;
+    }
+}
+
+TEST(Kernel3Bit, FlagsABadCodeAtEveryPosition)
+{
+    // Codes 5-7 are no base. Wherever one sits (SIMD body or scalar
+    // tail), every tier reports it and still fills the output.
+    Rng rng(11);
+    for (size_t len = 1; len <= 257; len++) {
+        const std::string seq = randomSeq(rng, len, /*with_n=*/true);
+        std::vector<uint8_t> packed((3 * len + 7) / 8);
+        kernels::pack3bit(seq.data(), len, packed.data());
+        for (size_t k = 0; k < len; k++) {
+            std::vector<uint8_t> bad = packed;
+            for (unsigned b = 0; b < 3; b++) {
+                const size_t bit = 3 * k + b;
+                const uint8_t mask = static_cast<uint8_t>(1u << (bit & 7));
+                if ((5u >> b) & 1u)
+                    bad[bit >> 3] |= mask;
+                else
+                    bad[bit >> 3] &= static_cast<uint8_t>(~mask);
+            }
+            std::string out(len, '\0');
+            ASSERT_FALSE(kernels::unpack3bit(bad.data(), bad.size(), len,
+                                             out.data()))
+                << "len " << len << " code " << k;
+            ASSERT_EQ(out[k], 'N') << "len " << len << " code " << k;
+            ASSERT_FALSE(kernels::scalar::unpack3bit(bad.data(), bad.size(),
+                                                     len, out.data()))
+                << "len " << len << " code " << k;
+        }
     }
 }
 

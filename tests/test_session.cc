@@ -346,13 +346,15 @@ class PrefetchDecode : public ::testing::Test
     void TearDown() override { std::remove(path_.c_str()); }
 
     SageReaderOptions
-    prefetchOptions() const
+    prefetchOptions()
     {
         SageReaderOptions options;
-        options.prefetch = true;
+        options.prefetchPool = &prefetchPool_;
         return options;
     }
 
+    /** One thread is enough: the prefetch task blocks on I/O. */
+    ThreadPool prefetchPool_{1};
     SimulatedDataset ds_;
     SageArchive archive_;
     std::string path_;
