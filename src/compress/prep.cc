@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "genomics/alphabet.hh"
+#include "util/thread_pool.hh"
 
 namespace sage {
 
@@ -14,21 +15,26 @@ prepareReads(const ReadSet &rs, std::string_view consensus,
     prep.source = &rs;
     prep.classes.resize(rs.reads.size());
 
-    ConsensusMapper mapper(consensus, config);
-    std::vector<ReadMapping> mappings = mapper.mapAll(rs, pool);
-
-    for (size_t i = 0; i < rs.reads.size(); i++) {
+    const ConsensusMapper mapper(consensus, config);
+    auto classify = [&](size_t i) {
         ReadClass &cls = prep.classes[i];
         // Reads with N expand the alphabet beyond 2 bits: corner case
         // (paper §5.1.4); they take the escape path regardless of
         // mappability so every mismatch base stays 2-bit encodable.
+        // Classified first, they are never mapped.
         if (!isAcgtOnly(rs.reads[i].bases)) {
             cls.escape = EscapeReason::ContainsN;
-        } else if (!mappings[i].mapped) {
-            cls.escape = EscapeReason::Unmapped;
-        } else {
-            cls.mapping = std::move(mappings[i]);
+            return;
         }
+        cls.mapping = mapper.mapSequence(rs.reads[i].bases);
+        if (!cls.mapping.mapped)
+            cls.escape = EscapeReason::Unmapped;
+    };
+    if (pool != nullptr) {
+        pool->parallelFor(rs.reads.size(), classify);
+    } else {
+        for (size_t i = 0; i < rs.reads.size(); i++)
+            classify(i);
     }
 
     // Encoding order: mapped reads by (primary position, index) so the

@@ -56,7 +56,9 @@ struct PreppedReads
     }
 };
 
-/** Map, classify and reorder a read set against @p consensus. */
+/** Classify, map and reorder a read set against @p consensus. Reads
+ *  holding a non-ACGT base escape as ContainsN without being mapped;
+ *  with a pool, reads classify and map in parallel. */
 PreppedReads prepareReads(const ReadSet &rs, std::string_view consensus,
                           const MapperConfig &config,
                           ThreadPool *pool = nullptr);

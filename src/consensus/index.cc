@@ -64,6 +64,21 @@ MinimizerIndex::lookup(uint64_t kmer) const
     }
 }
 
+void
+MinimizerIndex::lookupAll(const std::vector<KmerHit> &seeds,
+                          std::vector<SeedHits> &hits) const
+{
+    const size_t mask = slots_.size() - 1;
+    for (const KmerHit &seed : seeds)
+        __builtin_prefetch(&slots_[hashKmer(seed.kmer) & mask]);
+    hits.resize(seeds.size());
+    for (size_t i = 0; i < seeds.size(); i++) {
+        hits[i] = lookup(seeds[i].kmer);
+        if (!hits[i].empty())
+            __builtin_prefetch(hits[i].data);
+    }
+}
+
 size_t
 MinimizerIndex::memoryBytes() const
 {

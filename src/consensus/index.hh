@@ -60,6 +60,15 @@ class MinimizerIndex
      */
     SeedHits lookup(uint64_t kmer) const;
 
+    /**
+     * lookup() of every seed in @p seeds, into @p hits (resized to
+     * match). The first probe slot of every seed is prefetched before
+     * any is probed, and each found seed's positions before they are
+     * read, so one batch's cache misses overlap instead of queueing.
+     */
+    void lookupAll(const std::vector<KmerHit> &seeds,
+                   std::vector<SeedHits> &hits) const;
+
     const IndexConfig &config() const { return config_; }
     std::string_view consensus() const { return consensus_; }
 

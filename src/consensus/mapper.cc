@@ -9,15 +9,73 @@
 
 namespace sage {
 
-/** One anchor chain: co-linear seed matches on a shared diagonal band. */
+/** One seed match: a read offset and a consensus offset. */
+struct ConsensusMapper::Anchor
+{
+    uint32_t read;
+    uint32_t cons;
+};
+
+/** One kept chain: co-linear seed matches on a shared diagonal band,
+ *  stored as a read-sorted run of its strand's anchor array. */
 struct ConsensusMapper::Chain
 {
-    /** Anchor (read offset, consensus offset) pairs, read-sorted. */
-    std::vector<std::pair<uint32_t, uint32_t>> anchors;
+    uint32_t first = 0;  ///< Index of the first anchor.
+    uint32_t count = 0;  ///< Number of anchors.
     uint32_t score = 0;  ///< Read span covered (proxy for quality).
+};
 
-    uint32_t readStart() const { return anchors.front().first; }
-    uint32_t readEnd() const { return anchors.back().first; }
+/** One strand's kept chains, best first, over one array that holds
+ *  each chain's anchors contiguously. */
+struct ConsensusMapper::StrandChains
+{
+    std::vector<Anchor> anchors;
+    std::vector<Chain> chains;
+
+    uint32_t
+    bestScore() const
+    {
+        return chains.empty() ? 0 : chains.front().score;
+    }
+    const Anchor *begin(const Chain &c) const { return &anchors[c.first]; }
+    const Anchor *end(const Chain &c) const { return begin(c) + c.count; }
+    uint32_t readStart(const Chain &c) const { return begin(c)->read; }
+    uint32_t readEnd(const Chain &c) const { return (end(c) - 1)->read; }
+};
+
+/**
+ * Working memory of mapSequence. One lives per thread and is reused
+ * across reads, so a mapping worker allocates only while its buffers
+ * grow.
+ */
+struct ConsensusMapper::Scratch
+{
+    /** The last anchor of one chain, as the chaining search sees it. */
+    struct Tip
+    {
+        int64_t diag;   ///< cons - read of the chain's last anchor.
+        uint32_t read;  ///< Read offset of the chain's last anchor.
+        uint32_t cons;  ///< Consensus offset of the chain's last anchor.
+        uint32_t chain; ///< Creation index; the earlier chain wins ties.
+    };
+
+    /** One chain being grown, by creation index. */
+    struct Grown
+    {
+        uint32_t start; ///< Read offset of the first anchor.
+        uint32_t last;  ///< Read offset of the last anchor.
+        uint32_t size;  ///< Number of anchors.
+        uint32_t slot;  ///< Next output index; kDropped if not kept.
+    };
+    static constexpr uint32_t kDropped = UINT32_MAX;
+
+    std::vector<KmerHit> fwdSeeds, revSeeds;
+    std::vector<SeedHits> hits;
+    std::vector<Anchor> anchors;  ///< One strand's, (read, cons)-sorted.
+    std::vector<uint32_t> owner;  ///< Chain of each anchor.
+    std::vector<Tip> tips;        ///< Every chain's tip, by diagonal.
+    std::vector<Grown> grown;
+    StrandChains fwd, rev;
 };
 
 ConsensusMapper::ConsensusMapper(std::string_view consensus,
@@ -27,84 +85,128 @@ ConsensusMapper::ConsensusMapper(std::string_view consensus,
 {
 }
 
-std::vector<ConsensusMapper::Chain>
-ConsensusMapper::buildChains(std::string_view bases) const
+void
+ConsensusMapper::buildChains(const std::vector<KmerHit> &seeds,
+                             Scratch &scratch, StrandChains &out) const
 {
-    const unsigned k = config_.index.k;
-    const auto seeds = extractMinimizers(bases, k, config_.index.w);
+    using Tip = Scratch::Tip;
 
-    // Collect anchors.
-    std::vector<std::pair<uint32_t, uint32_t>> anchors;
-    for (const auto &seed : seeds) {
-        for (uint32_t cpos : index_.lookup(seed.kmer))
-            anchors.emplace_back(seed.pos, cpos);
+    // Anchors arrive sorted: seeds ascend by read offset, each offset
+    // once, and each seed's consensus positions ascend.
+    index_.lookupAll(seeds, scratch.hits);
+    std::vector<Anchor> &anchors = scratch.anchors;
+    anchors.clear();
+    for (size_t i = 0; i < seeds.size(); i++) {
+        for (uint32_t cpos : scratch.hits[i])
+            anchors.push_back({seeds[i].pos, cpos});
     }
-    std::sort(anchors.begin(), anchors.end());
 
-    // Greedy chaining: attach each anchor to the chain with the closest
-    // compatible diagonal; otherwise start a new chain.
-    std::vector<Chain> chains;
-    for (const auto &[rpos, cpos] : anchors) {
+    // Greedy chaining: attach each anchor to the compatible chain with
+    // the smallest read gap, the one created first on a tie; otherwise
+    // start a new chain. A chain is compatible when the anchor advances
+    // past its last anchor in both coordinates and their diagonals
+    // differ by at most chainSlack(gap). The gap is at most the read
+    // offset and chainSlack never shrinks as the gap grows, so every
+    // compatible chain's last diagonal lies within chainSlack(read
+    // offset) of the anchor's. Tips stay sorted by last diagonal and
+    // only that window is searched.
+    std::vector<Tip> &tips = scratch.tips;
+    std::vector<Scratch::Grown> &grown = scratch.grown;
+    tips.clear();
+    grown.clear();
+    scratch.owner.resize(anchors.size());
+    const auto below = [](const Tip &tip, int64_t diag)
+    { return tip.diag < diag; };
+    for (size_t a = 0; a < anchors.size(); a++) {
+        const uint32_t rpos = anchors[a].read, cpos = anchors[a].cons;
         const int64_t diag = static_cast<int64_t>(cpos)
                              - static_cast<int64_t>(rpos);
-        Chain *best = nullptr;
-        int64_t best_gap = -1;
-        for (auto &chain : chains) {
-            const auto &[lr, lc] = chain.anchors.back();
-            if (rpos <= lr || cpos <= lc)
+        const int64_t reach = config_.chainSlack(rpos);
+        Tip *best = nullptr;
+        uint32_t best_gap = 0;
+        for (auto it = std::lower_bound(tips.begin(), tips.end(),
+                                        diag - reach, below);
+             it != tips.end() && it->diag <= diag + reach; ++it) {
+            if (rpos <= it->read || cpos <= it->cons)
                 continue; // Must advance in both coordinates.
-            const uint32_t gap = rpos - lr;
-            const int64_t last_diag = static_cast<int64_t>(lc)
-                                      - static_cast<int64_t>(lr);
-            if (std::llabs(diag - last_diag) >
+            const uint32_t gap = rpos - it->read;
+            if (std::llabs(diag - it->diag) >
                 static_cast<int64_t>(config_.chainSlack(gap))) {
                 continue;
             }
-            if (best == nullptr || gap < best_gap) {
-                best = &chain;
+            if (best == nullptr || gap < best_gap ||
+                (gap == best_gap && it->chain < best->chain)) {
+                best = &*it;
                 best_gap = gap;
             }
         }
         if (best != nullptr) {
-            best->anchors.emplace_back(rpos, cpos);
+            const Tip moved{diag, rpos, cpos, best->chain};
+            Scratch::Grown &chain = grown[moved.chain];
+            chain.last = rpos;
+            chain.size++;
+            scratch.owner[a] = moved.chain;
+            // Re-sort the moved tip into place.
+            size_t at = static_cast<size_t>(best - tips.data());
+            for (; at > 0 && tips[at - 1].diag > diag; at--)
+                tips[at] = tips[at - 1];
+            for (; at + 1 < tips.size() && tips[at + 1].diag < diag; at++)
+                tips[at] = tips[at + 1];
+            tips[at] = moved;
         } else {
-            Chain chain;
-            chain.anchors.emplace_back(rpos, cpos);
-            chains.push_back(std::move(chain));
+            const uint32_t id = static_cast<uint32_t>(grown.size());
+            grown.push_back({rpos, rpos, 1, 0});
+            scratch.owner[a] = id;
+            tips.insert(std::lower_bound(tips.begin(), tips.end(), diag,
+                                         below),
+                        Tip{diag, rpos, cpos, id});
         }
     }
 
-    // Score and prune.
-    std::vector<Chain> kept;
-    for (auto &chain : chains) {
-        if (chain.anchors.size() < config_.minChainAnchors)
+    // Keep chains of minChainAnchors or more, in creation order, then
+    // lay each one's anchors out as one run.
+    const unsigned k = config_.index.k;
+    out.chains.clear();
+    uint32_t kept_anchors = 0;
+    for (Scratch::Grown &chain : grown) {
+        if (chain.size < config_.minChainAnchors) {
+            chain.slot = Scratch::kDropped;
             continue;
-        chain.score = chain.readEnd() - chain.readStart() + k;
-        kept.push_back(std::move(chain));
+        }
+        chain.slot = kept_anchors;
+        out.chains.push_back({kept_anchors, chain.size,
+                              chain.last - chain.start + k});
+        kept_anchors += chain.size;
     }
-    std::sort(kept.begin(), kept.end(),
+    out.anchors.resize(kept_anchors);
+    for (size_t a = 0; a < anchors.size(); a++) {
+        uint32_t &slot = grown[scratch.owner[a]].slot;
+        if (slot != Scratch::kDropped)
+            out.anchors[slot++] = anchors[a];
+    }
+    std::sort(out.chains.begin(), out.chains.end(),
               [](const Chain &a, const Chain &b)
               { return a.score > b.score; });
-    return kept;
 }
 
 bool
-ConsensusMapper::alignChain(std::string_view bases, const Chain &chain,
-                            uint32_t read_start, uint32_t read_end,
-                            AlignedSegment &out) const
+ConsensusMapper::alignChain(std::string_view bases, const Anchor *first,
+                            const Anchor *last, uint32_t read_start,
+                            uint32_t read_end, AlignedSegment &out) const
 {
-    // Keep only anchors inside the assigned read interval.
-    std::vector<std::pair<uint32_t, uint32_t>> anchors;
-    for (const auto &a : chain.anchors) {
-        if (a.first >= read_start && a.first < read_end)
-            anchors.push_back(a);
-    }
-    if (anchors.empty())
+    // Keep only anchors inside the assigned read interval. A chain's
+    // anchors ascend in read offset, so they are one run.
+    while (first != last && first->read < read_start)
+        ++first;
+    const Anchor *inside_end = first;
+    while (inside_end != last && inside_end->read < read_end)
+        ++inside_end;
+    if (first == inside_end)
         return false;
 
     // Project the segment's consensus start from the first anchor.
-    const int64_t first_diag = static_cast<int64_t>(anchors[0].second)
-                               - static_cast<int64_t>(anchors[0].first);
+    const int64_t first_diag = static_cast<int64_t>(first->cons)
+                               - static_cast<int64_t>(first->read);
     int64_t cons_start = static_cast<int64_t>(read_start) + first_diag;
     cons_start = std::clamp<int64_t>(
         cons_start, 0, static_cast<int64_t>(consensus_.size()) - 1);
@@ -117,34 +219,14 @@ ConsensusMapper::alignChain(std::string_view bases, const Chain &chain,
     // Piecewise alignment between anchor waypoints. Waypoints tile the
     // consensus contiguously, so the concatenated edit scripts form one
     // valid segment script (see reconstructSegment).
-    struct Piece { uint32_t rBegin, rEnd; int64_t cBegin, cEnd; };
-    std::vector<Piece> pieces;
-
-    uint32_t cur_r = read_start;
-    int64_t cur_c = cons_start;
-    for (const auto &[ar, ac] : anchors) {
-        if (ar <= cur_r || static_cast<int64_t>(ac) <= cur_c)
-            continue; // Skip anchors that do not advance.
-        pieces.push_back({cur_r, ar, cur_c, static_cast<int64_t>(ac)});
-        cur_r = ar;
-        cur_c = static_cast<int64_t>(ac);
-    }
-    // Tail piece: project an equal-length consensus window.
-    {
-        const int64_t want = static_cast<int64_t>(read_end) - cur_r;
-        const int64_t c_end = std::min<int64_t>(
-            cur_c + want, static_cast<int64_t>(consensus_.size()));
-        pieces.push_back({cur_r, read_end, cur_c, c_end});
-    }
-
-    for (const auto &piece : pieces) {
-        if (piece.rBegin == piece.rEnd && piece.cBegin == piece.cEnd)
-            continue;
-        std::string_view query =
-            bases.substr(piece.rBegin, piece.rEnd - piece.rBegin);
+    auto align_piece = [&](uint32_t r_begin, uint32_t r_end,
+                           int64_t c_begin, int64_t c_end) {
+        if (r_begin == r_end && c_begin == c_end)
+            return true;
+        std::string_view query = bases.substr(r_begin, r_end - r_begin);
         std::string_view target = consensus_.substr(
-            static_cast<size_t>(piece.cBegin),
-            static_cast<size_t>(piece.cEnd - piece.cBegin));
+            static_cast<size_t>(c_begin),
+            static_cast<size_t>(c_end - c_begin));
 
         const int64_t diff = static_cast<int64_t>(target.size())
                              - static_cast<int64_t>(query.size());
@@ -160,45 +242,64 @@ ConsensusMapper::alignChain(std::string_view bases, const Chain &chain,
         if (!aligned)
             return false;
 
-        const uint32_t offset = piece.rBegin - read_start;
+        const uint32_t offset = r_begin - read_start;
         for (auto &op : aligned->ops) {
             op.readPos += offset;
             out.ops.push_back(std::move(op));
         }
+        return true;
+    };
+
+    uint32_t cur_r = read_start;
+    int64_t cur_c = cons_start;
+    for (const Anchor *a = first; a != inside_end; ++a) {
+        if (a->read <= cur_r || static_cast<int64_t>(a->cons) <= cur_c)
+            continue; // Skip anchors that do not advance.
+        if (!align_piece(cur_r, a->read, cur_c, a->cons))
+            return false;
+        cur_r = a->read;
+        cur_c = static_cast<int64_t>(a->cons);
     }
-    return true;
+    // Tail piece: project an equal-length consensus window.
+    const int64_t want = static_cast<int64_t>(read_end) - cur_r;
+    const int64_t c_end = std::min<int64_t>(
+        cur_c + want, static_cast<int64_t>(consensus_.size()));
+    return align_piece(cur_r, read_end, cur_c, c_end);
 }
 
 ReadMapping
 ConsensusMapper::mapSequence(std::string_view bases) const
 {
     ReadMapping mapping;
-    if (bases.size() < config_.index.k)
+    const unsigned k = config_.index.k;
+    if (bases.size() < k)
         return mapping;
 
-    // Try both strands and keep the better chain set.
-    std::vector<Chain> fwd = buildChains(bases);
-    const std::string rc = reverseComplement(bases);
-    std::vector<Chain> rev = buildChains(rc);
-
-    const uint32_t fwd_score = fwd.empty() ? 0 : fwd.front().score;
-    const uint32_t rev_score = rev.empty() ? 0 : rev.front().score;
-    const bool use_rev = rev_score > fwd_score;
-    const std::vector<Chain> &chains = use_rev ? rev : fwd;
-    const std::string_view oriented = use_rev
-        ? std::string_view(rc) : bases;
-    if (chains.empty())
+    // Seed both strands from one minimizer pass and keep the better
+    // chain set; the reverse strand's bases are built only if it wins.
+    thread_local Scratch scratch;
+    extractStrandMinimizers(bases, k, config_.index.w, scratch.fwdSeeds,
+                            scratch.revSeeds);
+    buildChains(scratch.fwdSeeds, scratch, scratch.fwd);
+    buildChains(scratch.revSeeds, scratch, scratch.rev);
+    const bool use_rev = scratch.rev.bestScore() > scratch.fwd.bestScore();
+    const StrandChains &strand = use_rev ? scratch.rev : scratch.fwd;
+    if (strand.chains.empty())
         return mapping;
+    const std::string rc = use_rev ? reverseComplement(bases)
+                                   : std::string();
+    const std::string_view oriented = use_rev ? std::string_view(rc)
+                                              : bases;
 
     // Select up to maxSegments chains with limited read overlap
     // (chimeric reads map in pieces; paper §5.1.2, N = 3).
     struct Pick { uint32_t start, end; const Chain *chain; };
     std::vector<Pick> picks;
-    for (const auto &chain : chains) {
+    for (const Chain &chain : strand.chains) {
         if (picks.size() >= config_.maxSegments)
             break;
-        const uint32_t start = chain.readStart();
-        const uint32_t end = chain.readEnd() + config_.index.k;
+        const uint32_t start = strand.readStart(chain);
+        const uint32_t end = strand.readEnd(chain) + k;
         bool overlaps = false;
         for (const auto &pick : picks) {
             const uint32_t lo = std::max(start, pick.start);
@@ -228,8 +329,9 @@ ConsensusMapper::mapSequence(std::string_view bases) const
     uint64_t edits = 0;
     for (size_t i = 0; i < picks.size(); i++) {
         AlignedSegment seg;
-        if (!alignChain(oriented, *picks[i].chain, bounds[i],
-                        bounds[i + 1], seg)) {
+        const Chain &chain = *picks[i].chain;
+        if (!alignChain(oriented, strand.begin(chain), strand.end(chain),
+                        bounds[i], bounds[i + 1], seg)) {
             return ReadMapping{}; // Escape path handles this read.
         }
         for (const auto &op : seg.ops)

@@ -78,7 +78,9 @@ class ConsensusMapper
     /** @p consensus must outlive the mapper. */
     ConsensusMapper(std::string_view consensus, MapperConfig config = {});
 
-    /** Map one oriented base string (both strands are tried). */
+    /** Map one oriented base string (both strands are tried). Safe
+     *  to call from several threads at once: each thread maps through
+     *  its own working memory, reused across calls. */
     ReadMapping mapSequence(std::string_view bases) const;
 
     /** Map every read of a set (optionally across a thread pool). */
@@ -94,15 +96,21 @@ class ConsensusMapper
     const MapperConfig &config() const { return config_; }
 
   private:
+    struct Anchor;
     struct Chain;
+    struct StrandChains;
+    struct Scratch;
 
-    /** Build diagonal-consistent anchor chains for one orientation. */
-    std::vector<Chain> buildChains(std::string_view bases) const;
+    /** Look up one strand's @p seeds and chain the hits by diagonal
+     *  into @p out, working in @p scratch. */
+    void buildChains(const std::vector<KmerHit> &seeds, Scratch &scratch,
+                     StrandChains &out) const;
 
-    /** Convert selected chains into aligned segments. */
-    bool alignChain(std::string_view bases, const Chain &chain,
-                    uint32_t read_start, uint32_t read_end,
-                    AlignedSegment &out) const;
+    /** Align read interval [@p read_start, @p read_end) of @p bases
+     *  along one chain's anchors [@p first, @p last) into @p out. */
+    bool alignChain(std::string_view bases, const Anchor *first,
+                    const Anchor *last, uint32_t read_start,
+                    uint32_t read_end, AlignedSegment &out) const;
 
     std::string_view consensus_;
     MapperConfig config_;

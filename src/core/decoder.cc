@@ -329,13 +329,35 @@ try {
                         headerStarts_.size() - 1, " lines for ",
                         params.numReads, " reads");
     }
+    // The order stream maps stored read i to its original index. It is
+    // a permutation of [0, numReads), or decodeAll would put reads in
+    // the wrong places or outside its result.
     if (dir_.has("order")) {
         status = dir_.tryLoad(*source_, "order", raw);
         if (!status.ok())
             return status;
+        const uint64_t reads = params.numReads;
+        // Each entry takes at least one byte and fits 32 bits: check
+        // before allocating.
+        sage_check_data(reads <= raw.size() && reads <= UINT32_MAX,
+                        Corrupt, "order stream of ", raw.size(),
+                        " bytes cannot hold ", reads, " entries");
+        std::vector<bool> seen(static_cast<size_t>(reads));
+        order_.reserve(static_cast<size_t>(reads));
         size_t pos = 0;
-        while (pos < raw.size())
-            order_.push_back(static_cast<uint32_t>(getVarint(raw, pos)));
+        while (pos < raw.size()) {
+            const uint64_t original = getVarint(raw, pos);
+            sage_check_data(original < reads, Corrupt, "order entry ",
+                            original, " is out of range for ", reads,
+                            " reads");
+            sage_check_data(!seen[original], Corrupt, "order entry ",
+                            original, " appears twice");
+            seen[original] = true;
+            order_.push_back(static_cast<uint32_t>(original));
+        }
+        sage_check_data(order_.size() == reads, Corrupt,
+                        "order stream holds ", order_.size(),
+                        " entries for ", reads, " reads");
     }
     if (!dna_only && params.hasQuality) {
         sage_check_data(dir_.has("quality"), Corrupt,
@@ -759,11 +781,21 @@ SageDecoder::decodeAll(ThreadPool *pool)
             rs.reads.push_back(next());
     }
 
+    // The result holds the stored-order reads [taken, numReads); put
+    // them in original order. order_ is a permutation (checked at open).
     if (!order_.empty()) {
-        std::vector<Read> restored(rs.reads.size());
-        for (size_t i = 0; i < rs.reads.size(); i++) {
-            sage_assert(order_[i] < restored.size(), "bad order index");
-            restored[order_[i]] = std::move(rs.reads[i]);
+        const uint64_t taken = info_.params.numReads - rs.reads.size();
+        constexpr uint32_t kTaken = UINT32_MAX;
+        // by_original[o]: where in rs.reads the read of original index
+        // o sits, or kTaken.
+        std::vector<uint32_t> by_original(order_.size(), kTaken);
+        for (size_t i = 0; i < rs.reads.size(); i++)
+            by_original[order_[taken + i]] = static_cast<uint32_t>(i);
+        std::vector<Read> restored;
+        restored.reserve(rs.reads.size());
+        for (uint32_t i : by_original) {
+            if (i != kTaken)
+                restored.push_back(std::move(rs.reads[i]));
         }
         rs.reads = std::move(restored);
     }

@@ -175,12 +175,15 @@ class SageDecoder
     StatusOr<std::vector<Read>> tryDecodeChunkShared(size_t chunk);
 
     /**
-     * Decode every read not yet taken through next() into a ReadSet
-     * (restores original order when the archive preserved it). With a
-     * pool and a multi-chunk archive, chunks decode in parallel; the
-     * result is identical to the sequential path. Like next(), it
-     * advances the sequential cursor; headers and quality are copied,
-     * so later decodeChunks() calls still return them.
+     * Decode every read not yet taken through next() into a ReadSet.
+     * When the archive preserved the original order, those reads come
+     * in their original relative order: after n next() calls, the
+     * input's reads minus the n taken, in input order. Otherwise they
+     * come in stored order. With a pool and a multi-chunk archive,
+     * chunks decode in parallel; the result is identical to the
+     * sequential path. Like next(), it advances the sequential cursor;
+     * headers and quality are copied, so later decodeChunks() calls
+     * still return them.
      */
     ReadSet decodeAll(ThreadPool *pool = nullptr);
 
@@ -298,6 +301,9 @@ class SageDecoder
     std::vector<uint64_t> headerStarts_;
     /** Null when the archive has no quality scores. */
     std::unique_ptr<QualityStore> quals_;
+    /** Original index of each stored-order read: a permutation of
+     *  [0, numReads), checked at open. Empty when the archive did not
+     *  preserve order. */
     std::vector<uint32_t> order_;
 
     // Field codecs are immutable after construction and shared by all

@@ -2,8 +2,9 @@
  * @file
  * K-mer utilities: rolling 2-bit k-mer extraction and hashing, plus
  * canonical k-mers (min of forward/reverse-complement) and minimizer
- * selection. These back the consensus mapper's index and the GenStore-like
- * in-storage exact-match filter.
+ * selection, one strand or both strands in one pass. These back the
+ * consensus mapper's index and the GenStore-like in-storage
+ * exact-match filter.
  */
 
 #ifndef SAGE_GENOMICS_KMER_HH
@@ -49,6 +50,18 @@ std::vector<KmerHit> extractKmers(std::string_view seq, unsigned k);
  */
 std::vector<KmerHit> extractMinimizers(std::string_view seq, unsigned k,
                                        unsigned w);
+
+/**
+ * Minimizers of both strands from one rolling pass over @p seq: @p fwd
+ * receives extractMinimizers(seq, k, w) and @p rev
+ * extractMinimizers(reverseComplement(seq), k, w), with positions on
+ * the reverse complement. No reverse-complement string is built. Both
+ * vectors are overwritten; a caller that reuses them across sequences
+ * allocates only while they grow.
+ */
+void extractStrandMinimizers(std::string_view seq, unsigned k, unsigned w,
+                             std::vector<KmerHit> &fwd,
+                             std::vector<KmerHit> &rev);
 
 /** Canonical k-mer: lexicographic min of k-mer and reverse complement. */
 uint64_t canonicalKmer(uint64_t kmer, unsigned k);

@@ -386,6 +386,47 @@ TEST(CorruptArchive, QualityStreamMustCoverEveryRead)
     EXPECT_EQ(reframedOpenStatus(no_quality).code(), StatusCode::Corrupt);
 }
 
+TEST(CorruptArchive, OrderStreamMustBeAPermutation)
+{
+    const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
+    SageConfig config;
+    config.chunkReads = 512;
+    config.preserveOrder = true;
+    const StreamBundle bundle = StreamBundle::deserialize(
+        sageCompress(ds.readSet, ds.reference, config).bytes);
+    std::vector<uint64_t> order;
+    const std::vector<uint8_t> &raw = bundle.stream("order");
+    for (size_t pos = 0; pos < raw.size();)
+        order.push_back(getVarint(raw, pos));
+    ASSERT_EQ(order.size(), ds.readSet.reads.size());
+    ASSERT_TRUE(reframedOpenStatus(bundle).ok());
+
+    // Re-encode an edited order stream; only its entries are wrong.
+    auto with_order = [&](const std::vector<uint64_t> &entries) {
+        StreamBundle edited = bundle;
+        std::vector<uint8_t> &stream = edited.stream("order");
+        stream.clear();
+        for (uint64_t entry : entries)
+            putVarint(stream, entry);
+        return reframedOpenStatus(edited);
+    };
+    std::vector<uint64_t> one_short = order;
+    one_short.pop_back();
+    EXPECT_EQ(with_order(one_short).code(), StatusCode::Corrupt);
+
+    std::vector<uint64_t> duplicated = order;
+    duplicated[1] = duplicated[0];
+    EXPECT_EQ(with_order(duplicated).code(), StatusCode::Corrupt);
+
+    std::vector<uint64_t> out_of_range = order;
+    out_of_range[0] = order.size();
+    EXPECT_EQ(with_order(out_of_range).code(), StatusCode::Corrupt);
+
+    std::vector<uint64_t> one_long = order;
+    one_long.push_back(order.size());
+    EXPECT_EQ(with_order(one_long).code(), StatusCode::Corrupt);
+}
+
 TEST(CorruptArchive, BadThreeBitCodeIsCorrupt)
 {
     // A consensus with an N in front is stored 3-bit packed, and reads

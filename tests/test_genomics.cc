@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <string_view>
 
 #include "genomics/alphabet.hh"
@@ -184,35 +185,45 @@ bruteForceMinimizers(std::string_view seq, unsigned k, unsigned w)
     return out;
 }
 
+/**
+ * A sequence for the minimizer tests' trial @p trial at k-mer length
+ * @p k: every fourth is shorter than k; the rest carry runs of N
+ * (upper or lower case) and tandem repeats, whose equal k-mers tie on
+ * hash, between ACGT stretches.
+ */
+std::string
+minimizerTrialSequence(Rng &rng, unsigned k, int trial)
+{
+    const size_t len = trial % 4 == 0 ? rng.nextBelow(k)
+                                      : 1 + rng.nextBelow(300);
+    std::string seq;
+    while (seq.size() < len) {
+        if (rng.nextBool(0.02)) {
+            const char n = rng.nextBool(0.5) ? 'N' : 'n';
+            seq.append(1 + rng.nextBelow(k + 3), n);
+        } else if (rng.nextBool(0.01)) {
+            std::string repeat_unit;
+            for (uint64_t u = 1 + rng.nextBelow(3); u > 0; u--)
+                repeat_unit.push_back(
+                    codeToBase(static_cast<uint8_t>(rng.nextBelow(4))));
+            for (uint64_t r = k + rng.nextBelow(2 * k); r > 0; r--)
+                seq += repeat_unit;
+        } else {
+            seq.push_back(
+                codeToBase(static_cast<uint8_t>(rng.nextBelow(4))));
+        }
+    }
+    seq.resize(len);
+    return seq;
+}
+
 TEST(Kmer, MinimizersMatchBruteForceWindowMinimum)
 {
     Rng rng(19);
     for (unsigned k : {11u, 15u, 31u}) {
         for (unsigned w : {1u, 2u, 5u, 8u}) {
             for (int trial = 0; trial < 40; trial++) {
-                // Every fourth sequence is shorter than k; the rest carry
-                // runs of N (upper or lower case) and tandem repeats,
-                // whose equal k-mers tie on hash, between ACGT stretches.
-                const size_t len = trial % 4 == 0 ? rng.nextBelow(k)
-                                                  : 1 + rng.nextBelow(300);
-                std::string seq;
-                while (seq.size() < len) {
-                    if (rng.nextBool(0.02)) {
-                        const char n = rng.nextBool(0.5) ? 'N' : 'n';
-                        seq.append(1 + rng.nextBelow(k + 3), n);
-                    } else if (rng.nextBool(0.01)) {
-                        std::string repeat_unit;
-                        for (uint64_t u = 1 + rng.nextBelow(3); u > 0; u--)
-                            repeat_unit.push_back(codeToBase(
-                                static_cast<uint8_t>(rng.nextBelow(4))));
-                        for (uint64_t r = k + rng.nextBelow(2 * k); r > 0; r--)
-                            seq += repeat_unit;
-                    } else {
-                        seq.push_back(codeToBase(
-                            static_cast<uint8_t>(rng.nextBelow(4))));
-                    }
-                }
-                seq.resize(len);
+                const std::string seq = minimizerTrialSequence(rng, k, trial);
                 const auto expected = bruteForceMinimizers(seq, k, w);
                 const auto got = extractMinimizers(seq, k, w);
                 ASSERT_EQ(got.size(), expected.size())
@@ -224,6 +235,61 @@ TEST(Kmer, MinimizersMatchBruteForceWindowMinimum)
                         EXPECT_LT(got[i - 1].pos, got[i].pos);
                     }
                 }
+            }
+        }
+    }
+}
+
+void
+expectSameHits(const std::vector<KmerHit> &got,
+               const std::vector<KmerHit> &expected)
+{
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); i++) {
+        EXPECT_EQ(got[i].pos, expected[i].pos);
+        EXPECT_EQ(got[i].kmer, expected[i].kmer);
+    }
+}
+
+TEST(Kmer, BothStrandsMatchReverseComplement)
+{
+    // Reused output vectors also check that each call overwrites them.
+    std::vector<KmerHit> fwd, rev;
+    Rng rng(19);
+    for (unsigned k : {11u, 15u, 31u}) {
+        for (unsigned w : {1u, 2u, 5u, 8u}) {
+            for (int trial = 0; trial < 40; trial++) {
+                const std::string seq = minimizerTrialSequence(rng, k, trial);
+                SCOPED_TRACE("k=" + std::to_string(k) + " w=" +
+                             std::to_string(w) + " seq=" + seq);
+                extractStrandMinimizers(seq, k, w, fwd, rev);
+                expectSameHits(fwd, extractMinimizers(seq, k, w));
+                expectSameHits(rev, extractMinimizers(
+                                        reverseComplement(seq), k, w));
+            }
+        }
+    }
+}
+
+TEST(Kmer, WideWindowsMatchBruteForce)
+{
+    // With w > k a window can reach back across a run of N, so the
+    // minimum may leave it while older k-mers from before the run are
+    // still in the ring. Both scans must match the reference there too.
+    std::vector<KmerHit> fwd, rev;
+    Rng rng(23);
+    for (unsigned k : {5u, 11u}) {
+        for (unsigned w : {12u, 33u}) {
+            for (int trial = 0; trial < 40; trial++) {
+                const std::string seq = minimizerTrialSequence(rng, k, trial);
+                SCOPED_TRACE("k=" + std::to_string(k) + " w=" +
+                             std::to_string(w) + " seq=" + seq);
+                const auto expected = bruteForceMinimizers(seq, k, w);
+                expectSameHits(extractMinimizers(seq, k, w), expected);
+                extractStrandMinimizers(seq, k, w, fwd, rev);
+                expectSameHits(fwd, expected);
+                expectSameHits(rev, bruteForceMinimizers(
+                                        reverseComplement(seq), k, w));
             }
         }
     }

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <string>
 
 #include "core/sage.hh"
 #include "simgen/synthesize.hh"
@@ -365,6 +367,30 @@ TEST(SageEncode, ByteIdenticalAcrossPoolSizes)
     }
 }
 
+TEST(SageEncode, ByteIdenticalOnRepeatRichReads)
+{
+    // RS2-like reads over a small reference that is 30% repeat copies:
+    // strands there collect far more anchors and open chains (up to 59
+    // on one strand) than the tiny sets reach, so the chaining search
+    // and its tie-breaks run where the pins above do not take them.
+    DatasetSpec spec = makeRs2Spec();
+    spec.seed = 7;
+    spec.genome.referenceLength = 60000;
+    spec.genome.repeatFraction = 0.3;
+    const SimulatedDataset ds = synthesizeDataset(spec);
+    SageConfig config;
+    config.chunkReads = 4096;
+    ThreadPool one(1), four(4);
+    const std::vector<uint8_t> serial =
+        sageCompress(ds.readSet, ds.reference, config).bytes;
+    EXPECT_EQ(sageCompress(ds.readSet, ds.reference, config, &one).bytes,
+              serial);
+    EXPECT_EQ(sageCompress(ds.readSet, ds.reference, config, &four).bytes,
+              serial);
+    ASSERT_EQ(serial.size(), 121121u);
+    EXPECT_EQ(trailerCrc(serial), 0x2e2940d1u);
+}
+
 TEST(SageDecoderInfo, StreamSizesAndWorkingSet)
 {
     const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
@@ -393,6 +419,40 @@ TEST(SageStreaming, NextYieldsSameAsDecodeAll)
         i++;
     }
     EXPECT_EQ(i, all.reads.size());
+}
+
+TEST(SageStreaming, DecodeAllAfterNextKeepsOriginalOrder)
+{
+    // Reads taken through next() leave decodeAll() the rest, in their
+    // original relative order. 600 takes cross a chunk boundary.
+    const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
+    SageConfig config;
+    config.chunkReads = 512;
+    config.preserveOrder = true;
+    const SageArchive archive =
+        sageCompress(ds.readSet, ds.reference, config);
+    for (size_t takes : {size_t(1), size_t(600)}) {
+        SCOPED_TRACE(takes);
+        SageDecoder decoder(archive.bytes);
+        std::set<std::string> taken;
+        for (size_t i = 0; i < takes; i++)
+            taken.insert(decoder.next().header);
+        const ReadSet rest = decoder.decodeAll();
+        EXPECT_FALSE(decoder.hasNext());
+
+        std::vector<const Read *> expected;
+        for (const Read &read : ds.readSet.reads) {
+            if (taken.count(read.header) == 0)
+                expected.push_back(&read);
+        }
+        ASSERT_EQ(taken.size(), takes);
+        ASSERT_EQ(rest.reads.size(), expected.size());
+        for (size_t i = 0; i < expected.size(); i++) {
+            EXPECT_EQ(rest.reads[i].header, expected[i]->header);
+            EXPECT_EQ(rest.reads[i].bases, expected[i]->bases);
+            EXPECT_EQ(rest.reads[i].quals, expected[i]->quals);
+        }
+    }
 }
 
 } // namespace
