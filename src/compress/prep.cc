@@ -15,7 +15,7 @@ prepareReads(const ReadSet &rs, std::string_view consensus,
     prep.source = &rs;
     prep.classes.resize(rs.reads.size());
 
-    const ConsensusMapper mapper(consensus, config);
+    const ConsensusMapper mapper(consensus, config, pool);
     auto classify = [&](size_t i) {
         ReadClass &cls = prep.classes[i];
         // Reads with N expand the alphabet beyond 2 bits: corner case

@@ -58,7 +58,8 @@ struct PreppedReads
 
 /** Classify, map and reorder a read set against @p consensus. Reads
  *  holding a non-ACGT base escape as ContainsN without being mapped;
- *  with a pool, reads classify and map in parallel. */
+ *  with a pool, the index sorts on it and reads classify and map in
+ *  parallel. */
 PreppedReads prepareReads(const ReadSet &rs, std::string_view consensus,
                           const MapperConfig &config,
                           ThreadPool *pool = nullptr);

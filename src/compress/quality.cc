@@ -47,6 +47,9 @@ class QualityContext
     unsigned prev1_ = 0, prev2_ = 0;
 };
 
+/** How many reads ahead QualityEncoder prefetches. */
+constexpr size_t kPrefetchReads = 8;
+
 /** Quality alphabets index byte values: 1..256 symbols. */
 void
 checkAlphabet(uint64_t size)
@@ -99,71 +102,153 @@ QualityArchive::totalChars() const
     return total;
 }
 
-QualityArchive
-compressQuality(const std::vector<std::string> &quals,
-                const QualityConfig &config, ThreadPool *pool)
+template <typename Fn>
+void
+QualityEncoder::forEachPiece(size_t b, Fn &&fn) const
 {
-    QualityArchive archive;
-
-    // Flatten characters; record per-read lengths.
-    size_t total = 0;
-    for (const auto &q : quals)
-        total += q.size();
-    std::string flat;
-    flat.reserve(total);
-    archive.readLengths.reserve(quals.size());
-    for (const auto &q : quals) {
-        archive.readLengths.push_back(static_cast<uint32_t>(q.size()));
-        flat += q;
-    }
-
-    // Build the alphabet map in order of first appearance.
-    std::array<int, 256> symbol_of;
-    symbol_of.fill(-1);
-    for (char c : flat) {
-        const auto u = static_cast<uint8_t>(c);
-        if (symbol_of[u] < 0) {
-            symbol_of[u] = static_cast<int>(archive.alphabet.size());
-            archive.alphabet.push_back(c);
+    uint64_t left = archive_.blockChars[b];
+    size_t offset = blockStart_[b].offset;
+    for (size_t r = blockStart_[b].read; left > 0; r++, offset = 0) {
+        // The strings lie scattered in encode order: fetch a few reads
+        // ahead so their cache misses overlap.
+        if (r + kPrefetchReads < quals_.size()) {
+            const std::string_view ahead = quals_[r + kPrefetchReads];
+            for (size_t at = 0; at < ahead.size(); at += 64)
+                __builtin_prefetch(ahead.data() + at);
         }
+        const std::string_view piece = quals_[r].substr(
+            offset, static_cast<size_t>(
+                        std::min<uint64_t>(left, quals_[r].size() - offset)));
+        fn(piece);
+        left -= piece.size();
     }
-    if (archive.alphabet.empty())
-        archive.alphabet.push_back('!');
-    const unsigned alphabet = archive.alphabet.size();
+}
 
-    // Encode independent blocks with fresh model state each (an empty
-    // input still gets one empty block).
+QualityEncoder::QualityEncoder(std::vector<std::string_view> quals,
+                               const QualityConfig &config,
+                               ThreadPool *pool)
+    : quals_(std::move(quals))
+{
+    sage_assert(config.blockChars > 0, "quality blocks of zero characters");
+    uint64_t total = 0;
+    archive_.readLengths.reserve(quals_.size());
+    for (std::string_view q : quals_) {
+        archive_.readLengths.push_back(static_cast<uint32_t>(q.size()));
+        total += q.size();
+    }
+
+    // Cut the characters into blocks (an empty input still gets one
+    // empty block) and find the read each block starts in.
     const uint64_t block_chars = config.blockChars;
-    const size_t blocks = flat.empty()
+    const size_t blocks = total == 0
         ? 1
-        : static_cast<size_t>((flat.size() + block_chars - 1) / block_chars);
-    archive.blocks.resize(blocks);
-    archive.blockChars.resize(blocks);
-    auto encode_block = [&](size_t b) {
-        const uint64_t off = b * block_chars;
-        const uint64_t len =
-            std::min<uint64_t>(block_chars, flat.size() - off);
-        RangeEncoder enc;
-        QualityContext context(alphabet);
-        AdaptiveModel models(alphabet, context.count());
-        for (uint64_t i = 0; i < len; i++) {
-            const int sym =
-                symbol_of[static_cast<uint8_t>(flat[off + i])];
+        : static_cast<size_t>((total + block_chars - 1) / block_chars);
+    archive_.blocks.resize(blocks);
+    archive_.blockChars.resize(blocks);
+    blockStart_.resize(blocks);
+    for (size_t b = 0; b < blocks; b++)
+        archive_.blockChars[b] =
+            std::min<uint64_t>(block_chars, total - b * block_chars);
+    uint64_t at = 0, next = 0;
+    size_t b = 0;
+    for (size_t r = 0; r < quals_.size() && b < blocks; r++) {
+        const uint64_t len = quals_[r].size();
+        for (; b < blocks && next < at + len; b++, next += block_chars)
+            blockStart_[b] = {r, static_cast<size_t>(next - at)};
+        at += len;
+    }
+
+    // Which characters each block holds, on the pool.
+    std::vector<std::array<bool, 256>> present(blocks);
+    auto scan_block = [&](size_t blk) {
+        std::array<bool, 256> &seen = present[blk];
+        seen.fill(false);
+        forEachPiece(blk, [&](std::string_view piece) {
+            for (char c : piece)
+                seen[static_cast<uint8_t>(c)] = true;
+        });
+    };
+    if (pool != nullptr) {
+        pool->parallelFor(blocks, scan_block);
+    } else {
+        for (size_t blk = 0; blk < blocks; blk++)
+            scan_block(blk);
+    }
+    std::array<bool, 256> any{};
+    for (const auto &seen : present) {
+        for (unsigned c = 0; c < 256; c++)
+            any[c] = any[c] || seen[c];
+    }
+    const auto symbols =
+        static_cast<size_t>(std::count(any.begin(), any.end(), true));
+
+    // The alphabet in order of first appearance: scan only the blocks
+    // that hold a character not yet seen, and stop at the last one.
+    symbolOf_.fill(-1);
+    auto first_seen = [&](std::string_view piece) {
+        if (archive_.alphabet.size() == symbols)
+            return;
+        for (char c : piece) {
+            const auto u = static_cast<uint8_t>(c);
+            if (symbolOf_[u] < 0) {
+                symbolOf_[u] = static_cast<int>(archive_.alphabet.size());
+                archive_.alphabet.push_back(c);
+            }
+        }
+    };
+    for (size_t blk = 0; blk < blocks && archive_.alphabet.size() < symbols;
+         blk++) {
+        bool adds = false;
+        for (unsigned c = 0; c < 256 && !adds; c++)
+            adds = present[blk][c] && symbolOf_[c] < 0;
+        if (adds)
+            forEachPiece(blk, first_seen);
+    }
+    if (archive_.alphabet.empty())
+        archive_.alphabet.push_back('!');
+}
+
+void
+QualityEncoder::encodeBlock(size_t b)
+{
+    const auto alphabet = static_cast<unsigned>(archive_.alphabet.size());
+    RangeEncoder enc;
+    QualityContext context(alphabet);
+    AdaptiveModel models(alphabet, context.count());
+    forEachPiece(b, [&](std::string_view piece) {
+        for (char c : piece) {
+            const int sym = symbolOf_[static_cast<uint8_t>(c)];
             sage_assert(sym >= 0, "quality symbol missing from alphabet");
             models.encode(enc, static_cast<unsigned>(sym),
                           context.current());
             context.push(static_cast<unsigned>(sym));
         }
-        archive.blocks[b] = enc.finish();
-        archive.blockChars[b] = len;
-    };
+    });
+    archive_.blocks[b] = enc.finish();
+}
+
+QualityArchive
+compressQuality(std::vector<std::string_view> quals,
+                const QualityConfig &config, ThreadPool *pool)
+{
+    QualityEncoder encoder(std::move(quals), config, pool);
+    const size_t blocks = encoder.blockCount();
     if (pool != nullptr) {
-        pool->parallelFor(blocks, encode_block);
+        pool->parallelFor(blocks, [&](size_t b) { encoder.encodeBlock(b); });
     } else {
         for (size_t b = 0; b < blocks; b++)
-            encode_block(b);
+            encoder.encodeBlock(b);
     }
-    return archive;
+    return encoder.take();
+}
+
+QualityArchive
+compressQuality(const std::vector<std::string> &quals,
+                const QualityConfig &config, ThreadPool *pool)
+{
+    return compressQuality(
+        std::vector<std::string_view>(quals.begin(), quals.end()), config,
+        pool);
 }
 
 std::vector<uint8_t>

@@ -14,11 +14,13 @@
 #ifndef SAGE_COMPRESS_QUALITY_HH
 #define SAGE_COMPRESS_QUALITY_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sage {
@@ -53,10 +55,62 @@ struct QualityConfig
 };
 
 /**
- * Compress per-read quality strings (order preserved). With a @p pool
- * the independent blocks are range-coded in parallel; the output is the
- * same either way.
+ * The quality encoder in steps, for callers that run the blocks on a
+ * job list of their own. Construction records the read lengths, cuts
+ * the characters into config.blockChars blocks that may start
+ * mid-read, and fixes the alphabet in order of first appearance: each
+ * block's presence pass runs on @p pool, and only the scan for first
+ * appearances is serial, stopping once every symbol present has been
+ * seen. encodeBlock() then range-codes one block straight from the
+ * views, with fresh model state.
  */
+class QualityEncoder
+{
+  public:
+    /** @p quals views per-read quality strings, in the order they are
+     *  stored; the strings must outlive the encoder. */
+    QualityEncoder(std::vector<std::string_view> quals,
+                   const QualityConfig &config = {},
+                   ThreadPool *pool = nullptr);
+
+    /** Independent blocks (an empty input still gets one). */
+    size_t blockCount() const { return archive_.blocks.size(); }
+
+    /** Range-code block @p b. Distinct blocks may be encoded from
+     *  different threads at once. */
+    void encodeBlock(size_t b);
+
+    /** The archive; every block must have been encoded. */
+    QualityArchive take() { return std::move(archive_); }
+
+  private:
+    /** Call @p fn on each read's slice of block @p b, in order. */
+    template <typename Fn>
+    void forEachPiece(size_t b, Fn &&fn) const;
+
+    /** Where a block starts: a read and a character within it. */
+    struct BlockStart
+    {
+        size_t read = 0;
+        size_t offset = 0;
+    };
+
+    std::vector<std::string_view> quals_;
+    std::vector<BlockStart> blockStart_;
+    std::array<int, 256> symbolOf_;
+    QualityArchive archive_;
+};
+
+/**
+ * Compress per-read quality strings (order preserved): a
+ * QualityEncoder whose blocks are range-coded across @p pool when one
+ * is given; the output is the same either way.
+ */
+QualityArchive compressQuality(std::vector<std::string_view> quals,
+                               const QualityConfig &config = {},
+                               ThreadPool *pool = nullptr);
+
+/** compressQuality() over views of @p quals. */
 QualityArchive compressQuality(const std::vector<std::string> &quals,
                                const QualityConfig &config = {},
                                ThreadPool *pool = nullptr);

@@ -156,17 +156,17 @@ compress(const ReadSet &rs, std::string_view consensus,
         pack("order", order);
 
     if (config.keepQuality && rs.hasQualityScores()) {
-        std::vector<std::string> quals;
+        std::vector<std::string_view> quals;
         quals.reserve(prep.order.size());
         for (uint32_t src : prep.order) {
             // Reverse-complemented reads keep their quality ordering
             // aligned with the *stored* orientation for simplicity;
             // orientation is undone on decode for bases only, so store
             // quality in original orientation.
-            quals.push_back(rs.reads[src].quals);
+            quals.emplace_back(rs.reads[src].quals);
         }
         bundle.stream("quality") = packQuality(
-            compressQuality(quals, config.quality, pool));
+            compressQuality(std::move(quals), config.quality, pool));
     }
 
     result.archive = bundle.serialize();

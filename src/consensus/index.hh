@@ -10,6 +10,7 @@
 #define SAGE_CONSENSUS_INDEX_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,8 @@
 #include "genomics/kmer.hh"
 
 namespace sage {
+
+class ThreadPool;
 
 /** Index build parameters. */
 struct IndexConfig
@@ -51,8 +54,13 @@ struct SeedHits
 class MinimizerIndex
 {
   public:
-    /** Build an index over @p consensus. The string must outlive us. */
-    MinimizerIndex(std::string_view consensus, IndexConfig config = {});
+    /**
+     * Build an index over @p consensus. The string must outlive us.
+     * With a @p pool the minimizers sort on it in k-mer-range
+     * partitions; the table is the same either way.
+     */
+    MinimizerIndex(std::string_view consensus, IndexConfig config = {},
+                   ThreadPool *pool = nullptr);
 
     /**
      * Indexed positions of @p kmer: the first maxOccurrence in
@@ -93,7 +101,8 @@ class MinimizerIndex
 
     std::string_view consensus_;
     IndexConfig config_;
-    std::vector<Slot> slots_;
+    std::unique_ptr<Slot[]> slots_;
+    size_t slotMask_ = 0;  ///< Slot count minus one.
     std::vector<uint32_t> positions_;
     size_t distinct_ = 0;
 };

@@ -79,9 +79,9 @@ struct ConsensusMapper::Scratch
 };
 
 ConsensusMapper::ConsensusMapper(std::string_view consensus,
-                                 MapperConfig config)
+                                 MapperConfig config, ThreadPool *pool)
     : consensus_(consensus), config_(config),
-      index_(consensus, config.index)
+      index_(consensus, config.index, pool)
 {
 }
 

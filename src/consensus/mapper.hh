@@ -75,8 +75,10 @@ struct MappingStats
 class ConsensusMapper
 {
   public:
-    /** @p consensus must outlive the mapper. */
-    ConsensusMapper(std::string_view consensus, MapperConfig config = {});
+    /** @p consensus must outlive the mapper. A @p pool helps build
+     *  the index (MinimizerIndex) and is not kept. */
+    ConsensusMapper(std::string_view consensus, MapperConfig config = {},
+                    ThreadPool *pool = nullptr);
 
     /** Map one oriented base string (both strands are tried). Safe
      *  to call from several threads at once: each thread maps through

@@ -1,12 +1,15 @@
 #include "core/encoder.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "compress/gpzip.hh"
 #include "compress/prep.hh"
+#include "compress/quality.hh"
 #include "compress/streams.hh"
 #include "genomics/alphabet.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 #include "util/timing.hh"
 #include "util/varint.hh"
 
@@ -58,15 +61,16 @@ expandBlocks(const std::vector<EditOp> &ops)
     return out;
 }
 
-/** Sampled value sets feeding Algorithm 1 (one histogram per array). */
+/** What Algorithm 1 sees of each array's values: a histogram of their
+ *  bit widths (TunedFieldCodec::tuneForBits), not the values. */
 struct TuningSamples
 {
-    std::vector<uint64_t> matchDeltas;
-    std::vector<uint64_t> readLenDeltas;
-    std::vector<uint64_t> counts;
-    std::vector<uint64_t> posDeltas;
-    std::vector<uint64_t> segPosDeltas;
-    std::vector<uint64_t> segLens;
+    Histogram matchDeltas;
+    Histogram readLenDeltas;
+    Histogram counts;
+    Histogram posDeltas;
+    Histogram segPosDeltas;
+    Histogram segLens;
 };
 
 /** Writer set for the SAGe bit arrays. */
@@ -93,42 +97,26 @@ writeIndelLength(BitWriter &mmpa, uint32_t length)
     mmpa.writeBits(remaining, 8);
 }
 
-} // namespace
-
-SageArchive
-sageCompress(const ReadSet &rs, std::string_view consensus,
-             const SageConfig &config, ThreadPool *pool)
+/** The DNA side of an archive: the 12 bit arrays, the escapes and
+ *  the chunk table. */
+struct DnaStreams
 {
-    StreamBundle bundle;
-    SageArchive archive =
-        sageEncodeToBundle(rs, consensus, config, pool, bundle);
-    archive.bytes = bundle.serialize();
-    return archive;
-}
+    Arrays arrays;
+    std::vector<uint8_t> escape;
+    ChunkTable chunks;
+    double tuneSeconds = 0.0;
+};
 
-SageArchive
-sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
-                   const SageConfig &config, ThreadPool *pool,
-                   StreamBundle &bundle)
+/**
+ * Write the DNA side of the archive in @p prep's encode order. Pass 1
+ * samples the field values and tunes the arrays (Algorithm 1) into
+ * @p params; pass 2 emits the arrays and the escapes.
+ */
+void
+writeDnaStreams(const ReadSet &rs, const PreppedReads &prep,
+                std::string_view consensus, const SageConfig &config,
+                SageParams &params, DnaStreams &out)
 {
-    SageArchive archive;
-
-    // ---- Find mismatch information (mapping) -------------------------
-    Stopwatch map_clock;
-    MapperConfig mapper_config = config.mapper;
-    mapper_config.maxSegments = std::max(1u, config.maxSegments);
-    PreppedReads prep = prepareReads(rs, consensus, mapper_config, pool);
-    archive.mapSeconds = map_clock.seconds();
-
-    if (!config.reorderReads) {
-        // Pre-O1: keep original order.
-        prep.order.resize(rs.reads.size());
-        for (uint32_t i = 0; i < prep.order.size(); i++)
-            prep.order[i] = i;
-    }
-
-    Stopwatch encode_clock;
-
     // Pre-O2 representation drops indel blocks; pre-O3 drops chimeras
     // (the mapper already produced maxSegments=1 mappings in that case).
     auto ops_of = [&](const AlignedSegment &seg) {
@@ -162,55 +150,41 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
         sample_idx++;
         const Read &read = rs.reads[src];
         const ReadClass &cls = prep.classes[src];
-        samples.readLenDeltas.push_back(zigzagEncode(
+        samples.readLenDeltas.add(valueBits(zigzagEncode(
             static_cast<int64_t>(read.bases.size())
-            - static_cast<int64_t>(modal_len)));
+            - static_cast<int64_t>(modal_len))));
 
         if (cls.escape != EscapeReason::None) {
-            samples.matchDeltas.push_back(0);
+            samples.matchDeltas.add(valueBits(0));
             if (config.cornerTrick) {
-                samples.counts.push_back(1);
-                samples.posDeltas.push_back(0);
+                samples.counts.add(valueBits(1));
+                samples.posDeltas.add(valueBits(0));
             }
             continue;
         }
         const uint64_t primary = cls.mapping.primaryPosition();
-        samples.matchDeltas.push_back(
-            config.reorderReads ? primary - prev_primary : primary);
+        samples.matchDeltas.add(valueBits(
+            config.reorderReads ? primary - prev_primary : primary));
         prev_primary = primary;
 
         for (size_t s = 0; s < cls.mapping.segments.size(); s++) {
             const AlignedSegment &seg = cls.mapping.segments[s];
             if (s > 0) {
-                samples.segPosDeltas.push_back(zigzagEncode(
+                samples.segPosDeltas.add(valueBits(zigzagEncode(
                     static_cast<int64_t>(seg.consensusPos)
-                    - static_cast<int64_t>(primary)));
-                samples.segLens.push_back(seg.readLength);
+                    - static_cast<int64_t>(primary))));
+                samples.segLens.add(valueBits(seg.readLength));
             }
             const auto ops = ops_of(seg);
-            samples.counts.push_back(ops.size());
+            samples.counts.add(valueBits(ops.size()));
             uint32_t prev_pos = 0;
             for (const EditOp &op : ops) {
-                samples.posDeltas.push_back(op.readPos - prev_pos);
+                samples.posDeltas.add(valueBits(op.readPos - prev_pos));
                 prev_pos = op.readPos;
             }
         }
     }
 
-    SageParams params;
-    params.version = chunk_reads > 0 ? kFormatVersionChunked
-                                     : kFormatVersionLegacy;
-    params.numReads = rs.reads.size();
-    params.consensusLength = consensus.size();
-    params.consensusTwoBit = isAcgtOnly(consensus);
-    params.hasQuality = config.keepQuality && rs.hasQualityScores();
-    params.preservedOrder = config.preserveOrder;
-    params.reorderReads = config.reorderReads;
-    params.tuneArrays = config.tuneArrays;
-    params.maxSegments = std::max(1u, config.maxSegments);
-    params.inferTypes = config.inferTypes;
-    params.cornerTrick = config.cornerTrick;
-    params.tuneMatchArrays = config.tuneMatchArrays;
     params.modalReadLength = modal_len;
     // Fixed-length short-read sets need no per-read length fields.
     params.constantReadLength = !rs.reads.empty();
@@ -226,11 +200,11 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
     // fall back to fixed widths ("raw mismatch information").
     if (config.tuneMatchArrays) {
         params.matchPos =
-            TunedFieldCodec::tuneFor(samples.matchDeltas, config.tuner);
+            TunedFieldCodec::tuneForBits(samples.matchDeltas, config.tuner);
         params.segPos =
-            TunedFieldCodec::tuneFor(samples.segPosDeltas, config.tuner);
+            TunedFieldCodec::tuneForBits(samples.segPosDeltas, config.tuner);
         params.segLen =
-            TunedFieldCodec::tuneFor(samples.segLens, config.tuner);
+            TunedFieldCodec::tuneForBits(samples.segLens, config.tuner);
     } else {
         params.matchPos = fixedTable(kFixedMatchPosBits);
         params.segPos = fixedTable(kFixedMatchPosBits);
@@ -238,17 +212,17 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
     }
     if (config.tuneArrays) {
         params.readLen =
-            TunedFieldCodec::tuneFor(samples.readLenDeltas, config.tuner);
+            TunedFieldCodec::tuneForBits(samples.readLenDeltas, config.tuner);
         params.mismatchCount =
-            TunedFieldCodec::tuneFor(samples.counts, config.tuner);
+            TunedFieldCodec::tuneForBits(samples.counts, config.tuner);
         params.mismatchPos =
-            TunedFieldCodec::tuneFor(samples.posDeltas, config.tuner);
+            TunedFieldCodec::tuneForBits(samples.posDeltas, config.tuner);
     } else {
         params.readLen = fixedTable(kFixedReadLenBits);
         params.mismatchCount = fixedTable(kFixedCountBits);
         params.mismatchPos = fixedTable(kFixedMismatchPosBits);
     }
-    archive.tuneSeconds = tune_clock.seconds();
+    out.tuneSeconds = tune_clock.seconds();
 
     const TunedFieldCodec match_codec(params.matchPos);
     const TunedFieldCodec len_codec(params.readLen);
@@ -258,9 +232,9 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
     const TunedFieldCodec seglen_codec(params.segLen);
 
     // ---- Pass 2: emit arrays ------------------------------------------
-    Arrays arrays;
-    std::vector<uint8_t> escape_stream;
-    ChunkTable chunk_table;
+    Arrays &arrays = out.arrays;
+    std::vector<uint8_t> &escape_stream = out.escape;
+    ChunkTable &chunk_table = out.chunks;
     prev_primary = 0;
 
     // Open a chunk: pad every bit array to a byte boundary so the
@@ -424,6 +398,110 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
             }
         }
     }
+}
+
+/** The header stream: every header in encode order, one per line,
+ *  gpzip-compressed without a pool. */
+std::vector<uint8_t>
+compressHeaders(const ReadSet &rs, const std::vector<uint32_t> &order)
+{
+    size_t total = 0;
+    for (uint32_t src : order)
+        total += rs.reads[src].header.size() + 1;
+    std::string text;
+    text.reserve(total);
+    for (uint32_t src : order) {
+        text += rs.reads[src].header;
+        text += '\n';
+    }
+    return gpzip::compress(text);
+}
+
+} // namespace
+
+SageArchive
+sageCompress(const ReadSet &rs, std::string_view consensus,
+             const SageConfig &config, ThreadPool *pool)
+{
+    StreamBundle bundle;
+    SageArchive archive =
+        sageEncodeToBundle(rs, consensus, config, pool, bundle);
+    archive.bytes = bundle.serialize();
+    return archive;
+}
+
+SageArchive
+sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
+                   const SageConfig &config, ThreadPool *pool,
+                   StreamBundle &bundle)
+{
+    SageArchive archive;
+
+    // ---- Find mismatch information (mapping) -------------------------
+    Stopwatch map_clock;
+    MapperConfig mapper_config = config.mapper;
+    mapper_config.maxSegments = std::max(1u, config.maxSegments);
+    PreppedReads prep = prepareReads(rs, consensus, mapper_config, pool);
+    archive.mapSeconds = map_clock.seconds();
+
+    if (!config.reorderReads) {
+        // Pre-O1: keep original order.
+        prep.order.resize(rs.reads.size());
+        for (uint32_t i = 0; i < prep.order.size(); i++)
+            prep.order[i] = i;
+    }
+
+    Stopwatch encode_clock;
+
+    SageParams params;
+    params.version = config.chunkReads > 0 ? kFormatVersionChunked
+                                           : kFormatVersionLegacy;
+    params.numReads = rs.reads.size();
+    params.consensusLength = consensus.size();
+    params.consensusTwoBit = isAcgtOnly(consensus);
+    params.hasQuality = config.keepQuality && rs.hasQualityScores();
+    params.preservedOrder = config.preserveOrder;
+    params.reorderReads = config.reorderReads;
+    params.tuneArrays = config.tuneArrays;
+    params.maxSegments = std::max(1u, config.maxSegments);
+    params.inferTypes = config.inferTypes;
+    params.cornerTrick = config.cornerTrick;
+    params.tuneMatchArrays = config.tuneMatchArrays;
+
+    // Every stream below depends only on the encode order, so they are
+    // written at once. The pool takes a job list, longest first: the
+    // DNA arrays, then one job per quality block. Meanwhile this thread
+    // joins and gpzips the headers, then takes jobs too. The gpzip
+    // working memory (about 7 bytes per header byte) so lands in this
+    // thread's heap, which malloc_trim returns to the system; a
+    // worker's heap keeps its freed top resident. No job calls back
+    // into the pool.
+    DnaStreams dna;
+    std::vector<uint8_t> headers;
+    std::optional<QualityEncoder> quality;
+    if (params.hasQuality) {
+        std::vector<std::string_view> quals;
+        quals.reserve(prep.order.size());
+        for (uint32_t src : prep.order)
+            quals.emplace_back(rs.reads[src].quals);
+        quality.emplace(std::move(quals), config.quality, pool);
+    }
+    const size_t jobs = 1 + (quality ? quality->blockCount() : 0);
+    auto run_job = [&](size_t job) {
+        if (job == 0)
+            writeDnaStreams(rs, prep, consensus, config, params, dna);
+        else
+            quality->encodeBlock(job - 1);
+    };
+    auto write_headers = [&] { headers = compressHeaders(rs, prep.order); };
+    if (pool != nullptr) {
+        pool->parallelFor(jobs, run_job, write_headers);
+    } else {
+        for (size_t job = 0; job < jobs; job++)
+            run_job(job);
+        write_headers();
+    }
+    archive.tuneSeconds = dna.tuneSeconds;
 
     // ---- Assemble container -------------------------------------------
     bundle.stream("params") = params.serialize();
@@ -435,47 +513,32 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
         cons.insert(cons.end(), packed.begin(), packed.end());
         bundle.stream("consensus") = std::move(cons);
     }
-    bundle.stream("flags") = arrays.flags.take();
-    bundle.stream("mpa") = arrays.mpa.take();
-    bundle.stream("mpga") = arrays.mpga.take();
-    bundle.stream("rla") = arrays.rla.take();
-    bundle.stream("rlga") = arrays.rlga.take();
-    bundle.stream("sga") = arrays.sga.take();
-    bundle.stream("sgga") = arrays.sgga.take();
-    bundle.stream("mca") = arrays.mca.take();
-    bundle.stream("mcga") = arrays.mcga.take();
-    bundle.stream("mmpa") = arrays.mmpa.take();
-    bundle.stream("mmpga") = arrays.mmpga.take();
-    bundle.stream("mbta") = arrays.mbta.take();
-    bundle.stream("escape") = std::move(escape_stream);
-    if (chunk_reads > 0)
-        bundle.stream("chunks") = chunk_table.serialize();
+    bundle.stream("flags") = dna.arrays.flags.take();
+    bundle.stream("mpa") = dna.arrays.mpa.take();
+    bundle.stream("mpga") = dna.arrays.mpga.take();
+    bundle.stream("rla") = dna.arrays.rla.take();
+    bundle.stream("rlga") = dna.arrays.rlga.take();
+    bundle.stream("sga") = dna.arrays.sga.take();
+    bundle.stream("sgga") = dna.arrays.sgga.take();
+    bundle.stream("mca") = dna.arrays.mca.take();
+    bundle.stream("mcga") = dna.arrays.mcga.take();
+    bundle.stream("mmpa") = dna.arrays.mmpa.take();
+    bundle.stream("mmpga") = dna.arrays.mmpga.take();
+    bundle.stream("mbta") = dna.arrays.mbta.take();
+    bundle.stream("escape") = std::move(dna.escape);
+    if (config.chunkReads > 0)
+        bundle.stream("chunks") = dna.chunks.serialize();
 
     // Host-side streams: headers (gpzip), order, quality (paper §5.1.5).
-    {
-        std::vector<uint8_t> headers;
-        for (uint32_t src : prep.order) {
-            const std::string &h = rs.reads[src].header;
-            headers.insert(headers.end(), h.begin(), h.end());
-            headers.push_back('\n');
-        }
-        bundle.stream("headers") =
-            gpzip::compress(headers.data(), headers.size(), {}, pool);
-    }
+    bundle.stream("headers") = std::move(headers);
     if (config.preserveOrder) {
         std::vector<uint8_t> order;
         for (uint32_t src : prep.order)
             putVarint(order, src);
         bundle.stream("order") = std::move(order);
     }
-    if (params.hasQuality) {
-        std::vector<std::string> quals;
-        quals.reserve(prep.order.size());
-        for (uint32_t src : prep.order)
-            quals.push_back(rs.reads[src].quals);
-        bundle.stream("quality") = packQuality(
-            compressQuality(quals, config.quality, pool));
-    }
+    if (quality)
+        bundle.stream("quality") = packQuality(quality->take());
 
     archive.streamSizes = bundle.sizes();
     archive.encodeSeconds = encode_clock.seconds();

@@ -39,6 +39,12 @@ SageArchive sageCompress(const ReadSet &rs, std::string_view consensus,
  * bundle into one buffer (sageCompress) or stream it straight to a
  * ByteSink (io/session.hh: SageWriter), never holding both the streams
  * and a second full copy of the archive.
+ *
+ * With a @p pool, mapping runs on it, and then the streams that depend
+ * only on the encode order are written at once: the DNA arrays and
+ * each quality block as one job list on the pool, the headers on the
+ * calling thread. The bytes are the same with or without a pool,
+ * whatever its size.
  */
 SageArchive sageEncodeToBundle(const ReadSet &rs,
                                std::string_view consensus,

@@ -258,9 +258,15 @@ TunedFieldCodec::tuneFor(const std::vector<uint64_t> &values,
     Histogram hist;
     for (uint64_t v : values)
         hist.add(valueBits(v));
-    if (hist.total() == 0)
-        hist.add(1); // Degenerate: one 1-bit class.
-    return tuneBitCounts(hist, config);
+    return tuneForBits(std::move(hist), config);
+}
+
+AssociationTable
+TunedFieldCodec::tuneForBits(Histogram bits, const TunerConfig &config)
+{
+    if (bits.total() == 0)
+        bits.add(1); // Degenerate: one 1-bit class.
+    return tuneBitCounts(bits, config);
 }
 
 } // namespace sage

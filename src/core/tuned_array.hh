@@ -110,6 +110,11 @@ class TunedFieldCodec
     static AssociationTable tuneFor(const std::vector<uint64_t> &values,
                                     const TunerConfig &config = {});
 
+    /** tuneFor() from the histogram of the values' valueBits(), which
+     *  is all it reads of them. */
+    static AssociationTable tuneForBits(Histogram bits,
+                                        const TunerConfig &config = {});
+
   private:
     AssociationTable table_;
     /** Cheapest fitting rank for each bits-needed value. */

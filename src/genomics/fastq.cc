@@ -1,6 +1,8 @@
 #include "genomics/fastq.hh"
 
+#include <algorithm>
 #include <fstream>
+#include <memory>
 
 #include "genomics/kernels.hh"
 #include "io/file_stream.hh"
@@ -53,6 +55,8 @@ fromFastq(std::string_view text, const std::string &name)
     while (next_line(header)) {
         if (header.empty())
             continue;
+        const size_t record_start = static_cast<size_t>(
+            header.data() - text.data());
         if (header[0] != '@')
             sage_fatal("FASTQ record does not start with '@': ", header);
         if (!next_line(bases) || !next_line(plus) || !next_line(quals))
@@ -74,6 +78,13 @@ fromFastq(std::string_view text, const std::string &name)
                        static_cast<unsigned>(
                            static_cast<uint8_t>(bases[bad])),
                        ") at position ", bad);
+        }
+        // Size the record vector from the first record's length, but
+        // reserve no more bytes of records than the text holds: a short
+        // first record must not over-commit memory for a large file.
+        if (rs.reads.empty()) {
+            rs.reads.reserve(std::min(text.size() / (pos - record_start),
+                                      text.size() / sizeof(Read)) + 1);
         }
         Read read;
         read.header = std::string(header.substr(1));
@@ -99,15 +110,13 @@ readFastqFile(const std::string &path)
 {
     // FileSource reports every failure mode — missing file, I/O error,
     // short read — fatally with the offending path; the old ifstream
-    // slurp silently truncated on read errors.
+    // slurp silently truncated on read errors. The read overwrites the
+    // whole buffer, so it is left uninitialised rather than zero-filled.
     const FileSource source(path);
-    const std::vector<uint8_t> bytes = source.readAll();
-    if (bytes.empty())
-        return fromFastq("", path);
-    return fromFastq(
-        std::string_view(reinterpret_cast<const char *>(bytes.data()),
-                         bytes.size()),
-        path);
+    const auto size = static_cast<size_t>(source.size());
+    const std::unique_ptr<char[]> text(new char[size]);
+    source.readAt(0, text.get(), size);
+    return fromFastq(std::string_view(text.get(), size), path);
 }
 
 } // namespace sage

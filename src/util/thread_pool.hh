@@ -39,7 +39,11 @@ class ThreadPool
     /** Enqueue a task. */
     void submit(std::function<void()> task);
 
-    /** Block until all submitted tasks have completed. */
+    /**
+     * Block until all submitted tasks have completed. Called from one
+     * of this pool's own workers it would wait for its own task
+     * forever, so it panics instead.
+     */
     void wait();
 
     /** Number of worker threads. */
@@ -50,13 +54,23 @@ class ThreadPool
      *
      * Queues one task per worker (at most @p n); each task pulls indices
      * from a shared atomic cursor, so the per-item cost is one atomic
-     * increment rather than one queued std::function. The first exception
-     * thrown by @p fn stops the cursor handing out further indices and is
-     * rethrown on the caller once every task has finished; the indices
-     * already taken still run. Like wait(), the call returns only when
-     * every task queued on the pool has finished, not just its own.
+     * increment rather than one queued std::function.
+     *
+     * @p alongside, when given, runs on the calling thread meanwhile, and
+     * that thread then pulls indices too. One task fewer is queued, but
+     * at least one, so on a pool of two or more workers no more threads
+     * than workers run at once.
+     *
+     * The first exception thrown by @p fn or @p alongside stops the
+     * cursor handing out further indices and is rethrown on the caller
+     * once every task has finished; the indices already taken still run.
+     * Like wait(), the call returns only when every task queued on the
+     * pool has finished, not just its own, so @p fn must not call back
+     * into this pool: a parallelFor() or wait() from one of its workers
+     * panics rather than deadlock.
      */
-    void parallelFor(size_t n, const std::function<void(size_t)> &fn);
+    void parallelFor(size_t n, const std::function<void(size_t)> &fn,
+                     const std::function<void()> &alongside = {});
 
   private:
     void workerLoop();

@@ -206,7 +206,7 @@ TEST(Quality, RoundTripVariableLengths)
 
 TEST(Quality, EmptyInput)
 {
-    const QualityArchive archive = compressQuality({});
+    const QualityArchive archive = compressQuality(std::vector<std::string>{});
     EXPECT_TRUE(decompressQuality(archive).empty());
 }
 
@@ -238,6 +238,30 @@ TEST(Quality, BlocksOnPoolMatchSerial)
     ASSERT_GT(serial.blocks.size(), 4u);
     EXPECT_EQ(packQuality(pooled), packQuality(serial));
     EXPECT_EQ(decompressQuality(pooled), quals);
+}
+
+TEST(Quality, AlphabetSymbolFirstSeenInLastRead)
+{
+    // '~' first appears in the last read, in the last block, past
+    // blocks that add no symbol: the first-appearance scan must reach
+    // it, and the alphabet stays in order of first appearance.
+    const std::vector<std::string> quals = {"IIIII#II", "", "#I#II", "IIII",
+                                            "II5I", "", "I#I~"};
+    QualityConfig config;
+    config.blockChars = 5;
+    const QualityArchive serial = compressQuality(quals, config);
+    EXPECT_EQ(serial.alphabet, "I#5~");
+    ThreadPool pool(3);
+    EXPECT_EQ(packQuality(compressQuality(quals, config, &pool)),
+              packQuality(serial));
+    EXPECT_EQ(decompressQuality(serial), quals);
+    const std::vector<uint8_t> pinned = {
+        0x04, 0x49, 0x23, 0x35, 0x7e, 0x07, 0x08, 0x00, 0x05, 0x04, 0x04,
+        0x00, 0x04, 0x05, 0x05, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05,
+        0x05, 0x00, 0x40, 0x1c, 0x71, 0xc6, 0x05, 0x06, 0x00, 0x3f, 0xff,
+        0xff, 0xff, 0x00, 0x05, 0x06, 0x00, 0x35, 0x92, 0x67, 0x26, 0x00,
+        0x05, 0x06, 0x00, 0x38, 0x3d, 0x7d, 0x45, 0x40};
+    EXPECT_EQ(packQuality(serial), pinned);
 }
 
 TEST(Quality, CompressesBinnedScoresWell)

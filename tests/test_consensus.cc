@@ -300,6 +300,70 @@ TEST(Index, LookupMatchesReferenceLists)
     expectLookupMatchesReference(repetitive, config, rng);
 }
 
+/** An index built on pools of 1, 3 and 4 workers answers every lookup
+ *  of @p consensus's k-mers, and of random ones, as the serial build
+ *  does, with the same seed count and footprint. */
+void
+expectPoolBuildsMatchSerial(const std::string &consensus,
+                            const IndexConfig &config, Rng &rng)
+{
+    const MinimizerIndex serial(consensus, config);
+    std::vector<uint64_t> kmers;
+    for (const auto &hit : extractKmers(consensus, config.k))
+        kmers.push_back(hit.kmer);
+    const uint64_t mask = (uint64_t(1) << (2 * config.k)) - 1;
+    for (int i = 0; i < 2000; i++)
+        kmers.push_back(rng.next() & mask);
+    auto positions = [](SeedHits hits) {
+        return std::vector<uint32_t>(hits.begin(), hits.end());
+    };
+    for (size_t threads : {1, 3, 4}) {
+        SCOPED_TRACE(std::to_string(threads) + " workers");
+        ThreadPool pool(threads);
+        const MinimizerIndex pooled(consensus, config, &pool);
+        EXPECT_EQ(pooled.distinctSeeds(), serial.distinctSeeds());
+        EXPECT_EQ(pooled.memoryBytes(), serial.memoryBytes());
+        for (uint64_t kmer : kmers) {
+            ASSERT_EQ(positions(pooled.lookup(kmer)),
+                      positions(serial.lookup(kmer)))
+                << "kmer " << kmer;
+        }
+    }
+}
+
+TEST(IndexOnPool, MatchesSerial)
+{
+    // The Index.LookupMatchesReferenceLists inputs.
+    Rng rng(57);
+    IndexConfig config;
+    expectPoolBuildsMatchSerial(randomSeq(rng, 50000), config, rng);
+    const std::string unit = randomSeq(rng, 400);
+    std::string repetitive;
+    for (int i = 0; i < 200; i++)
+        repetitive += unit;
+    for (int i = 0; i < 300; i++)
+        repetitive[rng.nextBelow(repetitive.size())] =
+            codeToBase(static_cast<uint8_t>(rng.nextBelow(4)));
+    repetitive += randomSeq(rng, 5000);
+    expectPoolBuildsMatchSerial(repetitive, config, rng);
+    IndexConfig capped = config;
+    capped.maxOccurrence = 3;
+    expectPoolBuildsMatchSerial(repetitive, capped, rng);
+
+    // N runs, which no k-mer spans.
+    std::string with_n;
+    for (int i = 0; i < 40; i++) {
+        with_n += randomSeq(rng, 500 + rng.nextBelow(1000));
+        with_n += std::string(1 + rng.nextBelow(60), 'N');
+    }
+    expectPoolBuildsMatchSerial(with_n, config, rng);
+
+    // Shorter than k: no minimizers at all.
+    const std::string tiny = randomSeq(rng, config.k - 1);
+    EXPECT_EQ(MinimizerIndex(tiny, config).distinctSeeds(), 0u);
+    expectPoolBuildsMatchSerial(tiny, config, rng);
+}
+
 // ---------------------------------------------------------------------
 // Mapper
 // ---------------------------------------------------------------------

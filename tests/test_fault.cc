@@ -339,7 +339,7 @@ TEST(CorruptArchive, EmptyQualityAlphabetIsCorrupt)
 
     // The block codec refuses it on its own too (SpringLike decodes
     // through it without the open-time check).
-    QualityArchive archive = compressQuality({"II#I"});
+    QualityArchive archive = compressQuality(std::vector<std::string>{"II#I"});
     archive.alphabet.clear();
     EXPECT_THROW(decompressQualityBlock(archive, 0), StatusError);
 }

@@ -391,6 +391,33 @@ TEST(SageEncode, ByteIdenticalOnRepeatRichReads)
     EXPECT_EQ(trailerCrc(serial), 0x2e2940d1u);
 }
 
+TEST(SageEncode, ByteIdenticalWithSmallQualityBlocks)
+{
+    // The pins above make one quality block and one header block. Here
+    // an RS2-like set spans several chunks with 4096-character quality
+    // blocks, so about 150 blocks start mid-read, and every third read
+    // has no quality string, so some reads give a block nothing.
+    DatasetSpec spec = makeRs2Spec();
+    spec.seed = 11;
+    spec.genome.referenceLength = 40000;
+    SimulatedDataset ds = synthesizeDataset(spec);
+    for (size_t i = 0; i < ds.readSet.reads.size(); i += 3)
+        ds.readSet.reads[i].quals.clear();
+    SageConfig config;
+    config.chunkReads = 1024;
+    config.quality.blockChars = 4096;
+    ThreadPool one(1), four(4);
+    const std::vector<uint8_t> serial =
+        sageCompress(ds.readSet, ds.reference, config).bytes;
+    EXPECT_EQ(sageCompress(ds.readSet, ds.reference, config, &one).bytes,
+              serial);
+    EXPECT_EQ(sageCompress(ds.readSet, ds.reference, config, &four).bytes,
+              serial);
+    ASSERT_EQ(serial.size(), 67574u);
+    EXPECT_EQ(trailerCrc(serial), 0xf39ff689u);
+    EXPECT_EQ(recordSet(sageDecompress(serial)), recordSet(ds.readSet));
+}
+
 TEST(SageDecoderInfo, StreamSizesAndWorkingSet)
 {
     const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));

@@ -489,6 +489,31 @@ TEST(ThreadPool, ParallelForRethrowsOnTheCaller)
         EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPool, AlongsideRunsOnTheCallerAndRethrows)
+{
+    ThreadPool pool(3);
+    std::vector<std::atomic<int>> hits(200);
+    std::thread::id ran_on;
+    pool.parallelFor(
+        hits.size(), [&](size_t i) { hits[i]++; },
+        [&] { ran_on = std::this_thread::get_id(); });
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+
+    // An alongside failure reaches the caller like a loop failure.
+    bool caught = false;
+    try {
+        pool.parallelFor(
+            100, [](size_t) {},
+            [] { throw StatusError(Status::corrupt("alongside")); });
+    } catch (const StatusError &error) {
+        caught = true;
+        EXPECT_EQ(error.status().code(), StatusCode::Corrupt);
+    }
+    EXPECT_TRUE(caught);
+}
+
 TEST(ThreadPool, WaitDrainsAllTasks)
 {
     ThreadPool pool(8);
@@ -497,6 +522,20 @@ TEST(ThreadPool, WaitDrainsAllTasks)
         pool.submit([&] { counter++; });
     pool.wait();
     EXPECT_EQ(counter.load(), 500);
+}
+
+TEST(ThreadPool, WaitFromOwnWorkerPanics)
+{
+    // wait() waits for every task on the pool, the caller's own
+    // included: from a worker it would never return.
+    EXPECT_DEATH(
+        {
+            ThreadPool pool(2);
+            pool.parallelFor(2, [&](size_t) {
+                pool.parallelFor(1, [](size_t) {});
+            });
+        },
+        "pool's own workers");
 }
 
 TEST(TextTable, RendersAlignedColumns)
