@@ -64,9 +64,13 @@ main()
 
     // 4. Streaming access: analysis systems consume reads one at a
     //    time in the accelerator-friendly 2-bit format (SAGe_Read).
-    SageDecoder decoder(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReaderOptions options;
+    options.dnaOnly = true;
+    options.verifyChecksum = true;
+    SageReader reader(source, options);
     size_t packed_bytes = 0;
-    const auto packed = decoder.decodeAllPacked(OutputFormat::TwoBit);
+    const auto packed = reader.decodeAllPacked(OutputFormat::TwoBit);
     for (const auto &read : packed)
         packed_bytes += read.size();
     std::printf("2-bit formatted output: %zu B across %zu reads\n",

@@ -44,6 +44,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -63,12 +64,13 @@ namespace {
 using namespace sage;
 
 /** Load a consensus/reference file, dropping all whitespace. I/O
- *  failures are fatal with the offending path (FileSource). */
+ *  failures exit 1 naming the offending path. */
 std::string
 readReferenceFile(const std::string &path)
 {
     const FileSource source(path);
-    const std::vector<uint8_t> text = source.readAll();
+    std::vector<uint8_t> text;
+    orExit(source.tryRead(0, static_cast<size_t>(source.size()), text));
     std::string clean;
     clean.reserve(text.size());
     for (uint8_t c : text) {
@@ -78,22 +80,78 @@ readReferenceFile(const std::string &path)
     return clean;
 }
 
-/** Parse a trailing  --threads N  option (0 = hardware concurrency). */
-bool
-parseThreads(int argc, char **argv, int from, unsigned &threads)
+/** One valued flag of a subcommand: an unsigned in [0, max], a rate in
+ *  [0, 1], or a string. */
+struct Flag
 {
-    threads = 0;
+    const char *name;
+    unsigned *count = nullptr;
+    int max = 0;
+    double *rate = nullptr;
+    std::string *text = nullptr;
+};
+
+Flag
+uintFlag(const char *name, unsigned &out, int max)
+{
+    return {name, &out, max, nullptr, nullptr};
+}
+
+Flag
+rateFlag(const char *name, double &out)
+{
+    return {name, nullptr, 0, &out, nullptr};
+}
+
+Flag
+stringFlag(const char *name, std::string &out)
+{
+    return {name, nullptr, 0, nullptr, &out};
+}
+
+/**
+ * Parse argv[from..) as "--flag value" pairs against @p flags. An
+ * unknown option (or a flag without its value) fails at once; a value
+ * out of range is reported and parsing goes on, failing at the end.
+ */
+bool
+parseFlags(int argc, char **argv, int from,
+           std::initializer_list<Flag> flags)
+{
+    bool bad_value = false;
     for (int i = from; i < argc; i++) {
-        if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            const int n = std::atoi(argv[++i]);
-            if (n < 0 || n > 1024) {
-                std::fprintf(stderr, "--threads must be in [0, 1024]\n");
-                return false;
+        const Flag *flag = nullptr;
+        for (const Flag &candidate : flags) {
+            if (std::strcmp(argv[i], candidate.name) == 0 && i + 1 < argc) {
+                flag = &candidate;
+                break;
             }
-            threads = static_cast<unsigned>(n);
+        }
+        if (!flag) {
+            std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+            return false;
+        }
+        const char *value = argv[++i];
+        if (flag->count) {
+            const int n = std::atoi(value);
+            if (n < 0 || n > flag->max) {
+                std::fprintf(stderr, "%s must be in [0, %d]\n",
+                             flag->name, flag->max);
+                bad_value = true;
+            }
+            *flag->count = static_cast<unsigned>(n);
+        } else if (flag->rate) {
+            *flag->rate = std::atof(value);
+            if (*flag->rate < 0.0 || *flag->rate > 1.0) {
+                std::fprintf(stderr, "%s must be in [0, 1]\n",
+                             flag->name);
+                bad_value = true;
+            }
+        } else {
+            *flag->text = value;
         }
     }
-    return true;
+    return !bad_value;
 }
 
 int
@@ -145,8 +203,8 @@ cmdDecompress(int argc, char **argv)
                      "[--threads N]\n");
         return 1;
     }
-    unsigned threads = 0;
-    if (!parseThreads(argc, argv, 4, threads))
+    unsigned threads = 0;  // 0 = hardware concurrency.
+    if (!parseFlags(argc, argv, 4, {uintFlag("--threads", threads, 1024)}))
         return 1;
     ThreadPool pool(threads);
     SageReader reader(argv[2]);
@@ -167,8 +225,8 @@ cmdRange(int argc, char **argv)
                      "<first-chunk> <count> [--threads N]\n");
         return 1;
     }
-    unsigned threads = 0;
-    if (!parseThreads(argc, argv, 6, threads))
+    unsigned threads = 0;  // 0 = hardware concurrency.
+    if (!parseFlags(argc, argv, 6, {uintFlag("--threads", threads, 1024)}))
         return 1;
     const size_t first = static_cast<size_t>(std::atoll(argv[4]));
     const size_t count = static_cast<size_t>(std::atoll(argv[5]));
@@ -237,10 +295,12 @@ cmdInspect(int argc, char **argv)
 }
 
 /**
- * End-to-end integrity check: recompute the archive CRC and compare
- * it against the stored trailer. A mismatch (bit rot, truncation,
- * torn write) is an ordinary non-zero exit with the Status printed —
- * never an abort — so scripts can gate on `sage_cli verify`.
+ * End-to-end integrity check (verifyArchive): the archive CRC against
+ * its trailer, a full open with host streams, and a decode of every
+ * chunk — what a decompress will read. A failure (bit rot, truncation,
+ * torn write, a stream that passes its CRC but does not decode) is an
+ * ordinary non-zero exit with the Status printed — never an abort — so
+ * scripts can gate on `sage_cli verify`.
  */
 int
 cmdVerify(int argc, char **argv)
@@ -249,24 +309,16 @@ cmdVerify(int argc, char **argv)
         std::fprintf(stderr, "usage: sage_cli verify <in.sage>\n");
         return 1;
     }
-    // The recoverable open: header corruption comes back as a Status
-    // (not a fatal abort), and verify_checksum covers the payload.
     const FileSource source(argv[2]);
-    const StatusOr<std::unique_ptr<SageDecoder>> opened =
-        SageDecoder::tryOpen(source, /*dna_only=*/true,
-                             /*verify_checksum=*/true);
-    if (!opened.ok()) {
-        const Status &status = opened.status();
+    const Status status = verifyArchive(source);
+    if (!status.ok()) {
         std::fprintf(stderr, "%s: FAILED (%s): %s\n", argv[2],
                      statusCodeName(status.code()),
                      status.message().c_str());
         return 1;
     }
-    const SageDecoder &decoder = *opened.value();
-    std::printf("%s: OK (%zu chunks, %llu reads, checksum verified)\n",
-                argv[2], decoder.chunkCount(),
-                static_cast<unsigned long long>(
-                    decoder.info().params.numReads));
+    std::printf("%s: OK (checksum verified, every chunk decodes)\n",
+                argv[2]);
     return 0;
 }
 
@@ -492,55 +544,16 @@ cmdServeStress(int argc, char **argv)
     unsigned deadline_ms = 0, cancel_every = 0, fault_seed = 1;
     double fault_rate = 0.0;
     std::string connect;
-    bool bad_value = false;
-    for (int i = 3; i < argc; i++) {
-        const auto uintArg = [&](const char *flag, unsigned &out,
-                                 int max) {
-            if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-                const int n = std::atoi(argv[++i]);
-                if (n < 0 || n > max) {
-                    std::fprintf(stderr, "%s must be in [0, %d]\n",
-                                 flag, max);
-                    bad_value = true;
-                }
-                out = static_cast<unsigned>(n);
-                return true;
-            }
-            return false;
-        };
-        const auto rateArg = [&](const char *flag, double &out) {
-            if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-                out = std::atof(argv[++i]);
-                if (out < 0.0 || out > 1.0) {
-                    std::fprintf(stderr, "%s must be in [0, 1]\n",
-                                 flag);
-                    bad_value = true;
-                }
-                return true;
-            }
-            return false;
-        };
-        const auto strArg = [&](const char *flag, std::string &out) {
-            if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-                out = argv[++i];
-                return true;
-            }
-            return false;
-        };
-        if (!uintArg("--clients", clients, 4096) &&
-            !uintArg("--cache-mb", cache_mb, 1 << 20) &&
-            !uintArg("--threads", threads, 1024) &&
-            !uintArg("--passes", passes, 1 << 20) &&
-            !uintArg("--deadline-ms", deadline_ms, 1 << 20) &&
-            !uintArg("--cancel-every", cancel_every, 1 << 20) &&
-            !uintArg("--fault-seed", fault_seed, 1 << 30) &&
-            !rateArg("--fault-rate", fault_rate) &&
-            !strArg("--connect", connect)) {
-            std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-            return 1;
-        }
-    }
-    if (bad_value)
+    if (!parseFlags(argc, argv, 3,
+                    {uintFlag("--clients", clients, 4096),
+                     uintFlag("--cache-mb", cache_mb, 1 << 20),
+                     uintFlag("--threads", threads, 1024),
+                     uintFlag("--passes", passes, 1 << 20),
+                     uintFlag("--deadline-ms", deadline_ms, 1 << 20),
+                     uintFlag("--cancel-every", cancel_every, 1 << 20),
+                     uintFlag("--fault-seed", fault_seed, 1 << 30),
+                     rateFlag("--fault-rate", fault_rate),
+                     stringFlag("--connect", connect)}))
         return 1;
     if (clients == 0) {
         std::fprintf(stderr, "--clients must be at least 1\n");
@@ -825,47 +838,15 @@ cmdServe(int argc, char **argv)
     unsigned port = 0, budget_mb = 256, max_open = 8, high_water = 0;
     unsigned threads = 0, fault_seed = 1, drain_seconds = 5;
     double fault_rate = 0.0;
-    bool bad_value = false;
-    for (int i = 3; i < argc; i++) {
-        const auto uintArg = [&](const char *flag, unsigned &out,
-                                 int max) {
-            if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-                const int n = std::atoi(argv[++i]);
-                if (n < 0 || n > max) {
-                    std::fprintf(stderr, "%s must be in [0, %d]\n",
-                                 flag, max);
-                    bad_value = true;
-                }
-                out = static_cast<unsigned>(n);
-                return true;
-            }
-            return false;
-        };
-        const auto rateArg = [&](const char *flag, double &out) {
-            if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-                out = std::atof(argv[++i]);
-                if (out < 0.0 || out > 1.0) {
-                    std::fprintf(stderr, "%s must be in [0, 1]\n",
-                                 flag);
-                    bad_value = true;
-                }
-                return true;
-            }
-            return false;
-        };
-        if (!uintArg("--port", port, 65535) &&
-            !uintArg("--budget-mb", budget_mb, 1 << 20) &&
-            !uintArg("--max-open", max_open, 4096) &&
-            !uintArg("--high-water", high_water, 1 << 20) &&
-            !uintArg("--threads", threads, 1024) &&
-            !uintArg("--fault-seed", fault_seed, 1 << 30) &&
-            !uintArg("--drain-seconds", drain_seconds, 3600) &&
-            !rateArg("--fault-rate", fault_rate)) {
-            std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-            return 1;
-        }
-    }
-    if (bad_value)
+    if (!parseFlags(argc, argv, 3,
+                    {uintFlag("--port", port, 65535),
+                     uintFlag("--budget-mb", budget_mb, 1 << 20),
+                     uintFlag("--max-open", max_open, 4096),
+                     uintFlag("--high-water", high_water, 1 << 20),
+                     uintFlag("--threads", threads, 1024),
+                     uintFlag("--fault-seed", fault_seed, 1 << 30),
+                     uintFlag("--drain-seconds", drain_seconds, 3600),
+                     rateFlag("--fault-rate", fault_rate)}))
         return 1;
 
     MultiArchiveOptions service_options;
@@ -1050,45 +1031,13 @@ cmdChaosProxy(int argc, char **argv)
 
     net::ChaosConfig config;
     unsigned seed = 1, stall_ms = 200;
-    bool bad_value = false;
-    for (int i = 3; i < argc; i++) {
-        const auto uintArg = [&](const char *flag, unsigned &out,
-                                 int max) {
-            if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-                const int n = std::atoi(argv[++i]);
-                if (n < 0 || n > max) {
-                    std::fprintf(stderr, "%s must be in [0, %d]\n",
-                                 flag, max);
-                    bad_value = true;
-                }
-                out = static_cast<unsigned>(n);
-                return true;
-            }
-            return false;
-        };
-        const auto rateArg = [&](const char *flag, double &out) {
-            if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-                out = std::atof(argv[++i]);
-                if (out < 0.0 || out > 1.0) {
-                    std::fprintf(stderr, "%s must be in [0, 1]\n",
-                                 flag);
-                    bad_value = true;
-                }
-                return true;
-            }
-            return false;
-        };
-        if (!uintArg("--seed", seed, 1 << 30) &&
-            !uintArg("--stall-ms", stall_ms, 60000) &&
-            !rateArg("--reset-rate", config.resetRate) &&
-            !rateArg("--corrupt-rate", config.corruptRate) &&
-            !rateArg("--stall-rate", config.stallRate) &&
-            !rateArg("--split-rate", config.splitRate)) {
-            std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-            return 1;
-        }
-    }
-    if (bad_value)
+    if (!parseFlags(argc, argv, 3,
+                    {uintFlag("--seed", seed, 1 << 30),
+                     uintFlag("--stall-ms", stall_ms, 60000),
+                     rateFlag("--reset-rate", config.resetRate),
+                     rateFlag("--corrupt-rate", config.corruptRate),
+                     rateFlag("--stall-rate", config.stallRate),
+                     rateFlag("--split-rate", config.splitRate)}))
         return 1;
     config.seed = seed;
     config.stallMs = stall_ms;
@@ -1147,46 +1096,29 @@ cmdDemo(int argc, char **argv)
     }
     std::printf("generated %s and %s\n", fastq.c_str(), ref.c_str());
 
-    char prog[] = "sage_cli";
-    char c0[] = "compress";
-    std::vector<char *> cargs = {prog, c0,
-                                 const_cast<char *>(fastq.c_str()),
-                                 const_cast<char *>(ref.c_str()),
-                                 const_cast<char *>(archive.c_str())};
-    cmdCompress(static_cast<int>(cargs.size()), cargs.data());
-
-    char c1[] = "inspect";
-    std::vector<char *> iargs = {prog, c1,
-                                 const_cast<char *>(archive.c_str())};
-    cmdInspect(static_cast<int>(iargs.size()), iargs.data());
-
-    char c5[] = "verify";
-    std::vector<char *> vargs = {prog, c5,
-                                 const_cast<char *>(archive.c_str())};
-    cmdVerify(static_cast<int>(vargs.size()), vargs.data());
-
-    char c2[] = "range";
-    char first[] = "0";
-    char count[] = "1";
-    std::vector<char *> rargs = {prog, c2,
-                                 const_cast<char *>(archive.c_str()),
-                                 const_cast<char *>(ranged.c_str()),
-                                 first, count};
-    cmdRange(static_cast<int>(rargs.size()), rargs.data());
-
-    char c3[] = "serve-stress";
-    char copt[] = "--clients";
-    char cnum[] = "4";
-    std::vector<char *> sargs = {prog, c3,
-                                 const_cast<char *>(archive.c_str()),
-                                 copt, cnum};
-    cmdServeStress(static_cast<int>(sargs.size()), sargs.data());
-
-    char c4[] = "decompress";
-    std::vector<char *> dargs = {prog, c4,
-                                 const_cast<char *>(archive.c_str()),
-                                 const_cast<char *>(restored.c_str())};
-    return cmdDecompress(static_cast<int>(dargs.size()), dargs.data());
+    // Each step runs as its subcommand would; the first failure ends
+    // the demo with that step's exit code.
+    const auto run = [](int (*cmd)(int, char **),
+                        std::vector<std::string> args) {
+        args.insert(args.begin(), "sage_cli");
+        std::vector<char *> argv;
+        for (std::string &arg : args)
+            argv.push_back(arg.data());
+        return cmd(static_cast<int>(argv.size()), argv.data());
+    };
+    int code = run(cmdCompress, {"compress", fastq, ref, archive});
+    if (code == 0)
+        code = run(cmdInspect, {"inspect", archive});
+    if (code == 0)
+        code = run(cmdVerify, {"verify", archive});
+    if (code == 0)
+        code = run(cmdRange, {"range", archive, ranged, "0", "1"});
+    if (code == 0)
+        code = run(cmdServeStress,
+                   {"serve-stress", archive, "--clients", "4"});
+    if (code == 0)
+        code = run(cmdDecompress, {"decompress", archive, restored});
+    return code;
 }
 
 } // namespace

@@ -32,7 +32,7 @@ LLVMFuzzerTestOneInput(const uint8_t *data, size_t size)
     (void)dir;
 
     // Trailer checksum walk over arbitrary bytes.
-    (void)verifyArchiveChecksumStatus(source);
+    (void)verifyArchiveChecksum(source);
 
     // The full open; when the input happens to parse, decode every
     // chunk too — the per-read decode loop is the deepest consumer

@@ -104,7 +104,12 @@ lzParse(const uint8_t *data, size_t size, const Config &config)
 
     constexpr size_t kHashSize = size_t(1) << 17;
     std::vector<int32_t> head(kHashSize, -1);
-    std::vector<int32_t> prev(std::min(size, size_t(1) << 24), -1);
+    // Chain links for the last kWindowSize positions only: a search
+    // never follows a candidate more than kWindowSize - 1 back, and
+    // every position it reaches was inserted less than kWindowSize
+    // positions ago, so its ring slot still holds its own link.
+    constexpr size_t kRingMask = kWindowSize - 1;
+    std::vector<int32_t> prev(kWindowSize, -1);
 
     auto find_match = [&](size_t pos, unsigned &best_len,
                           uint32_t &best_dist) {
@@ -133,14 +138,14 @@ lzParse(const uint8_t *data, size_t size, const Config &config)
                         break;
                 }
             }
-            cand = prev[cpos];
+            cand = prev[cpos & kRingMask];
         }
     };
 
     auto insert = [&](size_t pos) {
         if (pos + 4 <= size) {
             const uint32_t h = hash4(data + pos);
-            prev[pos] = head[h];
+            prev[pos & kRingMask] = head[h];
             head[h] = static_cast<int32_t>(pos);
         }
     };
@@ -394,25 +399,12 @@ decompressOrThrow(const std::vector<uint8_t> &archive, ThreadPool *pool)
 
 } // namespace
 
-std::vector<uint8_t>
-decompress(const std::vector<uint8_t> &archive, ThreadPool *pool)
-{
-    // Legacy fatal contract: a malformed container kills the process
-    // with the decode error. (On the pool-parallel path a worker's
-    // StatusError terminates via the pool instead — still fatal.)
-    try {
-        return decompressOrThrow(archive, pool);
-    } catch (const StatusError &err) {
-        sage_fatal(err.status().message());
-    }
-}
-
 StatusOr<std::vector<uint8_t>>
-tryDecompress(const std::vector<uint8_t> &archive)
+tryDecompress(const std::vector<uint8_t> &archive, ThreadPool *pool)
 {
     try {
         return StatusOr<std::vector<uint8_t>>(
-            decompressOrThrow(archive, nullptr));
+            decompressOrThrow(archive, pool));
     } catch (const StatusError &err) {
         return err.status();
     } catch (const std::bad_alloc &) {
@@ -421,16 +413,6 @@ tryDecompress(const std::vector<uint8_t> &archive)
     } catch (const std::length_error &) {
         return Status::corrupt(
             "gpzip decode exceeded the allocation limit");
-    }
-}
-
-uint64_t
-originalSize(const std::vector<uint8_t> &archive)
-{
-    try {
-        return parseHeader(archive).originalSize;
-    } catch (const StatusError &err) {
-        sage_fatal(err.status().message());
     }
 }
 

@@ -47,20 +47,14 @@ std::vector<uint8_t> compress(std::string_view text,
                               const Config &config = {},
                               ThreadPool *pool = nullptr);
 
-/** Decompress a gpzip container; verifies the stored CRC-32. Fatal on
- *  a malformed container (legacy contract). */
-std::vector<uint8_t> decompress(const std::vector<uint8_t> &archive,
-                                ThreadPool *pool = nullptr);
-
-/** Non-fatal decompress: malformed framing, truncated blocks and CRC
- *  mismatches come back as Truncated/Corrupt instead of dying. Serial
- *  only — the recoverable error channel does not cross the thread
- *  pool (a worker throw would terminate the process). */
+/** Decompress a gpzip container and verify its stored CRC-32;
+ *  blocks decode across @p pool when given. Malformed framing,
+ *  truncated blocks and CRC mismatches come back as
+ *  Truncated/Corrupt (a pool worker's failure is rethrown on the
+ *  caller by ThreadPool::parallelFor and returned the same way). */
 StatusOr<std::vector<uint8_t>>
-tryDecompress(const std::vector<uint8_t> &archive);
-
-/** Original (uncompressed) size recorded in a container. */
-uint64_t originalSize(const std::vector<uint8_t> &archive);
+tryDecompress(const std::vector<uint8_t> &archive,
+              ThreadPool *pool = nullptr);
 
 } // namespace gpzip
 } // namespace sage

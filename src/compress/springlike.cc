@@ -191,7 +191,7 @@ decompress(const std::vector<uint8_t> &archive, ThreadPool *pool)
 
     auto unpack = [&](const char *name) {
         Stopwatch backend_clock;
-        auto out = gpzip::decompress(bundle.stream(name), pool);
+        auto out = orExit(gpzip::tryDecompress(bundle.stream(name), pool));
         result.backendSeconds += backend_clock.seconds();
         return out;
     };

@@ -13,7 +13,6 @@
 #include "util/bitio.hh"
 #include "util/logging.hh"
 #include "util/status.hh"
-#include "util/thread_pool.hh"
 #include "util/varint.hh"
 
 namespace sage {
@@ -45,8 +44,6 @@ struct SageDecoder::ChunkCursor
         const uint8_t *data = nullptr;
         size_t size = 0;
     };
-
-    explicit ChunkCursor(uint64_t reads) : remaining(reads) {}
 
     void
     initReaders()
@@ -80,38 +77,14 @@ struct SageDecoder::ChunkCursor
      *  reader here. */
     size_t escapeByte = 0;
     uint64_t prevPrimary = 0;
-    uint64_t remaining;
 };
-
-SageDecoder::SageDecoder(const ByteSource &source, bool dna_only,
-                         bool verify_checksum)
-    : source_(&source)
-{
-    if (verify_checksum && !verifyArchiveChecksum(source)) {
-        sage_fatal("archive CRC mismatch (corrupt data): ",
-                   source.describe());
-    }
-    parseContainer(dna_only);
-}
-
-SageDecoder::SageDecoder(const std::vector<uint8_t> &archive,
-                         bool dna_only)
-    : ownedSource_(std::make_unique<MemorySource>(archive)),
-      source_(ownedSource_.get())
-{
-    // Resident archives keep the historical whole-container CRC check:
-    // any bit flip dies here, before a single read is produced.
-    if (!verifyArchiveChecksum(*source_))
-        sage_fatal("stream bundle CRC mismatch (corrupt data)");
-    parseContainer(dna_only);
-}
 
 StatusOr<std::unique_ptr<SageDecoder>>
 SageDecoder::tryOpen(const ByteSource &source, bool dna_only,
                      bool verify_checksum)
 {
     if (verify_checksum) {
-        Status status = verifyArchiveChecksumStatus(source);
+        Status status = verifyArchiveChecksum(source);
         if (!status.ok())
             return status;
     }
@@ -123,32 +96,13 @@ SageDecoder::tryOpen(const ByteSource &source, bool dna_only,
     return StatusOr<std::unique_ptr<SageDecoder>>(std::move(decoder));
 }
 
-SageDecoder::~SageDecoder()
-{
-    // An in-flight prefetch task references this decoder; wait it out.
-    std::unique_lock<std::mutex> lock(prefetchMutex_);
-    prefetchCv_.wait(lock, [&] {
-        return prefetchState_ != PrefetchState::InFlight;
-    });
-}
-
-void
-SageDecoder::setPrefetchPool(ThreadPool *pool)
-{
-    std::unique_lock<std::mutex> lock(prefetchMutex_);
-    prefetchCv_.wait(lock, [&] {
-        return prefetchState_ != PrefetchState::InFlight;
-    });
-    prefetchState_ = PrefetchState::Idle;
-    prefetched_.reset();
-    prefetchPool_ = pool;
-}
+SageDecoder::~SageDecoder() = default;
 
 SageDecoder::OpenedChunk
 SageDecoder::tryOpenChunk(size_t chunk) const
 {
     const ChunkSlice &slice = chunks_[chunk];
-    auto cur = std::make_unique<ChunkCursor>(slice.readCount);
+    auto cur = std::make_unique<ChunkCursor>();
     // Zero-copy views where the source provides them; everything else
     // is gathered in one batched read (FileSource coalesces the slices
     // into preadv calls instead of 13 separate preads).
@@ -176,103 +130,24 @@ SageDecoder::tryOpenChunk(size_t chunk) const
     return OpenedChunk(std::move(cur));
 }
 
-void
-SageDecoder::startPrefetch(size_t chunk)
-{
-    {
-        std::lock_guard<std::mutex> lock(prefetchMutex_);
-        // The slot can still be busy with a speculation a random
-        // access abandoned; never stack opens behind it.
-        if (prefetchState_ != PrefetchState::Idle)
-            return;
-        prefetchState_ = PrefetchState::InFlight;
-        prefetchChunk_ = chunk;
-    }
-    prefetchPool_->submit([this, chunk] {
-        // A failed open is kept, not fatal: the walk reports it only
-        // if it reaches this chunk.
-        OpenedChunk opened = tryOpenChunk(chunk);
-        std::lock_guard<std::mutex> lock(prefetchMutex_);
-        prefetched_.emplace(std::move(opened));
-        prefetchState_ = PrefetchState::Ready;
-        prefetchCv_.notify_all();
-    });
-}
-
-std::optional<SageDecoder::OpenedChunk>
-SageDecoder::takePrefetched(size_t chunk)
-{
-    std::unique_lock<std::mutex> lock(prefetchMutex_);
-    // Wait only for an open of the chunk we want; an in-flight open
-    // of some other chunk means a random access jumped past the
-    // speculation — open inline instead of blocking behind it (its
-    // stale result is discarded by a later take).
-    prefetchCv_.wait(lock, [&] {
-        return prefetchState_ != PrefetchState::InFlight ||
-            prefetchChunk_ != chunk;
-    });
-    if (prefetchState_ == PrefetchState::InFlight)
-        return std::nullopt;
-    std::optional<OpenedChunk> taken;
-    if (prefetchState_ == PrefetchState::Ready && prefetchChunk_ == chunk)
-        taken = std::move(prefetched_);
-    prefetched_.reset();
-    prefetchState_ = PrefetchState::Idle;
-    return taken;
-}
-
-std::unique_ptr<SageDecoder::ChunkCursor>
-SageDecoder::openChunk(size_t index)
-{
-    // Double buffering: take the chunk opened behind chunk index-1 (or
-    // open in line on a miss — first chunk, or a range jump), then put
-    // the slot to work on chunk index+1 while the caller decodes this
-    // one. Speculate only while the walk looks sequential (first open,
-    // successor of the last open, or a prefetch hit): scattered random
-    // access would otherwise pay a wasted full-chunk fetch per open.
-    std::optional<OpenedChunk> opened;
-    bool sequential = false;
-    if (prefetchPool_) {
-        opened = takePrefetched(index);
-        sequential = opened || lastOpenedChunk_ == SIZE_MAX ||
-            index == lastOpenedChunk_ + 1;
-        lastOpenedChunk_ = index;
-    }
-    if (!opened)
-        opened = tryOpenChunk(index);
-    if (!opened->ok())
-        sage_fatal(opened->status().message());
-    if (sequential && index + 1 < chunks_.size())
-        startPrefetch(index + 1);
-    return std::move(opened->value());
-}
-
-void
-SageDecoder::parseContainer(bool dna_only)
-{
-    Status status = tryParseContainer(dna_only);
-    if (!status.ok())
-        sage_fatal(status.message());
-}
-
 Status
 SageDecoder::tryParseContainer(bool dna_only)
 try {
     StatusOr<StreamDirectory> parsed = StreamDirectory::tryParse(*source_);
     if (!parsed.ok())
         return parsed.status();
-    dir_ = std::move(parsed.value());
+    const StreamDirectory &dir = parsed.value();
 
     std::vector<uint8_t> raw;
-    Status status = dir_.tryLoad(*source_, "params", raw);
+    Status status = dir.tryLoad(*source_, "params", raw);
     if (!status.ok())
         return status;
     info_.params = SageParams::deserialize(raw);
-    info_.streamSizes = dir_.sizes();
+    info_.streamSizes = dir.sizes();
     info_.totalCompressedBytes = source_->size();
 
     const SageParams &params = info_.params;
-    status = dir_.tryLoad(*source_, "consensus", raw);
+    status = dir.tryLoad(*source_, "consensus", raw);
     if (!status.ok())
         return status;
     // Validate the packed consensus length against its stream size
@@ -293,10 +168,10 @@ try {
                                : OutputFormat::ThreeBit);
 
     for (unsigned s = 0; s < kChunkStreamCount; s++) {
-        if (!dir_.has(kChunkStreamNames[s]))
+        if (!dir.has(kChunkStreamNames[s]))
             return Status::corrupt("missing stream: ",
                                    kChunkStreamNames[s]);
-        dnaExtents_[s] = dir_.extent(kChunkStreamNames[s]);
+        dnaExtents_[s] = dir.extent(kChunkStreamNames[s]);
     }
 
     // Host-side streams (skipped entirely in DNA-only mode). Headers
@@ -306,7 +181,7 @@ try {
     // read, so a stream that disagrees with the read count is corrupt:
     // serving it would hand out empty or misaligned fields.
     if (!dna_only) {
-        status = dir_.tryLoad(*source_, "headers", raw);
+        status = dir.tryLoad(*source_, "headers", raw);
         if (!status.ok())
             return status;
         StatusOr<std::vector<uint8_t>> headers = gpzip::tryDecompress(raw);
@@ -332,8 +207,8 @@ try {
     // The order stream maps stored read i to its original index. It is
     // a permutation of [0, numReads), or decodeAll would put reads in
     // the wrong places or outside its result.
-    if (dir_.has("order")) {
-        status = dir_.tryLoad(*source_, "order", raw);
+    if (dir.has("order")) {
+        status = dir.tryLoad(*source_, "order", raw);
         if (!status.ok())
             return status;
         const uint64_t reads = params.numReads;
@@ -360,10 +235,10 @@ try {
                         " entries for ", reads, " reads");
     }
     if (!dna_only && params.hasQuality) {
-        sage_check_data(dir_.has("quality"), Corrupt,
+        sage_check_data(dir.has("quality"), Corrupt,
                         "archive declares quality scores but has no "
                         "quality stream");
-        status = dir_.tryLoad(*source_, "quality", raw);
+        status = dir.tryLoad(*source_, "quality", raw);
         if (!status.ok())
             return status;
         quals_ = std::make_unique<QualityStore>(unpackQuality(raw));
@@ -384,7 +259,7 @@ try {
     // next chunk's offset (or the stream end for the last chunk), so a
     // cursor fetches exactly its chunk's bytes.
     if (params.version >= kFormatVersionChunked) {
-        status = dir_.tryLoad(*source_, "chunks", raw);
+        status = dir.tryLoad(*source_, "chunks", raw);
         if (!status.ok())
             return status;
         const ChunkTable table = ChunkTable::deserialize(raw);
@@ -667,75 +542,32 @@ SageDecoder::decodeBases(ChunkCursor &cur) const
     return oriented;
 }
 
-SageDecoder::ChunkCursor &
-SageDecoder::advanceCursor()
-{
-    sage_assert(hasNext(), "decoder exhausted");
-    while (!cursor_ || cursor_->remaining == 0) {
-        sage_assert(nextChunk_ < chunks_.size(),
-                    "chunk table exhausted before read count");
-        cursor_ = openChunk(nextChunk_++);
-    }
-    cursor_->remaining--;
-    return *cursor_;
-}
+namespace {
 
-Read
-SageDecoder::next()
+/** The try* boundary of a chunk decode: run @p decode, turning a
+ *  StatusError or an allocation failure into a Status. */
+template <typename Decode>
+Status
+chunkStatus(size_t chunk, const Decode &decode)
 {
-    Read read = decodeOne(advanceCursor(), emitted_);
-    emitted_++;
-    return read;
-}
-
-// Chunks are independent slices: a pool decodes them concurrently, each
-// worker opening its own chunk and handling disjoint stored-order
-// indices (so stored order is preserved by construction).
-template <typename Body>
-void
-SageDecoder::walkChunks(size_t first, size_t count, ThreadPool *pool,
-                        const Body &body)
-{
-    auto walk = [&](ChunkCursor &cur, size_t chunk) {
-        const ChunkSlice &slice = chunks_[chunk];
-        for (uint64_t r = 0; r < slice.readCount; r++)
-            body(cur, slice.firstRead + r);
-    };
-    if (pool && pool->threadCount() > 1 && count > 1) {
-        pool->parallelFor(count, [&](size_t i) {
-            OpenedChunk opened = tryOpenChunk(first + i);
-            if (!opened.ok())
-                sage_fatal(opened.status().message());
-            walk(*opened.value(), first + i);
-        });
-    } else {
-        for (size_t c = first; c < first + count; c++)
-            walk(*openChunk(c), c);
+    try {
+        decode();
+        return Status();
+    } catch (const StatusError &err) {
+        return err.status();
+    } catch (const std::bad_alloc &) {
+        return Status::corrupt("chunk ", chunk,
+                               " decode exceeded the allocation limit");
+    } catch (const std::length_error &) {
+        return Status::corrupt("chunk ", chunk,
+                               " decode exceeded the allocation limit");
     }
 }
 
-ReadSet
-SageDecoder::decodeChunks(size_t first, size_t count, ThreadPool *pool)
-{
-    sage_assert(first <= chunks_.size() &&
-                count <= chunks_.size() - first,
-                "chunk range out of bounds");
-    ReadSet rs;
-    if (count == 0)
-        return rs;
+} // namespace
 
-    const uint64_t base = chunks_[first].firstRead;
-    const ChunkSlice &last = chunks_[first + count - 1];
-    rs.reads.resize(
-        static_cast<size_t>(last.firstRead + last.readCount - base));
-    walkChunks(first, count, pool, [&](ChunkCursor &cur, uint64_t idx) {
-        rs.reads[static_cast<size_t>(idx - base)] = decodeOne(cur, idx);
-    });
-    return rs;
-}
-
-StatusOr<std::vector<Read>>
-SageDecoder::tryDecodeChunkShared(size_t chunk)
+Status
+SageDecoder::tryDecodeChunkShared(size_t chunk, Read *out) const
 {
     if (chunk >= chunks_.size()) {
         return Status::outOfRange("chunk index ", chunk,
@@ -751,86 +583,27 @@ SageDecoder::tryDecodeChunkShared(size_t chunk)
         return opened.status();
     ChunkCursor &cur = *opened.value();
     const ChunkSlice &slice = chunks_[chunk];
-    try {
-        std::vector<Read> reads;
-        reads.reserve(static_cast<size_t>(slice.readCount));
+    return chunkStatus(chunk, [&] {
         for (uint64_t r = 0; r < slice.readCount; r++)
-            reads.push_back(decodeOne(cur, slice.firstRead + r));
-        return StatusOr<std::vector<Read>>(std::move(reads));
-    } catch (const StatusError &err) {
-        return err.status();
-    } catch (const std::bad_alloc &) {
-        return Status::corrupt("chunk ", chunk,
-                               " decode exceeded the allocation limit");
-    } catch (const std::length_error &) {
-        return Status::corrupt("chunk ", chunk,
-                               " decode exceeded the allocation limit");
-    }
+            out[r] = decodeOne(cur, slice.firstRead + r);
+    });
 }
 
-ReadSet
-SageDecoder::decodeAll(ThreadPool *pool)
+StatusOr<std::vector<Read>>
+SageDecoder::tryDecodeChunkShared(size_t chunk) const
 {
-    ReadSet rs;
-    if (emitted_ == 0) {
-        rs = decodeChunks(0, chunks_.size(), pool);
-        emitted_ = info_.params.numReads;
-    } else {
-        rs.reads.reserve(info_.params.numReads - emitted_);
-        while (hasNext())
-            rs.reads.push_back(next());
+    std::vector<Read> reads;
+    Status status;
+    if (chunk < chunks_.size()) {
+        status = chunkStatus(chunk, [&] {
+            reads.resize(static_cast<size_t>(chunks_[chunk].readCount));
+        });
     }
-
-    // The result holds the stored-order reads [taken, numReads); put
-    // them in original order. order_ is a permutation (checked at open).
-    if (!order_.empty()) {
-        const uint64_t taken = info_.params.numReads - rs.reads.size();
-        constexpr uint32_t kTaken = UINT32_MAX;
-        // by_original[o]: where in rs.reads the read of original index
-        // o sits, or kTaken.
-        std::vector<uint32_t> by_original(order_.size(), kTaken);
-        for (size_t i = 0; i < rs.reads.size(); i++)
-            by_original[order_[taken + i]] = static_cast<uint32_t>(i);
-        std::vector<Read> restored;
-        restored.reserve(rs.reads.size());
-        for (uint32_t i : by_original) {
-            if (i != kTaken)
-                restored.push_back(std::move(rs.reads[i]));
-        }
-        rs.reads = std::move(restored);
-    }
-    return rs;
-}
-
-std::vector<std::vector<uint8_t>>
-SageDecoder::decodeAllPacked(OutputFormat fmt, ThreadPool *pool)
-{
-    // Bases only: packed output carries no header or quality, so no
-    // quality block is decoded here.
-    auto pack = [fmt](const std::string &bases) {
-        const OutputFormat effective =
-            fmt == OutputFormat::TwoBit && !isAcgtOnly(bases)
-                ? OutputFormat::ThreeBit : fmt;
-        return packSequence(bases, effective);
-    };
-
-    std::vector<std::vector<uint8_t>> out;
-    const uint64_t total = info_.params.numReads;
-    if (emitted_ == 0) {
-        out.resize(total);
-        walkChunks(0, chunks_.size(), pool,
-                   [&](ChunkCursor &cur, uint64_t idx) {
-                       out[idx] = pack(decodeBases(cur));
-                   });
-        emitted_ = total;
-    } else {
-        out.reserve(total - emitted_);
-        while (hasNext()) {
-            out.push_back(pack(decodeBases(advanceCursor())));
-            emitted_++;
-        }
-    }
-    return out;
+    if (status.ok())
+        status = tryDecodeChunkShared(chunk, reads.data());
+    if (!status.ok())
+        return status;
+    return StatusOr<std::vector<Read>>(std::move(reads));
 }
 
 uint64_t
@@ -842,13 +615,6 @@ SageDecoder::workingSetBytes() const
     // 150-bp reconstruction register and two 64-bit double-buffer
     // registers.
     return consensus_.size() + sizeof(ChunkCursor);
-}
-
-ReadSet
-sageDecompress(const std::vector<uint8_t> &archive)
-{
-    SageDecoder decoder(archive);
-    return decoder.decodeAll();
 }
 
 } // namespace sage

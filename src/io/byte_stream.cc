@@ -6,21 +6,6 @@
 
 namespace sage {
 
-std::vector<uint8_t>
-ByteSource::read(uint64_t offset, size_t size) const
-{
-    std::vector<uint8_t> out(size);
-    if (size > 0)
-        readAt(offset, out.data(), size);
-    return out;
-}
-
-std::vector<uint8_t>
-ByteSource::readAll() const
-{
-    return read(0, static_cast<size_t>(size()));
-}
-
 void
 ByteSource::readBatch(const Extent *extents, size_t count) const
 {

@@ -104,15 +104,9 @@ class ByteSource
     /** Human-readable identity for error messages (path or kind). */
     virtual std::string describe() const = 0;
 
-    /** Convenience: read a span into a fresh vector. */
-    std::vector<uint8_t> read(uint64_t offset, size_t size) const;
-
     /** Convenience: non-fatal read of a span into @p out (resized). */
     Status tryRead(uint64_t offset, size_t size,
                    std::vector<uint8_t> &out) const;
-
-    /** Convenience: read the entire source. */
-    std::vector<uint8_t> readAll() const;
 };
 
 /** Append-only byte stream. */

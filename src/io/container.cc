@@ -128,15 +128,6 @@ StreamDirectory::tryParse(const ByteSource &source)
     return dir;
 }
 
-StreamDirectory
-StreamDirectory::parse(const ByteSource &source)
-{
-    StatusOr<StreamDirectory> parsed = tryParse(source);
-    if (!parsed.ok())
-        sage_fatal(parsed.status().message());
-    return std::move(parsed.value());
-}
-
 bool
 StreamDirectory::has(const std::string &name) const
 {
@@ -150,14 +141,6 @@ StreamDirectory::extent(const std::string &name) const
     if (it == extents_.end())
         sage_fatal("missing stream: ", name);
     return it->second;
-}
-
-std::vector<uint8_t>
-StreamDirectory::load(const ByteSource &source,
-                      const std::string &name) const
-{
-    const StreamExtent &ext = extent(name);
-    return source.read(ext.offset, static_cast<size_t>(ext.size));
 }
 
 Status
@@ -182,7 +165,7 @@ StreamDirectory::sizes() const
 }
 
 Status
-verifyArchiveChecksumStatus(const ByteSource &source)
+verifyArchiveChecksum(const ByteSource &source)
 {
     const uint64_t total = source.size();
     if (total < 4) {
@@ -222,12 +205,6 @@ verifyArchiveChecksumStatus(const ByteSource &source)
                                ", computed ", crc.value());
     }
     return Status();
-}
-
-bool
-verifyArchiveChecksum(const ByteSource &source)
-{
-    return verifyArchiveChecksumStatus(source).ok();
 }
 
 } // namespace sage

@@ -38,16 +38,11 @@ class StreamDirectory
     StreamDirectory() = default;
 
     /**
-     * Parse the framing from @p source without touching payloads.
-     * Fatal (naming the source) on truncated or malformed framing.
-     */
-    static StreamDirectory parse(const ByteSource &source);
-
-    /**
-     * Non-fatal parse of untrusted framing: every varint, name span,
-     * and payload extent is bounds-checked against the body; a bad
-     * container comes back as Truncated/Corrupt/OutOfRange instead of
-     * killing the process. I/O failures surface as IoError.
+     * Parse the framing of untrusted bytes from @p source without
+     * touching payloads: every varint, name span, and payload extent
+     * is bounds-checked against the body, and a bad container comes
+     * back as Truncated/Corrupt/OutOfRange. I/O failures surface as
+     * IoError.
      */
     static StatusOr<StreamDirectory> tryParse(const ByteSource &source);
 
@@ -56,12 +51,9 @@ class StreamDirectory
     /** Extent of stream @p name; fatal when missing. */
     const StreamExtent &extent(const std::string &name) const;
 
-    /** Load one stream's payload through @p source. */
-    std::vector<uint8_t> load(const ByteSource &source,
-                              const std::string &name) const;
-
-    /** Non-fatal load: Corrupt when the stream is missing, else the
-     *  source's tryRead status. */
+    /** Load one stream's payload through @p source into @p out:
+     *  Corrupt when the stream is missing, else the source's tryRead
+     *  status. */
     Status tryLoad(const ByteSource &source, const std::string &name,
                    std::vector<uint8_t> &out) const;
 
@@ -81,19 +73,14 @@ class StreamDirectory
 
 /**
  * Stream the archive body through CRC32 in fixed blocks and compare
- * with the trailer. Reads the whole source (sequentially, without
- * holding it resident); callers on a streaming path usually skip this
- * and rely on per-read validation instead.
+ * with the trailer: Ok when it matches, Corrupt (with both CRC values)
+ * when it does not, Truncated when the source cannot even hold a
+ * trailer, and the underlying read status on I/O failure. Reads the
+ * whole source (sequentially, without holding it resident); callers on
+ * a streaming path usually skip this and rely on per-read validation
+ * instead.
  */
-bool verifyArchiveChecksum(const ByteSource &source);
-
-/**
- * Status flavor of verifyArchiveChecksum: Ok when the trailer
- * matches, Corrupt (with both CRC values) when it does not,
- * Truncated when the source cannot even hold a trailer, and the
- * underlying read status on I/O failure.
- */
-Status verifyArchiveChecksumStatus(const ByteSource &source);
+Status verifyArchiveChecksum(const ByteSource &source);
 
 } // namespace sage
 

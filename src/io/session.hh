@@ -19,9 +19,15 @@
  * the paper's SAGe_Read/SAGe_Write interface (§5.4), and the layer the
  * Fig. 15 multi-SSD mode plugs into via StripedSource.
  *
- * The legacy whole-buffer calls (sageCompress/sageDecompress,
- * core/encoder.hh + core/decoder.hh) remain as thin compatibility
- * wrappers over the same machinery.
+ * SageReader is built on the decoder's two recoverable calls
+ * (SageDecoder::tryOpen and tryDecodeChunkShared) and is where their
+ * Status becomes a process exit: a bad archive or failed read exits 1
+ * with the Status printed (util/status.hh: orExit). Callers that must
+ * survive bad bytes use the decoder directly, or verifyArchive().
+ *
+ * The whole-buffer calls (sageCompress in core/encoder.hh,
+ * sageDecompress here) remain as thin wrappers over the same
+ * machinery.
  *
  * Note on write granularity: the container's stream-table layout
  * groups each stream's chunks contiguously, so the writer can only
@@ -33,6 +39,9 @@
 #ifndef SAGE_IO_SESSION_HH
 #define SAGE_IO_SESSION_HH
 
+#include <cstdint>
+#include <functional>
+#include <future>
 #include <memory>
 #include <string_view>
 
@@ -121,16 +130,16 @@ struct SageReaderOptions
     bool dnaOnly = false;
     /** Stream the whole archive through CRC32 before decoding. Off by
      *  default: it reads every byte, defeating chunk-range laziness.
-     *  (The legacy sageDecompress wrapper always verifies.) */
+     *  (sageDecompress always verifies.) */
     bool verifyChecksum = false;
     /**
-     * Prefetch-next-chunk mode, on when set: a task on this pool opens
-     * chunk i+1 through the source while chunk i decodes, overlapping
-     * real FileSource/StripedSource I/O with decode on the sequential
-     * paths (next(), decodeRange()/decodeAll() without a decode pool).
-     * Byte-identical output; pointless over a MemorySource (chunk
-     * fetches are zero-copy views there anyway). The pool must outlive
-     * the reader; one thread is plenty (the task blocks on I/O), and
+     * Prefetch-next-chunk mode, on when set: while the caller consumes
+     * chunk i, a task on this pool decodes chunk i+1, overlapping real
+     * FileSource/StripedSource I/O and decode with the caller's work
+     * on the sequential paths (next(), readChunk(), and
+     * decodeRange()/decodeAll()/decodeAllPacked() without a decode
+     * pool). Byte-identical output. The pool must outlive the reader;
+     * one thread is enough (one chunk is in flight at a time), and
      * sharing it across many short-lived readers amortizes thread
      * startup.
      */
@@ -139,7 +148,9 @@ struct SageReaderOptions
 
 /**
  * Read session over a SAGe archive: header + chunk table up front,
- * per-chunk byte slices on demand.
+ * per-chunk byte slices on demand. Every call that returns reads exits
+ * the process (status 1, Status printed) when the archive turns out to
+ * be corrupt or unreadable; so does opening one. One thread at a time.
  */
 class SageReader
 {
@@ -152,6 +163,7 @@ class SageReader
     explicit SageReader(const std::string &path,
                         SageReaderOptions options = {});
 
+    /** Waits out an in-flight prefetch. */
     ~SageReader();
 
     SageReader(const SageReader &) = delete;
@@ -190,30 +202,38 @@ class SageReader
      * in stored order, optionally chunk-parallel across @p pool. The
      * result equals the matching slice of decodeAll() on an archive
      * without a preserved-order permutation (the permutation is global,
-     * so ranges always come back in stored order).
+     * so ranges always come back in stored order). Independent of the
+     * next() cursor and repeatable.
      */
     ReadSet decodeRange(size_t first_chunk, size_t chunk_count,
                         ThreadPool *pool = nullptr);
 
     /** True while sequential reads remain. */
-    bool hasNext() const { return decoder_->hasNext(); }
+    bool hasNext() const { return taken_ < readCount(); }
 
     /** Decode the next read in stored order. */
-    Read next() { return decoder_->next(); }
+    Read next();
 
-    /** Decode everything (restores preserved order; one-shot). */
-    ReadSet
-    decodeAll(ThreadPool *pool = nullptr)
-    {
-        return decoder_->decodeAll(pool);
-    }
+    /**
+     * Decode every read not yet taken through next(). When the archive
+     * preserved the original order, those reads come in their original
+     * relative order: after n next() calls, the input's reads minus
+     * the n taken, in input order. Otherwise they come in stored order.
+     * With a pool, chunks decode in parallel; the result is identical.
+     * Like next(), it uses the reads up: hasNext() is false afterwards.
+     */
+    ReadSet decodeAll(ThreadPool *pool = nullptr);
 
-    /** Decode everything into packed analysis format (one-shot). */
+    /**
+     * Decode every read not yet taken into packed analysis format, in
+     * stored order — what SAGe_Read hands to an accelerator (paper
+     * §5.4): per-read packed bases (3-bit for a read holding a non-ACGT
+     * base when @p fmt is TwoBit). Optionally chunk-parallel, like
+     * decodeAll(). Open with dnaOnly so no header or quality is
+     * decoded on the way.
+     */
     std::vector<std::vector<uint8_t>>
-    decodeAllPacked(OutputFormat fmt, ThreadPool *pool = nullptr)
-    {
-        return decoder_->decodeAllPacked(fmt, pool);
-    }
+    decodeAllPacked(OutputFormat fmt, ThreadPool *pool = nullptr);
 
     /** Per-chunk compressed DNA bytes (chunk fetch cost). */
     std::vector<uint64_t>
@@ -222,20 +242,62 @@ class SageReader
         return decoder_->chunkCompressedBytes();
     }
 
-    /**
-     * Stream the whole archive through the CRC32 trailer check and
-     * report the outcome as a Status instead of dying: Corrupt on a
-     * checksum mismatch, Truncated when the container cannot hold a
-     * trailer, IoError when the bytes cannot be read. Reads every
-     * byte; independent of decode state and repeatable.
-     */
-    Status verify() const;
-
   private:
+    /** Decode chunk @p chunk (< chunkCount()) through the prefetch
+     *  slot: take its prefetched reads or decode in line, and while
+     *  access looks sequential start decoding chunk @p chunk+1
+     *  meanwhile. Exits on a failed decode. */
+    std::vector<Read> decodeChunk(size_t chunk);
+
+    /** When @p pool has several threads and [first, first + count)
+     *  several chunks: run @p decode(chunk) for each chunk across the
+     *  pool, exit on the first failure in chunk order once all are
+     *  done, and return true. Otherwise return false, leaving the walk
+     *  to the caller. */
+    bool decodeOnPool(ThreadPool *pool, size_t first, size_t count,
+                      const std::function<Status(size_t)> &decode);
+
+    /** Decode chunks [first, first + count) into @p out[0..) in stored
+     *  order: in place across @p pool (decodeOnPool), or in order
+     *  through decodeChunk(). */
+    void decodeInto(size_t first, size_t count, ThreadPool *pool,
+                    Read *out);
+
+    /** Mark every read taken (after decodeAll/decodeAllPacked). */
+    void takeAll();
+
     std::unique_ptr<FileSource> file_;  ///< Owned for the path ctor.
-    const ByteSource *source_ = nullptr;
     std::unique_ptr<SageDecoder> decoder_;
+    ThreadPool *prefetchPool_ = nullptr;
+
+    // Prefetch slot: chunk prefetchChunk_'s decode, running or done.
+    std::future<StatusOr<std::vector<Read>>> prefetch_;
+    size_t prefetchChunk_ = 0;
+    /** Last chunk decodeChunk() served; SIZE_MAX before the first.
+     *  Speculation continues only across sequential access. */
+    size_t lastChunk_ = SIZE_MAX;
+
+    // next() cursor: the chunk being walked and the reads taken.
+    std::vector<Read> current_;
+    size_t currentAt_ = 0;
+    size_t nextChunk_ = 0;
+    uint64_t taken_ = 0;
 };
+
+/**
+ * One-call convenience: decode a resident SAGe archive into a ReadSet,
+ * in original order when the archive preserved it. The container CRC
+ * is checked first, so any bit flip exits before a read is produced.
+ */
+ReadSet sageDecompress(const std::vector<uint8_t> &archive);
+
+/**
+ * Check that a decode of @p source will succeed, without exiting: the
+ * trailer checksum, then a full open (host streams included), then a
+ * decode of every chunk. Returns the first failure's Status. Reads
+ * every byte and decodes every read.
+ */
+Status verifyArchive(const ByteSource &source);
 
 } // namespace sage
 

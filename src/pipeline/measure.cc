@@ -73,7 +73,7 @@ measureWorkload(const SimulatedDataset &ds, const MeasureConfig &config)
     // pigz decompression is effectively serial (the gzip stream is
     // sequential), hence no pool here.
     art.work.pigzDecompSeconds = timeMedian(config.repetitions, [&] {
-        auto out = gpzip::decompress(pigz_archive);
+        auto out = orExit(gpzip::tryDecompress(pigz_archive));
         (void)out;
     });
 
@@ -115,14 +115,17 @@ measureWorkload(const SimulatedDataset &ds, const MeasureConfig &config)
     art.work.sageBytes = sage.bytes.size();
     art.sageDnaBytes = sage.dnaBytes;
     art.sageQualBytes = sage.qualityBytes;
+    const MemorySource sage_source(sage.bytes);
     {
-        SageDecoder info_probe(sage.bytes);
-        art.work.sageDnaStreamBytes = info_probe.info().dnaStreamBytes();
-        art.sageWorkingSetBytes = info_probe.workingSetBytes();
+        const std::unique_ptr<SageDecoder> info_probe = orExit(
+            SageDecoder::tryOpen(sage_source, /*dna_only=*/false,
+                                 /*verify_checksum=*/true));
+        art.work.sageDnaStreamBytes = info_probe->info().dnaStreamBytes();
+        art.sageWorkingSetBytes = info_probe->workingSetBytes();
         // Per-chunk fetch costs let the pipeline model overlap chunk
         // I/O with decode (chunk-weighted batches, pipeline.cc).
-        if (info_probe.chunkCount() > 1)
-            art.work.sageChunkBytes = info_probe.chunkCompressedBytes();
+        if (info_probe->chunkCount() > 1)
+            art.work.sageChunkBytes = info_probe->chunkCompressedBytes();
     }
     // DNA-only decode: the mapping pipeline never touches quality
     // scores (paper §5.1.5); they stay compressed and are fetched
@@ -131,16 +134,20 @@ measureWorkload(const SimulatedDataset &ds, const MeasureConfig &config)
     // like with like): sequentially (the portable baseline the
     // pipeline model scales by its host-parallelism factor) and
     // chunk-parallel across the pool (real multi-core decode, which
-    // caps the model's projection).
+    // caps the model's projection). Both check the container CRC
+    // first, like any decode of a resident archive.
+    SageReaderOptions resident;
+    resident.dnaOnly = true;
+    resident.verifyChecksum = true;
     art.work.sageSwDecompSeconds = timeMedian(config.repetitions, [&] {
-        SageDecoder decoder(sage.bytes, /*dna_only=*/true);
-        const ReadSet out = decoder.decodeAll();
+        SageReader reader(sage_source, resident);
+        const ReadSet out = reader.decodeAll();
         (void)out;
     });
     art.work.sageSwParDecompSeconds =
         timeMedian(config.repetitions, [&] {
-            SageDecoder decoder(sage.bytes, /*dna_only=*/true);
-            const ReadSet out = decoder.decodeAll(&pool);
+            SageReader reader(sage_source, resident);
+            const ReadSet out = reader.decodeAll(&pool);
             (void)out;
         });
     art.work.sageSwDecodeThreads =
@@ -148,9 +155,10 @@ measureWorkload(const SimulatedDataset &ds, const MeasureConfig &config)
 
     // File-backed decode, prefetch off vs on: same sequential decode,
     // but chunk slices now come off a real file. With prefetch, chunk
-    // i+1's pread runs behind chunk i's decode (SageReader prefetch
-    // mode), so the on/off delta is the I/O the overlap hides; the
-    // pipeline model uses the overlapped time as a measured cap.
+    // i+1's pread and decode run on the prefetch thread while the
+    // caller takes chunk i (SageReader prefetch mode), so the on/off
+    // delta is the work the overlap hides; the pipeline model uses the
+    // overlapped time as a measured cap.
     {
         // PID-keyed temp name: concurrent measurement passes in one
         // directory (two bench harnesses racing a cold cache) must not

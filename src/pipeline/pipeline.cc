@@ -123,8 +123,9 @@ stageTotals(const WorkloadMeasurement &work, PrepConfig prep,
         // was actually measured on this host: the chunk-parallel
         // decode (v2 archives decode per-chunk across cores) and the
         // prefetch-overlapped file decode (SageReader prefetch mode:
-        // chunk I/O hidden behind decode, I/O included in the wall
-        // clock). The modeled host cannot be slower than a real run.
+        // chunk i+1 fetched and decoded behind chunk i, I/O included
+        // in the wall clock). The modeled host cannot be slower than a
+        // real run.
         double prep = work.sageSwDecompSeconds
             / system.hostParallelSpeedup;
         if (work.sageSwParDecompSeconds > 0.0)

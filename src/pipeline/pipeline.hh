@@ -71,9 +71,10 @@ struct WorkloadMeasurement
     /**
      * Measured sequential SAGe decode over a real FileSource — I/O
      * included — without and with prefetch-next-chunk mode
-     * (SageReaderOptions::prefetchPool: chunk i+1 opened in the
-     * background while chunk i decodes). The prefetched number is an
-     * end-to-end I/O+decode wall clock with the two stages overlapped,
+     * (SageReaderOptions::prefetchPool: chunk i+1 fetched and decoded
+     * in the background while the caller takes chunk i). The
+     * prefetched number is an end-to-end I/O+decode wall clock with
+     * the two chunks' work overlapped,
      * so the SageSW pipeline projection treats it as another measured
      * upper bound (0 when not measured, e.g. stale caches).
      */

@@ -58,7 +58,7 @@ RangeResult::copyReads() const
 
 SageArchiveService::SageArchiveService(const ByteSource &source,
                                        ServiceOptions options)
-    : decoder_(std::make_unique<SageDecoder>(source, options.dnaOnly)),
+    : decoder_(orExit(SageDecoder::tryOpen(source, options.dnaOnly))),
       options_(options),
       pool_(options.pool),
       cache_(options.cacheBudgetBytes, options.cacheShards)
@@ -69,7 +69,7 @@ SageArchiveService::SageArchiveService(const ByteSource &source,
 SageArchiveService::SageArchiveService(const std::string &path,
                                        ServiceOptions options)
     : file_(std::make_unique<FileSource>(path)),
-      decoder_(std::make_unique<SageDecoder>(*file_, options.dnaOnly)),
+      decoder_(orExit(SageDecoder::tryOpen(*file_, options.dnaOnly))),
       options_(options),
       pool_(options.pool),
       cache_(options.cacheBudgetBytes, options.cacheShards)

@@ -284,11 +284,14 @@ class ServiceSession
 class SageArchiveService
 {
   public:
-    /** Serve @p source (must outlive the service). */
+    /** Serve @p source (must outlive the service). A bad archive
+     *  exits 1 with its Status printed (SageDecoder::tryOpen +
+     *  orExit). */
     explicit SageArchiveService(const ByteSource &source,
                                 ServiceOptions options = {});
 
-    /** Serve a file (owned FileSource; fatal naming the path). */
+    /** Serve a file (owned FileSource; exits like the source
+     *  constructor, naming the path). */
     explicit SageArchiveService(const std::string &path,
                                 ServiceOptions options = {});
 

@@ -76,9 +76,11 @@ SageDeviceArray::sageRead(const std::string &name, OutputFormat fmt,
     // The shards are fully resident here, so keep the single-device
     // contract: any bit flip dies on the container CRC before a read
     // is produced (SageDevice::sageRead verifies the same way).
-    SageDecoder decoder(striped, /*dna_only=*/true,
-                        /*verify_checksum=*/true);
-    result.packedReads = decoder.decodeAllPacked(fmt, pool);
+    SageReaderOptions options;
+    options.dnaOnly = true;
+    options.verifyChecksum = true;
+    SageReader reader(striped, options);
+    result.packedReads = reader.decodeAllPacked(fmt, pool);
     for (const auto &read : result.packedReads)
         result.deliveredBytes += read.size();
 

@@ -42,9 +42,15 @@ SageDevice::sageRead(const std::string &name, OutputFormat fmt)
 
     // Functional decompression through the shared decoder core. The
     // accelerator path is DNA-only: quality stays compressed on the
-    // device until a host application asks for specific blocks.
-    SageDecoder decoder(file.data, /*dna_only=*/true);
-    result.packedReads = decoder.decodeAllPacked(fmt);
+    // device until a host application asks for specific blocks. The
+    // container CRC is checked first: any bit flip dies before a read
+    // is produced.
+    const MemorySource source(file.data);
+    SageReaderOptions options;
+    options.dnaOnly = true;
+    options.verifyChecksum = true;
+    SageReader reader(source, options);
+    result.packedReads = reader.decodeAllPacked(fmt);
     for (const auto &read : result.packedReads)
         result.deliveredBytes += read.size();
 
@@ -91,9 +97,10 @@ SageDevice::sageChunkExtents(const std::string &name) const
                 name);
 
     const MemorySource source(file.data);
-    const StreamDirectory dir = StreamDirectory::parse(source);
-    const SageParams params =
-        SageParams::deserialize(dir.load(source, "params"));
+    const StreamDirectory dir = orExit(StreamDirectory::tryParse(source));
+    std::vector<uint8_t> raw;
+    orExit(dir.tryLoad(source, "params", raw));
+    const SageParams params = SageParams::deserialize(raw);
 
     // DNA stream extents in ChunkStreamIndex order (docs/format.md).
     std::array<StreamExtent, kChunkStreamCount> extents;
@@ -104,8 +111,8 @@ SageDevice::sageChunkExtents(const std::string &name) const
     // spanning every stream for v1.
     std::vector<std::array<uint64_t, kChunkStreamCount>> offsets;
     if (params.version >= kFormatVersionChunked) {
-        const ChunkTable table =
-            ChunkTable::deserialize(dir.load(source, "chunks"));
+        orExit(dir.tryLoad(source, "chunks", raw));
+        const ChunkTable table = ChunkTable::deserialize(raw);
         for (const ChunkTable::Entry &entry : table.entries)
             offsets.push_back(entry.offsets);
     } else {

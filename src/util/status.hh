@@ -10,19 +10,21 @@
  * that failure up the stack as a value.
  *
  * Conventions (see docs/robustness.md):
- *  - Layers that touch untrusted bytes or real I/O expose `try*`
- *    entry points returning Status/StatusOr; the historical fatal
- *    entry points remain as thin wrappers that call sage_fatal with
- *    the same messages as before.
+ *  - Layers that touch untrusted bytes or real I/O expose one `try*`
+ *    entry point returning Status/StatusOr, and no fatal twin.
  *  - Deep decode internals (BitReader, varints, rANS tables) throw
  *    StatusError on malformed data; public try* boundaries catch it
- *    and return the carried Status. StatusError never escapes a
- *    public API.
+ *    and return the carried Status.
+ *  - Callers that cannot go on without the result (the CLI, the
+ *    examples and benches, SageReader's value-returning calls)
+ *    unwrap through orExit(), which prints the Status and exits 1.
  */
 
 #ifndef SAGE_UTIL_STATUS_HH
 #define SAGE_UTIL_STATUS_HH
 
+#include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <optional>
 #include <string>
@@ -130,7 +132,7 @@ class Status
  * Exception carrying a Status out of deep decode internals (bit
  * readers, varint parsers, rANS table loads) that have no Status
  * return channel of their own. Public try* boundaries catch it and
- * return the Status; fatal wrappers catch it and sage_fatal.
+ * return the Status.
  */
 class StatusError : public std::exception
 {
@@ -191,6 +193,31 @@ class StatusOr
     Status status_;
     std::optional<T> value_;
 };
+
+/**
+ * The fatal boundary: print @p status ("fatal: <code>: <message>") and
+ * exit 1 unless it is Ok. For callers with no way to report a failure
+ * on (a CLI command, a batch tool, a value-returning session call);
+ * anything that must survive bad bytes keeps the Status.
+ */
+inline void
+orExit(const Status &status)
+{
+    if (status.ok())
+        return;
+    std::fprintf(stderr, "fatal: %s\n", status.toString().c_str());
+    std::fflush(stderr);
+    std::exit(1);
+}
+
+/** orExit() for a StatusOr: its value, or exit 1 printing its Status. */
+template <typename T>
+T
+orExit(StatusOr<T> result)
+{
+    orExit(result.status());
+    return std::move(result.value());
+}
 
 } // namespace sage
 

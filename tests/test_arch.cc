@@ -249,9 +249,11 @@ TEST(SageDevice, ChunkExtentsCoverEveryChunk)
     device.sageWrite("rs", archive);
     const auto extents = device.sageChunkExtents("rs");
 
-    SageDecoder decoder(archive.bytes, /*dna_only=*/true);
-    ASSERT_EQ(extents.size(), decoder.chunkCount());
-    const auto chunk_bytes = decoder.chunkCompressedBytes();
+    const MemorySource source(archive.bytes);
+    const std::unique_ptr<SageDecoder> decoder =
+        orExit(SageDecoder::tryOpen(source, /*dna_only=*/true));
+    ASSERT_EQ(extents.size(), decoder->chunkCount());
+    const auto chunk_bytes = decoder->chunkCompressedBytes();
 
     uint64_t prev_first = 0;
     for (size_t c = 0; c < extents.size(); c++) {

@@ -61,12 +61,13 @@ TEST_P(ChunkedRoundTrip, ShortReadsLossless)
     config.chunkReads = GetParam();
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
-    SageDecoder decoder(archive.bytes);
-    EXPECT_EQ(decoder.info().params.version, kFormatVersionChunked);
+    const MemorySource source(archive.bytes);
+    SageReader reader(source);
+    EXPECT_EQ(reader.info().params.version, kFormatVersionChunked);
     const uint64_t reads = ds.readSet.reads.size();
     const uint64_t chunk = GetParam();
-    EXPECT_EQ(decoder.chunkCount(), (reads + chunk - 1) / chunk);
-    const ReadSet back = decoder.decodeAll();
+    EXPECT_EQ(reader.chunkCount(), (reads + chunk - 1) / chunk);
+    const ReadSet back = reader.decodeAll();
     EXPECT_EQ(recordSet(back), recordSet(ds.readSet));
 }
 
@@ -96,9 +97,10 @@ TEST(ChunkedArchive, ExactlyOneChunkWhenSizeMatchesReadCount)
         static_cast<uint32_t>(ds.readSet.reads.size());
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
-    SageDecoder decoder(archive.bytes);
-    EXPECT_EQ(decoder.chunkCount(), 1u);
-    const ReadSet back = decoder.decodeAll();
+    const MemorySource source(archive.bytes);
+    SageReader reader(source);
+    EXPECT_EQ(reader.chunkCount(), 1u);
+    const ReadSet back = reader.decodeAll();
     EXPECT_EQ(recordSet(back), recordSet(ds.readSet));
 }
 
@@ -136,7 +138,8 @@ TEST(ChunkedArchive, StreamingNextMatchesDecodeAllAcrossChunks)
     config.chunkReads = 13;
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
-    SageDecoder a(archive.bytes), b(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader a(source), b(source);
     ASSERT_GT(a.chunkCount(), 1u);
     const ReadSet all = b.decodeAll();
     size_t i = 0;
@@ -161,16 +164,17 @@ TEST(ChunkedArchive, V1ArchiveStillDecodes)
     config.chunkReads = 0; // Legacy single-stream layout.
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
-    SageDecoder decoder(archive.bytes);
-    EXPECT_EQ(decoder.info().params.version, kFormatVersionLegacy);
-    EXPECT_FALSE(decoder.info().streamSizes.count("chunks"));
-    EXPECT_EQ(decoder.chunkCount(), 1u);
-    const ReadSet back = decoder.decodeAll();
+    const MemorySource source(archive.bytes);
+    SageReader reader(source);
+    EXPECT_EQ(reader.info().params.version, kFormatVersionLegacy);
+    EXPECT_FALSE(reader.info().streamSizes.count("chunks"));
+    EXPECT_EQ(reader.chunkCount(), 1u);
+    const ReadSet back = reader.decodeAll();
     EXPECT_EQ(recordSet(back), recordSet(ds.readSet));
 
     // The parallel entry point degrades gracefully on one chunk.
     ThreadPool pool(4);
-    SageDecoder par(archive.bytes);
+    SageReader par(source);
     expectSameReads(par.decodeAll(&pool), back);
 }
 
@@ -188,12 +192,13 @@ TEST(ParallelDecode, MatchesSequentialReadSet)
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
 
-    SageDecoder seq(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader seq(source);
     ASSERT_GT(seq.chunkCount(), 1u);
     const ReadSet expect = seq.decodeAll();
 
     ThreadPool pool(4);
-    SageDecoder par(archive.bytes);
+    SageReader par(source);
     const ReadSet got = par.decodeAll(&pool);
     expectSameReads(got, expect);
 }
@@ -208,7 +213,8 @@ TEST(ParallelDecode, RestoresPreservedOrder)
         sageCompress(ds.readSet, ds.reference, config);
 
     ThreadPool pool(4);
-    SageDecoder par(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader par(source);
     ASSERT_GT(par.chunkCount(), 1u);
     const ReadSet got = par.decodeAll(&pool);
     ASSERT_EQ(got.reads.size(), ds.readSet.reads.size());
@@ -227,11 +233,14 @@ TEST(ParallelDecode, MatchesSequentialPacked)
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
 
-    SageDecoder seq(archive.bytes, /*dna_only=*/true);
+    const MemorySource source(archive.bytes);
+    SageReaderOptions dna;
+    dna.dnaOnly = true;
+    SageReader seq(source, dna);
     const auto expect = seq.decodeAllPacked(OutputFormat::TwoBit);
 
     ThreadPool pool(4);
-    SageDecoder par(archive.bytes, /*dna_only=*/true);
+    SageReader par(source, dna);
     const auto got = par.decodeAllPacked(OutputFormat::TwoBit, &pool);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < got.size(); i++)
@@ -248,11 +257,12 @@ TEST(ParallelDecode, LongChimericReads)
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
 
-    SageDecoder seq(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader seq(source);
     const ReadSet expect = seq.decodeAll();
 
     ThreadPool pool(3);
-    SageDecoder par(archive.bytes);
+    SageReader par(source);
     expectSameReads(par.decodeAll(&pool), expect);
 }
 
@@ -265,9 +275,10 @@ TEST(ParallelDecode, EveryOptimizationLevel)
         config.chunkReads = 10;
         const SageArchive archive =
             sageCompress(ds.readSet, ds.reference, config);
-        SageDecoder seq(archive.bytes);
+        const MemorySource source(archive.bytes);
+        SageReader seq(source);
         const ReadSet expect = seq.decodeAll();
-        SageDecoder par(archive.bytes);
+        SageReader par(source);
         const ReadSet got = par.decodeAll(&pool);
         ASSERT_EQ(got.reads.size(), expect.reads.size())
             << "level " << level;
@@ -371,42 +382,44 @@ TEST(LazyQuality, EveryDecodePathMatchesInput)
         const ReadSet &input = archive.ds.readSet;
         ASSERT_FALSE(input.reads.front().quals.empty());
         const std::vector<Record> expected = sortedRecords(input.reads);
+        const MemorySource source(archive.bytes);
 
         {
-            SageDecoder decoder(archive.bytes);
-            ASSERT_GT(decoder.chunkCount(), 1u);
+            SageReader reader(source);
+            ASSERT_GT(reader.chunkCount(), 1u);
             std::vector<Read> reads;
-            while (decoder.hasNext())
-                reads.push_back(decoder.next());
+            while (reader.hasNext())
+                reads.push_back(reader.next());
             EXPECT_EQ(sortedRecords(reads), expected) << "next()";
         }
         for (ThreadPool *decode_pool : {static_cast<ThreadPool *>(nullptr),
                                         &pool}) {
             SCOPED_TRACE(decode_pool ? "pooled" : "serial");
-            SageDecoder decoder(archive.bytes);
-            expectSameReads(decoder.decodeAll(decode_pool), input);
+            SageReader reader(source);
+            expectSameReads(reader.decodeAll(decode_pool), input);
             // Host fields are copied, not moved out: a range decode after
             // decodeAll still returns headers and quality.
             EXPECT_EQ(sortedRecords(
-                          decoder.decodeChunks(0, decoder.chunkCount())
+                          reader.decodeRange(0, reader.chunkCount())
                               .reads),
                       expected)
-                << "decodeChunks after decodeAll";
+                << "decodeRange after decodeAll";
         }
         {
-            SageDecoder decoder(archive.bytes);
+            SageReader reader(source);
             EXPECT_EQ(sortedRecords(
-                          decoder.decodeChunks(0, decoder.chunkCount())
+                          reader.decodeRange(0, reader.chunkCount())
                               .reads),
                       expected)
-                << "decodeChunks";
+                << "decodeRange";
         }
         {
-            SageDecoder decoder(archive.bytes);
+            const std::unique_ptr<SageDecoder> decoder =
+                orExit(SageDecoder::tryOpen(source));
             std::vector<Read> reads;
-            for (size_t c = decoder.chunkCount(); c-- > 0;) {
+            for (size_t c = decoder->chunkCount(); c-- > 0;) {
                 StatusOr<std::vector<Read>> chunk =
-                    decoder.tryDecodeChunkShared(c);
+                    decoder->tryDecodeChunkShared(c);
                 ASSERT_TRUE(chunk.ok()) << chunk.status().toString();
                 reads.insert(reads.end(), chunk.value().begin(),
                              chunk.value().end());
@@ -420,18 +433,21 @@ TEST(LazyQuality, EveryDecodePathMatchesInput)
 TEST(LazyQuality, ConcurrentFirstTouchMatchesSerial)
 {
     const LazyQualityArchive archive(false);
-    SageDecoder serial(archive.bytes);
-    const size_t chunks = serial.chunkCount();
+    const MemorySource source(archive.bytes);
+    const std::unique_ptr<SageDecoder> serial =
+        orExit(SageDecoder::tryOpen(source));
+    const size_t chunks = serial->chunkCount();
     std::vector<std::vector<Record>> expected;
     for (size_t c = 0; c < chunks; c++) {
-        StatusOr<std::vector<Read>> reads = serial.tryDecodeChunkShared(c);
+        StatusOr<std::vector<Read>> reads = serial->tryDecodeChunkShared(c);
         ASSERT_TRUE(reads.ok()) << reads.status().toString();
         expected.push_back(records(reads.value()));
     }
 
     // A fresh decoder: every quality block is first touched by racing
     // threads, each walking all chunks in its own order.
-    SageDecoder shared(archive.bytes);
+    const std::unique_ptr<SageDecoder> shared =
+        orExit(SageDecoder::tryOpen(source));
     constexpr unsigned kThreads = 8;
     std::vector<std::vector<std::vector<Record>>> got(
         kThreads, std::vector<std::vector<Record>>(chunks));
@@ -447,7 +463,7 @@ TEST(LazyQuality, ConcurrentFirstTouchMatchesSerial)
                 std::this_thread::yield();
             for (const size_t c : order) {
                 StatusOr<std::vector<Read>> reads =
-                    shared.tryDecodeChunkShared(c);
+                    shared->tryDecodeChunkShared(c);
                 if (!reads.ok()) {
                     errors[t] = reads.status().toString();
                     return;
@@ -536,48 +552,57 @@ struct WalkReads
     uint64_t batches = 0;
 };
 
-/** Walk a fresh decoder over @p source with every decode path. */
+/** Walk a fresh reader (or decoder) over @p source with every decode
+ *  path. */
 std::vector<WalkReads>
 countWalkReads(CountingSource &source)
 {
     ThreadPool pool(3);
     ThreadPool prefetch(1);
-    const std::vector<std::pair<std::string,
-                                std::function<void(SageDecoder &)>>>
+    SageReaderOptions prefetching;
+    prefetching.prefetchPool = &prefetch;
+    const auto on_reader = [&](SageReaderOptions options,
+                               std::function<void(SageReader &)> walk) {
+        return [&source, options, walk] {
+            SageReader reader(source, options);
+            source.reset();
+            walk(reader);
+        };
+    };
+    const std::vector<std::pair<std::string, std::function<void()>>>
         paths = {
-            {"next", [](SageDecoder &d) {
-                 while (d.hasNext())
-                     d.next();
+            {"next", on_reader({}, [](SageReader &r) {
+                 while (r.hasNext())
+                     r.next();
+             })},
+            {"decodeRange", on_reader({}, [](SageReader &r) {
+                 r.decodeRange(0, r.chunkCount());
+             })},
+            {"decodeRange+pool", on_reader({}, [&](SageReader &r) {
+                 r.decodeRange(0, r.chunkCount(), &pool);
+             })},
+            {"decodeAll",
+             on_reader({}, [](SageReader &r) { r.decodeAll(); })},
+            {"decodeAllPacked+pool", on_reader({}, [&](SageReader &r) {
+                 r.decodeAllPacked(OutputFormat::TwoBit, &pool);
+             })},
+            {"tryDecodeChunkShared", [&source] {
+                 const std::unique_ptr<SageDecoder> d =
+                     orExit(SageDecoder::tryOpen(source));
+                 source.reset();
+                 for (size_t c = 0; c < d->chunkCount(); c++)
+                     ASSERT_TRUE(d->tryDecodeChunkShared(c).ok());
              }},
-            {"decodeChunks", [](SageDecoder &d) {
-                 d.decodeChunks(0, d.chunkCount());
-             }},
-            {"decodeChunks+pool", [&](SageDecoder &d) {
-                 d.decodeChunks(0, d.chunkCount(), &pool);
-             }},
-            {"decodeAll", [](SageDecoder &d) { d.decodeAll(); }},
-            {"decodeAllPacked+pool", [&](SageDecoder &d) {
-                 d.decodeAllPacked(OutputFormat::TwoBit, &pool);
-             }},
-            {"tryDecodeChunkShared", [](SageDecoder &d) {
-                 for (size_t c = 0; c < d.chunkCount(); c++)
-                     ASSERT_TRUE(d.tryDecodeChunkShared(c).ok());
-             }},
-            {"prefetch next", [&](SageDecoder &d) {
-                 d.setPrefetchPool(&prefetch);
-                 while (d.hasNext())
-                     d.next();
-             }},
-            {"prefetch decodeAll", [&](SageDecoder &d) {
-                 d.setPrefetchPool(&prefetch);
-                 d.decodeAll();
-             }},
+            {"prefetch next", on_reader(prefetching, [](SageReader &r) {
+                 while (r.hasNext())
+                     r.next();
+             })},
+            {"prefetch decodeAll",
+             on_reader(prefetching, [](SageReader &r) { r.decodeAll(); })},
         };
     std::vector<WalkReads> out;
     for (const auto &[name, walk] : paths) {
-        SageDecoder decoder(source);
-        source.reset();
-        walk(decoder);
+        walk();
         out.push_back({name, source.singles(), source.batches()});
     }
     return out;
@@ -612,7 +637,7 @@ TEST(ChunkFetch, OneBatchedReadPerChunk)
     const std::vector<uint8_t> bytes = fetchTestArchive();
     const MemorySource memory(bytes);
     CountingSource source(memory, /*views=*/false);
-    const size_t chunks = SageDecoder(memory).chunkCount();
+    const size_t chunks = SageReader(memory).chunkCount();
     ASSERT_GT(chunks, 2u);
     for (const WalkReads &walk : countWalkReads(source)) {
         EXPECT_EQ(walk.singles, 0u) << walk.path;

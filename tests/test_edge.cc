@@ -200,10 +200,13 @@ TEST(SageDeviceEdge, AsciiOutputMatchesDecodedReads)
     device.sageWrite("rs", archive);
     const auto result = device.sageRead("rs", OutputFormat::Ascii);
 
-    SageDecoder decoder(archive.bytes, /*dna_only=*/true);
+    const MemorySource source(archive.bytes);
+    SageReaderOptions dna_only;
+    dna_only.dnaOnly = true;
+    SageReader reader(source, dna_only);
     size_t i = 0;
-    while (decoder.hasNext()) {
-        const Read read = decoder.next();
+    while (reader.hasNext()) {
+        const Read read = reader.next();
         const std::string ascii(result.packedReads[i].begin(),
                                 result.packedReads[i].end());
         ASSERT_EQ(ascii, read.bases) << "read " << i;

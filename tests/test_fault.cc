@@ -26,6 +26,7 @@
 #include "core/sage.hh"
 #include "io/fault_injection.hh"
 #include "simgen/synthesize.hh"
+#include "util/crc32.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
 #include "util/varint.hh"
@@ -78,6 +79,13 @@ makeArchiveBytes(unsigned chunk_reads = 512)
     config.chunkReads = chunk_reads;
     SageArchive archive = sageCompress(ds.readSet, ds.reference, config);
     return std::move(archive.bytes);
+}
+
+/** The stream directory of archive @p bytes. */
+StreamDirectory
+directoryOf(const std::vector<uint8_t> &bytes)
+{
+    return orExit(StreamDirectory::tryParse(MemorySource(bytes)));
 }
 
 // ---------------------------------------------------------------------
@@ -209,8 +217,7 @@ TEST(FaultInjection, ShortReadReportsTruncated)
 TEST(CorruptArchive, TruncationAtEveryFramingBoundaryIsRecoverable)
 {
     const std::vector<uint8_t> bytes = makeArchiveBytes();
-    const MemorySource whole(bytes);
-    const StreamDirectory dir = StreamDirectory::parse(whole);
+    const StreamDirectory dir = directoryOf(bytes);
 
     // Candidate cut points: the head of the container, every stream's
     // framing edges (just before the name, mid-payload, end of
@@ -245,8 +252,7 @@ TEST(CorruptArchive, TruncationAtEveryFramingBoundaryIsRecoverable)
 TEST(CorruptArchive, ChecksumVerificationCatchesEveryStreamBitFlip)
 {
     const std::vector<uint8_t> bytes = makeArchiveBytes();
-    const StreamDirectory dir =
-        StreamDirectory::parse(MemorySource(bytes));
+    const StreamDirectory dir = directoryOf(bytes);
 
     for (const auto &[name, extent] : dir.extents()) {
         if (extent.size == 0)
@@ -265,8 +271,7 @@ TEST(CorruptArchive, ChecksumVerificationCatchesEveryStreamBitFlip)
 TEST(CorruptArchive, BitFlippedStreamsNeverCrashTheDecoder)
 {
     const std::vector<uint8_t> bytes = makeArchiveBytes();
-    const StreamDirectory dir =
-        StreamDirectory::parse(MemorySource(bytes));
+    const StreamDirectory dir = directoryOf(bytes);
 
     // Without checksum verification the flip reaches the parser and
     // the per-chunk decoder. Either may reject it with a Status (or,
@@ -347,7 +352,8 @@ TEST(CorruptArchive, EmptyQualityAlphabetIsCorrupt)
 TEST(CorruptArchive, ShortHeaderStreamIsCorrupt)
 {
     StreamBundle bundle = StreamBundle::deserialize(makeArchiveBytes());
-    std::vector<uint8_t> text = gpzip::decompress(bundle.stream("headers"));
+    std::vector<uint8_t> text =
+        orExit(gpzip::tryDecompress(bundle.stream("headers")));
     ASSERT_FALSE(text.empty());
     ASSERT_EQ(text.back(), '\n');
     // Drop the last line, keeping the stream well formed.
@@ -427,12 +433,27 @@ TEST(CorruptArchive, OrderStreamMustBeAPermutation)
     EXPECT_EQ(with_order(one_long).code(), StatusCode::Corrupt);
 }
 
-TEST(CorruptArchive, BadThreeBitCodeIsCorrupt)
+/** Recompute the CRC32 trailer of @p bytes over its (edited) body, so
+ *  the checksum passes and only the edited stream is wrong. */
+void
+reseal(std::vector<uint8_t> &bytes)
 {
-    // A consensus with an N in front is stored 3-bit packed, and reads
-    // holding an N escape whole, 3-bit packed. Here only the all-N
-    // reads escape, so both streams start with code 4 (N); with its
-    // low bit flipped it is 5, which is no base.
+    const size_t body = bytes.size() - 4;
+    const uint32_t crc = Crc32::of(bytes.data(), body);
+    for (size_t i = 0; i < 4; i++)
+        bytes[body + i] = static_cast<uint8_t>(crc >> (8 * i));
+}
+
+/**
+ * An archive whose consensus and escape streams start with code 4 (N).
+ * A consensus with an N in front is stored 3-bit packed, and reads
+ * holding an N escape whole, 3-bit packed. Here only the all-N reads
+ * escape, so both streams start with code 4; with its low bit flipped
+ * it is 5, which is no base.
+ */
+std::vector<uint8_t>
+leadingNArchive()
+{
     Rng rng(19);
     std::string consensus = "N";
     for (int i = 0; i < 4000; i++)
@@ -448,10 +469,24 @@ TEST(CorruptArchive, BadThreeBitCodeIsCorrupt)
     }
     SageConfig config;
     config.chunkReads = 8;
-    const std::vector<uint8_t> bytes =
-        sageCompress(rs, consensus, config).bytes;
-    const StreamDirectory dir =
-        StreamDirectory::parse(MemorySource(bytes));
+    return sageCompress(rs, consensus, config).bytes;
+}
+
+/** leadingNArchive() with the first escape code flipped from 4 to 5
+ *  and the trailer re-sealed: it opens, and one chunk fails to decode. */
+std::vector<uint8_t>
+badEscapeArchive()
+{
+    std::vector<uint8_t> bytes = leadingNArchive();
+    bytes[directoryOf(bytes).extent("escape").offset] ^= 1;
+    reseal(bytes);
+    return bytes;
+}
+
+TEST(CorruptArchive, BadThreeBitCodeIsCorrupt)
+{
+    const std::vector<uint8_t> bytes = leadingNArchive();
+    const StreamDirectory dir = directoryOf(bytes);
 
     for (const char *stream : {"consensus", "escape"}) {
         std::vector<uint8_t> flipped = bytes;
@@ -474,6 +509,74 @@ TEST(CorruptArchive, BadThreeBitCodeIsCorrupt)
                   std::string::npos)
             << stream << ": " << status.toString();
     }
+}
+
+TEST(VerifyArchive, DecodesWhatTheChecksumPasses)
+{
+    // Both archives pass their trailer CRC; the check must still fail
+    // them, because a decode would.
+    const std::vector<uint8_t> good = makeArchiveBytes();
+    EXPECT_TRUE(verifyArchive(MemorySource(good)).ok());
+
+    // A flipped header stream: caught by the full open.
+    std::vector<uint8_t> headers = good;
+    const StreamExtent extent = directoryOf(headers).extent("headers");
+    headers[extent.offset + extent.size / 2] ^= 0x10;
+    reseal(headers);
+    ASSERT_TRUE(verifyArchiveChecksum(MemorySource(headers)).ok());
+    const Status header_status = verifyArchive(MemorySource(headers));
+    EXPECT_TRUE(header_status.code() == StatusCode::Corrupt ||
+                header_status.code() == StatusCode::Truncated)
+        << header_status.toString();
+
+    // A bad escape code: the archive opens, one chunk does not decode.
+    const std::vector<uint8_t> escape = badEscapeArchive();
+    ASSERT_TRUE(verifyArchiveChecksum(MemorySource(escape)).ok());
+    ASSERT_TRUE(SageDecoder::tryOpen(MemorySource(escape)).ok());
+    const Status escape_status = verifyArchive(MemorySource(escape));
+    EXPECT_EQ(escape_status.code(), StatusCode::Corrupt);
+    EXPECT_NE(escape_status.message().find("bad base code"),
+              std::string::npos)
+        << escape_status.toString();
+}
+
+TEST(SageReaderTest, CorruptChunkExitsWithItsStatus)
+{
+    // SageReader's value-returning calls exit 1 printing the decode's
+    // Status, on the pooled, the sequential, the range and the
+    // prefetched path alike.
+    const std::vector<uint8_t> bytes = badEscapeArchive();
+    const MemorySource source(bytes);
+    EXPECT_EXIT(
+        {
+            ThreadPool pool(4);
+            SageReader reader(source);
+            reader.decodeAll(&pool);
+        },
+        ::testing::ExitedWithCode(1), "bad base code");
+    EXPECT_EXIT(
+        {
+            SageReader reader(source);
+            while (reader.hasNext())
+                reader.next();
+        },
+        ::testing::ExitedWithCode(1), "bad base code");
+    EXPECT_EXIT(
+        {
+            SageReader reader(source);
+            reader.decodeRange(0, reader.chunkCount());
+        },
+        ::testing::ExitedWithCode(1), "bad base code");
+    // A failed prefetched decode is reported when the walk reaches it.
+    EXPECT_EXIT(
+        {
+            ThreadPool prefetch(1);
+            SageReaderOptions options;
+            options.prefetchPool = &prefetch;
+            SageReader reader(source, options);
+            reader.decodeAll();
+        },
+        ::testing::ExitedWithCode(1), "bad base code");
 }
 
 /** Flip every bit of @p bytes in [first, last), one at a time, handing
@@ -519,8 +622,7 @@ TEST(CorruptArchive, GpzipBitFlipsAlwaysReturnStatus)
     EXPECT_GT(truncated, 0u);
 
     const std::vector<uint8_t> archive = makeArchiveBytes();
-    const StreamExtent headers =
-        StreamDirectory::parse(MemorySource(archive)).extent("headers");
+    const StreamExtent headers = directoryOf(archive).extent("headers");
     ASSERT_GT(headers.size, kFramingBytes + kTailBytes);
     truncated = 0;
     const auto open = [&](const std::vector<uint8_t> &bytes) {

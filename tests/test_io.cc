@@ -32,6 +32,24 @@ pattern(size_t size, uint64_t seed = 1)
     return out;
 }
 
+/** @p size bytes at @p offset through tryRead; a failed Status fails
+ *  the test. */
+std::vector<uint8_t>
+readSpan(const ByteSource &source, uint64_t offset, size_t size)
+{
+    std::vector<uint8_t> out;
+    const Status status = source.tryRead(offset, size, out);
+    EXPECT_TRUE(status.ok()) << status.toString();
+    return out;
+}
+
+/** Every byte of @p source, through readSpan(). */
+std::vector<uint8_t>
+readWhole(const ByteSource &source)
+{
+    return readSpan(source, 0, static_cast<size_t>(source.size()));
+}
+
 /** Unique scratch path under the gtest temp dir. */
 std::string
 scratchPath(const std::string &name)
@@ -48,8 +66,8 @@ TEST(MemoryStream, SourceReadsAndViews)
     const std::vector<uint8_t> data = pattern(1000);
     MemorySource source(data);
     EXPECT_EQ(source.size(), data.size());
-    EXPECT_EQ(source.readAll(), data);
-    EXPECT_EQ(source.read(17, 100),
+    EXPECT_EQ(readWhole(source), data);
+    EXPECT_EQ(readSpan(source, 17, 100),
               std::vector<uint8_t>(data.begin() + 17,
                                    data.begin() + 117));
     ASSERT_NE(source.view(5, 10), nullptr);
@@ -62,7 +80,7 @@ TEST(MemoryStream, OwningSourceOutlivesInput)
     std::vector<uint8_t> data = pattern(64);
     const std::vector<uint8_t> copy = data;
     MemorySource source(std::move(data));
-    EXPECT_EQ(source.readAll(), copy);
+    EXPECT_EQ(readWhole(source), copy);
 }
 
 TEST(MemoryStream, OutOfRangeReadDies)
@@ -105,15 +123,15 @@ TEST(FileStream, SinkSourceRoundTrip)
     }
     FileSource source(path);
     EXPECT_EQ(source.size(), data.size());
-    EXPECT_EQ(source.readAll(), data);
+    EXPECT_EQ(readWhole(source), data);
     // Random-access reads: small (cached) and large (direct).
-    EXPECT_EQ(source.read(123, 45),
+    EXPECT_EQ(readSpan(source, 123, 45),
               std::vector<uint8_t>(data.begin() + 123,
                                    data.begin() + 168));
-    EXPECT_EQ(source.read(650 * 1024, 2048),
+    EXPECT_EQ(readSpan(source, 650 * 1024, 2048),
               std::vector<uint8_t>(data.begin() + 650 * 1024,
                                    data.begin() + 650 * 1024 + 2048));
-    EXPECT_EQ(source.read(100 * 1024, 200 * 1024),
+    EXPECT_EQ(readSpan(source, 100 * 1024, 200 * 1024),
               std::vector<uint8_t>(data.begin() + 100 * 1024,
                                    data.begin() + 300 * 1024));
     // Files cannot hand out stable views.
@@ -207,9 +225,9 @@ TEST(MemoryStream, ReadBatchMatchesPerExtentReads)
         {4096 - 256, c.data(), c.size()},
     };
     source.readBatch(extents.data(), extents.size());
-    EXPECT_EQ(a, source.read(50, 100));
-    EXPECT_EQ(b, source.read(0, 5));
-    EXPECT_EQ(c, source.read(4096 - 256, 256));
+    EXPECT_EQ(a, readSpan(source, 50, 100));
+    EXPECT_EQ(b, readSpan(source, 0, 5));
+    EXPECT_EQ(c, readSpan(source, 4096 - 256, 256));
 }
 
 TEST(FileStream, MissingFileDiesWithPath)
@@ -270,12 +288,12 @@ TEST_P(StripedRoundTrip, ShardsReassembleExactly)
     StripedSource striped(std::move(refs), stripe_bytes);
 
     EXPECT_EQ(striped.size(), data.size());
-    EXPECT_EQ(striped.readAll(), data);
+    EXPECT_EQ(readWhole(striped), data);
     // Spans crossing several stripe boundaries.
     for (uint64_t offset : {0ull, 1ull, 63ull, 500ull, 990ull}) {
         const size_t size =
             static_cast<size_t>(std::min<uint64_t>(37, 1000 - offset));
-        EXPECT_EQ(striped.read(offset, size),
+        EXPECT_EQ(readSpan(striped, offset, size),
                   std::vector<uint8_t>(data.begin() + offset,
                                        data.begin() + offset + size))
             << "offset " << offset;
@@ -353,13 +371,19 @@ TEST(StreamDirectory, ExtentsMatchSerializedBundle)
     const std::vector<uint8_t> bytes = bundle.serialize();
     MemorySource source(bytes);
 
-    const StreamDirectory dir = StreamDirectory::parse(source);
+    const StatusOr<StreamDirectory> parsed = StreamDirectory::tryParse(source);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    const StreamDirectory &dir = parsed.value();
     EXPECT_EQ(dir.sizes(), bundle.sizes());
     EXPECT_TRUE(dir.has("beta"));
     EXPECT_FALSE(dir.has("delta"));
-    EXPECT_EQ(dir.load(source, "alpha"), bundle.stream("alpha"));
-    EXPECT_EQ(dir.load(source, "beta"), bundle.stream("beta"));
-    EXPECT_EQ(dir.load(source, "gamma"), bundle.stream("gamma"));
+    std::vector<uint8_t> payload;
+    for (const char *name : {"alpha", "beta", "gamma"}) {
+        ASSERT_TRUE(dir.tryLoad(source, name, payload).ok()) << name;
+        EXPECT_EQ(payload, bundle.stream(name)) << name;
+    }
+    EXPECT_EQ(dir.tryLoad(source, "delta", payload).code(),
+              StatusCode::Corrupt);
 }
 
 TEST(StreamDirectory, WriteToMatchesSerialize)
@@ -375,27 +399,34 @@ TEST(StreamDirectory, ChecksumDetectsCorruption)
 {
     const StreamBundle bundle = makeBundle();
     std::vector<uint8_t> bytes = bundle.serialize();
-    EXPECT_TRUE(verifyArchiveChecksum(MemorySource(bytes)));
+    EXPECT_TRUE(verifyArchiveChecksum(MemorySource(bytes)).ok());
     bytes[bytes.size() / 2] ^= 0x10;
-    EXPECT_FALSE(verifyArchiveChecksum(MemorySource(bytes)));
+    EXPECT_EQ(verifyArchiveChecksum(MemorySource(bytes)).code(),
+              StatusCode::Corrupt);
 }
 
-TEST(StreamDirectory, TruncatedContainerDies)
+TEST(StreamDirectory, TruncatedContainerIsTruncated)
 {
     const StreamBundle bundle = makeBundle();
     std::vector<uint8_t> bytes = bundle.serialize();
     bytes.resize(bytes.size() / 2);
     MemorySource source(bytes);
-    EXPECT_EXIT({ StreamDirectory::parse(source); },
-                ::testing::ExitedWithCode(1), ".*");
+    const StatusOr<StreamDirectory> parsed = StreamDirectory::tryParse(source);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::Truncated)
+        << parsed.status().toString();
 }
 
-TEST(StreamDirectory, EmptyInputDies)
+TEST(StreamDirectory, EmptyInputIsTruncated)
 {
     const std::vector<uint8_t> empty;
     MemorySource source(empty);
-    EXPECT_EXIT({ StreamDirectory::parse(source); },
-                ::testing::ExitedWithCode(1), "too small");
+    const StatusOr<StreamDirectory> parsed = StreamDirectory::tryParse(source);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::Truncated);
+    EXPECT_NE(parsed.status().message().find("too small"),
+              std::string::npos)
+        << parsed.status().toString();
 }
 
 } // namespace

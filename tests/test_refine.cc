@@ -159,8 +159,11 @@ TEST(DnaOnlyDecode, SkipsQualityButKeepsBases)
     const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
     const SageArchive archive = sageCompress(ds.readSet, ds.reference);
 
-    SageDecoder full(archive.bytes, /*dna_only=*/false);
-    SageDecoder dna(archive.bytes, /*dna_only=*/true);
+    const MemorySource source(archive.bytes);
+    SageReaderOptions dna_only;
+    dna_only.dnaOnly = true;
+    SageReader full(source);
+    SageReader dna(source, dna_only);
     while (dna.hasNext()) {
         const Read full_read = full.next();
         const Read dna_read = dna.next();

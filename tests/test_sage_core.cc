@@ -280,9 +280,10 @@ TEST(SageRoundTripExtra, PackedOutputFormats)
     const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
     const SageArchive archive = sageCompress(ds.readSet, ds.reference);
 
-    SageDecoder ascii_dec(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader ascii_dec(source);
     const auto ascii = ascii_dec.decodeAllPacked(OutputFormat::Ascii);
-    SageDecoder two_dec(archive.bytes);
+    SageReader two_dec(source);
     const auto twobit = two_dec.decodeAllPacked(OutputFormat::TwoBit);
     ASSERT_EQ(ascii.size(), twobit.size());
 
@@ -422,13 +423,15 @@ TEST(SageDecoderInfo, StreamSizesAndWorkingSet)
 {
     const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
     const SageArchive archive = sageCompress(ds.readSet, ds.reference);
-    SageDecoder decoder(archive.bytes);
-    const ArchiveInfo &info = decoder.info();
+    const MemorySource source(archive.bytes);
+    const std::unique_ptr<SageDecoder> decoder =
+        orExit(SageDecoder::tryOpen(source));
+    const ArchiveInfo &info = decoder->info();
     EXPECT_EQ(info.params.numReads, ds.readSet.reads.size());
     EXPECT_GT(info.dnaStreamBytes(), 0u);
     EXPECT_LE(info.dnaStreamBytes(), archive.bytes.size());
     // SW working set ~ consensus; tiny relative to Spring-class tools.
-    EXPECT_LT(decoder.workingSetBytes(),
+    EXPECT_LT(decoder->workingSetBytes(),
               ds.reference.size() + 4096);
 }
 
@@ -436,7 +439,8 @@ TEST(SageStreaming, NextYieldsSameAsDecodeAll)
 {
     const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
     const SageArchive archive = sageCompress(ds.readSet, ds.reference);
-    SageDecoder a(archive.bytes), b(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader a(source), b(source);
     const ReadSet all = b.decodeAll();
     size_t i = 0;
     while (a.hasNext()) {
@@ -458,14 +462,15 @@ TEST(SageStreaming, DecodeAllAfterNextKeepsOriginalOrder)
     config.preserveOrder = true;
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
+    const MemorySource source(archive.bytes);
     for (size_t takes : {size_t(1), size_t(600)}) {
         SCOPED_TRACE(takes);
-        SageDecoder decoder(archive.bytes);
+        SageReader reader(source);
         std::set<std::string> taken;
         for (size_t i = 0; i < takes; i++)
-            taken.insert(decoder.next().header);
-        const ReadSet rest = decoder.decodeAll();
-        EXPECT_FALSE(decoder.hasNext());
+            taken.insert(reader.next().header);
+        const ReadSet rest = reader.decodeAll();
+        EXPECT_FALSE(reader.hasNext());
 
         std::vector<const Read *> expected;
         for (const Read &read : ds.readSet.reads) {

@@ -393,7 +393,7 @@ TEST_F(PrefetchDecode, RangeAndRandomAccessSurvivePrefetchMisses)
     const size_t chunks = plain.chunkCount();
     ASSERT_GT(chunks, 3u);
 
-    // Out-of-order chunk access: every open misses the prefetched
+    // Out-of-order chunk access: every decode misses the prefetched
     // slot (it holds the *next* chunk), exercising the discard path.
     for (size_t c : {chunks - 1, size_t{0}, size_t{2}, size_t{1}}) {
         expectSameReads(prefetched.readChunk(c), plain.readChunk(c));
@@ -406,8 +406,8 @@ TEST_F(PrefetchDecode, RangeAndRandomAccessSurvivePrefetchMisses)
 
 TEST_F(PrefetchDecode, AbandonedPrefetchShutsDownCleanly)
 {
-    // Open, decode one chunk (leaving chunk 2's fetch in flight or
-    // ready), and destroy: the decoder must drain the slot first.
+    // Open, decode one chunk (leaving chunk 1's decode in flight or
+    // ready), and destroy: the reader must drain the slot first.
     SageReader prefetched(path_, prefetchOptions());
     ASSERT_GT(prefetched.chunkCount(), 1u);
     const std::vector<Read> chunk = prefetched.readChunk(0);
