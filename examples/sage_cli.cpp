@@ -38,6 +38,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -45,6 +46,7 @@
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -78,6 +80,23 @@ readReferenceFile(const std::string &path)
             clean.push_back(static_cast<char>(c));
     }
     return clean;
+}
+
+/** Parse all of @p text as a number in [0, @p max] into @p out; false,
+ *  with @p out untouched, on anything else (empty, a sign, spaces,
+ *  trailing bytes, overflow). */
+template <typename T>
+bool
+parseNumber(const char *text, T max, T &out)
+{
+    const char *end = text + std::strlen(text);
+    T value{};
+    const auto [stop, error] = std::from_chars(text, end, value);
+    if (error != std::errc() || stop != end || text[0] == '-' ||
+        !(value <= max))
+        return false;
+    out = value;
+    return true;
 }
 
 /** One valued flag of a subcommand: an unsigned in [0, max], a rate in
@@ -133,16 +152,14 @@ parseFlags(int argc, char **argv, int from,
         }
         const char *value = argv[++i];
         if (flag->count) {
-            const int n = std::atoi(value);
-            if (n < 0 || n > flag->max) {
-                std::fprintf(stderr, "%s must be in [0, %d]\n",
+            if (!parseNumber(value, static_cast<unsigned>(flag->max),
+                             *flag->count)) {
+                std::fprintf(stderr, "%s must be an integer in [0, %d]\n",
                              flag->name, flag->max);
                 bad_value = true;
             }
-            *flag->count = static_cast<unsigned>(n);
         } else if (flag->rate) {
-            *flag->rate = std::atof(value);
-            if (*flag->rate < 0.0 || *flag->rate > 1.0) {
+            if (!parseNumber(value, 1.0, *flag->rate)) {
                 std::fprintf(stderr, "%s must be in [0, 1]\n",
                              flag->name);
                 bad_value = true;
@@ -228,8 +245,14 @@ cmdRange(int argc, char **argv)
     unsigned threads = 0;  // 0 = hardware concurrency.
     if (!parseFlags(argc, argv, 6, {uintFlag("--threads", threads, 1024)}))
         return 1;
-    const size_t first = static_cast<size_t>(std::atoll(argv[4]));
-    const size_t count = static_cast<size_t>(std::atoll(argv[5]));
+    const size_t any = std::numeric_limits<size_t>::max();
+    size_t first = 0, count = 0;
+    if (!parseNumber(argv[4], any, first) ||
+        !parseNumber(argv[5], any, count)) {
+        std::fprintf(stderr, "<first-chunk> and <count> must be "
+                             "non-negative integers\n");
+        return 1;
+    }
 
     SageReader reader(argv[2]);
     if (first > reader.chunkCount() ||
@@ -333,13 +356,14 @@ parseHostPort(const std::string &spec, std::string &host,
         std::fprintf(stderr, "bad host:port spec: %s\n", spec.c_str());
         return false;
     }
-    const long value = std::atol(spec.c_str() + colon + 1);
-    if (value <= 0 || value > 65535) {
+    uint16_t value = 0;
+    if (!parseNumber(spec.c_str() + colon + 1, uint16_t{65535}, value) ||
+        value == 0) {
         std::fprintf(stderr, "bad port in: %s\n", spec.c_str());
         return false;
     }
     host = spec.substr(0, colon);
-    port = static_cast<uint16_t>(value);
+    port = value;
     return true;
 }
 

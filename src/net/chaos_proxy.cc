@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,20 +16,11 @@ namespace net {
 
 namespace {
 
-constexpr uint64_t kListenerTag = 0;
-constexpr uint64_t kWakeTag = 1;
-
 /** Event-loop tick while connections exist: stalled buffers are
  *  re-checked at this granularity. */
 constexpr int kTickMs = 10;
 
 constexpr size_t kRecvChunkBytes = 64 * 1024;
-
-std::string
-errnoText()
-{
-    return std::strerror(errno);
-}
 
 uint64_t
 splitmix64(uint64_t x)
@@ -69,15 +57,6 @@ ChaosProxy::~ChaosProxy()
     stop();
 }
 
-uint64_t
-ChaosProxy::nowMs() const
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
-}
-
 double
 ChaosProxy::nextUniform()
 {
@@ -91,71 +70,9 @@ Status
 ChaosProxy::start()
 {
     sage_assert(!running_.load(), "start() on a running proxy");
-
-    listenFd_ = ::socket(AF_INET,
-                         SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                         0);
-    if (listenFd_ < 0)
-        return Status::ioError("socket: ", errnoText());
-
-    const int one = 1;
-    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = 0;  // Always ephemeral.
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0) {
-        Status status = Status::ioError("bind: ", errnoText());
-        stop();
+    Status status = listener_.open("127.0.0.1", 0, 64);
+    if (!status.ok())
         return status;
-    }
-    if (::listen(listenFd_, 64) != 0) {
-        Status status = Status::ioError("listen: ", errnoText());
-        stop();
-        return status;
-    }
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0) {
-        Status status = Status::ioError("getsockname: ", errnoText());
-        stop();
-        return status;
-    }
-    port_ = ntohs(addr.sin_port);
-
-    epollFd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epollFd_ < 0) {
-        Status status =
-            Status::ioError("epoll_create1: ", errnoText());
-        stop();
-        return status;
-    }
-    wakeFd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (wakeFd_ < 0) {
-        Status status = Status::ioError("eventfd: ", errnoText());
-        stop();
-        return status;
-    }
-
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kListenerTag;
-    if (::epoll_ctl(epollFd_, EPOLL_CTL_ADD, listenFd_, &ev) != 0) {
-        Status status = Status::ioError("epoll_ctl: ", errnoText());
-        stop();
-        return status;
-    }
-    ev.data.u64 = kWakeTag;
-    if (::epoll_ctl(epollFd_, EPOLL_CTL_ADD, wakeFd_, &ev) != 0) {
-        Status status = Status::ioError("epoll_ctl: ", errnoText());
-        stop();
-        return status;
-    }
-
-    epoch_ = std::chrono::steady_clock::now();
     stopping_.store(false, std::memory_order_release);
     running_.store(true, std::memory_order_release);
     thread_ = std::thread([this] { eventLoop(); });
@@ -167,9 +84,7 @@ ChaosProxy::stop()
 {
     if (running_.load(std::memory_order_acquire)) {
         stopping_.store(true, std::memory_order_release);
-        const uint64_t one = 1;
-        [[maybe_unused]] ssize_t ignored =
-            ::write(wakeFd_, &one, sizeof(one));
+        listener_.wake();
         thread_.join();
         running_.store(false, std::memory_order_release);
     } else if (thread_.joinable()) {
@@ -182,19 +97,7 @@ ChaosProxy::stop()
             ::close(entry.second->upstreamFd);
     }
     conns_.clear();
-    fdOwner_.clear();
-    if (wakeFd_ >= 0) {
-        ::close(wakeFd_);
-        wakeFd_ = -1;
-    }
-    if (epollFd_ >= 0) {
-        ::close(epollFd_);
-        epollFd_ = -1;
-    }
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
+    listener_.close();
 }
 
 ChaosProxyStats
@@ -214,12 +117,8 @@ ChaosProxy::stats() const
 void
 ChaosProxy::acceptAll()
 {
-    while (true) {
-        const int client = ::accept4(listenFd_, nullptr, nullptr,
-                                     SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (client < 0)
-            break;  // EAGAIN or a transient accept failure.
-
+    int client;
+    while ((client = listener_.accept()) >= 0) {
         // Connect upstream. The socket is non-blocking, so the
         // connect completes in the background; epoll reports the
         // outcome as EPOLLOUT (success) or EPOLLERR/EPOLLHUP.
@@ -248,8 +147,6 @@ ChaosProxy::acceptAll()
         }
 
         const int one = 1;
-        ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one,
-                     sizeof(one));
         ::setsockopt(upstream, IPPROTO_TCP, TCP_NODELAY, &one,
                      sizeof(one));
 
@@ -262,20 +159,14 @@ ChaosProxy::acceptAll()
         conn->upstreamToClient.srcFd = upstream;
         conn->upstreamToClient.dstFd = client;
 
-        epoll_event ev{};
-        ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
-        ev.data.u64 = conn->id;
-        bool registered =
-            ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, client, &ev) == 0 &&
-            ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, upstream, &ev) == 0;
-        if (!registered) {
-            ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, client, nullptr);
+        const uint32_t events = EPOLLIN | EPOLLOUT | EPOLLET;
+        if (!listener_.watch(client, events, conn->id) ||
+            !listener_.watch(upstream, events, conn->id)) {
+            listener_.unwatch(client);
             ::close(client);
             ::close(upstream);
             continue;
         }
-        fdOwner_[client] = conn->id;
-        fdOwner_[upstream] = conn->id;
         connections_.fetch_add(1, std::memory_order_relaxed);
         conns_.emplace(conn->id, std::move(conn));
     }
@@ -332,7 +223,7 @@ ChaosProxy::pump(Conn &conn, Pipe &pipe)
         threshold += config_.stallRate;
         if (roll < threshold) {
             stalls_.fetch_add(1, std::memory_order_relaxed);
-            buffer.releaseMs = nowMs() + config_.stallMs;
+            buffer.releaseMs = listener_.nowMs() + config_.stallMs;
             pipe.queue.push_back(std::move(buffer));
             continue;
         }
@@ -347,7 +238,7 @@ ChaosProxy::pump(Conn &conn, Pipe &pipe)
                               buffer.bytes.end());
             // Held one tick so the first piece hits the wire alone,
             // forcing a genuine partial read at the peer.
-            tail.releaseMs = nowMs() + kTickMs;
+            tail.releaseMs = listener_.nowMs() + kTickMs;
             buffer.bytes.resize(cut);
             pipe.queue.push_back(std::move(buffer));
             pipe.queue.push_back(std::move(tail));
@@ -362,7 +253,7 @@ bool
 ChaosProxy::flush(Conn &conn, Pipe &pipe)
 {
     (void)conn;
-    const uint64_t now = nowMs();
+    const uint64_t now = listener_.nowMs();
     while (!pipe.queue.empty()) {
         Buffer &front = pipe.queue.front();
         if (front.releaseMs > now)
@@ -395,10 +286,8 @@ ChaosProxy::destroyConn(Conn &conn, bool hard_reset)
     if (conn.dead)
         return;
     conn.dead = true;
-    ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, conn.clientFd, nullptr);
-    ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, conn.upstreamFd, nullptr);
-    fdOwner_.erase(conn.clientFd);
-    fdOwner_.erase(conn.upstreamFd);
+    listener_.unwatch(conn.clientFd);
+    listener_.unwatch(conn.upstreamFd);
     if (hard_reset) {
         resetClose(conn.clientFd);
         resetClose(conn.upstreamFd);
@@ -426,9 +315,8 @@ ChaosProxy::eventLoop()
             }
         }
         const int timeout = pending ? kTickMs : -1;
-        const int ready = ::epoll_wait(
-            epollFd_, events.data(),
-            static_cast<int>(events.size()), timeout);
+        const int ready = listener_.wait(
+            events.data(), static_cast<int>(events.size()), timeout);
         if (ready < 0) {
             if (errno == EINTR)
                 continue;
@@ -442,9 +330,7 @@ ChaosProxy::eventLoop()
                 continue;
             }
             if (tag == kWakeTag) {
-                uint64_t drained = 0;
-                [[maybe_unused]] ssize_t ignored = ::read(
-                    wakeFd_, &drained, sizeof(drained));
+                listener_.drainWake();
                 continue;
             }
             auto it = conns_.find(tag);

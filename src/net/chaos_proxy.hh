@@ -16,15 +16,15 @@
  * ChaosConfig::seed — the FaultInjectionSource convention — so a
  * failing chaos run replays byte-identically. Rates are per forwarded
  * buffer, evaluated in the fixed order reset, corrupt, stall, split
- * (at most one fires per buffer). One event thread owns every socket;
- * stats() is readable from any thread.
+ * (at most one fires per buffer). One event thread owns every socket,
+ * behind the listener, epoll instance and wake eventfd that Server
+ * uses too (net/listener.hh); stats() is readable from any thread.
  */
 
 #ifndef SAGE_NET_CHAOS_PROXY_HH
 #define SAGE_NET_CHAOS_PROXY_HH
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -33,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/listener.hh"
 #include "util/status.hh"
 
 namespace sage {
@@ -85,7 +86,7 @@ class ChaosProxy
     void stop();
 
     /** Bound listen port (valid after start()). */
-    uint16_t port() const { return port_; }
+    uint16_t port() const { return listener_.port(); }
 
     bool running() const
     {
@@ -132,26 +133,19 @@ class ChaosProxy
     /** Flush ready buffers of @p pipe; propagate EOF when drained. */
     bool flush(Conn &conn, Pipe &pipe);
     void destroyConn(Conn &conn, bool hard_reset);
-    uint64_t nowMs() const;
     double nextUniform();
 
     std::string upstreamHost_;
     uint16_t upstreamPort_;
     ChaosConfig config_;
-    uint16_t port_ = 0;
 
-    int listenFd_ = -1;
-    int epollFd_ = -1;
-    int wakeFd_ = -1;
+    Listener listener_;
     std::thread thread_;
     std::atomic<bool> running_{false};
     std::atomic<bool> stopping_{false};
-    std::chrono::steady_clock::time_point epoch_;
 
     std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
-    /** fd -> owning connection id (both sides map here). */
-    std::unordered_map<int, uint64_t> fdOwner_;
-    uint64_t nextConnId_ = 2;
+    uint64_t nextConnId_ = kFirstConnTag;
     uint64_t rngCounter_ = 0;
 
     std::atomic<uint64_t> connections_{0};

@@ -2,37 +2,23 @@
  * @file
  * Non-blocking epoll front end over a MultiArchiveService.
  *
- * One event thread owns a listener plus per-connection state
- * machines, all registered edge-triggered: readable connections are
- * drained to EAGAIN into a per-connection receive buffer, complete
- * frames are parsed (net/protocol.hh) and dispatched, and replies are
- * written straight away with the remainder queued and flushed on
- * EPOLLOUT. Cheap requests (OPEN/STAT/CLOSE) are answered inline on
- * the event thread; READ_RANGE/READ_CHUNK go through the service's
- * admission control and complete on worker threads, which encode the
- * reply straight from the runs of cached decoded chunks the service
- * hands them (no read is copied out first) and pass the frame back to
- * the loop through a completion queue plus eventfd wake — the event
- * thread alone touches sockets.
+ * The protocol is net/connection.hh: per socket, a Connection that
+ * parses and answers frames, submits reads to the service and applies
+ * byte-counted backpressure without a system call. The Server is the
+ * loop around it. One event thread owns the listener
+ * (net/listener.hh) and every socket, registered edge-triggered: it
+ * drains readable sockets into their connections, writes replies after
+ * every call into a connection (the rest on EPOLLOUT), stops recv()ing
+ * a paused connection holding a full frame, and hands worker-encoded
+ * read replies from the completion queue (woken by an eventfd) to
+ * their connections. Admission sheds arrive as Overloaded replies, and
+ * accepts past maxConnections get an Overloaded reply and a close,
+ * never an accept-stall.
  *
- * Backpressure is byte-counted per connection: once the queued
- * transmit backlog crosses txHighWaterBytes the connection's request
- * parsing pauses (a slow reader cannot balloon the process) and its
- * receive buffer is capped; both resume when the backlog drains below
- * half the mark. Admission-control sheds arrive as Overloaded error
- * replies, not dropped connections, so a flooding client sees every
- * outcome explicitly.
- *
- * Connection hygiene runs off a timer wheel (timer_wheel.hh) ticked
- * by a bounded epoll_wait: a connection idle past idleTimeoutSeconds
- * (nothing received, nothing owed to it) is closed, and a partial
- * frame older than headerReadTimeoutSeconds — the slow-loris drip —
- * closes the connection too. Accepts past maxConnections are shed
- * with a best-effort Overloaded reply and an immediate close, never a
- * silent accept-stall. Every received frame is integrity-checked
- * (version byte + CRC-32, net/protocol.hh) before parsing: wire
- * damage is a ProtocolError + close, and a frame of another protocol
- * version is a VersionMismatch error + close.
+ * Hygiene is a sweep over the connections at most once per 100 ms
+ * tick: it closes connections idle past idleTimeoutSeconds and those
+ * dripping a frame for longer than headerReadTimeoutSeconds (slow
+ * loris), and enforces the drain deadline.
  *
  * Graceful drain: beginDrain() (any thread; SIGTERM-safe via an
  * atomic flag) stops accepting, answers new requests with
@@ -54,10 +40,8 @@
 #define SAGE_NET_SERVER_HH
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -65,13 +49,15 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/listener.hh"
 #include "net/multi_archive.hh"
 #include "net/protocol.hh"
-#include "net/timer_wheel.hh"
 #include "service/qos.hh"
 
 namespace sage {
 namespace net {
+
+struct ConnectionContext;
 
 struct ServerOptions
 {
@@ -168,127 +154,54 @@ class Server
     }
 
     /** Bound port (the ephemeral one when options.port was 0). */
-    uint16_t port() const { return port_; }
+    uint16_t port() const { return listener_.port(); }
 
     ServerNetStats netStats() const;
 
   private:
-    struct Conn
-    {
-        uint64_t id = 0;
-        int fd = -1;
-        std::vector<uint8_t> rx;  ///< Raw inbound bytes.
-        size_t rxOff = 0;         ///< Parse cursor into rx.
-        std::deque<std::vector<uint8_t>> tx;
-        size_t txOff = 0;         ///< Sent bytes of tx.front().
-        uint64_t txBytes = 0;     ///< Queued, unsent reply bytes.
-        uint32_t inFlight = 0;    ///< Admitted reads awaiting replies.
-        bool paused = false;      ///< Backpressure: stop parsing.
-        bool rxStalled = false;   ///< Stopped recv()ing while paused.
-        bool closeAfterFlush = false;
-        bool dead = false;
-        uint64_t lastRxMs = 0;    ///< Loop clock of last inbound byte.
-        bool partialFrame = false;  ///< An incomplete frame pends.
-        uint64_t frameStartMs = 0;  ///< When that frame began.
-    };
-
-    /** A worker-serialized reply bound for a connection. */
-    struct Completion
-    {
-        uint64_t connId = 0;
-        std::vector<uint8_t> frame;
-    };
+    /** One accepted socket and the connection behind it. */
+    struct Socket;
+    using SocketMap =
+        std::unordered_map<uint64_t, std::unique_ptr<Socket>>;
 
     void eventLoop();
     void acceptAll();
-    void wakeLoop();
-    void drainWakeFd();
-    void flushCompletions();
-    void onReadable(Conn &conn);
-    void processRx(Conn &conn);
-    /** One parsed frame (bytes exclude the length prefix). */
-    void handleFrame(Conn &conn, const uint8_t *frame, size_t size);
-    void handleRead(Conn &conn, const RequestFrame &request);
-    /** Queue @p frame and flush as far as the socket allows. */
-    void queueReply(Conn &conn, std::vector<uint8_t> &&frame);
-    void flushTx(Conn &conn);
-    void closeConn(Conn &conn);
-    /** Post a worker-built reply to the loop (any thread). */
-    void pushCompletion(uint64_t conn_id,
-                        std::vector<uint8_t> &&frame);
-
-    /** Milliseconds on the loop's monotonic clock. */
-    uint64_t loopNowMs() const;
-    /** When the next hygiene check for @p conn is due; schedules it. */
-    void scheduleConnCheck(Conn &conn);
-    /** Run due timer-wheel entries: connection hygiene + the drain
-     *  deadline. */
-    void runTimers();
-    /** Epoll-deregister, close and erase a dead connection. */
-    void destroyConn(uint64_t conn_id);
+    void onReadable(Socket &socket);
+    /** Write queued replies as far as the socket takes them, then act
+     *  on what the connection wants next. */
+    void flush(Socket &socket);
+    /** Hand posted read replies to their connections. */
+    void deliverCompletions();
+    /** Idle and slow-loris closes, and the drain deadline. */
+    void sweep(uint64_t now_ms);
+    /** Deregister, close and erase; returns the next entry. */
+    SocketMap::iterator destroyConn(SocketMap::iterator it);
     /** First drain pass: close the listener, retire idle conns. */
     void drainStart();
-    /** During drain: retire @p conn once nothing is owed to it. */
-    void maybeRetireDraining(Conn &conn);
-    /** True when every connection retired and no work is pending. */
-    bool drainComplete();
 
-    MultiArchiveService &service_;
-    ServerOptions options_;
-    uint16_t port_ = 0;
-
-    int listenFd_ = -1;
-    int epollFd_ = -1;
-    int wakeFd_ = -1;
+    Listener listener_;
+    /** Options, counters, completion queue and drain state shared
+     *  with the connections. */
+    std::unique_ptr<ConnectionContext> context_;
     std::thread thread_;
     std::atomic<bool> running_{false};
     std::atomic<bool> stopping_{false};
 
     // Drain machinery. draining_ is the cross-thread request flag;
-    // everything else is loop-thread state except the exit latch.
+    // context_->draining is the loop thread's acknowledgement.
     std::atomic<bool> draining_{false};
-    bool drainStarted_ = false;    ///< Loop thread acknowledged it.
     uint64_t drainDeadlineMs_ = 0;
-    CancelSource drainCancel_;     ///< Fired at the drain deadline.
     std::atomic<bool> drainedCleanly_{false};
     std::mutex loopExitMutex_;
     std::condition_variable loopExitCv_;
     bool loopExited_ = false;
 
-    // Loop-thread-only hygiene clock + timer wheel.
-    std::chrono::steady_clock::time_point loopEpoch_;
-    TimerWheel wheel_;
-    std::vector<uint64_t> dueTimers_;  ///< Scratch for runTimers().
-
-    /** Loop-thread recv() target; onReadable appends what arrived. */
+    // Loop-thread-only state.
+    uint64_t lastSweepMs_ = 0;
+    /** recv() target; onReadable hands what arrived to the conn. */
     std::vector<uint8_t> rxScratch_;
-
-    std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
-    uint64_t nextConnId_ = 2;  ///< 0/1 tag the listener/wake fds.
-
-    std::mutex completionMutex_;
-    std::vector<Completion> completions_;
-
-    /** Worker callbacks still running (dtor barrier). */
-    std::atomic<uint64_t> pendingCallbacks_{0};
-    std::mutex callbackMutex_;
-    std::condition_variable callbackCv_;
-
-    // Counters are atomics: the loop thread writes, netStats() reads
-    // from anywhere.
-    std::atomic<uint64_t> accepted_{0};
-    std::atomic<uint64_t> closed_{0};
-    std::atomic<uint64_t> framesIn_{0};
-    std::atomic<uint64_t> repliesOut_{0};
-    std::atomic<uint64_t> protocolErrors_{0};
-    std::atomic<uint64_t> bytesIn_{0};
-    std::atomic<uint64_t> bytesOut_{0};
-    std::atomic<uint64_t> txPauses_{0};
-    std::atomic<uint64_t> timedOutConnections_{0};
-    std::atomic<uint64_t> shedConnections_{0};
-    std::atomic<uint64_t> crcMismatches_{0};
-    std::atomic<uint64_t> versionMismatches_{0};
-    std::atomic<uint64_t> drainRejects_{0};
+    SocketMap conns_;
+    uint64_t nextConnId_ = kFirstConnTag;
 };
 
 } // namespace net

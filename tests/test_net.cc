@@ -12,9 +12,9 @@
  * and TSan presets in CI.
  *
  * The resilience layer rides the same fixtures: protocol-v2 frame
- * integrity (version byte + CRC-32, verifyFrame), the timer wheel,
- * connection hygiene (idle / header-read timeouts, max-connection
- * shed), graceful drain, and the retrying Client (maxAttempts > 1):
+ * integrity (version byte + CRC-32, verifyFrame), connection hygiene
+ * (idle / header-read timeouts, max-connection shed), graceful drain
+ * and its forced deadline, and the retrying Client (maxAttempts > 1):
  * held-id re-validation across a server restart, version-byte damage,
  * Overloaded retries, and a ChaosProxy in the path — byte identity
  * against the sequential reader must survive deterministic resets,
@@ -37,6 +37,7 @@
 #include <thread>
 
 #include "core/sage.hh"
+#include "net/connection.hh"
 #include "simgen/synthesize.hh"
 #include "util/crc32.hh"
 #include "util/thread_pool.hh"
@@ -571,47 +572,6 @@ TEST(NetProtocol, RetryableStatusClassification)
         net::wireStatusRetryable(WireStatus::VersionMismatch));
     EXPECT_FALSE(
         net::wireStatusRetryable(WireStatus::ProtocolError));
-}
-
-// ---------------------------------------------------------------------
-// Timer wheel
-// ---------------------------------------------------------------------
-
-TEST(NetTimerWheel, FiresNearDeadlineAndNeverEarly)
-{
-    net::TimerWheel wheel(/*tick_ms=*/10, /*slots=*/8);
-    EXPECT_TRUE(wheel.empty());
-
-    wheel.schedule(1, 0);    // Next tick.
-    wheel.schedule(2, 35);   // ~4 ticks out.
-    wheel.schedule(3, 200);  // Beyond one revolution (8 * 10 ms).
-    EXPECT_FALSE(wheel.empty());
-
-    std::vector<uint64_t> due;
-    wheel.advanceTo(9, due);  // Not a full tick yet.
-    EXPECT_TRUE(due.empty());
-
-    wheel.advanceTo(10, due);
-    EXPECT_EQ(due, std::vector<uint64_t>({1}));
-
-    // Advance in uneven jumps; id 2 fires in (35, 55], id 3 must sit
-    // through a full revolution without firing early.
-    due.clear();
-    wheel.advanceTo(55, due);
-    EXPECT_EQ(due, std::vector<uint64_t>({2}));
-    due.clear();
-    wheel.advanceTo(199, due);
-    EXPECT_TRUE(due.empty()) << "beyond-revolution entry fired early";
-    wheel.advanceTo(220, due);
-    EXPECT_EQ(due, std::vector<uint64_t>({3}));
-    EXPECT_TRUE(wheel.empty());
-
-    // Duplicates are allowed and all fire (owners re-validate).
-    wheel.schedule(9, 10);
-    wheel.schedule(9, 10);
-    due.clear();
-    wheel.advanceTo(250, due);
-    EXPECT_EQ(due.size(), 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -1620,6 +1580,142 @@ TEST_F(NetServerTest, GracefulDrainFlushesInFlightAndRejectsNew)
     EXPECT_TRUE(server.drainWait());
     EXPECT_FALSE(server.running());
     EXPECT_GE(server.netStats().drainRejects, 1u);
+}
+
+TEST_F(NetServerTest, DrainDeadlineCancelsParkedRead)
+{
+    ThreadPool pool(1);
+    MultiArchiveOptions service_options;
+    service_options.pool = &pool;
+    MultiArchiveService service(dir_, service_options);
+    ServerOptions server_options;
+    server_options.drainDeadlineSeconds = 0.2;
+    Server server(service, server_options);
+    ASSERT_TRUE(server.start().ok());
+
+    StatusOr<std::unique_ptr<Client>> client =
+        Client::connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok());
+    const StatusOr<OpenReply> open = (*client)->open(corpus_[0].name);
+    ASSERT_TRUE(open.ok()) << open.status().toString();
+
+    // Park one read behind the only worker, which stays blocked until
+    // well after the deadline.
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    pool.submit([released] { released.wait(); });
+    std::thread reader([&] {
+        // The server goes away without answering: a transport error.
+        EXPECT_FALSE((*client)->readRange(open->archive, 0, 64).ok());
+    });
+    const auto give_up = std::chrono::steady_clock::now() +
+        std::chrono::seconds(10);
+    while (service.queueDepth() < 1 &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(service.queueDepth(), 1u);
+
+    server.beginDrain();
+    std::thread unblock([&] {
+        std::this_thread::sleep_for(std::chrono::seconds(1));
+        release.set_value();
+    });
+    // The deadline forces the loop out; stop() then waits for the
+    // parked read, which the drain's CancelToken turned Cancelled.
+    EXPECT_FALSE(server.drainWait());
+    unblock.join();
+    reader.join();
+    EXPECT_FALSE(server.running());
+    EXPECT_EQ(service.stats().cancelled, 1u);
+}
+
+// ---------------------------------------------------------------------
+// The connection state machine, without a socket
+// ---------------------------------------------------------------------
+
+/** Socketless tests share NetServerTest's corpus. */
+class NetConnection : public NetServerTest
+{};
+
+/** Write out the oldest queued reply, as the server's loop does. */
+std::vector<uint8_t>
+takeReply(net::Connection &conn)
+{
+    std::vector<uint8_t> frame(conn.txData(),
+                               conn.txData() + conn.txSize());
+    conn.consume(frame.size(), 0);
+    return frame;
+}
+
+TEST_F(NetConnection, BackpressurePausesParsingThenResumesInOrder)
+{
+    MultiArchiveOptions service_options;
+    service_options.ownedPoolThreads = 1;
+    MultiArchiveService service(dir_, service_options);
+
+    // STAT replies have one size; the mark holds three and a half.
+    std::vector<uint8_t> stat_reply;
+    net::appendStatReply(stat_reply, 1, WireServerStats{});
+    std::vector<uint8_t> stat_request;
+    net::appendStatRequest(stat_request, 1, net::kStatServer);
+    ServerOptions options;
+    options.txHighWaterBytes = stat_reply.size() * 7 / 2;
+    options.maxRequestFrameBytes = 1024;
+    net::ConnectionContext context(service, options, [] {});
+    net::Connection conn(context, 2, 0);
+
+    // Twenty pipelined STATs arrive while nothing is written: the
+    // fourth reply crosses the mark and parsing stops behind it.
+    uint64_t sent = 0;
+    std::vector<uint8_t> burst;
+    while (sent < 20)
+        net::appendStatRequest(burst, ++sent, net::kStatServer);
+    conn.receive(burst.data(), burst.size(), 0);
+    ASSERT_TRUE(conn.paused());
+    EXPECT_EQ(context.counters.txPauses.load(), 1u);
+    EXPECT_EQ(conn.buffered(), 16 * stat_request.size());
+
+    // The loop receives while the connection wants input: that stops
+    // once one max-size frame is buffered, and nothing more parses.
+    while (conn.wantsInput()) {
+        std::vector<uint8_t> more;
+        net::appendStatRequest(more, ++sent, net::kStatServer);
+        conn.receive(more.data(), more.size(), 0);
+    }
+    EXPECT_GE(conn.buffered(), options.maxRequestFrameBytes + net::kLenBytes);
+    EXPECT_LT(conn.buffered(), options.maxRequestFrameBytes +
+                                   net::kLenBytes + stat_request.size());
+    EXPECT_EQ(context.counters.txPauses.load(), 1u);
+
+    // Writing two replies leaves the backlog above half the mark; the
+    // third brings it below, and the buffered frames parse again.
+    std::vector<uint64_t> ids;
+    const auto take = [&] {
+        const std::vector<uint8_t> frame = takeReply(conn);
+        const StatusOr<ReplyHeader> header = net::parseReplyHeader(
+            frame.data() + net::kLenBytes, verifiedBodySize(frame));
+        ASSERT_TRUE(header.ok()) << header.status().toString();
+        EXPECT_EQ(header->status, WireStatus::Ok);
+        ids.push_back(header->requestId);
+    };
+    const size_t stalled = conn.buffered();
+    take();
+    take();
+    EXPECT_TRUE(conn.paused());
+    EXPECT_EQ(conn.buffered(), stalled);
+    take();
+    EXPECT_LT(conn.buffered(), stalled);
+
+    // Every request is answered once, in the order it arrived.
+    while (conn.txSize() != 0)
+        take();
+    EXPECT_EQ(conn.buffered(), 0u);
+    EXPECT_FALSE(conn.paused());
+    ASSERT_EQ(ids.size(), sent);
+    for (uint64_t i = 0; i < sent; i++)
+        EXPECT_EQ(ids[i], i + 1);
+    EXPECT_GT(context.counters.txPauses.load(), 1u);
+    EXPECT_TRUE(conn.owesNothing());
 }
 
 /** Client tests share NetServerTest's corpus of three archives. */
