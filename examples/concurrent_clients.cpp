@@ -96,12 +96,13 @@ main()
         auto a = async(0, 256);
         auto b = async(service.chunkFirstRead(last),
                        service.chunkReadCount(last));
-        // The outcome is runs over the shared decoded chunks, read in
-        // place (copyReads() makes an owned copy).
+        // The outcome is runs over the shared decoded chunks. A run
+        // yields ReadViews into the chunk's columns, read in place
+        // while the result is held (copyReads() makes owned reads).
         uint64_t bases = 0;
         const RangeResult head = a.get();
         for (const ReadRun &run : head.runs) {
-            for (const Read &read : run)
+            for (const ReadView read : run)
                 bases += read.bases.size();
         }
         std::printf("  async client: %llu reads (%llu bases) + %llu "

@@ -367,28 +367,27 @@ QualityStore::QualityStore(QualityArchive archive)
                     "quality blocks hold fewer characters than the reads");
 }
 
-std::string
-QualityStore::read(uint64_t index) const
+void
+QualityStore::appendRead(uint64_t index, std::string &out) const
 {
     sage_assert(index < readCount(), "quality read index out of range");
     uint64_t at = readStart_[index];
     const uint64_t end = readStart_[index + 1];
     if (at == end)
-        return {};
+        return;
     // The last block that starts at or before the read's first character.
     size_t b = static_cast<size_t>(
         std::upper_bound(blockStart_.begin(), blockStart_.end() - 1, at) -
         blockStart_.begin() - 1);
-    if (end <= blockStart_[b + 1])
-        return decoded(b).substr(at - blockStart_[b], end - at);
-    std::string out;
-    out.reserve(end - at);
+    // Reserve only when short: one exact allocation for a fresh
+    // string, none for a column arena sized up front.
+    if (out.capacity() - out.size() < end - at)
+        out.reserve(out.size() + (end - at));
     for (; at < end; b++) {
         const uint64_t stop = std::min(end, blockStart_[b + 1]);
         out.append(decoded(b), at - blockStart_[b], stop - at);
         at = stop;
     }
-    return out;
 }
 
 const std::string &

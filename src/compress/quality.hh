@@ -146,7 +146,7 @@ std::string decompressQualityBlock(const QualityArchive &archive,
  * character offset and the block table. A read whose characters
  * straddle a block boundary joins the blocks it spans.
  *
- * read() is safe from any number of threads. Each block decodes once,
+ * appendRead() is safe from any number of threads. Each block decodes once,
  * under its own lock, and concurrent first readers wait for that one
  * decode; a decode that throws stores nothing, so the next reader
  * retries. Decoded blocks stay resident for the store's lifetime.
@@ -162,9 +162,15 @@ class QualityStore
     /** Reads the stream holds. */
     uint64_t readCount() const { return readStart_.size() - 1; }
 
-    /** Quality string of read @p index; decodes the blocks it spans
-     *  on first use. */
-    std::string read(uint64_t index) const;
+    /** Offset of read @p index's first character in the stream;
+     *  readOffset(readCount()) is the stream's length. */
+    uint64_t readOffset(uint64_t index) const { return readStart_[index]; }
+
+    /** Append the quality string of read @p index to @p out,
+     *  decoding the blocks it spans on first use. An empty string gets
+     *  one allocation of the read's length; a column arena with room
+     *  for it, none. */
+    void appendRead(uint64_t index, std::string &out) const;
 
   private:
     struct Block

@@ -329,26 +329,93 @@ SageDecoder::chunkCompressedBytes() const
     return out;
 }
 
+namespace {
+
+/**
+ * What a column arena reserves for its chunk's @p bytes before the
+ * first read. At most 256 MiB: the sizes come from the archive (read
+ * lengths, quality offsets), and a corrupt one must not become an
+ * allocation the per-read loop would never make; a valid chunk larger
+ * than that grows past it as it decodes. From kArenaGranule up, the
+ * size is rounded up to a multiple of it, so chunks of about the same
+ * size ask for the same sizes: the arenas of a chunk the cache drops
+ * then fit the next chunk it decodes, instead of the heap growing past
+ * them.
+ */
+uint64_t
+arenaReserve(uint64_t bytes)
+{
+    constexpr uint64_t kMaxArenaReserve = uint64_t{1} << 28;
+    constexpr uint64_t kGranule = SageDecoder::kArenaGranule;
+    bytes = std::min(bytes, kMaxArenaReserve);
+    return bytes < kGranule ? bytes
+                            : (bytes + kGranule - 1) / kGranule * kGranule;
+}
+
+} // namespace
+
+std::string_view
+SageDecoder::headerOf(uint64_t read_index) const
+{
+    if (headerStarts_.empty())
+        return {};
+    const uint64_t begin = headerStarts_[read_index];
+    return std::string_view(
+        reinterpret_cast<const char *>(headerText_.data()) + begin,
+        static_cast<size_t>(headerStarts_[read_index + 1] - 1 - begin));
+}
+
 Read
 SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index) const
 {
     Read read;
-    read.bases = decodeBases(cur);
-    if (!headerStarts_.empty()) {
-        const uint64_t begin = headerStarts_[read_index];
-        read.header.assign(
-            reinterpret_cast<const char *>(headerText_.data()) + begin,
-            static_cast<size_t>(headerStarts_[read_index + 1] - 1 - begin));
-    }
+    // The read owns its buffer, so the flip swaps in one of exact size.
+    if (decodeBases(cur, read.bases))
+        reverseComplementInPlace(read.bases);
+    read.header.assign(headerOf(read_index));
     if (quals_)
-        read.quals = quals_->read(read_index);
+        quals_->appendRead(read_index, read.quals);
     return read;
 }
 
-std::string
-SageDecoder::decodeBases(ChunkCursor &cur) const
+uint64_t
+SageDecoder::readLength(BitReader &rla, BitReader &rlga) const
 {
     const SageParams &params = info_.params;
+    uint64_t length = params.modalReadLength;
+    if (!params.constantReadLength) {
+        length = static_cast<uint64_t>(
+            static_cast<int64_t>(params.modalReadLength) +
+            zigzagDecode(lenCodec_->decode(rla, rlga)));
+    }
+    // A corrupt length delta must not drive multi-gigabyte appends or
+    // wrap the packed-size arithmetic of an escape.
+    sage_check_data(length <= (uint64_t{1} << 31), Corrupt,
+                    "read length ", length, " out of range");
+    return length;
+}
+
+uint64_t
+SageDecoder::chunkBaseCount(const ChunkCursor &cur, uint64_t reads) const
+{
+    // Copies of the length streams: the cursor itself stays put.
+    BitReader rla = cur.rla;
+    BitReader rlga = cur.rlga;
+    uint64_t total = 0;
+    try {
+        for (uint64_t r = 0; r < reads; r++)
+            total += readLength(rla, rlga);
+    } catch (const StatusError &) {
+        // The decode fails at this read too.
+    }
+    return total;
+}
+
+bool
+SageDecoder::decodeBases(ChunkCursor &cur, std::string &out) const
+{
+    const SageParams &params = info_.params;
+    const size_t start = out.size();
 
     // ---- Flags --------------------------------------------------------
     const bool reverse = cur.flags.readBit();
@@ -365,32 +432,27 @@ SageDecoder::decodeBases(ChunkCursor &cur) const
         escaped = cur.flags.readBit();
 
     // ---- Read length ----------------------------------------------------
-    uint64_t length = params.modalReadLength;
-    if (!params.constantReadLength) {
-        const int64_t len_delta =
-            zigzagDecode(lenCodec_->decode(cur.rla, cur.rlga));
-        length = static_cast<uint64_t>(
-            static_cast<int64_t>(params.modalReadLength) + len_delta);
-    }
-    // A corrupt length delta must not drive multi-gigabyte appends or
-    // wrap the packed-size arithmetic below.
-    sage_check_data(length <= (uint64_t{1} << 31), Corrupt,
-                    "read length ", length, " out of range");
+    const uint64_t length = readLength(cur.rla, cur.rlga);
 
     // Escape payloads are 3-bit packed into whole bytes, so the read
     // copies out of the chunk's escape slice directly instead of 8 bits
-    // at a time.
+    // at a time. An escaped read is stored as read: nothing to flip.
+    // The encoder marks an escape before the read's first base; one
+    // after bases of an event-free segment would lengthen the read.
     auto take_escape = [&] {
+        sage_check_data(out.size() == start, Corrupt,
+                        "escape marker after ", out.size() - start,
+                        " decoded bases");
         const size_t packed_bytes = (length * 3 + 7) / 8;
         const ChunkCursor::Span &escape = cur.escape();
         sage_check_data(packed_bytes <= escape.size &&
                         cur.escapeByte <= escape.size - packed_bytes,
                         Truncated, "escape stream underrun");
-        std::string bases = unpackSequence(escape.data + cur.escapeByte,
-                                           packed_bytes, length,
-                                           OutputFormat::ThreeBit);
+        appendUnpackedSequence(out, escape.data + cur.escapeByte,
+                               packed_bytes, length,
+                               OutputFormat::ThreeBit);
         cur.escapeByte += packed_bytes;
-        return bases;
+        return false;
     };
 
     // ---- Matching position ---------------------------------------------
@@ -404,8 +466,11 @@ SageDecoder::decodeBases(ChunkCursor &cur) const
     }
 
     // ---- Segment table ---------------------------------------------------
+    // maxSegments is one byte of the params (format.cc), and the flags
+    // check above keeps the count within it: no read needs more room.
     struct SegInfo { uint64_t consPos; uint64_t readLen; };
-    std::vector<SegInfo> segs(1 + extra_segments);
+    const unsigned seg_count = 1 + extra_segments;
+    SegInfo segs[256];
     segs[0].consPos = primary;
     uint64_t other_len = 0;
     for (unsigned s = 1; s <= extra_segments; s++) {
@@ -421,12 +486,15 @@ SageDecoder::decodeBases(ChunkCursor &cur) const
     segs[0].readLen = length - other_len;
 
     // ---- Events + reconstruction (the RCU walk) --------------------------
-    std::string oriented;
-    oriented.reserve(static_cast<size_t>(
-        std::min<uint64_t>(length, uint64_t{1} << 20)));
+    // Room reserved only when short: an exact allocation for a Read's
+    // own string, none in a column arena sized for the chunk.
+    const uint64_t room = std::min<uint64_t>(length, uint64_t{1} << 20);
+    if (out.capacity() - out.size() < room)
+        out.reserve(out.size() + static_cast<size_t>(room));
     bool first_event_of_read = true;
 
-    for (const SegInfo &seg : segs) {
+    for (unsigned s = 0; s < seg_count; s++) {
+        const SegInfo &seg = segs[s];
         const uint64_t count = countCodec_->decode(cur.mca, cur.mcga);
         uint64_t cons_j = seg.consPos;
         uint64_t read_i = 0;   // Position within this segment.
@@ -457,8 +525,8 @@ SageDecoder::decodeBases(ChunkCursor &cur) const
                 sage_check_data(run <= consensus_.size() &&
                                 cons_j <= consensus_.size() - run,
                                 Corrupt, "decoder ran off consensus");
-                oriented.append(consensus_, static_cast<size_t>(cons_j),
-                                static_cast<size_t>(run));
+                out.append(consensus_, static_cast<size_t>(cons_j),
+                           static_cast<size_t>(run));
                 cons_j += run;
                 read_i = event_pos;
             }
@@ -504,7 +572,7 @@ SageDecoder::decodeBases(ChunkCursor &cur) const
 
             switch (type) {
               case EditType::Sub:
-                oriented.push_back(sub_base);
+                out.push_back(sub_base);
                 read_i++;
                 cons_j++;
                 break;
@@ -513,7 +581,7 @@ SageDecoder::decodeBases(ChunkCursor &cur) const
                 // the indel marker (inferTypes) or after the explicit
                 // type code (pre-O3).
                 for (uint64_t b = 0; b < block_len; b++) {
-                    oriented.push_back(codeToBase(
+                    out.push_back(codeToBase(
                         static_cast<uint8_t>(cur.mbta.readBits(2))));
                 }
                 read_i += block_len;
@@ -529,17 +597,19 @@ SageDecoder::decodeBases(ChunkCursor &cur) const
             sage_check_data(run <= consensus_.size() &&
                             cons_j <= consensus_.size() - run,
                             Corrupt, "decoder ran off consensus at tail");
-            oriented.append(consensus_, static_cast<size_t>(cons_j),
-                            static_cast<size_t>(run));
+            out.append(consensus_, static_cast<size_t>(cons_j),
+                       static_cast<size_t>(run));
         }
     }
 
+    // Events that run past their segment lengthen the read: a valid
+    // archive never has them, and a corrupt one must not yield a read
+    // of the wrong length (nor outgrow a column arena sized from the
+    // length fields).
+    sage_check_data(out.size() - start == length, Corrupt, "read decodes to ",
+                    out.size() - start, " bases; its length is ", length);
     cur.prevPrimary = primary;
-    // Reverse strands flip through the SIMD kernel without an extra
-    // per-read allocation (thread-local scratch in alphabet.cc).
-    if (reverse)
-        reverseComplementInPlace(oriented);
-    return oriented;
+    return reverse;
 }
 
 namespace {
@@ -564,16 +634,22 @@ chunkStatus(size_t chunk, const Decode &decode)
     }
 }
 
+/** The Status of a decode call for a chunk past the archive's end. */
+Status
+chunkOutOfRange(size_t chunk, size_t chunks)
+{
+    return Status::outOfRange("chunk index ", chunk,
+                              " out of range (archive has ", chunks,
+                              " chunks)");
+}
+
 } // namespace
 
 Status
 SageDecoder::tryDecodeChunkShared(size_t chunk, Read *out) const
 {
-    if (chunk >= chunks_.size()) {
-        return Status::outOfRange("chunk index ", chunk,
-                                  " out of range (archive has ",
-                                  chunks_.size(), " chunks)");
-    }
+    if (chunk >= chunks_.size())
+        return chunkOutOfRange(chunk, chunks_.size());
     // A private cursor: nothing here writes decoder state, which is
     // what makes concurrent calls safe. A failed fetch comes back from
     // the open; decode errors on corrupt bytes surface as StatusError
@@ -586,6 +662,59 @@ SageDecoder::tryDecodeChunkShared(size_t chunk, Read *out) const
     return chunkStatus(chunk, [&] {
         for (uint64_t r = 0; r < slice.readCount; r++)
             out[r] = decodeOne(cur, slice.firstRead + r);
+    });
+}
+
+Status
+SageDecoder::tryDecodeChunkShared(size_t chunk, ReadColumns &out) const
+{
+    sage_assert(out.empty() && out.headers.empty() && out.bases.empty() &&
+                    out.quals.empty(),
+                "chunk decoded into columns that hold reads");
+    if (chunk >= chunks_.size())
+        return chunkOutOfRange(chunk, chunks_.size());
+    const ChunkSlice &slice = chunks_[chunk];
+    // The end table is sized where the Read overloads size their
+    // vector, before the fetch, so a hostile read count fails alike.
+    Status status = chunkStatus(chunk, [&] {
+        out.ends.reserve(static_cast<size_t>(slice.readCount));
+    });
+    if (!status.ok())
+        return status;
+    OpenedChunk opened = tryOpenChunk(chunk);
+    if (!opened.ok())
+        return opened.status();
+    ChunkCursor &cur = *opened.value();
+    return chunkStatus(chunk, [&] {
+        const uint64_t first = slice.firstRead;
+        const uint64_t end = first + slice.readCount;
+        // Each arena is sized for the whole chunk before the first
+        // read: bases from a pass over the length streams, headers and
+        // quality from the host stores' offsets.
+        out.bases.reserve(
+            arenaReserve(chunkBaseCount(cur, slice.readCount)));
+        if (!headerStarts_.empty()) {
+            out.headers.reserve(arenaReserve(headerStarts_[end] -
+                                             headerStarts_[first] -
+                                             slice.readCount));
+        }
+        if (quals_) {
+            out.quals.reserve(arenaReserve(quals_->readOffset(end) -
+                                           quals_->readOffset(first)));
+        }
+        // decodeOne's steps in decodeOne's order, so both loops stop
+        // at the same read with the same Status.
+        for (uint64_t r = first; r < end; r++) {
+            const size_t at = out.bases.size();
+            // Flip only this read's tail: the arena keeps its buffer.
+            if (decodeBases(cur, out.bases))
+                reverseComplementInPlace(out.bases.data() + at,
+                                         out.bases.size() - at);
+            out.headers.append(headerOf(r));
+            if (quals_)
+                quals_->appendRead(r, out.quals);
+            out.endRead();
+        }
     });
 }
 

@@ -26,7 +26,10 @@
  * QualityStore); each quality block range-decodes the first time a
  * decoded read needs it and then stays resident for the decoder's
  * lifetime (paper §5.1.5). Every decode copies header and quality
- * fields out of these shared stores rather than using them up.
+ * fields out of these shared stores rather than using them up. A chunk
+ * decodes into Reads, or into ReadColumns (genomics/read.hh: one arena
+ * per field, the form the archive service caches) with no allocation
+ * per read; both loops run the same per-read steps.
  *
  * Container v2 archives carry a chunk index (format.hh): each chunk is
  * an independently decodable slice of the read set, the software
@@ -48,6 +51,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/format.hh"
@@ -146,6 +150,22 @@ class SageDecoder
      */
     Status tryDecodeChunkShared(size_t chunk, Read *out) const;
 
+    /**
+     * tryDecodeChunkShared() into columns: writes the chunk's reads to
+     * @p out, which must be empty, bases straight into its arena and
+     * headers and quality copied in from the host stores, with no
+     * allocation per read. Each arena is sized for the chunk before
+     * its first read: exactly, or from kArenaGranule up to the next
+     * multiple of it (to at most 256 MiB each), so that a cache
+     * replacing chunks of about the same size reuses the memory it
+     * frees. The reads and any failing Status equal the Read
+     * overloads'; on failure @p out is left partly written.
+     */
+    Status tryDecodeChunkShared(size_t chunk, ReadColumns &out) const;
+
+    /** Size step of a column arena of kArenaGranule bytes or more. */
+    static constexpr uint64_t kArenaGranule = uint64_t{64} << 10;
+
     /** Decoder working-set bytes: registers + consensus window model.
      *  (The HW streams the consensus; software keeps it resident.) */
     uint64_t workingSetBytes() const;
@@ -178,8 +198,27 @@ class SageDecoder
      */
     OpenedChunk tryOpenChunk(size_t chunk) const;
 
-    /** Decode one read's bases via @p cur. */
-    std::string decodeBases(ChunkCursor &cur) const;
+    /**
+     * Decode one read's bases via @p cur, appending them to @p out.
+     * Returns true when the read lies on the reverse strand: the
+     * appended bases are then its reverse complement, which the caller
+     * flips in place in whichever way suits its storage.
+     */
+    bool decodeBases(ChunkCursor &cur, std::string &out) const;
+
+    /** One read's length: the modal length, plus the delta read from
+     *  @p rla / @p rlga unless every read has the modal length. A
+     *  length past 2^31 is Corrupt. */
+    uint64_t readLength(BitReader &rla, BitReader &rlga) const;
+
+    /** Total bases of the next @p reads reads of @p cur, from copies
+     *  of its length streams; stops early where the decode itself
+     *  would fail. Sizes a column arena. */
+    uint64_t chunkBaseCount(const ChunkCursor &cur, uint64_t reads) const;
+
+    /** Header of stored-order read @p read_index, in the header text
+     *  (empty in DNA-only mode). */
+    std::string_view headerOf(uint64_t read_index) const;
 
     /** Decode one read via @p cur: its bases, plus the header and
      *  quality of stored-order read @p read_index copied from the host

@@ -1,5 +1,7 @@
 #include "genomics/alphabet.hh"
 
+#include <cstring>
+
 #include "genomics/kernels.hh"
 #include "util/status.hh"
 
@@ -18,16 +20,36 @@ reverseComplement(std::string_view seq)
     return out;
 }
 
+namespace {
+
+/** The SIMD kernels mirror while storing, so in-place needs a scratch;
+ *  it is thread-local to spare the hot decode loop an allocation per
+ *  reverse-strand read. */
+std::string &
+reverseScratch()
+{
+    thread_local std::string scratch;
+    return scratch;
+}
+
+} // namespace
+
 void
 reverseComplementInPlace(std::string &seq)
 {
-    // The SIMD kernels mirror while storing, so in-place needs a
-    // scratch; keep it thread-local to spare the hot decode loop an
-    // allocation per reverse-strand read.
-    thread_local std::string scratch;
+    std::string &scratch = reverseScratch();
     scratch.assign(seq.size(), '\0');
     kernels::reverseComplement(seq.data(), seq.size(), scratch.data());
     seq.swap(scratch);
+}
+
+void
+reverseComplementInPlace(char *seq, size_t count)
+{
+    std::string &scratch = reverseScratch();
+    scratch.resize(count);
+    kernels::reverseComplement(seq, count, scratch.data());
+    std::memcpy(seq, scratch.data(), count);
 }
 
 bool
@@ -52,21 +74,33 @@ packSequence(std::string_view seq, OutputFormat fmt)
     return out;
 }
 
+void
+appendUnpackedSequence(std::string &out, const uint8_t *packed,
+                       size_t packed_size, size_t num_bases,
+                       OutputFormat fmt)
+{
+    if (fmt == OutputFormat::Ascii) {
+        out.append(reinterpret_cast<const char *>(packed), packed_size);
+        return;
+    }
+    const size_t at = out.size();
+    out.resize(at + num_bases);
+    if (fmt == OutputFormat::TwoBit) {
+        kernels::unpack2bit(packed, packed_size, num_bases,
+                            out.data() + at);
+    } else {
+        sage_check_data(kernels::unpack3bit(packed, packed_size,
+                                            num_bases, out.data() + at),
+                        Corrupt, "bad base code in 3-bit stream");
+    }
+}
+
 std::string
 unpackSequence(const uint8_t *packed, size_t packed_size,
                size_t num_bases, OutputFormat fmt)
 {
-    if (fmt == OutputFormat::Ascii)
-        return std::string(packed, packed + packed_size);
-
-    std::string out(num_bases, '\0');
-    if (fmt == OutputFormat::TwoBit) {
-        kernels::unpack2bit(packed, packed_size, num_bases, out.data());
-    } else {
-        sage_check_data(kernels::unpack3bit(packed, packed_size,
-                                            num_bases, out.data()),
-                        Corrupt, "bad base code in 3-bit stream");
-    }
+    std::string out;
+    appendUnpackedSequence(out, packed, packed_size, num_bases, fmt);
     return out;
 }
 

@@ -65,8 +65,15 @@ complementBase(char c)
 /** Reverse complement of a sequence (SIMD-dispatched, kernels.hh). */
 std::string reverseComplement(std::string_view seq);
 
-/** Reverse complement @p seq in place (SIMD-dispatched). */
+/** Reverse complement @p seq in place (SIMD-dispatched). The result
+ *  takes over a thread-local scratch buffer of exactly its size, and
+ *  the scratch keeps @p seq's old buffer. */
 void reverseComplementInPlace(std::string &seq);
+
+/** Reverse complement @p count bases at @p seq in place, through the
+ *  same scratch: for a read inside a larger buffer, such as a column
+ *  arena, whose buffer must stay where it is. */
+void reverseComplementInPlace(char *seq, size_t count);
 
 /** True if the sequence contains only A/C/G/T (SIMD-dispatched). */
 bool isAcgtOnly(std::string_view seq);
@@ -98,6 +105,12 @@ std::vector<uint8_t> packSequence(std::string_view seq, OutputFormat fmt);
  *  archives, and bad ones must not abort the process. */
 std::string unpackSequence(const uint8_t *packed, size_t packed_size,
                            size_t num_bases, OutputFormat fmt);
+
+/** unpackSequence() appended to @p out (on a throw, @p out keeps a
+ *  partly written tail). */
+void appendUnpackedSequence(std::string &out, const uint8_t *packed,
+                            size_t packed_size, size_t num_bases,
+                            OutputFormat fmt);
 
 /** Invert packSequence given the base count. */
 std::string unpackSequence(const std::vector<uint8_t> &packed,

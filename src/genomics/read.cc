@@ -3,6 +3,13 @@
 namespace sage {
 
 uint64_t
+ReadColumns::capacityBytes() const
+{
+    return headers.capacity() + bases.capacity() + quals.capacity() +
+           ends.capacity() * sizeof(Ends);
+}
+
+uint64_t
 ReadSet::fastqBytes() const
 {
     uint64_t total = 0;

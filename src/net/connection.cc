@@ -332,7 +332,8 @@ Connection::startRead(const RequestFrame &request)
             std::vector<ReadSpan> spans;
             spans.reserve(result.runs.size());
             for (const ReadRun &run : result.runs)
-                spans.push_back(ReadSpan{run.begin(), run.size()});
+                spans.push_back(
+                    ReadSpan{&run.chunk->reads, run.offset, run.size()});
             const Status encoded = appendReadReply(
                 frame, type, request_id, spans.data(), spans.size());
             if (!encoded.ok())

@@ -1,6 +1,7 @@
 #include "net/protocol.hh"
 
 #include <cstring>
+#include <string_view>
 
 #include "util/crc32.hh"
 
@@ -59,7 +60,7 @@ storeLe(uint8_t *p, uint64_t v, size_t bytes)
 }
 
 uint8_t *
-storeBytes(uint8_t *p, const std::string &bytes)
+storeBytes(uint8_t *p, std::string_view bytes)
 {
     std::memcpy(p, bytes.data(), bytes.size());
     return p + bytes.size();
@@ -372,10 +373,18 @@ appendOpenReply(std::vector<uint8_t> &out, uint64_t request_id,
     endFrame(out, at);
 }
 
+namespace {
+
+/**
+ * The READ_* reply encoder behind both appendReadReply overloads.
+ * @p for_each_read(fn) calls fn(ReadView) on every read of the reply,
+ * in order; it runs twice, once to size the frame and once to write
+ * it.
+ */
+template <typename ForEachRead>
 Status
-appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
-                uint64_t request_id, const ReadSpan *spans,
-                size_t span_count)
+encodeReadReply(std::vector<uint8_t> &out, MsgType request_type,
+                uint64_t request_id, const ForEachRead &for_each_read)
 {
     // Size the frame before writing a byte of it: refuse what the u16
     // header lengths and the u32 frame length cannot carry, and
@@ -383,19 +392,24 @@ appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
     // reply header, the u32 read count, the reads and the CRC.
     uint64_t frame = kReplyHeaderBytes + 4 + kFrameCrcBytes;
     uint64_t count = 0;
-    for (size_t s = 0; s < span_count; s++) {
-        for (size_t i = 0; i < spans[s].size; i++, count++) {
-            const Read &read = spans[s].data[i];
-            if (read.header.size() > UINT16_MAX)
-                return Status::outOfRange(
-                    "read ", count, " of the reply has a ",
-                    read.header.size(),
-                    "-byte header; a reply header holds at most ",
-                    UINT16_MAX, " bytes");
-            frame += kReadDescriptorBytes + read.header.size() +
-                     read.bases.size() + read.quals.size();
+    Status refused;
+    for_each_read([&](const ReadView &read) {
+        if (!refused.ok())
+            return;
+        if (read.header.size() > UINT16_MAX) {
+            refused = Status::outOfRange(
+                "read ", count, " of the reply has a ",
+                read.header.size(),
+                "-byte header; a reply header holds at most ", UINT16_MAX,
+                " bytes");
+            return;
         }
-    }
+        frame += kReadDescriptorBytes + read.header.size() +
+                 read.bases.size() + read.quals.size();
+        count++;
+    });
+    if (!refused.ok())
+        return refused;
     if (frame > UINT32_MAX)
         return Status::outOfRange("a reply of ", count,
                                   " reads needs a ", frame,
@@ -407,31 +421,48 @@ appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
     putReplyHeader(out, request_type, WireStatus::Ok, request_id);
     putU32(out, static_cast<uint32_t>(count));
     // The reads are the bulk of the frame: grow it by their exact size
-    // once and write them through a pointer.
+    // once and copy each field in with one memcpy.
     const size_t reads_at = out.size();
     out.resize(at + kLenBytes + frame - kFrameCrcBytes);
     uint8_t *p = out.data() + reads_at;
-    for (size_t s = 0; s < span_count; s++) {
-        for (size_t i = 0; i < spans[s].size; i++) {
-            const Read &read = spans[s].data[i];
-            p = storeLe(p, read.header.size(), 2);
-            p = storeLe(p, read.bases.size(), 4);
-            p = storeLe(p, read.quals.size(), 4);
-            p = storeBytes(p, read.header);
-            p = storeBytes(p, read.bases);
-            p = storeBytes(p, read.quals);
-        }
-    }
+    for_each_read([&](const ReadView &read) {
+        p = storeLe(p, read.header.size(), 2);
+        p = storeLe(p, read.bases.size(), 4);
+        p = storeLe(p, read.quals.size(), 4);
+        p = storeBytes(p, read.header);
+        p = storeBytes(p, read.bases);
+        p = storeBytes(p, read.quals);
+    });
     endFrame(out, at);
     return Status();
+}
+
+} // namespace
+
+Status
+appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
+                uint64_t request_id, const ReadSpan *spans,
+                size_t span_count)
+{
+    return encodeReadReply(
+        out, request_type, request_id, [&](const auto &emit) {
+            for (size_t s = 0; s < span_count; s++) {
+                const ReadSpan &span = spans[s];
+                for (size_t i = 0; i < span.size; i++)
+                    emit((*span.columns)[span.first + i]);
+            }
+        });
 }
 
 Status
 appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
                 uint64_t request_id, const std::vector<Read> &reads)
 {
-    const ReadSpan span{reads.data(), reads.size()};
-    return appendReadReply(out, request_type, request_id, &span, 1);
+    return encodeReadReply(out, request_type, request_id,
+                           [&](const auto &emit) {
+                               for (const Read &read : reads)
+                                   emit(ReadView(read));
+                           });
 }
 
 void

@@ -231,12 +231,14 @@ void appendOpenReply(std::vector<uint8_t> &out, uint64_t request_id,
                      MsgType request_type, const OpenReply &reply);
 
 /** A contiguous run of reads for the reply encoder to serialize, by
- *  reference (C++17 has no std::span). The server points these at
- *  the decoded chunks the service handed it, so a reply is encoded
+ *  reference: reads [first, first + size) of *columns (C++17 has no
+ *  std::span). The server points these at the decoded chunks the
+ *  service handed it, so a reply is encoded from the chunks' columns
  *  without copying reads out first. */
 struct ReadSpan
 {
-    const Read *data = nullptr;
+    const ReadColumns *columns = nullptr;
+    size_t first = 0;  ///< Index of the span's first read in *columns.
     size_t size = 0;
 };
 
@@ -250,7 +252,8 @@ Status appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
                        uint64_t request_id, const ReadSpan *spans,
                        size_t span_count);
 
-/** The same reply over one owned vector of reads. */
+/** The same reply over one owned vector of reads (one encoder
+ *  serves both overloads, so their frames are byte-identical). */
 Status appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
                        uint64_t request_id,
                        const std::vector<Read> &reads);

@@ -35,6 +35,9 @@ struct Server::Socket
 
     int fd;
     bool rxStalled = false;  ///< Stopped recv()ing while paused.
+    /** The peer shut its sending side: its requests are all read, and
+     *  the socket closes once they are answered. */
+    bool peerClosed = false;
     bool dead = false;
     Connection conn;
 };
@@ -177,11 +180,14 @@ Server::eventLoop()
             if (it == conns_.end())
                 continue;
             Socket &socket = *it->second;
-            if (events[i].events & (EPOLLHUP | EPOLLERR | EPOLLRDHUP))
+            if (events[i].events & (EPOLLHUP | EPOLLERR))
                 socket.dead = true;
             if (!socket.dead && (events[i].events & EPOLLOUT))
                 flush(socket);
-            if (!socket.dead && (events[i].events & EPOLLIN))
+            // A half-close (EPOLLRDHUP) may come with the peer's last
+            // requests: read them, and onReadable finds the EOF.
+            if (!socket.dead &&
+                (events[i].events & (EPOLLIN | EPOLLRDHUP)))
                 onReadable(socket);
             if (socket.dead)
                 destroyConn(it);
@@ -289,7 +295,7 @@ Server::acceptAll()
 void
 Server::onReadable(Socket &socket)
 {
-    while (!socket.dead) {
+    while (!socket.dead && !socket.peerClosed) {
         // A paused connection keeps at most one max-size frame
         // buffered; further inbound bytes wait in the socket (and,
         // transitively, in the peer's send queue) until the transmit
@@ -306,11 +312,19 @@ Server::onReadable(Socket &socket)
             flush(socket);
             continue;
         }
-        if (got < 0 && errno == EINTR)
-            continue;
-        if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        if (got == 0) {
+            // EOF: the peer sends nothing more but may still read.
+            // Answer what it sent, then close (flush() checks too).
+            socket.peerClosed = true;
+            if (socket.conn.owesNothing())
+                socket.dead = true;
             return;
-        socket.dead = true;  // EOF or a socket error.
+        }
+        if (errno == EINTR)
+            continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK)
+            return;
+        socket.dead = true;  // A socket error.
     }
 }
 
@@ -357,7 +371,8 @@ Server::flush(Socket &socket)
         socket.rxStalled = false;
         onReadable(socket);
     }
-    if (conn.finished() || (context_->draining && conn.owesNothing()))
+    if (conn.finished() ||
+        ((context_->draining || socket.peerClosed) && conn.owesNothing()))
         socket.dead = true;
 }
 

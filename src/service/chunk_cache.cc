@@ -200,10 +200,9 @@ ChunkCache::getOrDecode(size_t chunk, const DecodeFn &decode,
     DecodedChunkPtr data;
     Status failure;
     // Chunks this insert evicts. When the cache held their last
-    // reference, dropping one frees every read string it owns, so that
-    // happens only after the shard lock is released and the flight is
-    // published: neither hits on this shard nor this chunk's waiters
-    // wait on it.
+    // reference, dropping one frees its columns, so that happens only
+    // after the shard lock is released and the flight is published:
+    // neither hits on this shard nor this chunk's waiters wait on it.
     std::vector<DecodedChunkPtr> evicted;
     try {
         StatusOr<DecodedChunkPtr> decoded = decode(chunk);

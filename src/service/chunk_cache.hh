@@ -12,7 +12,9 @@
  * cache merely drops its reference, and the memory goes away when the
  * last reader does. That is what lets the cache run with a tiny
  * budget under heavy concurrency (the stress tests do exactly this)
- * without copying read data per client.
+ * without copying read data per client. A chunk holds its reads as
+ * columns, so dropping one frees four buffers, whatever its read
+ * count, and each entry is charged the columns' capacity.
  *
  * Why not LRU: when every client performs a sequential walk, pure LRU
  * degenerates — each single-touch streaming chunk evicts something on
@@ -46,15 +48,20 @@
 
 namespace sage {
 
-/** One decoded, immutable archive chunk (stored-order reads). */
+/** One decoded, immutable archive chunk: its stored-order reads as
+ *  columns (genomics/read.hh), one arena per field. */
 struct DecodedChunk
 {
-    std::vector<Read> reads;
+    ReadColumns reads;
     uint64_t firstRead = 0;  ///< Stored-order index of reads[0].
-    uint64_t bytes = 0;      ///< Resident-size estimate for budgeting.
+    /** What the entry costs the cache budget: the columns' capacity,
+     *  reads.capacityBytes(), the heap bytes they really hold. */
+    uint64_t bytes = 0;
 
-    /** Estimate the resident footprint of @p reads (string payloads
-     *  plus per-read bookkeeping). */
+    /** The footprint @p reads take as owned Reads (string payloads
+     *  plus each Read object): an estimate for sizing a budget from
+     *  decoded Read vectors. A cached chunk of the same reads is
+     *  charged its columns' capacity, which is smaller. */
     static uint64_t residentBytes(const std::vector<Read> &reads);
 };
 

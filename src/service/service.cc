@@ -19,7 +19,7 @@ payloadBytes(const std::vector<ReadRun> &runs)
 {
     uint64_t bytes = 0;
     for (const ReadRun &run : runs) {
-        for (const Read &read : run)
+        for (const ReadView read : run)
             bytes += read.bases.size() + read.quals.size();
     }
     return bytes;
@@ -47,8 +47,10 @@ RangeResult::copyReads() const
     out.status = status;
     out.error = error;
     out.reads.reserve(static_cast<size_t>(readCount()));
-    for (const ReadRun &run : runs)
-        out.reads.insert(out.reads.end(), run.begin(), run.end());
+    for (const ReadRun &run : runs) {
+        for (const ReadView read : run)
+            out.reads.push_back(read.toRead());
+    }
     return out;
 }
 
@@ -213,26 +215,32 @@ SageArchiveService::chunkForRead(uint64_t read_index) const
     return static_cast<size_t>(it - chunkFirstRead_.begin()) - 1;
 }
 
-StatusOr<std::vector<Read>>
+StatusOr<DecodedChunkPtr>
 SageArchiveService::decodeChunkWithRetry(size_t chunk)
 {
     for (unsigned attempt = 0;; attempt++) {
-        StatusOr<std::vector<Read>> reads =
-            decoder_->tryDecodeChunkShared(chunk);
-        if (reads.ok())
-            return reads;
+        // Fresh columns per attempt: a failed one leaves them partly
+        // written.
+        auto decoded = std::make_shared<DecodedChunk>();
+        const Status status =
+            decoder_->tryDecodeChunkShared(chunk, decoded->reads);
+        if (status.ok()) {
+            decoded->firstRead = decoder_->chunkFirstRead(chunk);
+            decoded->bytes = decoded->reads.capacityBytes();
+            return DecodedChunkPtr(std::move(decoded));
+        }
         // Only plain I/O errors are worth retrying: a flaky device
         // may serve the same bytes fine a moment later. Corrupt or
         // truncated data is deterministic, and Exhausted means the
         // source already burned its own retry budget.
-        if (reads.status().code() == StatusCode::IoError &&
+        if (status.code() == StatusCode::IoError &&
             attempt < options_.decodeRetries) {
             std::lock_guard<std::mutex> lock(statsMutex_);
             retries_++;
             continue;
         }
-        recordChunkError(reads.status());
-        return reads;
+        recordChunkError(status);
+        return status;
     }
 }
 
@@ -258,18 +266,7 @@ SageArchiveService::fetchChunk(size_t chunk,
 {
     DecodedChunkPtr data = cache_.getOrDecode(
         chunk,
-        [this](size_t index) -> StatusOr<DecodedChunkPtr> {
-            StatusOr<std::vector<Read>> reads =
-                decodeChunkWithRetry(index);
-            if (!reads.ok())
-                return reads.status();
-            auto decoded = std::make_shared<DecodedChunk>();
-            decoded->reads = std::move(reads.value());
-            decoded->firstRead = decoder_->chunkFirstRead(index);
-            decoded->bytes =
-                DecodedChunk::residentBytes(decoded->reads);
-            return DecodedChunkPtr(std::move(decoded));
-        },
+        [this](size_t index) { return decodeChunkWithRetry(index); },
         options.abandonable() ? &options : nullptr, &outcome.error);
     if (data)
         return data;
@@ -527,8 +524,8 @@ ServiceSession::next()
                 requestStatusName(status_),
                 " - poll lastStatus() or use read()");
     Read read =
-        chunk_->reads[static_cast<size_t>(position_ -
-                                          chunk_->firstRead)];
+        chunk_->reads[static_cast<size_t>(position_ - chunk_->firstRead)]
+            .toRead();
     position_++;
     service_->readsServed_.fetch_add(1, std::memory_order_relaxed);
     service_->bytesServed_.fetch_add(
@@ -551,10 +548,10 @@ ServiceSession::read(uint64_t count)
             chunk_->firstRead + chunk_->reads.size();
         const uint64_t take = std::min(count, chunk_end - position_);
         for (uint64_t i = 0; i < take; i++) {
-            const Read &read = chunk_->reads[static_cast<size_t>(
+            const ReadView read = chunk_->reads[static_cast<size_t>(
                 position_ - chunk_->firstRead + i)];
             taken_bytes += read.bases.size() + read.quals.size();
-            out.push_back(read);
+            out.push_back(read.toRead());
         }
         position_ += take;
         count -= take;

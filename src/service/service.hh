@@ -39,11 +39,12 @@
  * transparently; a whole chunk is chunkFirstRead(c),
  * chunkReadCount(c)) whose outcome is handed to @p done on a pool
  * worker as a RangeResult — ReadRuns over the cached chunks, which
- * pin those chunks while held; no read is copied. readRange() is
- * submit() plus a blocking wait and a copy into owned reads on the
- * caller's thread, and sessions and readahead warms go through the
- * same scheduling body. See docs/service.md for the cache and
- * scheduling model plus sizing guidance.
+ * pin those chunks while held and yield ReadViews into their columns;
+ * no read is copied. readRange() is submit() plus a blocking wait and
+ * a copy into owned reads on the caller's thread, and sessions and
+ * readahead warms go through the same scheduling body. See
+ * docs/service.md for the chunk representation, the cache and
+ * scheduling model, and sizing guidance.
  */
 
 #ifndef SAGE_SERVICE_SERVICE_HH
@@ -123,9 +124,10 @@ struct ReadResult
 };
 
 /**
- * Reads [offset, offset + count) of one decoded chunk, by reference.
- * The chunk pointer pins the chunk: an eviction only drops the
- * cache's reference, so a held run stays valid (and its memory stays
+ * Reads [offset, offset + count) of one decoded chunk, by reference:
+ * it yields ReadViews into the chunk's columns. The chunk pointer pins
+ * the chunk: an eviction only drops the cache's reference, so a held
+ * run and the views it yields stay valid (and its memory stays
  * allocated, outside the cache budget) until the run is released.
  */
 struct ReadRun
@@ -134,8 +136,18 @@ struct ReadRun
     size_t offset = 0;  ///< Index of the run's first read in chunk->reads.
     size_t count = 0;
 
-    const Read *begin() const { return chunk->reads.data() + offset; }
-    const Read *end() const { return begin() + count; }
+    ReadColumns::Iterator
+    begin() const
+    {
+        return ReadColumns::Iterator(&chunk->reads, offset);
+    }
+
+    ReadColumns::Iterator
+    end() const
+    {
+        return ReadColumns::Iterator(&chunk->reads, offset + count);
+    }
+
     size_t size() const { return count; }
 };
 
@@ -154,7 +166,8 @@ struct RangeResult
     /** Reads across every run. */
     uint64_t readCount() const;
 
-    /** The owned form: status, error and a copy of every run's reads. */
+    /** The owned form: status, error and every run's reads built
+     *  from their views. */
     ReadResult copyReads() const;
 };
 
@@ -430,11 +443,13 @@ class SageArchiveService
                                const RequestOptions &options,
                                RangeResult &outcome);
 
-    /** tryDecodeChunkShared with the transient-retry policy applied:
-     *  IoError re-attempts up to ServiceOptions::decodeRetries times
-     *  (counted in stats().retries); a terminal failure is classified
-     *  into ioErrors/corruptChunks exactly once. */
-    StatusOr<std::vector<Read>> decodeChunkWithRetry(size_t chunk);
+    /** Decode @p chunk into columns (the decoder's columnar
+     *  tryDecodeChunkShared), charged at their capacity, with the
+     *  transient-retry policy applied: IoError re-attempts up to
+     *  ServiceOptions::decodeRetries times (counted in
+     *  stats().retries); a terminal failure is classified into
+     *  ioErrors/corruptChunks exactly once. */
+    StatusOr<DecodedChunkPtr> decodeChunkWithRetry(size_t chunk);
 
     /** Classify a terminal chunk-decode failure into the counters. */
     void recordChunkError(const Status &status);

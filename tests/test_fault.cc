@@ -277,6 +277,8 @@ TEST(CorruptArchive, BitFlippedStreamsNeverCrashTheDecoder)
     // the per-chunk decoder. Either may reject it with a Status (or,
     // for flips in slack bits, decode something) — what they must
     // never do is crash, assert, or leak (ASan preset covers leaks).
+    // The columnar loop the service caches with must reach the same
+    // verdict, and the same reads, as the per-read loop.
     for (const auto &[name, extent] : dir.extents()) {
         if (extent.size == 0)
             continue;
@@ -294,7 +296,21 @@ TEST(CorruptArchive, BitFlippedStreamsNeverCrashTheDecoder)
             for (size_t c = 0; c < decoder.chunkCount(); c++) {
                 const StatusOr<std::vector<Read>> chunk =
                     decoder.tryDecodeChunkShared(c);
-                (void)chunk; // Ok or Status — both acceptable.
+                ReadColumns columns;
+                const Status columnar =
+                    decoder.tryDecodeChunkShared(c, columns);
+                ASSERT_EQ(columnar.code(), chunk.ok()
+                                               ? StatusCode::Ok
+                                               : chunk.status().code())
+                    << name << " flipped at " << pos << ", chunk " << c;
+                if (!chunk.ok())
+                    continue;
+                ASSERT_EQ(columns.size(), chunk->size());
+                for (size_t i = 0; i < columns.size(); i++) {
+                    EXPECT_EQ(columns[i].header, (*chunk)[i].header);
+                    EXPECT_EQ(columns[i].bases, (*chunk)[i].bases);
+                    EXPECT_EQ(columns[i].quals, (*chunk)[i].quals);
+                }
             }
         }
     }
@@ -501,6 +517,12 @@ TEST(CorruptArchive, BadThreeBitCodeIsCorrupt)
              status.ok(); c++) {
             const StatusOr<std::vector<Read>> reads =
                 (*opened)->tryDecodeChunkShared(c);
+            ReadColumns columns;
+            const Status columnar =
+                (*opened)->tryDecodeChunkShared(c, columns);
+            EXPECT_EQ(columnar.code(),
+                      reads.ok() ? StatusCode::Ok : reads.status().code())
+                << stream << ", chunk " << c;
             if (!reads.ok())
                 status = reads.status();
         }
@@ -508,6 +530,107 @@ TEST(CorruptArchive, BadThreeBitCodeIsCorrupt)
         EXPECT_NE(status.message().find("bad base code"),
                   std::string::npos)
             << stream << ": " << status.toString();
+    }
+}
+
+/**
+ * A one-read archive whose DNA streams are written by hand. The read is
+ * 40 bases in two segments: the first, @p first_segment bases long,
+ * has no events; the second opens with an event at position 0 whose
+ * MBTA bit marks the corner-case escape (paper §5.1.4), and the escape
+ * stream holds 40 T's. The encoder marks an escape before a read's
+ * first base, so only a first segment of length 0 makes a valid read.
+ */
+std::vector<uint8_t>
+cornerEscapeInSecondSegment(uint64_t first_segment)
+{
+    Rng rng(29);
+    std::string consensus;
+    for (int i = 0; i < 4000; i++)
+        consensus += "ACGT"[rng.nextBelow(4)];
+    ReadSet rs;
+    rs.reads.push_back(
+        Read{"r0", consensus.substr(100, 40), std::string(40, 'I')});
+    SageConfig config;
+    config.chunkReads = 16;
+    StreamBundle bundle =
+        StreamBundle::deserialize(sageCompress(rs, consensus, config).bytes);
+
+    // Every field in one 32-bit class, so any value below fits.
+    SageParams params = SageParams::deserialize(bundle.stream("params"));
+    const AssociationTable wide{{32}};
+    params.matchPos = params.readLen = params.mismatchCount = wide;
+    params.mismatchPos = params.segPos = params.segLen = wide;
+    const TunedFieldCodec codec(wide);
+
+    BitWriter flags, mpa, mpga, rla, rlga, sga, sgga, mca, mcga, mmpa,
+        mmpga, mbta;
+    flags.writeBit(false);  // Forward strand,
+    flags.writeUnary(1);    // two segments.
+    if (!params.constantReadLength) {
+        codec.encode(rla, rlga,
+                     zigzagEncode(40 - int64_t(params.modalReadLength)));
+    }
+    codec.encode(mpa, mpga, 100);                 // Segment 0 at 100,
+    codec.encode(sga, sgga, zigzagEncode(1000));  // segment 1 at 1100,
+    codec.encode(sga, sgga, 40 - first_segment);  // holding the rest.
+    codec.encode(mca, mcga, 0);                   // No events in 0;
+    codec.encode(mca, mcga, 1);                   // one in 1, at 0,
+    codec.encode(mmpa, mmpga, 0);
+    mbta.writeBit(true);                          // marked as an escape.
+
+    bundle.stream("params") = params.serialize();
+    bundle.stream("flags") = flags.take();
+    bundle.stream("mpa") = mpa.take();
+    bundle.stream("mpga") = mpga.take();
+    bundle.stream("rla") = rla.take();
+    bundle.stream("rlga") = rlga.take();
+    bundle.stream("sga") = sga.take();
+    bundle.stream("sgga") = sgga.take();
+    bundle.stream("mca") = mca.take();
+    bundle.stream("mcga") = mcga.take();
+    bundle.stream("mmpa") = mmpa.take();
+    bundle.stream("mmpga") = mmpga.take();
+    bundle.stream("mbta") = mbta.take();
+    bundle.stream("escape") =
+        packSequence(std::string(40, 'T'), OutputFormat::ThreeBit);
+    return bundle.serialize();
+}
+
+TEST(CorruptArchive, CornerEscapeAfterDecodedBasesIsCorrupt)
+{
+    // With no bases before it, the escape is the read: 40 T's. After
+    // segment 0's 20 bases it would make a 60-base read of a 40-base
+    // one, and both chunk loops report Corrupt instead.
+    for (const uint64_t first_segment : {0, 20}) {
+        const std::vector<uint8_t> bytes =
+            cornerEscapeInSecondSegment(first_segment);
+        const MemorySource source(bytes);
+        const std::unique_ptr<SageDecoder> decoder =
+            orExit(SageDecoder::tryOpen(source));
+        ASSERT_EQ(decoder->chunkCount(), 1u);
+        const StatusOr<std::vector<Read>> reads =
+            decoder->tryDecodeChunkShared(0);
+        ReadColumns columns;
+        const Status columnar = decoder->tryDecodeChunkShared(0, columns);
+        if (first_segment == 0) {
+            ASSERT_TRUE(reads.ok()) << reads.status().toString();
+            ASSERT_TRUE(columnar.ok()) << columnar.toString();
+            ASSERT_EQ(reads->size(), 1u);
+            EXPECT_EQ((*reads)[0].bases, std::string(40, 'T'));
+            ASSERT_EQ(columns.size(), 1u);
+            EXPECT_EQ(columns[0].bases, (*reads)[0].bases);
+            continue;
+        }
+        ASSERT_FALSE(reads.ok())
+            << "decoded a read of " << (*reads)[0].bases.size() << " bases";
+        EXPECT_EQ(reads.status().code(), StatusCode::Corrupt);
+        EXPECT_NE(reads.status().message().find(
+                      "escape marker after 20 decoded bases"),
+                  std::string::npos)
+            << reads.status().toString();
+        EXPECT_EQ(columnar.code(), StatusCode::Corrupt)
+            << columnar.toString();
     }
 }
 

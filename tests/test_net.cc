@@ -220,6 +220,20 @@ TEST(NetProtocol, ReadRequestsRoundTrip)
     EXPECT_EQ(parsed->archive, 1u);
 }
 
+/** @p reads as columns, the form the server encodes replies from. */
+ReadColumns
+columnsOf(const std::vector<Read> &reads)
+{
+    ReadColumns columns;
+    for (const Read &read : reads) {
+        columns.headers += read.header;
+        columns.bases += read.bases;
+        columns.quals += read.quals;
+        columns.endRead();
+    }
+    return columns;
+}
+
 TEST(NetProtocol, ReadReplyRoundTrip)
 {
     std::vector<Read> reads(3);
@@ -271,10 +285,9 @@ TEST(NetProtocol, ReadReplyRoundTrip)
     // vector overload's frame byte for byte.
     Read other;
     other.bases = "TTTT";
-    const std::vector<Read> chunk_a = {other, reads[0], reads[1]};
-    const std::vector<Read> chunk_b = {reads[2], reads[3], other};
-    const net::ReadSpan spans[] = {{chunk_a.data() + 1, 2},
-                                   {chunk_b.data(), 2}};
+    const ReadColumns chunk_a = columnsOf({other, reads[0], reads[1]});
+    const ReadColumns chunk_b = columnsOf({reads[2], reads[3], other});
+    const net::ReadSpan spans[] = {{&chunk_a, 1, 2}, {&chunk_b, 0, 2}};
     std::vector<uint8_t> spanned;
     ASSERT_TRUE(net::appendReadReply(spanned, MsgType::ReadRange, 77,
                                      spans, 2)
@@ -283,8 +296,9 @@ TEST(NetProtocol, ReadReplyRoundTrip)
 
     // The span encoder refuses the same over-long header, leaving the
     // buffer as it was.
-    const net::ReadSpan too_long_spans[] = {{too_long.data(), 2},
-                                            {too_long.data() + 2, 2}};
+    const ReadColumns too_long_columns = columnsOf(too_long);
+    const net::ReadSpan too_long_spans[] = {{&too_long_columns, 0, 2},
+                                            {&too_long_columns, 2, 2}};
     refused = frame;
     EXPECT_EQ(net::appendReadReply(refused, MsgType::ReadRange, 78,
                                    too_long_spans, 2)
@@ -301,7 +315,7 @@ TEST(NetProtocol, ReadReplyRoundTrip)
     ASSERT_TRUE(
         net::appendReadReply(no_spans, MsgType::ReadChunk, 9, nullptr, 0)
             .ok());
-    const net::ReadSpan nothing{chunk_a.data(), 0};
+    const net::ReadSpan nothing{&chunk_a, 0, 0};
     ASSERT_TRUE(net::appendReadReply(empty_span, MsgType::ReadChunk, 9,
                                      &nothing, 1)
                     .ok());
@@ -1627,6 +1641,107 @@ TEST_F(NetServerTest, DrainDeadlineCancelsParkedRead)
     reader.join();
     EXPECT_FALSE(server.running());
     EXPECT_EQ(service.stats().cancelled, 1u);
+}
+
+/** The reply frame @p fd reads next, verified, with its header;
+ *  the body size (CRC excluded) goes to @p body. */
+StatusOr<ReplyHeader>
+recvReply(int fd, std::vector<uint8_t> &frame, size_t &body)
+{
+    frame = recvFrame(fd);
+    if (frame.empty())
+        return Status::ioError("no reply frame");
+    if (net::verifyFrame(frame.data(), frame.size(), &body) !=
+        net::FrameVerdict::Ok)
+        return Status::corrupt("reply frame fails verification");
+    return net::parseReplyHeader(frame.data(), body);
+}
+
+TEST_F(NetServerTest, HalfClosedPeerGetsItsReplies)
+{
+    // A client may send its requests and then shut down its sending
+    // side. The server reads what came with the EOF, answers it, and
+    // closes once nothing is owed: here a STAT answered inline, and a
+    // READ_RANGE that a pool worker answers after the EOF is read.
+    ThreadPool pool(1);
+    MultiArchiveOptions service_options;
+    service_options.pool = &pool;
+    MultiArchiveService service(dir_, service_options);
+    Server server(service);
+    ASSERT_TRUE(server.start().ok());
+    std::vector<uint8_t> request, frame;
+    size_t body = 0;
+    char byte = 0;
+
+    const int stat_fd = rawConnect(server.port());
+    ASSERT_GE(stat_fd, 0);
+    net::appendStatRequest(request, 7, net::kStatServer);
+    ASSERT_EQ(::send(stat_fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    ASSERT_EQ(::shutdown(stat_fd, SHUT_WR), 0);
+    StatusOr<ReplyHeader> header = recvReply(stat_fd, frame, body);
+    ASSERT_TRUE(header.ok()) << header.status().toString();
+    EXPECT_EQ(header->type, MsgType::Stat);
+    EXPECT_EQ(header->status, WireStatus::Ok);
+    EXPECT_EQ(header->requestId, 7u);
+    EXPECT_TRUE(net::parseStatReplyPayload(
+                    frame.data() + net::kReplyHeaderBytes,
+                    body - net::kReplyHeaderBytes)
+                    .ok());
+    EXPECT_EQ(::recv(stat_fd, &byte, 1, 0), 0);  // EOF, not a reset.
+    ::close(stat_fd);
+
+    // OPEN while the socket is full duplex, then a read parked behind
+    // the only worker, then the half-close.
+    const int read_fd = rawConnect(server.port());
+    ASSERT_GE(read_fd, 0);
+    request.clear();
+    net::appendOpenRequest(request, 1, corpus_[0].name,
+                           RequestPriority::Normal, 0);
+    ASSERT_EQ(::send(read_fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    header = recvReply(read_fd, frame, body);
+    ASSERT_TRUE(header.ok()) << header.status().toString();
+    ASSERT_EQ(header->status, WireStatus::Ok);
+    const StatusOr<OpenReply> open = net::parseOpenReplyPayload(
+        frame.data() + net::kReplyHeaderBytes,
+        body - net::kReplyHeaderBytes);
+    ASSERT_TRUE(open.ok()) << open.status().toString();
+
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    pool.submit([released] { released.wait(); });
+    request.clear();
+    net::appendReadRangeRequest(request, 2, open->archive, 0, 64,
+                                RequestPriority::Normal, 0);
+    ASSERT_EQ(::send(read_fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    ASSERT_EQ(::shutdown(read_fd, SHUT_WR), 0);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (service.queueDepth() < 1 &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(service.queueDepth(), 1u);
+    // Give the event loop time to read the EOF before the reply exists.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release.set_value();
+
+    header = recvReply(read_fd, frame, body);
+    ASSERT_TRUE(header.ok()) << header.status().toString();
+    EXPECT_EQ(header->type, MsgType::ReadRange);
+    EXPECT_EQ(header->status, WireStatus::Ok);
+    EXPECT_EQ(header->requestId, 2u);
+    const StatusOr<std::vector<Read>> reads = net::parseReadReplyPayload(
+        frame.data() + net::kReplyHeaderBytes,
+        body - net::kReplyHeaderBytes);
+    ASSERT_TRUE(reads.ok()) << reads.status().toString();
+    expectSameReads(*reads,
+                    std::vector<Read>(corpus_[0].expected.begin(),
+                                      corpus_[0].expected.begin() + 64));
+    EXPECT_EQ(::recv(read_fd, &byte, 1, 0), 0);
+    ::close(read_fd);
+    server.stop();
 }
 
 // ---------------------------------------------------------------------

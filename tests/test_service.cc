@@ -73,7 +73,8 @@ submitAsync(SageArchiveService &service, uint64_t first, uint64_t count,
     return future;
 }
 
-/** A decoded chunk of @p reads copies with ~@p bytes_each payload. */
+/** A decoded chunk of @p reads reads with @p bytes_each bases each,
+ *  charged its columns' capacity as the service charges its own. */
 DecodedChunkPtr
 makeChunk(size_t chunk, uint64_t first_read, size_t reads,
           size_t bytes_each)
@@ -81,11 +82,10 @@ makeChunk(size_t chunk, uint64_t first_read, size_t reads,
     auto data = std::make_shared<DecodedChunk>();
     data->firstRead = first_read;
     for (size_t r = 0; r < reads; r++) {
-        Read read;
-        read.bases.assign(bytes_each, "ACGT"[(chunk + r) % 4]);
-        data->reads.push_back(std::move(read));
+        data->reads.bases.append(bytes_each, "ACGT"[(chunk + r) % 4]);
+        data->reads.endRead();
     }
-    data->bytes = DecodedChunk::residentBytes(data->reads);
+    data->bytes = data->reads.capacityBytes();
     return data;
 }
 
@@ -705,9 +705,12 @@ TEST_F(ServiceTest, HeldRunsPinTheirChunksAcrossEviction)
     EXPECT_FALSE(service.chunkResident(2));
     EXPECT_GT(service.stats().cache.evictions, after.cache.evictions);
 
+    // Every view a held run yields still reads its chunk's columns.
     std::vector<Read> pinned;
-    for (const ReadRun &run : held.runs)
-        pinned.insert(pinned.end(), run.begin(), run.end());
+    for (const ReadRun &run : held.runs) {
+        for (const ReadView read : run)
+            pinned.push_back(read.toRead());
+    }
     const std::vector<Read> want(expected_.begin() + first,
                                  expected_.begin() + first + count);
     expectSameReads(pinned, want);
