@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 
 #include "compress/range_coder.hh"
 #include "util/logging.hh"
@@ -31,8 +32,16 @@ class QualityContext
     /** Number of distinct contexts. */
     unsigned count() const { return alphabet_ * 4; }
 
+    /** Context of a symbol that follows @p prev1, which follows
+     *  @p prev2. */
+    unsigned
+    of(unsigned prev1, unsigned prev2) const
+    {
+        return prev1 * 4 + level_[prev2];
+    }
+
     /** Context of the next symbol. */
-    unsigned current() const { return prev1_ * 4 + level_[prev2_]; }
+    unsigned current() const { return of(prev1_, prev2_); }
 
     void
     push(unsigned symbol)
@@ -40,6 +49,9 @@ class QualityContext
         prev2_ = prev1_;
         prev1_ = symbol;
     }
+
+    /** Back to the state a block (or a lane) starts in. */
+    void reset() { prev1_ = prev2_ = 0; }
 
   private:
     unsigned alphabet_;
@@ -50,6 +62,37 @@ class QualityContext
 /** How many reads ahead QualityEncoder prefetches. */
 constexpr size_t kPrefetchReads = 8;
 
+/** A block's leading byte names its codec. Every block the adaptive
+ *  range coder wrote starts with 0, its initial cache byte. */
+enum QualityCodec : uint8_t { kCodecRange = 0, kCodecRans = 1 };
+
+/** rANS model scale: each context's frequencies sum to 2^12. */
+constexpr unsigned kScaleBits = 12;
+constexpr uint32_t kScale = 1u << kScaleBits;
+/** A lane's state lives in [kStateLow, kStateLow << 8): renormalising
+ *  moves whole bytes, and every lane starts and ends at kStateLow. */
+constexpr uint32_t kStateLow = 1u << 23;
+/** Lanes per block: one per kLaneChars characters, 1..kMaxLanes, so a
+ *  short block does not carry eight 4-byte states. Sixteen lanes spill
+ *  their states out of registers. */
+constexpr unsigned kMaxLanes = 8;
+constexpr uint64_t kLaneChars = 4096;
+/** Symbols one bit of payload can hold at most when every context has
+ *  two symbols or more: a frequency of at most kScale - 1 costs at
+ *  least log2(kScale / (kScale - 1)) bits, 1 / 2838.4. */
+constexpr uint64_t kSymbolsPerBit = 2839;
+/** The adaptive decoder grows its output as symbols decode; it
+ *  reserves at most this many characters per payload byte first. */
+constexpr uint64_t kRangeReserveCharsPerByte = 64;
+
+/** Lane count of a block of @p chars characters. */
+unsigned
+laneCount(uint64_t chars)
+{
+    return static_cast<unsigned>(
+        std::clamp<uint64_t>(chars / kLaneChars, 1, kMaxLanes));
+}
+
 /** Quality alphabets index byte values: 1..256 symbols. */
 void
 checkAlphabet(uint64_t size)
@@ -59,24 +102,411 @@ checkAlphabet(uint64_t size)
                     " symbols (want 1..256)");
 }
 
-/** Range-decode one block of @p chars characters. */
+/** Range-decode one block of @p chars characters (the codec of blocks
+ *  written before the rANS codec; its payload starts with kCodecRange).
+ *  The output grows as symbols decode, so a character count the
+ *  payload cannot back allocates no more than the payload's share. */
 std::string
-decodeBlock(const std::string &alphabet,
-            const std::vector<uint8_t> &payload, uint64_t chars)
+decodeRangeBlock(const std::string &alphabet,
+                 const std::vector<uint8_t> &payload, uint64_t chars)
 {
-    checkAlphabet(alphabet.size());
     const auto symbols = static_cast<unsigned>(alphabet.size());
     QualityContext context(symbols);
     AdaptiveModel models(symbols, context.count());
     RangeDecoder dec(payload.data(), payload.size());
     std::string out;
-    out.reserve(chars);
+    out.reserve(static_cast<size_t>(
+        std::min(chars, kRangeReserveCharsPerByte * payload.size())));
     for (uint64_t i = 0; i < chars; i++) {
         const unsigned sym = models.decode(dec, context.current());
         out.push_back(alphabet[sym]);
         context.push(sym);
     }
     return out;
+}
+
+/**
+ * A block's static order-2 model as the decoder uses it. Only the
+ * contexts the block stores get tables; every other context leads to
+ * one shared stand-in table, and reaching it makes the block corrupt.
+ */
+struct RansTables
+{
+    unsigned symbols = 0;
+    /** Stored contexts; table `used` is the stand-in. */
+    unsigned used = 0;
+    /** Each context's table. */
+    std::vector<uint16_t> tableOf;
+    /** Per table, the symbol that owns each of the kScale slots. */
+    std::vector<uint8_t> slotSymbol;
+    /** Per table and symbol: frequency << 16 | cumulative frequency. */
+    std::vector<uint32_t> freqCum;
+};
+
+/** Parse the tables of a rANS block from @p pos (advanced). */
+RansTables
+readRansTables(const std::vector<uint8_t> &payload, size_t &pos,
+               unsigned symbols)
+{
+    RansTables t;
+    t.symbols = symbols;
+    const unsigned contexts = symbols * 4;
+    const uint64_t used = getVarint(payload, pos);
+    sage_check_data(used <= contexts, Corrupt, "quality block stores ",
+                    used, " contexts; its alphabet has ", contexts);
+    t.used = static_cast<unsigned>(used);
+    t.tableOf.assign(contexts, static_cast<uint16_t>(used));
+    t.slotSymbol.assign((used + 1) * kScale, 0);
+    t.freqCum.assign((used + 1) * symbols, 0);
+    // The stand-in: symbol 0 owns every slot and leaves states as they
+    // are, so a lane that strays into it decodes on to the end check.
+    t.freqCum[used * symbols] = kScale << 16;
+    // Contexts, and each context's symbols, are stored in ascending
+    // order as gaps from the one before.
+    auto next_index = [&](uint64_t first, unsigned limit, const char *what) {
+        const uint64_t gap = getVarint(payload, pos);
+        sage_check_data(first < limit && gap < limit - first, Corrupt,
+                        "quality ", what, " outside its range of ", limit);
+        return first + gap;
+    };
+    uint64_t context = 0;
+    for (unsigned table = 0; table < used; table++) {
+        context = next_index(table > 0 ? context + 1 : 0, contexts,
+                             "context");
+        t.tableOf[context] = static_cast<uint16_t>(table);
+        // Only a one-symbol alphabet has a context of one symbol: that
+        // symbol would cost nothing (see the payload bound below).
+        const uint64_t count = getVarint(payload, pos);
+        sage_check_data(count >= std::min(symbols, 2u) && count <= symbols,
+                        Corrupt, "quality context of ", count,
+                        " symbols in an alphabet of ", symbols);
+        uint64_t symbol = 0;
+        uint32_t cum = 0;
+        for (uint64_t i = 0; i < count; i++) {
+            symbol = next_index(i > 0 ? symbol + 1 : 0, symbols, "symbol");
+            const uint64_t freq = getVarint(payload, pos);
+            sage_check_data(freq >= 1 && freq <= kScale - cum, Corrupt,
+                            "quality frequencies exceed ", kScale);
+            t.freqCum[table * symbols + symbol] =
+                static_cast<uint32_t>(freq << 16 | cum);
+            std::memset(t.slotSymbol.data() + table * kScale + cum,
+                        static_cast<int>(symbol), freq);
+            cum += static_cast<uint32_t>(freq);
+        }
+        sage_check_data(cum == kScale, Corrupt,
+                        "quality frequencies sum to ", cum, ", not ",
+                        kScale);
+    }
+    return t;
+}
+
+/**
+ * Decode @p steps symbols of each of N lanes, then @p tail more of the
+ * last lane, into @p out (lane j's slice starts at j * steps). @p p
+ * walks the renormalisation bytes up to @p end. Returns false when a
+ * lane reached a context the block stores no table for.
+ */
+template <unsigned N>
+bool
+decodeLanes(const RansTables &t, const std::string &alphabet,
+            const QualityContext &context, uint32_t (&x)[kMaxLanes],
+            const uint8_t *&p, const uint8_t *end, uint64_t steps,
+            uint64_t tail, char *out)
+{
+    // Everything the loop reads stays in locals: a store through the
+    // char output may alias any memory, and would force reloads.
+    const unsigned symbols = t.symbols;
+    const unsigned stand_in = t.used;
+    const uint8_t *slot_symbol = t.slotSymbol.data();
+    const uint32_t *freq_cum = t.freqCum.data();
+    const uint16_t *table_of = t.tableOf.data();
+    const char *chars = alphabet.data();
+    const uint8_t *in = p;
+    uint32_t state[N];
+    unsigned table[N], prev[N];
+    for (unsigned j = 0; j < N; j++) {
+        state[j] = x[j];
+        table[j] = table_of[context.of(0, 0)];
+        prev[j] = 0;
+    }
+    bool strayed = false;
+    auto step = [&](unsigned j, char *dst) {
+        strayed |= table[j] == stand_in;
+        const uint32_t slot = state[j] & (kScale - 1);
+        const unsigned s = slot_symbol[table[j] * kScale + slot];
+        const uint32_t fc = freq_cum[table[j] * symbols + s];
+        uint32_t v = (fc >> 16) * (state[j] >> kScaleBits) + slot -
+            (fc & 0xffff);
+        while (v < kStateLow) {
+            sage_check_data(in != end, Truncated,
+                            "quality block runs past its payload");
+            v = v << 8 | *in++;
+        }
+        state[j] = v;
+        *dst = chars[s];
+        table[j] = table_of[context.of(s, prev[j])];
+        prev[j] = s;
+    };
+    for (uint64_t k = 0; k < steps; k++) {
+        for (unsigned j = 0; j < N; j++)
+            step(j, out + j * steps + k);
+    }
+    for (uint64_t k = steps; k < steps + tail; k++)
+        step(N - 1, out + (N - 1) * steps + k);
+    for (unsigned j = 0; j < N; j++)
+        x[j] = state[j];
+    p = in;
+    return !strayed;
+}
+
+/**
+ * rANS-decode one block of @p chars characters: tables, lane states,
+ * then the renormalisation bytes in decode order. The decode proves
+ * itself at the end: each lane must be back at kStateLow, where its
+ * encoder started, with every payload byte consumed.
+ */
+std::string
+decodeRansBlock(const std::string &alphabet,
+                const std::vector<uint8_t> &payload, uint64_t chars)
+{
+    const auto symbols = static_cast<unsigned>(alphabet.size());
+    const QualityContext context(symbols);
+    size_t pos = 1;
+    const RansTables tables = readRansTables(payload, pos, symbols);
+    const unsigned lanes = laneCount(chars);
+    sage_check_data(payload.size() - pos >= 4u * lanes, Truncated,
+                    "quality block ends inside its lane states");
+    uint32_t x[kMaxLanes] = {};
+    for (unsigned j = 0; j < lanes; j++, pos += 4) {
+        x[j] = uint32_t(payload[pos]) | uint32_t(payload[pos + 1]) << 8 |
+            uint32_t(payload[pos + 2]) << 16 |
+            uint32_t(payload[pos + 3]) << 24;
+        sage_check_data(x[j] >= kStateLow && x[j] < kStateLow << 8,
+                        Corrupt, "quality lane state ", x[j],
+                        " out of range");
+    }
+    // With two or more symbols in every context, each symbol costs at
+    // least 1 / kSymbolsPerBit bits: a count past what the bytes can
+    // hold would run out of payload, so it is refused before the output
+    // exists. (A one-symbol alphabet costs nothing per character.)
+    const uint64_t bits = 8 * (payload.size() - pos) + 32 * lanes;
+    sage_check_data(symbols == 1 || chars / kSymbolsPerBit <= bits,
+                    Truncated, "quality block of ", payload.size(),
+                    " bytes cannot hold ", chars, " characters");
+    std::string out(static_cast<size_t>(chars), '\0');
+    const uint8_t *p = payload.data() + pos;
+    const uint8_t *end = payload.data() + payload.size();
+    const uint64_t steps = chars / lanes;
+    const uint64_t tail = chars % lanes;
+    using LaneDecoder = bool (*)(const RansTables &, const std::string &,
+                                 const QualityContext &,
+                                 uint32_t (&)[kMaxLanes], const uint8_t *&,
+                                 const uint8_t *, uint64_t, uint64_t, char *);
+    static constexpr LaneDecoder kDecoders[kMaxLanes] = {
+        decodeLanes<1>, decodeLanes<2>, decodeLanes<3>, decodeLanes<4>,
+        decodeLanes<5>, decodeLanes<6>, decodeLanes<7>, decodeLanes<8>};
+    const bool in_tables = kDecoders[lanes - 1](
+        tables, alphabet, context, x, p, end, steps, tail, out.data());
+    bool home = in_tables && p == end;
+    for (unsigned j = 0; j < lanes; j++)
+        home = home && x[j] == kStateLow;
+    sage_check_data(home, Corrupt,
+                    "quality block does not end where its encoder began");
+    return out;
+}
+
+/** Decode one block of @p chars characters in the codec its first
+ *  byte names. */
+std::string
+decodeBlock(const std::string &alphabet,
+            const std::vector<uint8_t> &payload, uint64_t chars)
+{
+    checkAlphabet(alphabet.size());
+    sage_check_data(!payload.empty(), Truncated, "empty quality block");
+    switch (payload[0]) {
+      case kCodecRange:
+        return decodeRangeBlock(alphabet, payload, chars);
+      case kCodecRans:
+        return decodeRansBlock(alphabet, payload, chars);
+      default:
+        sage_check_data(false, Corrupt, "quality block codec ",
+                        unsigned(payload[0]), " unknown");
+    }
+    return {};
+}
+
+/**
+ * Scale one context's symbol counts to frequencies that sum to kScale;
+ * every symbol seen keeps at least 1, and unless the alphabet has one
+ * symbol, no symbol gets all of kScale. @p freq gets one entry per
+ * symbol, 0 for a symbol not seen.
+ */
+void
+normalizeFrequencies(const uint32_t *count, unsigned symbols,
+                     uint32_t *freq)
+{
+    uint64_t total = 0;
+    for (unsigned s = 0; s < symbols; s++)
+        total += count[s];
+    uint32_t sum = 0;
+    for (unsigned s = 0; s < symbols; s++) {
+        freq[s] = count[s] == 0
+            ? 0
+            : static_cast<uint32_t>(std::max<uint64_t>(
+                  1, (count[s] * uint64_t{kScale} + total / 2) / total));
+        sum += freq[s];
+    }
+    // Rounding leaves the sum a little off: the largest frequencies
+    // absorb the difference, which costs the least.
+    while (sum != kScale) {
+        const unsigned top = static_cast<unsigned>(
+            std::max_element(freq, freq + symbols) - freq);
+        if (sum < kScale) {
+            freq[top] += kScale - sum;
+            sum = kScale;
+        } else {
+            const uint32_t take = std::min(sum - kScale, freq[top] - 1);
+            freq[top] -= take;
+            sum -= take;
+            if (take == 0)
+                break;  // Unreachable: 256 ones sum to less than kScale.
+        }
+    }
+    // A lone symbol would cost nothing, and a block's payload would
+    // then bound nothing: it shares the scale with a second symbol.
+    const auto lone = std::find(freq, freq + symbols, kScale);
+    if (lone != freq + symbols && symbols > 1) {
+        *lone = kScale - 1;
+        freq[lone == freq ? 1 : 0] = 1;
+    }
+}
+
+/**
+ * Reads one lane of a block backwards, last character first, as the
+ * rANS encoder consumes it. Positions before the lane's start read as
+ * symbol 0, the context every lane starts from.
+ */
+class LaneReader
+{
+  public:
+    /** The lane's @p chars characters end @p at characters into
+     *  non-empty @p pieces[piece]. */
+    LaneReader(const std::string_view *pieces, size_t piece, size_t at,
+               uint64_t chars, const std::array<int, 256> &symbol_of)
+        : pieces_(pieces), piece_(piece), at_(at), left_(chars),
+          symbolOf_(symbol_of)
+    {}
+
+    unsigned
+    next()
+    {
+        if (left_ == 0)
+            return 0;
+        left_--;
+        if (at_ == 0)
+            at_ = pieces_[--piece_].size();
+        return static_cast<unsigned>(
+            symbolOf_[static_cast<uint8_t>(pieces_[piece_][--at_])]);
+    }
+
+  private:
+    const std::string_view *pieces_;
+    size_t piece_;
+    size_t at_;
+    uint64_t left_;
+    const std::array<int, 256> &symbolOf_;
+};
+
+/**
+ * One symbol of one context as the rANS encoder codes it. The division
+ * by its frequency is a multiply by a rounded-up reciprocal and a shift,
+ * exact for every state below 2^31 (the reciprocals of F. Giesen's
+ * rans_byte coder); a frequency of 1 takes the reciprocal 2^32 - 1,
+ * whose quotient is one short, and its bias makes that up.
+ */
+struct EncodeSymbol
+{
+    /** The state renormalises while it is at least this. */
+    uint32_t stateMax = 0;
+    uint32_t reciprocal = 0;
+    uint32_t shift = 0;
+    uint32_t bias = 0;
+    /** kScale - frequency. */
+    uint32_t complement = 0;
+
+    EncodeSymbol() = default;
+
+    EncodeSymbol(uint32_t cum, uint32_t freq)
+        : stateMax(((kStateLow >> kScaleBits) << 8) * freq),
+          complement(kScale - freq)
+    {
+        if (freq < 2) {
+            reciprocal = ~0u;
+            bias = cum + kScale - 1;
+            return;
+        }
+        unsigned bits = 0;
+        while (freq > (1u << bits))
+            bits++;
+        reciprocal = static_cast<uint32_t>(
+            ((uint64_t{1} << (bits + 31)) + freq - 1) / freq);
+        shift = bits - 1;
+        bias = cum;
+    }
+
+    /** Code this symbol into state @p x, first moving its low bytes
+     *  to @p out while it is too large. */
+    void
+    put(uint32_t &x, std::vector<uint8_t> &out) const
+    {
+        uint32_t v = x;
+        while (v >= stateMax) {
+            out.push_back(static_cast<uint8_t>(v));
+            v >>= 8;
+        }
+        const auto quotient = static_cast<uint32_t>(
+            (uint64_t{v} * reciprocal) >> 32) >> shift;
+        x = v + bias + quotient * complement;
+    }
+};
+
+/**
+ * rANS-code the lanes of a block, the reverse of decodeLanes: the last
+ * lane's @p tail symbols from its end, then each of @p steps steps from
+ * the last, lanes in reverse. @p readers walk the N lanes backwards;
+ * @p x holds their states, @p coded collects the renormalisation bytes.
+ */
+template <unsigned N>
+void
+encodeLanes(LaneReader *readers, const uint32_t *table_of,
+            const EncodeSymbol *coder, unsigned symbols,
+            const QualityContext &context, uint64_t steps, uint64_t tail,
+            uint32_t *x, std::vector<uint8_t> &coded)
+{
+    // Each lane's symbol and the two before it (its context).
+    uint32_t state[N];
+    unsigned s0[N], s1[N], s2[N];
+    for (unsigned j = 0; j < N; j++) {
+        state[j] = x[j];
+        s0[j] = readers[j].next();
+        s1[j] = readers[j].next();
+        s2[j] = readers[j].next();
+    }
+    auto put = [&](unsigned j) {
+        const uint32_t table = table_of[context.of(s1[j], s2[j])];
+        coder[table * symbols + s0[j]].put(state[j], coded);
+        s0[j] = s1[j];
+        s1[j] = s2[j];
+        s2[j] = readers[j].next();
+    };
+    for (uint64_t k = tail; k > 0; k--)
+        put(N - 1);
+    for (uint64_t k = steps; k > 0; k--) {
+        for (unsigned j = N; j > 0; j--)
+            put(j - 1);
+    }
+    for (unsigned j = 0; j < N; j++)
+        x[j] = state[j];
 }
 
 } // namespace
@@ -126,37 +556,44 @@ QualityEncoder::forEachPiece(size_t b, Fn &&fn) const
 
 QualityEncoder::QualityEncoder(std::vector<std::string_view> quals,
                                const QualityConfig &config,
-                               ThreadPool *pool)
+                               ThreadPool *pool, uint64_t chunkReads)
     : quals_(std::move(quals))
 {
     sage_assert(config.blockChars > 0, "quality blocks of zero characters");
-    uint64_t total = 0;
     archive_.readLengths.reserve(quals_.size());
-    for (std::string_view q : quals_) {
+    for (std::string_view q : quals_)
         archive_.readLengths.push_back(static_cast<uint32_t>(q.size()));
-        total += q.size();
-    }
 
-    // Cut the characters into blocks (an empty input still gets one
-    // empty block) and find the read each block starts in.
+    // Cut the characters into blocks of at most config.blockChars,
+    // noting where each starts. A block also ends at a chunk boundary
+    // once it holds an eighth of that: a chunk decodes only its own
+    // blocks, and chunks too short to carry a block's tables share one.
+    // An empty input still gets one empty block.
     const uint64_t block_chars = config.blockChars;
-    const size_t blocks = total == 0
-        ? 1
-        : static_cast<size_t>((total + block_chars - 1) / block_chars);
-    archive_.blocks.resize(blocks);
-    archive_.blockChars.resize(blocks);
-    blockStart_.resize(blocks);
-    for (size_t b = 0; b < blocks; b++)
-        archive_.blockChars[b] =
-            std::min<uint64_t>(block_chars, total - b * block_chars);
-    uint64_t at = 0, next = 0;
-    size_t b = 0;
-    for (size_t r = 0; r < quals_.size() && b < blocks; r++) {
+    const uint64_t chunk_block_chars = std::max<uint64_t>(1, block_chars / 8);
+    uint64_t open = 0;  // Characters in the last block, while it grows.
+    for (size_t r = 0; r < quals_.size(); r++) {
+        if (chunkReads > 0 && r % chunkReads == 0 &&
+            open >= chunk_block_chars)
+            open = 0;
         const uint64_t len = quals_[r].size();
-        for (; b < blocks && next < at + len; b++, next += block_chars)
-            blockStart_[b] = {r, static_cast<size_t>(next - at)};
-        at += len;
+        for (uint64_t at = 0; at < len;) {
+            if (open == 0) {
+                blockStart_.push_back({r, static_cast<size_t>(at)});
+                archive_.blockChars.push_back(0);
+            }
+            const uint64_t take = std::min(len - at, block_chars - open);
+            archive_.blockChars.back() += take;
+            at += take;
+            open = open + take == block_chars ? 0 : open + take;
+        }
     }
+    if (blockStart_.empty()) {
+        blockStart_.push_back({});
+        archive_.blockChars.push_back(0);
+    }
+    const size_t blocks = blockStart_.size();
+    archive_.blocks.resize(blocks);
 
     // Which characters each block holds, on the pool.
     std::vector<std::array<bool, 256>> present(blocks);
@@ -211,20 +648,109 @@ QualityEncoder::QualityEncoder(std::vector<std::string_view> quals,
 void
 QualityEncoder::encodeBlock(size_t b)
 {
-    const auto alphabet = static_cast<unsigned>(archive_.alphabet.size());
-    RangeEncoder enc;
-    QualityContext context(alphabet);
-    AdaptiveModel models(alphabet, context.count());
+    const auto symbols = static_cast<unsigned>(archive_.alphabet.size());
+    const uint64_t chars = archive_.blockChars[b];
+    const unsigned lanes = laneCount(chars);
+    const uint64_t steps = chars / lanes;
+    QualityContext context(symbols);
+
+    // The block's non-empty pieces, and its order-2 statistics: lane j
+    // covers characters [j * steps, (j + 1) * steps), the last lane the
+    // rest, and each lane starts from the block's initial context.
+    std::vector<std::string_view> pieces;
+    std::vector<uint32_t> count(static_cast<size_t>(context.count()) *
+                                symbols);
+    uint64_t at = 0, lane_end = steps;
     forEachPiece(b, [&](std::string_view piece) {
+        if (piece.empty())
+            return;
+        pieces.push_back(piece);
         for (char c : piece) {
+            if (at++ == lane_end && lane_end < steps * lanes) {
+                context.reset();
+                lane_end += steps;
+            }
             const int sym = symbolOf_[static_cast<uint8_t>(c)];
             sage_assert(sym >= 0, "quality symbol missing from alphabet");
-            models.encode(enc, static_cast<unsigned>(sym),
-                          context.current());
+            count[context.current() * symbols + static_cast<unsigned>(sym)]++;
             context.push(static_cast<unsigned>(sym));
         }
     });
-    archive_.blocks[b] = enc.finish();
+
+    // The table section: the contexts that occur and, in each, the
+    // symbols that occur, as gaps from the previous one. Each stored
+    // context's symbols also become encoder entries.
+    std::vector<uint8_t> out = {kCodecRans};
+    std::vector<uint32_t> used;
+    for (unsigned ctx = 0; ctx < context.count(); ctx++) {
+        const uint32_t *counts = count.data() + ctx * symbols;
+        if (std::any_of(counts, counts + symbols,
+                        [](uint32_t n) { return n > 0; }))
+            used.push_back(ctx);
+    }
+    std::vector<uint32_t> table_of(context.count());
+    std::vector<EncodeSymbol> coder(used.size() * symbols);
+    std::vector<uint32_t> freq(symbols);
+    putVarint(out, used.size());
+    for (size_t i = 0; i < used.size(); i++) {
+        const unsigned ctx = used[i];
+        table_of[ctx] = static_cast<uint32_t>(i);
+        putVarint(out, i > 0 ? ctx - used[i - 1] - 1 : ctx);
+        normalizeFrequencies(count.data() + ctx * symbols, symbols,
+                             freq.data());
+        putVarint(out, static_cast<uint64_t>(symbols -
+                       std::count(freq.begin(), freq.end(), 0u)));
+        uint32_t cum = 0;
+        unsigned last = 0;
+        for (unsigned s = 0; s < symbols; s++) {
+            if (freq[s] == 0)
+                continue;
+            putVarint(out, cum > 0 ? s - last - 1 : s);
+            putVarint(out, freq[s]);
+            coder[i * symbols + s] = EncodeSymbol(cum, freq[s]);
+            cum += freq[s];
+            last = s;
+        }
+    }
+
+    // The lanes, coded last symbol first (encodeLanes). Bytes are
+    // collected in that order and stored reversed, lane states first,
+    // so the decoder reads them forward.
+    std::vector<uint8_t> coded;
+    coded.reserve(static_cast<size_t>(chars / 8));
+    std::vector<LaneReader> readers;
+    readers.reserve(lanes);
+    uint32_t x[kMaxLanes];
+    {
+        size_t piece = 0;
+        uint64_t before = 0;  // Characters in pieces before `piece`.
+        for (unsigned j = 0; j < lanes; j++) {
+            const uint64_t end = j + 1 < lanes ? (j + 1) * steps : chars;
+            while (piece < pieces.size() &&
+                   before + pieces[piece].size() < end)
+                before += pieces[piece++].size();
+            readers.emplace_back(pieces.data(), piece,
+                                 static_cast<size_t>(end - before),
+                                 end - j * steps, symbolOf_);
+            x[j] = kStateLow;
+        }
+    }
+    using LaneEncoder = void (*)(LaneReader *, const uint32_t *,
+                                 const EncodeSymbol *, unsigned,
+                                 const QualityContext &, uint64_t, uint64_t,
+                                 uint32_t *, std::vector<uint8_t> &);
+    static constexpr LaneEncoder kEncoders[kMaxLanes] = {
+        encodeLanes<1>, encodeLanes<2>, encodeLanes<3>, encodeLanes<4>,
+        encodeLanes<5>, encodeLanes<6>, encodeLanes<7>, encodeLanes<8>};
+    kEncoders[lanes - 1](readers.data(), table_of.data(), coder.data(),
+                         symbols, context, steps, chars - steps * lanes, x,
+                         coded);
+    for (unsigned j = lanes; j > 0; j--) {
+        for (int shift = 24; shift >= 0; shift -= 8)
+            coded.push_back(static_cast<uint8_t>(x[j - 1] >> shift));
+    }
+    out.insert(out.end(), coded.rbegin(), coded.rend());
+    archive_.blocks[b] = std::move(out);
 }
 
 QualityArchive

@@ -4,11 +4,20 @@
  *
  * Quality scores lack the DNA stream's redundancy, so genomic compressors
  * handle them as a separate stream with context modeling (paper §2.2,
- * §5.1.5). This codec is an order-2 adaptive range coder over the (small)
- * quality alphabet, chunked into independently decodable blocks so that a
- * variant-calling stage can fetch only the blocks around mismatches — the
- * access pattern the paper's host-side quality decompression argument
- * rests on (only ~0.03% of blocks touched on average, max 10.7%).
+ * §5.1.5). The stream is cut into independently decodable blocks so that
+ * a variant-calling stage can fetch only the blocks around mismatches —
+ * the access pattern the paper's host-side quality decompression
+ * argument rests on (only ~0.03% of blocks touched on average, max
+ * 10.7%).
+ *
+ * A block codes its characters with a static order-2 model whose
+ * frequency tables it carries, decoded by up to eight interleaved rANS
+ * lanes, each over its own contiguous slice of the block (the structure
+ * of CRAM 3.1's rANS-Nx16; F. Giesen, "Interleaved entropy coders",
+ * arXiv:1402.3392). The lanes' symbol chains are independent, so the
+ * decode runs several symbols per dependent step. Blocks written before
+ * this codec use an order-2 adaptive range coder; they still decode,
+ * told apart by the block's leading codec byte (docs/format.md).
  */
 
 #ifndef SAGE_COMPRESS_QUALITY_HH
@@ -57,12 +66,19 @@ struct QualityConfig
 /**
  * The quality encoder in steps, for callers that run the blocks on a
  * job list of their own. Construction records the read lengths, cuts
- * the characters into config.blockChars blocks that may start
- * mid-read, and fixes the alphabet in order of first appearance: each
- * block's presence pass runs on @p pool, and only the scan for first
- * appearances is serial, stopping once every symbol present has been
- * seen. encodeBlock() then range-codes one block straight from the
- * views, with fresh model state.
+ * the characters into blocks and fixes the alphabet in order of first
+ * appearance: each block's presence pass runs on @p pool, and only the
+ * scan for first appearances is serial, stopping once every symbol
+ * present has been seen. encodeBlock() then codes one block straight
+ * from the views: a pass that counts its order-2 contexts, then the
+ * rANS lanes, last symbol first.
+ *
+ * Blocks hold at most config.blockChars characters and may start
+ * mid-read. With @p chunkReads > 0, reads [k * chunkReads,
+ * (k + 1) * chunkReads) form chunk k, and a block also ends at a chunk
+ * boundary once it holds config.blockChars / 8 characters: a chunk of
+ * at least that many decodes only its own blocks, while shorter chunks
+ * share a block rather than each carry its tables.
  */
 class QualityEncoder
 {
@@ -71,13 +87,13 @@ class QualityEncoder
      *  stored; the strings must outlive the encoder. */
     QualityEncoder(std::vector<std::string_view> quals,
                    const QualityConfig &config = {},
-                   ThreadPool *pool = nullptr);
+                   ThreadPool *pool = nullptr, uint64_t chunkReads = 0);
 
     /** Independent blocks (an empty input still gets one). */
     size_t blockCount() const { return archive_.blocks.size(); }
 
-    /** Range-code block @p b. Distinct blocks may be encoded from
-     *  different threads at once. */
+    /** Code block @p b. Distinct blocks may be encoded from different
+     *  threads at once. */
     void encodeBlock(size_t b);
 
     /** The archive; every block must have been encoded. */
@@ -103,8 +119,8 @@ class QualityEncoder
 
 /**
  * Compress per-read quality strings (order preserved): a
- * QualityEncoder whose blocks are range-coded across @p pool when one
- * is given; the output is the same either way.
+ * QualityEncoder without chunks whose blocks are coded across @p pool
+ * when one is given; the output is the same either way.
  */
 QualityArchive compressQuality(std::vector<std::string_view> quals,
                                const QualityConfig &config = {},
@@ -132,9 +148,15 @@ QualityArchive unpackQuality(const std::vector<uint8_t> &bytes);
 /** Decompress every block, restoring the original strings. */
 std::vector<std::string> decompressQuality(const QualityArchive &archive);
 
-/** Decompress a single block's character payload (random access).
- *  Throws StatusError (Corrupt) on an out-of-range block or an
- *  alphabet outside 1..256 symbols. */
+/**
+ * Decompress a single block's character payload (random access), in
+ * either codec. The block is untrusted: an out-of-range index, an
+ * alphabet outside 1..256 symbols, an unknown codec byte, frequency
+ * tables that do not sum to the model's scale or name a symbol outside
+ * the alphabet, or lanes that do not end in their initial state with
+ * every byte consumed throw StatusError (Corrupt); a payload that runs
+ * out first throws Truncated.
+ */
 std::string decompressQualityBlock(const QualityArchive &archive,
                                    size_t block_index);
 
@@ -156,7 +178,8 @@ class QualityStore
   public:
     /** Index @p archive (unpackQuality() or compressQuality() output).
      *  Throws StatusError (Corrupt) when its blocks hold a different
-     *  number of characters than its reads. */
+     *  number of characters than its reads. Blocks of either codec
+     *  decode (decompressQualityBlock()). */
     explicit QualityStore(QualityArchive archive);
 
     /** Reads the stream holds. */

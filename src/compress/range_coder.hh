@@ -1,9 +1,11 @@
 /**
  * @file
- * Adaptive range (arithmetic) coder.
+ * Adaptive range (arithmetic) decoder.
  *
- * Backend entropy stage for the quality-score codec and the SpringLike
- * baseline's high-ratio streams. This is deliberately the *kind* of coder
+ * The entropy stage of quality blocks written before the rANS codec
+ * (compress/quality.hh), kept so those archives still decode; nothing
+ * writes it any more (the tests keep the matching encoder,
+ * tests/range_encoder.hh). This is deliberately the *kind* of coder
  * the paper contrasts SAGe against: decoding requires sequential,
  * model-state-dependent computation with table updates — efficient on a
  * host CPU, but ill-suited to the lightweight streaming hardware SAGe
@@ -16,71 +18,16 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/logging.hh"
+#include "util/status.hh"
 
 namespace sage {
 
 /**
- * 32-bit range encoder with carry counting (LZMA-style low/cache
- * management, so carries propagate correctly into already-buffered
- * bytes).
+ * 32-bit range decoder (the subtraction form of an LZMA-style coder
+ * with carry counting). The bytes are untrusted: a read past the end
+ * of the payload throws StatusError (Truncated), as a valid stream
+ * never needs one.
  */
-class RangeEncoder
-{
-  public:
-    /** Encode a symbol given cumulative frequency [cumLow, cumHigh) of
-     *  total @p total. */
-    void
-    encode(uint32_t cum_low, uint32_t cum_high, uint32_t total)
-    {
-        sage_assert(cum_low < cum_high && cum_high <= total,
-                    "bad range coder interval");
-        const uint32_t r = range_ / total;
-        low_ += static_cast<uint64_t>(r) * cum_low;
-        range_ = r * (cum_high - cum_low);
-        while (range_ < (1u << 24)) {
-            shiftLow();
-            range_ <<= 8;
-        }
-    }
-
-    /** Flush the encoder and return the byte stream. */
-    std::vector<uint8_t>
-    finish()
-    {
-        for (int i = 0; i < 5; i++)
-            shiftLow();
-        return std::move(bytes_);
-    }
-
-  private:
-    void
-    shiftLow()
-    {
-        if (static_cast<uint32_t>(low_) < 0xff000000u ||
-            (low_ >> 32) != 0) {
-            // Safe to flush: carry (if any) is applied to the cached
-            // byte and any run of 0xff bytes behind it.
-            uint8_t carry = static_cast<uint8_t>(low_ >> 32);
-            bytes_.push_back(cache_ + carry);
-            for (; pendingFf_ > 0; pendingFf_--)
-                bytes_.push_back(static_cast<uint8_t>(0xff + carry));
-            cache_ = static_cast<uint8_t>(low_ >> 24);
-        } else {
-            pendingFf_++;
-        }
-        low_ = (low_ << 8) & 0xffffffffULL;
-    }
-
-    std::vector<uint8_t> bytes_;
-    uint64_t low_ = 0;
-    uint32_t range_ = 0xffffffffu;
-    uint8_t cache_ = 0;
-    uint64_t pendingFf_ = 0;
-    friend class RangeDecoder;
-};
-
-/** Matching decoder (subtraction form of the same coder). */
 class RangeDecoder
 {
   public:
@@ -118,7 +65,9 @@ class RangeDecoder
     uint8_t
     nextByte()
     {
-        return pos_ < size_ ? data_[pos_++] : 0;
+        sage_check_data(pos_ < size_, Truncated,
+                        "range-coded block runs past its payload");
+        return data_[pos_++];
     }
 
     const uint8_t *data_;
@@ -147,42 +96,36 @@ class AdaptiveModel
           total_(contexts, symbols)
     {}
 
-    void
-    encode(RangeEncoder &enc, unsigned symbol, unsigned context = 0)
-    {
-        const uint32_t *freq = frequencies(context);
-        uint32_t cum = 0;
-        for (unsigned s = 0; s < symbol; s++)
-            cum += freq[s];
-        enc.encode(cum, cum + freq[symbol], total_[context]);
-        bump(context, symbol);
-    }
-
     unsigned
     decode(RangeDecoder &dec, unsigned context = 0)
     {
         const uint32_t *freq = frequencies(context);
-        const uint32_t f = dec.decodeFreq(total_[context]);
+        const uint32_t f = dec.decodeFreq(total(context));
         uint32_t cum = 0;
         unsigned symbol = 0;
         while (cum + freq[symbol] <= f)
             cum += freq[symbol++];
         dec.decodeUpdate(cum, cum + freq[symbol]);
-        bump(context, symbol);
+        update(context, symbol);
         return symbol;
     }
 
-  private:
-    uint32_t *
-    frequencies(unsigned context)
+    /** Context @p context's symbol frequencies. */
+    const uint32_t *
+    frequencies(unsigned context) const
     {
         return freq_.data() + static_cast<size_t>(context) * symbols_;
     }
 
+    /** The sum of context @p context's frequencies. */
+    uint32_t total(unsigned context) const { return total_[context]; }
+
+    /** Count one @p symbol in context @p context. */
     void
-    bump(unsigned context, unsigned symbol)
+    update(unsigned context, unsigned symbol)
     {
-        uint32_t *freq = frequencies(context);
+        uint32_t *freq =
+            freq_.data() + static_cast<size_t>(context) * symbols_;
         uint32_t &total = total_[context];
         freq[symbol] += 32;
         total += 32;
@@ -195,6 +138,7 @@ class AdaptiveModel
         }
     }
 
+  private:
     unsigned symbols_;
     std::vector<uint32_t> freq_;
     std::vector<uint32_t> total_;

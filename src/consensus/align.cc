@@ -43,6 +43,14 @@ struct BandShape
     }
 };
 
+/** bandedAlign's DP rows and move matrix. */
+struct AlignScratch
+{
+    std::vector<uint32_t> prevRow;
+    std::vector<uint32_t> curRow;
+    std::vector<uint8_t> moves;
+};
+
 /** Merge single-base traceback ops into block ops (Ins/Del runs). */
 std::vector<EditOp>
 mergeOps(std::vector<EditOp> ops)
@@ -88,12 +96,18 @@ bandedAlign(std::string_view target, std::string_view query, uint32_t band)
     if (std::llabs(shape.diff) > static_cast<int64_t>(band) + n + m)
         return std::nullopt;
 
-    // Rolling DP rows plus a full move matrix for traceback.
+    // Rolling DP rows plus a full move matrix for traceback, in this
+    // thread's scratch: the mapper calls this from every pool worker,
+    // and the buffers keep their capacity from call to call.
     const int64_t width = 2 * static_cast<int64_t>(band)
                           + std::llabs(shape.diff) + 1;
-    std::vector<uint32_t> prev_row(width + 2, kInf);
-    std::vector<uint32_t> cur_row(width + 2, kInf);
-    std::vector<uint8_t> moves(static_cast<size_t>((m + 1) * width), kNone);
+    thread_local AlignScratch scratch;
+    std::vector<uint32_t> &prev_row = scratch.prevRow;
+    std::vector<uint32_t> &cur_row = scratch.curRow;
+    std::vector<uint8_t> &moves = scratch.moves;
+    prev_row.assign(static_cast<size_t>(width + 2), kInf);
+    cur_row.assign(static_cast<size_t>(width + 2), kInf);
+    moves.assign(static_cast<size_t>((m + 1) * width), kNone);
 
     auto move_at = [&](int64_t i, int64_t j) -> uint8_t & {
         const int64_t off = j - shape.lo(i, n);

@@ -396,17 +396,29 @@ SageDecoder::readLength(BitReader &rla, BitReader &rlga) const
 }
 
 uint64_t
-SageDecoder::chunkBaseCount(const ChunkCursor &cur, uint64_t reads) const
+SageDecoder::checkChunkLengths(const ChunkCursor &cur,
+                               const ChunkSlice &slice) const
 {
     // Copies of the length streams: the cursor itself stays put.
     BitReader rla = cur.rla;
     BitReader rlga = cur.rlga;
     uint64_t total = 0;
-    try {
-        for (uint64_t r = 0; r < reads; r++)
-            total += readLength(rla, rlga);
-    } catch (const StatusError &) {
-        // The decode fails at this read too.
+    const uint64_t end = slice.firstRead + slice.readCount;
+    for (uint64_t r = slice.firstRead; r < end; r++) {
+        uint64_t length = 0;
+        try {
+            length = readLength(rla, rlga);
+        } catch (const StatusError &) {
+            break;  // The decode fails at this read too.
+        }
+        if (quals_) {
+            const uint64_t quals =
+                quals_->readOffset(r + 1) - quals_->readOffset(r);
+            sage_check_data(quals == 0 || quals == length, Corrupt,
+                            "read ", r, " has ", quals,
+                            " quality characters for ", length, " bases");
+        }
+        total += length;
     }
     return total;
 }
@@ -660,6 +672,7 @@ SageDecoder::tryDecodeChunkShared(size_t chunk, Read *out) const
     ChunkCursor &cur = *opened.value();
     const ChunkSlice &slice = chunks_[chunk];
     return chunkStatus(chunk, [&] {
+        checkChunkLengths(cur, slice);
         for (uint64_t r = 0; r < slice.readCount; r++)
             out[r] = decodeOne(cur, slice.firstRead + r);
     });
@@ -691,8 +704,7 @@ SageDecoder::tryDecodeChunkShared(size_t chunk, ReadColumns &out) const
         // Each arena is sized for the whole chunk before the first
         // read: bases from a pass over the length streams, headers and
         // quality from the host stores' offsets.
-        out.bases.reserve(
-            arenaReserve(chunkBaseCount(cur, slice.readCount)));
+        out.bases.reserve(arenaReserve(checkChunkLengths(cur, slice)));
         if (!headerStarts_.empty()) {
             out.headers.reserve(arenaReserve(headerStarts_[end] -
                                              headerStarts_[first] -

@@ -211,10 +211,13 @@ class SageDecoder
      *  length past 2^31 is Corrupt. */
     uint64_t readLength(BitReader &rla, BitReader &rlga) const;
 
-    /** Total bases of the next @p reads reads of @p cur, from copies
-     *  of its length streams; stops early where the decode itself
-     *  would fail. Sizes a column arena. */
-    uint64_t chunkBaseCount(const ChunkCursor &cur, uint64_t reads) const;
+    /** Total bases of @p slice's reads, from copies of @p cur's length
+     *  streams; stops early where the decode itself would fail. Sizes
+     *  a column arena. A read whose quality is neither empty nor one
+     *  character per base is Corrupt, so both chunk loops refuse the
+     *  chunk before any of its quality blocks decodes. */
+    uint64_t checkChunkLengths(const ChunkCursor &cur,
+                               const ChunkSlice &slice) const;
 
     /** Header of stored-order read @p read_index, in the header text
      *  (empty in DNA-only mode). */

@@ -437,6 +437,18 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
 {
     SageArchive archive;
 
+    // A read's quality is empty or one character per base, as the FASTQ
+    // parser also requires; the decoder refuses a chunk with any other.
+    if (config.keepQuality) {
+        for (size_t i = 0; i < rs.reads.size(); i++) {
+            const Read &read = rs.reads[i];
+            if (!read.quals.empty() && read.quals.size() != read.bases.size())
+                sage_fatal("read ", i, " has ", read.quals.size(),
+                           " quality characters for ", read.bases.size(),
+                           " bases");
+        }
+    }
+
     // ---- Find mismatch information (mapping) -------------------------
     Stopwatch map_clock;
     MapperConfig mapper_config = config.mapper;
@@ -484,7 +496,10 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
         quals.reserve(prep.order.size());
         for (uint32_t src : prep.order)
             quals.emplace_back(rs.reads[src].quals);
-        quality.emplace(std::move(quals), config.quality, pool);
+        // No quality block spans two chunks, so a chunk's first read
+        // decodes only its own blocks.
+        quality.emplace(std::move(quals), config.quality, pool,
+                        config.chunkReads);
     }
     const size_t jobs = 1 + (quality ? quality->blockCount() : 0);
     auto run_job = [&](size_t job) {

@@ -18,9 +18,14 @@
 #include <thread>
 #include <tuple>
 
+#include "compress/quality.hh"
+#include "compress/streams.hh"
 #include "core/sage.hh"
 #include "simgen/synthesize.hh"
+#include "util/crc32.hh"
 #include "util/thread_pool.hh"
+
+#include "corpus_file.hh"
 
 namespace sage {
 namespace {
@@ -481,6 +486,72 @@ TEST(LazyQuality, ConcurrentFirstTouchMatchesSerial)
         EXPECT_EQ(errors[t], "");
         for (size_t c = 0; c < chunks; c++)
             EXPECT_TRUE(got[t][c] == expected[c]) << "chunk " << c;
+    }
+}
+
+/** Fold each read's header, bases and quality, each ending in a
+ *  newline, into @p crc. */
+void
+addRead(Crc32 &crc, const ReadView &read)
+{
+    const uint8_t newline = '\n';
+    for (const std::string_view field :
+         {read.header, read.bases, read.quals}) {
+        crc.update(reinterpret_cast<const uint8_t *>(field.data()),
+                   field.size());
+        crc.update(&newline, 1);
+    }
+}
+
+TEST(LegacyQuality, CommittedArchivesDecodeToTheirDigests)
+{
+    // Archives committed before quality blocks moved to rANS: every
+    // block is range-coded, and in the second 3 chunks hold blocks that
+    // start mid-read. Both decode to the reads they held when written
+    // (CRC-32 of the reads in stored order, taken with the range
+    // decoder that came with them), through SageReader and through the
+    // columnar chunk loop.
+    struct Case
+    {
+        const char *file;
+        size_t chunks;
+        size_t reads;
+        uint32_t digest;
+    };
+    for (const Case &c : {Case{"tiny.sage", 1, 4, 0x63a542f3u},
+                          Case{"tiny_small_quality_blocks.sage", 3, 20,
+                               0x0e504066u}}) {
+        SCOPED_TRACE(c.file);
+        const std::vector<uint8_t> bytes = corpusFile(c.file);
+        const QualityArchive quality = unpackQuality(
+            StreamBundle::deserialize(bytes).stream("quality"));
+        for (const std::vector<uint8_t> &block : quality.blocks)
+            ASSERT_EQ(block[0], 0) << "a range-coded block";
+        const MemorySource source(bytes);
+        {
+            SageReader reader(source);
+            ASSERT_EQ(reader.chunkCount(), c.chunks);
+            Crc32 crc;
+            size_t reads = 0;
+            for (size_t k = 0; k < reader.chunkCount(); k++) {
+                for (const Read &read : reader.readChunk(k)) {
+                    addRead(crc, read);
+                    reads++;
+                }
+            }
+            EXPECT_EQ(reads, c.reads);
+            EXPECT_EQ(crc.value(), c.digest) << "SageReader";
+        }
+        const std::unique_ptr<SageDecoder> decoder =
+            orExit(SageDecoder::tryOpen(source));
+        Crc32 crc;
+        for (size_t k = 0; k < decoder->chunkCount(); k++) {
+            ReadColumns columns;
+            ASSERT_TRUE(decoder->tryDecodeChunkShared(k, columns).ok());
+            for (size_t i = 0; i < columns.size(); i++)
+                addRead(crc, columns[i]);
+        }
+        EXPECT_EQ(crc.value(), c.digest) << "columns";
     }
 }
 

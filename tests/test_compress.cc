@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "compress/gpzip.hh"
 #include "compress/quality.hh"
@@ -17,7 +18,10 @@
 #include "genomics/fastq.hh"
 #include "simgen/synthesize.hh"
 #include "util/rng.hh"
+#include "util/status.hh"
 #include "util/thread_pool.hh"
+
+#include "range_encoder.hh"
 
 namespace sage {
 namespace {
@@ -183,7 +187,7 @@ TEST(RangeCoder, AdaptiveModelRoundTrip)
     RangeEncoder enc;
     AdaptiveModel enc_model(5);
     for (unsigned s : symbols)
-        enc_model.encode(enc, s);
+        encodeAdaptive(enc, enc_model, s);
     const auto bytes = enc.finish();
 
     RangeDecoder dec(bytes.data(), bytes.size());
@@ -199,7 +203,8 @@ TEST(RangeCoder, SkewedStreamBeatsOneBytePerSymbol)
     AdaptiveModel model(4);
     const int n = 100000;
     for (int i = 0; i < n; i++)
-        model.encode(enc, rng.nextBool(0.95) ? 0 : 1 + rng.nextBelow(3));
+        encodeAdaptive(enc, model,
+                       rng.nextBool(0.95) ? 0 : 1 + rng.nextBelow(3));
     const auto bytes = enc.finish();
     EXPECT_LT(bytes.size(), static_cast<size_t>(n) / 8)
         << "strongly skewed stream should cost well under 1 bit/symbol";
@@ -300,12 +305,24 @@ TEST(Quality, AlphabetSymbolFirstSeenInLastRead)
     EXPECT_EQ(packQuality(compressQuality(quals, config, &pool)),
               packQuality(serial));
     EXPECT_EQ(decompressQuality(serial), quals);
+    // Five-character blocks: one lane each, and every block carries
+    // its tables (codec byte 1, then contexts and frequencies).
+    // Five-character blocks: one lane each, and every block carries
+    // its tables (codec byte 1, then contexts and frequencies).
     const std::vector<uint8_t> pinned = {
         0x04, 0x49, 0x23, 0x35, 0x7e, 0x07, 0x08, 0x00, 0x05, 0x04, 0x04,
-        0x00, 0x04, 0x05, 0x05, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05,
-        0x05, 0x00, 0x40, 0x1c, 0x71, 0xc6, 0x05, 0x06, 0x00, 0x3f, 0xff,
-        0xff, 0xff, 0x00, 0x05, 0x06, 0x00, 0x35, 0x92, 0x67, 0x26, 0x00,
-        0x05, 0x06, 0x00, 0x38, 0x3d, 0x7d, 0x45, 0x40};
+        0x00, 0x04, 0x05, 0x05, 0x0d, 0x01, 0x01, 0x00, 0x02, 0x00, 0xff,
+        0x1f, 0x00, 0x01, 0x06, 0x28, 0x80, 0x00, 0x05, 0x1b, 0x01, 0x03,
+        0x00, 0x02, 0x00, 0x01, 0x00, 0xff, 0x1f, 0x00, 0x02, 0x00, 0xff,
+        0x1f, 0x00, 0x01, 0x02, 0x02, 0x00, 0xff, 0x1f, 0x00, 0x01, 0x08,
+        0x28, 0x80, 0x00, 0x05, 0x1c, 0x01, 0x03, 0x00, 0x02, 0x00, 0xab,
+        0x15, 0x00, 0xd5, 0x0a, 0x00, 0x02, 0x00, 0xff, 0x1f, 0x00, 0x01,
+        0x02, 0x02, 0x00, 0xff, 0x1f, 0x00, 0x01, 0x02, 0x5c, 0x60, 0x03,
+        0x05, 0x0e, 0x01, 0x01, 0x00, 0x02, 0x00, 0xcd, 0x19, 0x01, 0xb3,
+        0x06, 0xbe, 0x84, 0x1a, 0x06, 0x05, 0x1c, 0x01, 0x03, 0x00, 0x02,
+        0x00, 0xab, 0x15, 0x00, 0xd5, 0x0a, 0x00, 0x02, 0x00, 0x01, 0x02,
+        0xff, 0x1f, 0x02, 0x02, 0x00, 0xff, 0x1f, 0x00, 0x01, 0xaa, 0x74,
+        0x60, 0x03};
     EXPECT_EQ(packQuality(serial), pinned);
 }
 
@@ -317,6 +334,238 @@ TEST(Quality, CompressesBinnedScoresWell)
         / static_cast<double>(archive.compressedBytes());
     // Paper Table 2 band for short-read quality: ~2.8-5.
     EXPECT_GT(ratio, 2.0);
+}
+
+/** One block holding @p chars, over the alphabet of first appearance. */
+QualityArchive
+oneBlock(const std::string &chars)
+{
+    QualityConfig config;
+    config.blockChars = std::max<uint64_t>(1, chars.size());
+    QualityArchive archive =
+        compressQuality(std::vector<std::string>{chars}, config);
+    EXPECT_EQ(archive.blocks.size(), 1u);
+    return archive;
+}
+
+/** The StatusCode of decoding block 0 of @p archive; Ok when it
+ *  decodes to @p want. */
+StatusCode
+blockStatus(const QualityArchive &archive, const std::string &want)
+{
+    try {
+        const std::string got = decompressQualityBlock(archive, 0);
+        EXPECT_EQ(got, want);
+        return StatusCode::Ok;
+    } catch (const StatusError &err) {
+        return err.status().code();
+    }
+}
+
+TEST(Quality, RoundTripAtEveryLaneCount)
+{
+    // One lane per 4096 characters, up to eight; the last lane also
+    // takes the characters the others leave over.
+    const auto quals = makeQualStrings(800, 150, 6, 82);
+    std::string flat;
+    for (const auto &q : quals)
+        flat += q;
+    for (size_t chars : {1, 2, 4095, 4096, 8191, 8192, 12289, 32767, 32768,
+                         32775, 100003}) {
+        SCOPED_TRACE(chars);
+        const std::string block = flat.substr(0, chars);
+        const QualityArchive archive = oneBlock(block);
+        ASSERT_EQ(archive.blocks[0][0], 1) << "codec byte";
+        EXPECT_EQ(decompressQualityBlock(archive, 0), block);
+    }
+}
+
+TEST(Quality, RoundTripOverAlphabetsOfOneAndOfEveryByte)
+{
+    // One symbol: every context is certain, so the lanes never move
+    // and the block is its tables and states.
+    const std::string same(50000, 'I');
+    const QualityArchive constant = oneBlock(same);
+    EXPECT_EQ(decompressQualityBlock(constant, 0), same);
+    EXPECT_LT(constant.blocks[0].size(), 64u);
+
+    Rng rng(83);
+    std::string bytes;
+    for (unsigned c = 0; c < 256; c++)
+        bytes.push_back(static_cast<char>(c));
+    for (int i = 0; i < 60000; i++)
+        bytes.push_back(static_cast<char>(rng.nextBelow(256)));
+    const QualityArchive every = oneBlock(bytes);
+    EXPECT_EQ(every.alphabet.size(), 256u);
+    EXPECT_EQ(decompressQualityBlock(every, 0), bytes);
+}
+
+TEST(Quality, BlocksEndAtChunkBoundaries)
+{
+    // 40 reads of 150 characters per chunk: 6000 characters, cut into
+    // 4096-character blocks. No block holds characters of two chunks,
+    // and a block starts at each chunk's first character.
+    const auto quals = makeQualStrings(1000, 150, 6, 84);
+    QualityConfig config;
+    config.blockChars = 4096;
+    QualityEncoder encoder(
+        std::vector<std::string_view>(quals.begin(), quals.end()), config,
+        nullptr, 40);
+    for (size_t b = 0; b < encoder.blockCount(); b++)
+        encoder.encodeBlock(b);
+    const QualityArchive archive = encoder.take();
+    std::set<uint64_t> starts;
+    uint64_t at = 0;
+    for (uint64_t chars : archive.blockChars) {
+        EXPECT_LE(chars, config.blockChars);
+        starts.insert(at);
+        const uint64_t chunk = at / 6000;
+        EXPECT_LE(at + chars, (chunk + 1) * 6000) << "block at " << at;
+        at += chars;
+    }
+    for (uint64_t chunk = 0; chunk < 25; chunk++)
+        EXPECT_EQ(starts.count(chunk * 6000), 1u) << "chunk " << chunk;
+    EXPECT_EQ(archive.blocks.size(), 50u);
+    EXPECT_EQ(decompressQuality(archive), quals);
+
+    // Chunks shorter than an eighth of a block share one instead of
+    // each carrying its tables: with 600-character chunks, a block ends
+    // at the first chunk boundary past 5000 characters, after nine.
+    config.blockChars = 40000;
+    QualityEncoder shared(
+        std::vector<std::string_view>(quals.begin(), quals.end()), config,
+        nullptr, 4);
+    EXPECT_EQ(shared.blockCount(), 28u);
+}
+
+TEST(Quality, DamagedRansBlocksAreCaught)
+{
+    // About a thousand single-bit flips spread past the codec byte of
+    // an eight-lane block: each fails with Corrupt or Truncated, the
+    // tables' checks catching some and the lane end check the rest; none
+    // decodes to other characters.
+    const auto quals = makeQualStrings(230, 150, 6, 85);
+    std::string flat;
+    for (const auto &q : quals)
+        flat += q;
+    const QualityArchive archive = oneBlock(flat);
+    const std::vector<uint8_t> &payload = archive.blocks[0];
+    ASSERT_GT(payload.size(), 100u);
+    const size_t stride = std::max<size_t>(1, payload.size() * 8 / 1000);
+    size_t caught = 0, silent = 0;
+    for (size_t bit = 8; bit < payload.size() * 8; bit += stride) {
+        QualityArchive damaged = archive;
+        damaged.blocks[0][bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        try {
+            silent += decompressQualityBlock(damaged, 0) != flat;
+        } catch (const StatusError &err) {
+            const StatusCode code = err.status().code();
+            EXPECT_TRUE(code == StatusCode::Corrupt ||
+                        code == StatusCode::Truncated)
+                << err.status().toString();
+            caught++;
+        }
+    }
+    EXPECT_GT(caught, 0u);
+    EXPECT_EQ(silent, 0u) << "flips decoded to other characters";
+}
+
+TEST(Quality, ShortPayloadsAreTruncatedInBothCodecs)
+{
+    const auto quals = makeQualStrings(100, 150, 6, 86);
+    std::string flat;
+    for (const auto &q : quals)
+        flat += q;
+    QualityArchive rans = oneBlock(flat);
+    QualityArchive range = rans;
+    range.blocks[0] = encodeRangeBlock(range.alphabet, flat);
+    ASSERT_EQ(range.blocks[0][0], 0) << "a range-coded block starts at 0";
+    EXPECT_EQ(decompressQualityBlock(range, 0), flat);
+    for (QualityArchive *archive : {&rans, &range}) {
+        const std::vector<uint8_t> whole = archive->blocks[0];
+        for (size_t keep = 0; keep < whole.size(); keep++) {
+            archive->blocks[0].assign(whole.begin(), whole.begin() + keep);
+            EXPECT_EQ(blockStatus(*archive, flat), StatusCode::Truncated)
+                << "codec " << unsigned(whole[0]) << ", " << keep << " of "
+                << whole.size() << " bytes";
+        }
+    }
+    // A count the payload cannot hold fails before its output exists.
+    // (Past 32768 characters the lane count stays at eight, so only
+    // the count changes.)
+    const auto more = makeQualStrings(300, 150, 6, 88);
+    std::string longer;
+    for (const auto &q : more)
+        longer += q;
+    QualityArchive eight = oneBlock(longer);
+    EXPECT_EQ(blockStatus(eight, longer), StatusCode::Ok);
+    eight.blockChars[0] = uint64_t{1} << 40;
+    EXPECT_EQ(blockStatus(eight, longer), StatusCode::Truncated);
+}
+
+TEST(Quality, MalformedRansTablesAreCorrupt)
+{
+    // Alphabet "I#": codec 1, one context (0) with its symbols as gaps
+    // and frequencies, then one lane state of 2^23 and no bytes.
+    QualityArchive archive = oneBlock("I#");
+    const std::vector<uint8_t> state = {0x00, 0x00, 0x80, 0x00};
+    auto with_tables = [&](std::vector<uint8_t> tables) {
+        tables.insert(tables.end(), state.begin(), state.end());
+        archive.blocks[0] = std::move(tables);
+        archive.blockChars[0] = 0;
+        return blockStatus(archive, "");
+    };
+    // Two symbols of 2048 each: a valid table.
+    EXPECT_EQ(with_tables({1, 1, 0, 2, 0, 0x80, 0x10, 0, 0x80, 0x10}),
+              StatusCode::Ok);
+    // Frequencies that sum to 4095, or past 4096.
+    EXPECT_EQ(with_tables({1, 1, 0, 2, 0, 0x80, 0x10, 0, 0xff, 0x0f}),
+              StatusCode::Corrupt);
+    EXPECT_EQ(with_tables({1, 1, 0, 2, 0, 0x80, 0x10, 0, 0x81, 0x10}),
+              StatusCode::Corrupt);
+    // A symbol outside the two-symbol alphabet, a context outside its
+    // eight, a zero frequency, more contexts than the alphabet has.
+    EXPECT_EQ(with_tables({1, 1, 0, 2, 0, 0x80, 0x10, 1, 0x80, 0x10}),
+              StatusCode::Corrupt);
+    EXPECT_EQ(with_tables({1, 1, 8, 1, 0, 0x80, 0x20}), StatusCode::Corrupt);
+    EXPECT_EQ(with_tables({1, 1, 0, 2, 0, 0, 0, 0x80, 0x20}),
+              StatusCode::Corrupt);
+    EXPECT_EQ(with_tables({1, 9}), StatusCode::Corrupt);
+    // A lane state outside [2^23, 2^31), and an unknown codec.
+    archive.blocks[0] = {1, 0, 0xff, 0xff, 0x7f, 0x00};
+    EXPECT_EQ(blockStatus(archive, ""), StatusCode::Corrupt);
+    archive.blocks[0] = {2, 0, 0x00, 0x00, 0x80, 0x00};
+    EXPECT_EQ(blockStatus(archive, ""), StatusCode::Corrupt);
+    // Characters in a context the block stores no table for.
+    archive.blocks[0] = {1, 0, 0x00, 0x00, 0x80, 0x00};
+    archive.blockChars[0] = 3;
+    EXPECT_EQ(blockStatus(archive, "III"), StatusCode::Corrupt);
+}
+
+TEST(Quality, RangeCodedBlocksStillDecode)
+{
+    // Blocks of the adaptive coder that wrote every archive before the
+    // rANS codec, next to rANS blocks in the same archive.
+    const auto quals = makeQualStrings(600, 150, 6, 87);
+    QualityConfig config;
+    config.blockChars = 30000;
+    QualityArchive archive = compressQuality(quals, config);
+    ASSERT_GT(archive.blocks.size(), 2u);
+    const std::vector<std::string> blocks = [&] {
+        std::vector<std::string> out;
+        for (size_t b = 0; b < archive.blocks.size(); b++)
+            out.push_back(decompressQualityBlock(archive, b));
+        return out;
+    }();
+    for (size_t b = 0; b < archive.blocks.size(); b += 2)
+        archive.blocks[b] = encodeRangeBlock(archive.alphabet, blocks[b]);
+    EXPECT_EQ(decompressQuality(archive), quals);
+    QualityStore store(unpackQuality(packQuality(archive)));
+    for (size_t r = 0; r < quals.size(); r++) {
+        std::string got;
+        store.appendRead(r, got);
+        ASSERT_EQ(got, quals[r]) << "read " << r;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -31,6 +31,8 @@
 #include "util/thread_pool.hh"
 #include "util/varint.hh"
 
+#include "corpus_file.hh"
+
 namespace sage {
 namespace {
 
@@ -406,6 +408,43 @@ TEST(CorruptArchive, QualityStreamMustCoverEveryRead)
             no_quality.stream(name) = bundle.stream(name);
     }
     EXPECT_EQ(reframedOpenStatus(no_quality).code(), StatusCode::Corrupt);
+}
+
+TEST(CorruptArchive, QualityLengthMustMatchTheBases)
+{
+    // Read 0's quality grows by 10^8 characters and block 0's count
+    // with it, so the framing agrees and the archive opens. Both chunk
+    // loops refuse chunk 0 from its length streams, before any block
+    // decodes: the stored length no longer matches the 150 or 16
+    // bases. Once, this decoded 10^8 characters in 0.85 s and served
+    // them. One archive has rANS blocks, the other (committed) was
+    // written by the range coder.
+    for (const bool legacy : {false, true}) {
+        SCOPED_TRACE(legacy ? "range-coded tiny.sage" : "rANS blocks");
+        StreamBundle bundle = StreamBundle::deserialize(
+            legacy ? corpusFile("tiny.sage") : makeArchiveBytes());
+        QualityArchive quality = unpackQuality(bundle.stream("quality"));
+        ASSERT_EQ(quality.blocks[0][0], legacy ? 0 : 1);
+        quality.readLengths[0] += 100000000;
+        quality.blockChars[0] += 100000000;
+        bundle.stream("quality") = packQuality(quality);
+        const std::vector<uint8_t> bytes = bundle.serialize();
+        const MemorySource source(bytes);
+        const std::unique_ptr<SageDecoder> decoder =
+            orExit(SageDecoder::tryOpen(source));
+
+        const StatusOr<std::vector<Read>> reads =
+            decoder->tryDecodeChunkShared(0);
+        ASSERT_FALSE(reads.ok());
+        EXPECT_EQ(reads.status().code(), StatusCode::Corrupt);
+        EXPECT_NE(reads.status().message().find("quality characters for"),
+                  std::string::npos)
+            << reads.status().toString();
+        ReadColumns columns;
+        const Status status = decoder->tryDecodeChunkShared(0, columns);
+        EXPECT_EQ(status.code(), StatusCode::Corrupt);
+        EXPECT_EQ(status.message(), reads.status().message());
+    }
 }
 
 TEST(CorruptArchive, OrderStreamMustBeAPermutation)

@@ -12,8 +12,11 @@
 #include <set>
 #include <string>
 
+#include "compress/quality.hh"
+#include "compress/streams.hh"
 #include "core/sage.hh"
 #include "simgen/synthesize.hh"
+#include "util/crc32.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
 
@@ -337,6 +340,85 @@ trailerCrc(const std::vector<uint8_t> &archive)
         uint32_t(archive[n - 2]) << 16 | uint32_t(archive[n - 1]) << 24;
 }
 
+/** Size and CRC-32 of one stream of an archive. */
+struct StreamPin
+{
+    const char *name;
+    uint64_t size;
+    uint32_t crc;
+};
+
+/**
+ * Expect @p archive to hold exactly the streams @p pins name, each of
+ * the size and CRC-32 pinned, plus a quality stream. The pins were
+ * taken before quality blocks moved to the rANS codec, which changed
+ * the quality stream's bytes and no other stream's.
+ */
+template <size_t N>
+void
+expectStreamsBesidesQuality(const std::vector<uint8_t> &archive,
+                            const StreamPin (&pins)[N])
+{
+    const StreamBundle bundle = StreamBundle::deserialize(archive);
+    const std::map<std::string, uint64_t> sizes = bundle.sizes();
+    EXPECT_EQ(sizes.size(), N + 1);
+    EXPECT_TRUE(bundle.has("quality"));
+    for (const StreamPin &pin : pins) {
+        SCOPED_TRACE(pin.name);
+        ASSERT_TRUE(bundle.has(pin.name));
+        EXPECT_EQ(bundle.stream(pin.name).size(), pin.size);
+        EXPECT_EQ(Crc32::of(bundle.stream(pin.name)), pin.crc);
+    }
+}
+
+const StreamPin kTinyShortStreams[] = {
+    {"chunks", 16, 0xbf4bdb75u}, {"consensus", 16384, 0xfa2a7c8au},
+    {"escape", 0, 0x00000000u}, {"flags", 437, 0x3e06e813u},
+    {"headers", 4233, 0x02bbe320u}, {"mbta", 152, 0x3a93f461u},
+    {"mca", 232, 0xb042a0b9u}, {"mcga", 231, 0x18b501cau},
+    {"mmpa", 454, 0x28a6febdu}, {"mmpga", 113, 0x149e5e37u},
+    {"mpa", 1241, 0xe1f6095au}, {"mpga", 346, 0x92406fb5u},
+    {"params", 35, 0x768a323cu}, {"rla", 221, 0xbdd7e9e0u},
+    {"rlga", 220, 0x60172800u}, {"sga", 0, 0x00000000u},
+    {"sgga", 0, 0x00000000u},
+};
+
+const StreamPin kTinyLongStreams[] = {
+    {"chunks", 15, 0x296e02a6u}, {"consensus", 16384, 0xfa2a7c8au},
+    {"escape", 0, 0x00000000u}, {"flags", 33, 0x62f2863du},
+    {"headers", 383, 0x63e3f9b1u}, {"mbta", 3427, 0xee51c4d8u},
+    {"mca", 119, 0x3bac1ee8u}, {"mcga", 31, 0xdeedc45du},
+    {"mmpa", 6142, 0xc73e8f0fu}, {"mmpga", 2572, 0x826e407bu},
+    {"mpa", 133, 0xbe5e89c2u}, {"mpga", 20, 0xb735e294u},
+    {"params", 41, 0xb1ebcca4u}, {"rla", 160, 0x0d2c39b8u},
+    {"rlga", 21, 0x151d6089u}, {"sga", 117, 0xc3ac3e36u},
+    {"sgga", 17, 0x7e3727fdu},
+};
+
+const StreamPin kRepeatRichStreams[] = {
+    {"chunks", 66, 0x81312e08u}, {"consensus", 15000, 0x10259951u},
+    {"escape", 114, 0xedef3cdbu}, {"flags", 2400, 0x660abb7cu},
+    {"headers", 23876, 0xa26bb032u}, {"mbta", 1940, 0xcf8c950du},
+    {"mca", 1553, 0x8fd2cedbu}, {"mcga", 1390, 0xfba7433fu},
+    {"mmpa", 5109, 0x3eeac806u}, {"mmpga", 1485, 0xb0a45ff1u},
+    {"mpa", 3895, 0xd4092d26u}, {"mpga", 1798, 0x7608846fu},
+    {"params", 36, 0xc6f36ddeu}, {"rla", 1217, 0xea79a61du},
+    {"rlga", 1208, 0xb2ab1b5au}, {"sga", 0, 0x00000000u},
+    {"sgga", 0, 0x00000000u},
+};
+
+const StreamPin kSmallBlockStreams[] = {
+    {"chunks", 164, 0x0cc4ab81u}, {"consensus", 10000, 0x7638af42u},
+    {"escape", 57, 0xf2d2ae44u}, {"flags", 1600, 0xe5747a73u},
+    {"headers", 15596, 0x916acfddu}, {"mbta", 367, 0xa0b18e7bu},
+    {"mca", 828, 0x47fc6300u}, {"mcga", 827, 0x2a1a0d48u},
+    {"mmpa", 1070, 0x56e0606fu}, {"mmpga", 278, 0x79070306u},
+    {"mpa", 2724, 0x883754f2u}, {"mpga", 1118, 0x19c4a1ecu},
+    {"params", 36, 0xf778056eu}, {"rla", 810, 0x5d57e8b7u},
+    {"rlga", 807, 0xa5a05b7bu}, {"sga", 0, 0x00000000u},
+    {"sgga", 0, 0x00000000u},
+};
+
 TEST(SageEncode, ByteIdenticalAcrossPoolSizes)
 {
     // Pinned size and trailer CRC of each archive: a change to the
@@ -348,10 +430,11 @@ TEST(SageEncode, ByteIdenticalAcrossPoolSizes)
         bool longReads;
         size_t bytes;
         uint32_t crc;
+        const StreamPin (&streams)[17];
     };
     ThreadPool one(1), four(4);
-    for (const Case &c : {Case{false, 35376, 0xbbaa5012u},
-                          Case{true, 38729, 0x624df32fu}}) {
+    for (const Case &c : {Case{false, 35502, 0xd0674f14u, kTinyShortStreams},
+                          Case{true, 39098, 0xd74f2205u, kTinyLongStreams}}) {
         SCOPED_TRACE(c.longReads ? "long reads" : "short reads");
         const SimulatedDataset ds =
             synthesizeDataset(makeTinySpec(c.longReads));
@@ -365,6 +448,7 @@ TEST(SageEncode, ByteIdenticalAcrossPoolSizes)
                   serial);
         ASSERT_EQ(serial.size(), c.bytes);
         EXPECT_EQ(trailerCrc(serial), c.crc);
+        expectStreamsBesidesQuality(serial, c.streams);
     }
 }
 
@@ -388,8 +472,9 @@ TEST(SageEncode, ByteIdenticalOnRepeatRichReads)
               serial);
     EXPECT_EQ(sageCompress(ds.readSet, ds.reference, config, &four).bytes,
               serial);
-    ASSERT_EQ(serial.size(), 121121u);
-    EXPECT_EQ(trailerCrc(serial), 0x2e2940d1u);
+    ASSERT_EQ(serial.size(), 121428u);
+    EXPECT_EQ(trailerCrc(serial), 0x0168ed9cu);
+    expectStreamsBesidesQuality(serial, kRepeatRichStreams);
 }
 
 TEST(SageEncode, ByteIdenticalWithSmallQualityBlocks)
@@ -414,9 +499,42 @@ TEST(SageEncode, ByteIdenticalWithSmallQualityBlocks)
               serial);
     EXPECT_EQ(sageCompress(ds.readSet, ds.reference, config, &four).bytes,
               serial);
-    ASSERT_EQ(serial.size(), 67574u);
-    EXPECT_EQ(trailerCrc(serial), 0xf39ff689u);
+    ASSERT_EQ(serial.size(), 80342u);
+    EXPECT_EQ(trailerCrc(serial), 0x4c10c5d8u);
+    expectStreamsBesidesQuality(serial, kSmallBlockStreams);
     EXPECT_EQ(recordSet(sageDecompress(serial)), recordSet(ds.readSet));
+
+    // A block ends at each chunk boundary and every 4096 characters
+    // within a chunk: 153 of the 159 start inside a read.
+    const QualityArchive quality = unpackQuality(
+        StreamBundle::deserialize(serial).stream("quality"));
+    std::set<uint64_t> read_starts;
+    uint64_t at = 0;
+    for (uint32_t length : quality.readLengths) {
+        read_starts.insert(at);
+        at += length;
+    }
+    size_t mid_read = 0;
+    at = 0;
+    for (uint64_t chars : quality.blockChars) {
+        mid_read += read_starts.count(at) == 0;
+        at += chars;
+    }
+    EXPECT_EQ(quality.blocks.size(), 159u);
+    EXPECT_EQ(mid_read, 153u);
+}
+
+TEST(SageEncode, QualityOfAnotherLengthIsRejected)
+{
+    // A read's quality is empty or one character per base: the decoder
+    // refuses any other length, so the writer does not write one.
+    SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
+    ds.readSet.reads[3].quals.pop_back();
+    EXPECT_DEATH(
+        { sageCompress(ds.readSet, ds.reference); },
+        "read 3 has 149 quality characters for 150 bases");
+    ds.readSet.reads[3].quals.clear();
+    EXPECT_NO_FATAL_FAILURE(sageCompress(ds.readSet, ds.reference));
 }
 
 TEST(SageDecoderInfo, StreamSizesAndWorkingSet)
