@@ -2,18 +2,19 @@
  * @file
  * libFuzzer entry point for the untrusted-container surface: the
  * StreamDirectory framing parser, the full archive open
- * (SageDecoder::tryOpen — stream decompression, parameter decode,
- * consensus unpack, chunk-table validation), per-chunk decode, and
- * the trailer checksum walk. Every byte here is attacker-controlled;
+ * (SageDecoder::tryOpen — parameter decode, consensus unpack,
+ * chunk-table and host-stream table validation), per-chunk decode
+ * with its first-use header and quality block decodes, and the
+ * trailer checksum walk. Every byte here is attacker-controlled;
  * the contract under test is "a Status, never a crash". Each chunk
  * decodes through both of the decoder's loops, per read and into
  * columns, and the harness aborts when they disagree on a read or on
  * the StatusCode.
  *
  * Built behind -DSAGE_BUILD_FUZZERS=ON (clang only); see
- * fuzz/CMakeLists.txt. Seeds live in fuzz/corpus/ — a valid tiny
- * archive plus truncated/flipped variants gives the fuzzer the
- * framing structure to mutate from.
+ * fuzz/CMakeLists.txt. Seeds live in fuzz/corpus/ — valid tiny
+ * archives in both host-stream layouts plus truncated/flipped variants
+ * give the fuzzer the framing structure to mutate from.
  */
 
 #include <cstddef>

@@ -231,11 +231,12 @@ encodeBlock(const std::vector<Token> &tokens)
     return bw.take();
 }
 
-/** Decode one block into @p out (expected decompressed size known). */
+/** Decode the @p size-byte block at @p block into @p out (expected
+ *  decompressed size known). */
 void
-decodeBlock(const std::vector<uint8_t> &block, std::vector<uint8_t> &out)
+decodeBlock(const uint8_t *block, size_t size, std::vector<uint8_t> &out)
 {
-    BitReader br(block);
+    BitReader br(block, size);
     std::vector<uint8_t> lit_lens(kNumLitLen), dist_lens(kNumDistSlots);
     for (auto &len : lit_lens)
         len = static_cast<uint8_t>(br.readBits(4));
@@ -329,33 +330,36 @@ struct Header
 };
 
 Header
-parseHeader(const std::vector<uint8_t> &archive)
+parseHeader(const uint8_t *archive, size_t size)
 {
     size_t pos = 0;
-    sage_check_data(archive.size() >= 8, Truncated,
-                    "gpzip archive too small");
+    sage_check_data(size >= 8, Truncated, "gpzip archive too small");
     uint32_t magic = 0;
     for (int i = 0; i < 4; i++)
         magic |= static_cast<uint32_t>(archive[pos++]) << (8 * i);
     if (magic != kMagic)
         sage_check_data(false, Corrupt, "not a gpzip archive (bad magic)");
     Header hdr;
-    hdr.originalSize = getVarint(archive, pos);
-    hdr.blockSize = getVarint(archive, pos);
-    const uint64_t num_blocks = getVarint(archive, pos);
+    hdr.originalSize = getVarint(archive, size, pos);
+    hdr.blockSize = getVarint(archive, size, pos);
+    const uint64_t num_blocks = getVarint(archive, size, pos);
+    // Each block size takes at least one byte.
+    sage_check_data(num_blocks <= size - pos, Truncated,
+                    "gpzip archive truncated");
     std::vector<uint64_t> sizes(num_blocks);
     for (auto &s : sizes)
-        s = getVarint(archive, pos);
+        s = getVarint(archive, size, pos);
+    sage_check_data(pos + 4 <= size, Truncated, "gpzip archive truncated");
     hdr.crc = 0;
     for (int i = 0; i < 4; i++)
         hdr.crc |= static_cast<uint32_t>(archive[pos++]) << (8 * i);
     size_t off = pos;
     for (uint64_t s : sizes) {
+        sage_check_data(s <= size - off, Truncated,
+                        "gpzip archive truncated");
         hdr.blocks.emplace_back(off, s);
         off += s;
     }
-    sage_check_data(off <= archive.size(), Truncated,
-                    "gpzip archive truncated");
     return hdr;
 }
 
@@ -365,19 +369,17 @@ namespace {
 
 /** Shared decode core; reports malformed input via StatusError. */
 std::vector<uint8_t>
-decompressOrThrow(const std::vector<uint8_t> &archive, ThreadPool *pool)
+decompressOrThrow(const uint8_t *archive, size_t size, ThreadPool *pool)
 {
-    const Header hdr = parseHeader(archive);
+    const Header hdr = parseHeader(archive, size);
     std::vector<std::vector<uint8_t>> outputs(hdr.blocks.size());
     auto do_block = [&](size_t b) {
         const auto &[off, len] = hdr.blocks[b];
-        std::vector<uint8_t> block(archive.begin() + off,
-                                   archive.begin() + off + len);
         const size_t expect = b + 1 < hdr.blocks.size()
             ? hdr.blockSize
             : hdr.originalSize - b * hdr.blockSize;
         outputs[b].reserve(expect);
-        decodeBlock(block, outputs[b]);
+        decodeBlock(archive + off, len, outputs[b]);
         sage_check_data(outputs[b].size() == expect, Corrupt,
                         "gpzip block decoded to unexpected size");
     };
@@ -402,9 +404,15 @@ decompressOrThrow(const std::vector<uint8_t> &archive, ThreadPool *pool)
 StatusOr<std::vector<uint8_t>>
 tryDecompress(const std::vector<uint8_t> &archive, ThreadPool *pool)
 {
+    return tryDecompress(archive.data(), archive.size(), pool);
+}
+
+StatusOr<std::vector<uint8_t>>
+tryDecompress(const uint8_t *archive, size_t size, ThreadPool *pool)
+{
     try {
         return StatusOr<std::vector<uint8_t>>(
-            decompressOrThrow(archive, pool));
+            decompressOrThrow(archive, size, pool));
     } catch (const StatusError &err) {
         return err.status();
     } catch (const std::bad_alloc &) {

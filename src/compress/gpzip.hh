@@ -56,6 +56,11 @@ StatusOr<std::vector<uint8_t>>
 tryDecompress(const std::vector<uint8_t> &archive,
               ThreadPool *pool = nullptr);
 
+/** tryDecompress() of the @p size-byte container at @p archive. */
+StatusOr<std::vector<uint8_t>>
+tryDecompress(const uint8_t *archive, size_t size,
+              ThreadPool *pool = nullptr);
+
 } // namespace gpzip
 } // namespace sage
 

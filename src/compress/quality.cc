@@ -107,16 +107,16 @@ checkAlphabet(uint64_t size)
  *  The output grows as symbols decode, so a character count the
  *  payload cannot back allocates no more than the payload's share. */
 std::string
-decodeRangeBlock(const std::string &alphabet,
-                 const std::vector<uint8_t> &payload, uint64_t chars)
+decodeRangeBlock(const std::string &alphabet, const uint8_t *payload,
+                 size_t size, uint64_t chars)
 {
     const auto symbols = static_cast<unsigned>(alphabet.size());
     QualityContext context(symbols);
     AdaptiveModel models(symbols, context.count());
-    RangeDecoder dec(payload.data(), payload.size());
+    RangeDecoder dec(payload, size);
     std::string out;
     out.reserve(static_cast<size_t>(
-        std::min(chars, kRangeReserveCharsPerByte * payload.size())));
+        std::min<uint64_t>(chars, kRangeReserveCharsPerByte * size)));
     for (uint64_t i = 0; i < chars; i++) {
         const unsigned sym = models.decode(dec, context.current());
         out.push_back(alphabet[sym]);
@@ -145,13 +145,13 @@ struct RansTables
 
 /** Parse the tables of a rANS block from @p pos (advanced). */
 RansTables
-readRansTables(const std::vector<uint8_t> &payload, size_t &pos,
+readRansTables(const uint8_t *payload, size_t size, size_t &pos,
                unsigned symbols)
 {
     RansTables t;
     t.symbols = symbols;
     const unsigned contexts = symbols * 4;
-    const uint64_t used = getVarint(payload, pos);
+    const uint64_t used = getVarint(payload, size, pos);
     sage_check_data(used <= contexts, Corrupt, "quality block stores ",
                     used, " contexts; its alphabet has ", contexts);
     t.used = static_cast<unsigned>(used);
@@ -164,7 +164,7 @@ readRansTables(const std::vector<uint8_t> &payload, size_t &pos,
     // Contexts, and each context's symbols, are stored in ascending
     // order as gaps from the one before.
     auto next_index = [&](uint64_t first, unsigned limit, const char *what) {
-        const uint64_t gap = getVarint(payload, pos);
+        const uint64_t gap = getVarint(payload, size, pos);
         sage_check_data(first < limit && gap < limit - first, Corrupt,
                         "quality ", what, " outside its range of ", limit);
         return first + gap;
@@ -176,7 +176,7 @@ readRansTables(const std::vector<uint8_t> &payload, size_t &pos,
         t.tableOf[context] = static_cast<uint16_t>(table);
         // Only a one-symbol alphabet has a context of one symbol: that
         // symbol would cost nothing (see the payload bound below).
-        const uint64_t count = getVarint(payload, pos);
+        const uint64_t count = getVarint(payload, size, pos);
         sage_check_data(count >= std::min(symbols, 2u) && count <= symbols,
                         Corrupt, "quality context of ", count,
                         " symbols in an alphabet of ", symbols);
@@ -184,7 +184,7 @@ readRansTables(const std::vector<uint8_t> &payload, size_t &pos,
         uint32_t cum = 0;
         for (uint64_t i = 0; i < count; i++) {
             symbol = next_index(i > 0 ? symbol + 1 : 0, symbols, "symbol");
-            const uint64_t freq = getVarint(payload, pos);
+            const uint64_t freq = getVarint(payload, size, pos);
             sage_check_data(freq >= 1 && freq <= kScale - cum, Corrupt,
                             "quality frequencies exceed ", kScale);
             t.freqCum[table * symbols + symbol] =
@@ -266,15 +266,15 @@ decodeLanes(const RansTables &t, const std::string &alphabet,
  * encoder started, with every payload byte consumed.
  */
 std::string
-decodeRansBlock(const std::string &alphabet,
-                const std::vector<uint8_t> &payload, uint64_t chars)
+decodeRansBlock(const std::string &alphabet, const uint8_t *payload,
+                size_t size, uint64_t chars)
 {
     const auto symbols = static_cast<unsigned>(alphabet.size());
     const QualityContext context(symbols);
     size_t pos = 1;
-    const RansTables tables = readRansTables(payload, pos, symbols);
+    const RansTables tables = readRansTables(payload, size, pos, symbols);
     const unsigned lanes = laneCount(chars);
-    sage_check_data(payload.size() - pos >= 4u * lanes, Truncated,
+    sage_check_data(size - pos >= 4u * lanes, Truncated,
                     "quality block ends inside its lane states");
     uint32_t x[kMaxLanes] = {};
     for (unsigned j = 0; j < lanes; j++, pos += 4) {
@@ -289,13 +289,13 @@ decodeRansBlock(const std::string &alphabet,
     // least 1 / kSymbolsPerBit bits: a count past what the bytes can
     // hold would run out of payload, so it is refused before the output
     // exists. (A one-symbol alphabet costs nothing per character.)
-    const uint64_t bits = 8 * (payload.size() - pos) + 32 * lanes;
+    const uint64_t bits = 8 * (size - pos) + 32 * lanes;
     sage_check_data(symbols == 1 || chars / kSymbolsPerBit <= bits,
-                    Truncated, "quality block of ", payload.size(),
+                    Truncated, "quality block of ", size,
                     " bytes cannot hold ", chars, " characters");
     std::string out(static_cast<size_t>(chars), '\0');
-    const uint8_t *p = payload.data() + pos;
-    const uint8_t *end = payload.data() + payload.size();
+    const uint8_t *p = payload + pos;
+    const uint8_t *end = payload + size;
     const uint64_t steps = chars / lanes;
     const uint64_t tail = chars % lanes;
     using LaneDecoder = bool (*)(const RansTables &, const std::string &,
@@ -318,16 +318,16 @@ decodeRansBlock(const std::string &alphabet,
 /** Decode one block of @p chars characters in the codec its first
  *  byte names. */
 std::string
-decodeBlock(const std::string &alphabet,
-            const std::vector<uint8_t> &payload, uint64_t chars)
+decodeBlock(const std::string &alphabet, const uint8_t *payload,
+            size_t size, uint64_t chars)
 {
     checkAlphabet(alphabet.size());
-    sage_check_data(!payload.empty(), Truncated, "empty quality block");
+    sage_check_data(size > 0, Truncated, "empty quality block");
     switch (payload[0]) {
       case kCodecRange:
-        return decodeRangeBlock(alphabet, payload, chars);
+        return decodeRangeBlock(alphabet, payload, size, chars);
       case kCodecRans:
-        return decodeRansBlock(alphabet, payload, chars);
+        return decodeRansBlock(alphabet, payload, size, chars);
       default:
         sage_check_data(false, Corrupt, "quality block codec ",
                         unsigned(payload[0]), " unknown");
@@ -509,6 +509,34 @@ encodeLanes(LaneReader *readers, const uint32_t *table_of,
         x[j] = state[j];
 }
 
+/** The row of a chunk of @p reads reads, whose read i has
+ *  @p length(i) quality characters. */
+template <typename Length>
+QualityChunk
+chunkRow(uint64_t reads, const Length &length)
+{
+    QualityChunk row;
+    row.reads = reads;
+    row.mask.assign(static_cast<size_t>((reads + 7) / 8), 0);
+    uint64_t with = 0;
+    for (uint64_t i = 0; i < reads; i++) {
+        const uint64_t n = length(i);
+        row.chars += n;
+        if (n > 0) {
+            with++;
+            row.mask[i >> 3] |= static_cast<uint8_t>(1u << (i & 7));
+        }
+    }
+    row.presence = with == 0 ? QualityPresence::None
+        : with == reads      ? QualityPresence::All
+                             : QualityPresence::Some;
+    if (row.presence != QualityPresence::Some) {
+        row.reads = 0;
+        row.mask.clear();
+    }
+    return row;
+}
+
 } // namespace
 
 uint64_t
@@ -563,6 +591,20 @@ QualityEncoder::QualityEncoder(std::vector<std::string_view> quals,
     archive_.readLengths.reserve(quals_.size());
     for (std::string_view q : quals_)
         archive_.readLengths.push_back(static_cast<uint32_t>(q.size()));
+
+    // One row per chunk (all reads are one chunk without chunkReads):
+    // its characters, and which reads have any.
+    const uint64_t reads = quals_.size();
+    const uint64_t chunk_reads = chunkReads > 0 ? chunkReads : reads;
+    const uint64_t rows =
+        chunkReads > 0 ? (reads + chunkReads - 1) / chunkReads : 1;
+    for (uint64_t k = 0; k < rows; k++) {
+        const size_t first = static_cast<size_t>(k * chunk_reads);
+        const size_t end = static_cast<size_t>(
+            std::min<uint64_t>(first + chunk_reads, reads));
+        archive_.chunks.push_back(chunkRow(
+            end - first, [&](uint64_t i) { return quals_[first + i].size(); }));
+    }
 
     // Cut the characters into blocks of at most config.blockChars,
     // noting where each starts. A block also ends at a chunk boundary
@@ -777,15 +819,21 @@ compressQuality(const std::vector<std::string> &quals,
         pool);
 }
 
-std::vector<uint8_t>
-packQuality(const QualityArchive &archive)
+namespace {
+
+/** First byte of a stream in the per-chunk framing. */
+constexpr uint8_t kChunkedFraming = 0;
+
+void
+putAlphabet(std::vector<uint8_t> &out, const std::string &alphabet)
 {
-    std::vector<uint8_t> out;
-    putVarint(out, archive.alphabet.size());
-    out.insert(out.end(), archive.alphabet.begin(), archive.alphabet.end());
-    putVarint(out, archive.readLengths.size());
-    for (uint32_t len : archive.readLengths)
-        putVarint(out, len);
+    putVarint(out, alphabet.size());
+    out.insert(out.end(), alphabet.begin(), alphabet.end());
+}
+
+void
+putBlocks(std::vector<uint8_t> &out, const QualityArchive &archive)
+{
     putVarint(out, archive.blocks.size());
     for (size_t b = 0; b < archive.blocks.size(); b++) {
         putVarint(out, archive.blockChars[b]);
@@ -793,14 +841,64 @@ packQuality(const QualityArchive &archive)
         out.insert(out.end(), archive.blocks[b].begin(),
                    archive.blocks[b].end());
     }
+}
+
+} // namespace
+
+std::vector<uint8_t>
+packQuality(const QualityArchive &archive)
+{
+    std::vector<uint8_t> out;
+    putAlphabet(out, archive.alphabet);
+    putVarint(out, archive.readLengths.size());
+    for (uint32_t len : archive.readLengths)
+        putVarint(out, len);
+    putBlocks(out, archive);
     return out;
 }
 
-QualityArchive
-unpackQuality(const std::vector<uint8_t> &bytes)
+std::vector<uint8_t>
+packChunkedQuality(const QualityArchive &archive)
 {
-    QualityArchive qa;
-    size_t pos = 0;
+    std::vector<uint8_t> out = {kChunkedFraming};
+    putAlphabet(out, archive.alphabet);
+    putVarint(out, archive.chunks.size());
+    // Chunks of equal length mostly hold equal counts: a row codes its
+    // count as the change from the last row's, beside its presence, in
+    // one byte when the count repeats.
+    uint64_t last = 0;
+    for (const QualityChunk &row : archive.chunks) {
+        putVarint(out, zigzagEncode(static_cast<int64_t>(row.chars - last))
+                               << 2 |
+                           static_cast<uint64_t>(row.presence));
+        last = row.chars;
+        if (row.presence == QualityPresence::Some) {
+            putVarint(out, row.reads);
+            out.insert(out.end(), row.mask.begin(), row.mask.end());
+        }
+    }
+    putBlocks(out, archive);
+    return out;
+}
+
+namespace {
+
+/** Where one block's payload lies in a quality stream. */
+struct BlockExtent
+{
+    size_t offset = 0;
+    size_t size = 0;
+};
+
+/** Parse quality stream @p bytes in either framing, leaving the block
+ *  payloads in place: @p qa gets everything but them, and @p extents
+ *  where each lies (the checks of unpackQuality()). */
+void
+parseQuality(const std::vector<uint8_t> &bytes, QualityArchive &qa,
+             std::vector<BlockExtent> &extents)
+{
+    const bool chunked = !bytes.empty() && bytes[0] == kChunkedFraming;
+    size_t pos = chunked ? 1 : 0;
     const uint64_t alpha_len = getVarint(bytes, pos);
     checkAlphabet(alpha_len);
     sage_check_data(alpha_len <= bytes.size() - pos, Truncated,
@@ -809,39 +907,94 @@ unpackQuality(const std::vector<uint8_t> &bytes)
     pos += alpha_len;
     // Every varint takes at least one byte, so each count is bounded by
     // the bytes left before anything is allocated for it.
-    const uint64_t reads = getVarint(bytes, pos);
-    sage_check_data(reads <= bytes.size() - pos, Truncated,
-                    "quality read lengths run past the stream end");
-    qa.readLengths.reserve(reads);
-    for (uint64_t i = 0; i < reads; i++) {
-        const uint64_t len = getVarint(bytes, pos);
-        sage_check_data(len <= UINT32_MAX, Corrupt, "quality length ", len,
-                        " out of range");
-        qa.readLengths.push_back(static_cast<uint32_t>(len));
+    if (chunked) {
+        const uint64_t chunks = getVarint(bytes, pos);
+        sage_check_data(chunks <= bytes.size() - pos, Truncated,
+                        "quality chunk rows run past the stream end");
+        qa.chunks.reserve(chunks);
+        uint64_t last = 0;
+        for (uint64_t c = 0; c < chunks; c++) {
+            QualityChunk row;
+            const uint64_t code = getVarint(bytes, pos);
+            const int64_t change = zigzagDecode(code >> 2);
+            sage_check_data(change >= 0
+                                ? uint64_t(change) <= UINT64_MAX - last
+                                : uint64_t(-change) <= last,
+                            Corrupt, "quality chunk ", c,
+                            "'s character count out of range");
+            row.chars = last + static_cast<uint64_t>(change);
+            last = row.chars;
+            const uint64_t presence = code & 3;
+            sage_check_data(presence <= 2, Corrupt, "quality presence ",
+                            presence, " unknown");
+            row.presence = static_cast<QualityPresence>(presence);
+            sage_check_data(row.presence != QualityPresence::None ||
+                                row.chars == 0,
+                            Corrupt, "quality chunk ", c, " holds ",
+                            row.chars, " characters and no read with "
+                            "quality");
+            if (row.presence == QualityPresence::Some) {
+                row.reads = getVarint(bytes, pos);
+                const uint64_t mask = row.reads / 8 + (row.reads % 8 != 0);
+                sage_check_data(mask <= bytes.size() - pos, Truncated,
+                                "quality presence mask runs past the "
+                                "stream end");
+                row.mask.assign(bytes.begin() + pos,
+                                bytes.begin() + pos + mask);
+                pos += mask;
+            }
+            qa.chunks.push_back(std::move(row));
+        }
+    } else {
+        const uint64_t reads = getVarint(bytes, pos);
+        sage_check_data(reads <= bytes.size() - pos, Truncated,
+                        "quality read lengths run past the stream end");
+        qa.readLengths.reserve(reads);
+        for (uint64_t i = 0; i < reads; i++) {
+            const uint64_t len = getVarint(bytes, pos);
+            sage_check_data(len <= UINT32_MAX, Corrupt, "quality length ",
+                            len, " out of range");
+            qa.readLengths.push_back(static_cast<uint32_t>(len));
+        }
     }
     const uint64_t blocks = getVarint(bytes, pos);
     sage_check_data(blocks <= (bytes.size() - pos) / 2, Truncated,
                     "quality block table runs past the stream end");
     qa.blockChars.reserve(blocks);
-    qa.blocks.reserve(blocks);
+    extents.reserve(blocks);
     for (uint64_t b = 0; b < blocks; b++) {
         qa.blockChars.push_back(getVarint(bytes, pos));
         const uint64_t size = getVarint(bytes, pos);
         sage_check_data(size <= bytes.size() - pos, Truncated,
                         "quality block runs past the stream end");
-        qa.blocks.emplace_back(bytes.begin() + pos,
-                               bytes.begin() + pos + size);
+        extents.push_back({pos, static_cast<size_t>(size)});
         pos += size;
     }
+}
+
+} // namespace
+
+QualityArchive
+unpackQuality(const std::vector<uint8_t> &bytes)
+{
+    QualityArchive qa;
+    std::vector<BlockExtent> extents;
+    parseQuality(bytes, qa, extents);
+    qa.blocks.reserve(extents.size());
+    for (const BlockExtent &e : extents)
+        qa.blocks.emplace_back(bytes.begin() + e.offset,
+                               bytes.begin() + e.offset + e.size);
     return qa;
 }
+
 
 std::string
 decompressQualityBlock(const QualityArchive &archive, size_t block_index)
 {
     sage_check_data(block_index < archive.blocks.size(), Corrupt,
                 "quality block index out of range");
-    return decodeBlock(archive.alphabet, archive.blocks[block_index],
+    const std::vector<uint8_t> &block = archive.blocks[block_index];
+    return decodeBlock(archive.alphabet, block.data(), block.size(),
                        archive.blockChars[block_index]);
 }
 
@@ -865,50 +1018,103 @@ decompressQuality(const QualityArchive &archive)
     return out;
 }
 
-QualityStore::QualityStore(QualityArchive archive)
-    : alphabet_(std::move(archive.alphabet)),
-      blocks_(std::make_unique<Block[]>(archive.blocks.size()))
+QualityStore::QualityStore(std::vector<uint8_t> stream,
+                           const std::vector<uint64_t> &chunkReads)
+    : stream_(std::move(stream))
 {
-    readStart_.reserve(archive.readLengths.size() + 1);
-    uint64_t chars = 0;
-    readStart_.push_back(chars);
-    for (uint32_t len : archive.readLengths) {
-        sage_check_data(len <= UINT64_MAX - chars, Corrupt,
-                        "quality lengths overflow");
-        chars += len;
-        readStart_.push_back(chars);
+    QualityArchive archive;
+    std::vector<BlockExtent> extents;
+    parseQuality(stream_, archive, extents);
+    alphabet_ = std::move(archive.alphabet);
+    readLengths_ = std::move(archive.readLengths);
+    blocks_ = std::make_unique<LazyBlock<std::string>[]>(extents.size());
+    uint64_t reads = 0;
+    chunkFirstRead_.reserve(chunkReads.size());
+    for (const uint64_t n : chunkReads) {
+        chunkFirstRead_.push_back(reads);
+        reads += n;
     }
-    blockStart_.reserve(archive.blocks.size() + 1);
+    // The per-read framing (or no rows at all) becomes chunk rows here:
+    // a read has quality when its stored length is not 0.
+    const bool per_read = !readLengths_.empty() || archive.chunks.empty();
+    if (per_read) {
+        sage_check_data(readLengths_.size() == reads, Corrupt,
+                        "quality stream holds ", readLengths_.size(),
+                        " reads; the archive has ", reads);
+        archive.chunks.clear();
+        for (size_t c = 0; c < chunkReads.size(); c++) {
+            const uint32_t *lengths = readLengths_.data() + chunkFirstRead_[c];
+            archive.chunks.push_back(chunkRow(
+                chunkReads[c], [&](uint64_t i) { return lengths[i]; }));
+        }
+    }
+    sage_check_data(archive.chunks.size() == chunkReads.size(), Corrupt,
+                    "quality stream holds ", archive.chunks.size(),
+                    " chunks; the archive has ", chunkReads.size());
+    chunks_ = std::move(archive.chunks);
+    chunkStart_.reserve(chunks_.size() + 1);
+    uint64_t chars = 0;
+    chunkStart_.push_back(chars);
+    for (size_t c = 0; c < chunks_.size(); c++) {
+        const QualityChunk &row = chunks_[c];
+        sage_check_data(row.presence != QualityPresence::Some ||
+                            (row.reads == chunkReads[c] &&
+                             row.mask.size() == (row.reads + 7) / 8),
+                        Corrupt, "quality presence mask of chunk ", c,
+                        " covers ", row.reads, " reads; the chunk has ",
+                        chunkReads[c]);
+        sage_check_data(row.chars <= UINT64_MAX - chars, Corrupt,
+                        "quality characters overflow");
+        chars += row.chars;
+        chunkStart_.push_back(chars);
+    }
+    blockStart_.reserve(extents.size() + 1);
     uint64_t at = 0;
     blockStart_.push_back(at);
-    for (size_t b = 0; b < archive.blocks.size(); b++) {
+    for (size_t b = 0; b < extents.size(); b++) {
         sage_check_data(archive.blockChars[b] <= chars - at, Corrupt,
                         "quality blocks hold more characters than the "
                         "reads");
         at += archive.blockChars[b];
         blockStart_.push_back(at);
-        blocks_[b].payload = std::move(archive.blocks[b]);
+        blocks_[b].payload = stream_.data() + extents[b].offset;
+        blocks_[b].size = extents[b].size;
     }
     sage_check_data(at == chars, Corrupt,
                     "quality blocks hold fewer characters than the reads");
 }
 
-void
-QualityStore::appendRead(uint64_t index, std::string &out) const
+ChunkQuality
+QualityStore::chunk(size_t chunk) const
 {
-    sage_assert(index < readCount(), "quality read index out of range");
-    uint64_t at = readStart_[index];
-    const uint64_t end = readStart_[index + 1];
-    if (at == end)
+    const QualityChunk &row = chunks_[chunk];
+    ChunkQuality out;
+    out.start = chunkStart_[chunk];
+    out.chars = row.chars;
+    out.presence = row.presence;
+    out.mask = row.mask.data();
+    if (!readLengths_.empty())
+        out.lengths = readLengths_.data() + chunkFirstRead_[chunk];
+    return out;
+}
+
+void
+QualityStore::append(uint64_t at, uint64_t n, std::string &out) const
+{
+    const uint64_t end = at + n;
+    sage_check_data(at <= blockStart_.back() && n <= blockStart_.back() - at,
+                    Corrupt, "quality characters [", at, ", ", end,
+                    ") run past the stream's ", blockStart_.back());
+    if (n == 0)
         return;
-    // The last block that starts at or before the read's first character.
+    // The last block that starts at or before the first character.
     size_t b = static_cast<size_t>(
         std::upper_bound(blockStart_.begin(), blockStart_.end() - 1, at) -
         blockStart_.begin() - 1);
     // Reserve only when short: one exact allocation for a fresh
     // string, none for a column arena sized up front.
-    if (out.capacity() - out.size() < end - at)
-        out.reserve(out.size() + (end - at));
+    if (out.capacity() - out.size() < n)
+        out.reserve(out.size() + n);
     for (; at < end; b++) {
         const uint64_t stop = std::min(end, blockStart_[b + 1]);
         out.append(decoded(b), at - blockStart_[b], stop - at);
@@ -919,18 +1125,10 @@ QualityStore::appendRead(uint64_t index, std::string &out) const
 const std::string &
 QualityStore::decoded(size_t b) const
 {
-    Block &block = blocks_[b];
-    if (!block.ready.load()) {
-        std::lock_guard<std::mutex> lock(block.mutex);
-        if (!block.ready.load()) {
-            // Assigned only once the decode returns: a throw leaves the
-            // block empty and not ready, so the next reader retries.
-            block.chars = decodeBlock(alphabet_, block.payload,
-                                      blockStart_[b + 1] - blockStart_[b]);
-            block.ready.store(true);
-        }
-    }
-    return block.chars;
+    return blocks_[b].get([&](const uint8_t *payload, size_t size) {
+        return decodeBlock(alphabet_, payload, size,
+                           blockStart_[b + 1] - blockStart_[b]);
+    });
 }
 
 } // namespace sage

@@ -1,13 +1,12 @@
 #include "core/decoder.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <new>
 #include <numeric>
 #include <stdexcept>
 
-#include "compress/gpzip.hh"
+#include "compress/headers.hh"
 #include "compress/quality.hh"
 #include "core/tuned_array.hh"
 #include "util/bitio.hh"
@@ -77,6 +76,19 @@ struct SageDecoder::ChunkCursor
      *  reader here. */
     size_t escapeByte = 0;
     uint64_t prevPrimary = 0;
+};
+
+/** One chunk's host fields, as its reads decode in order. */
+struct SageDecoder::ChunkHost
+{
+    /** Total bases of the chunk's reads. */
+    uint64_t bases = 0;
+    /** Read only when the decoder has a header store. */
+    ChunkHeaders headers;
+    /** No read has quality when the decoder has no quality store. */
+    ChunkQuality quality;
+    /** Where the next read's quality characters start. */
+    uint64_t qualityAt = 0;
 };
 
 StatusOr<std::unique_ptr<SageDecoder>>
@@ -174,79 +186,6 @@ try {
         dnaExtents_[s] = dir.extent(kChunkStreamNames[s]);
     }
 
-    // Host-side streams (skipped entirely in DNA-only mode). Headers
-    // stay one decoded text buffer indexed by line starts; quality keeps
-    // only its framing, and each block decodes when a read first needs
-    // it. The encoder writes one header line and one quality length per
-    // read, so a stream that disagrees with the read count is corrupt:
-    // serving it would hand out empty or misaligned fields.
-    if (!dna_only) {
-        status = dir.tryLoad(*source_, "headers", raw);
-        if (!status.ok())
-            return status;
-        StatusOr<std::vector<uint8_t>> headers = gpzip::tryDecompress(raw);
-        if (!headers.ok())
-            return headers.status();
-        headerText_ = std::move(headers.value());
-        const uint8_t *text = headerText_.data();
-        const size_t size = headerText_.size();
-        headerStarts_.push_back(0);
-        for (size_t at = 0; at < size;) {
-            const void *newline = std::memchr(text + at, '\n', size - at);
-            sage_check_data(newline != nullptr, Corrupt,
-                            "header stream ends inside a line");
-            at = static_cast<size_t>(
-                static_cast<const uint8_t *>(newline) - text) + 1;
-            headerStarts_.push_back(at);
-        }
-        sage_check_data(headerStarts_.size() - 1 == params.numReads,
-                        Corrupt, "header stream holds ",
-                        headerStarts_.size() - 1, " lines for ",
-                        params.numReads, " reads");
-    }
-    // The order stream maps stored read i to its original index. It is
-    // a permutation of [0, numReads), or decodeAll would put reads in
-    // the wrong places or outside its result.
-    if (dir.has("order")) {
-        status = dir.tryLoad(*source_, "order", raw);
-        if (!status.ok())
-            return status;
-        const uint64_t reads = params.numReads;
-        // Each entry takes at least one byte and fits 32 bits: check
-        // before allocating.
-        sage_check_data(reads <= raw.size() && reads <= UINT32_MAX,
-                        Corrupt, "order stream of ", raw.size(),
-                        " bytes cannot hold ", reads, " entries");
-        std::vector<bool> seen(static_cast<size_t>(reads));
-        order_.reserve(static_cast<size_t>(reads));
-        size_t pos = 0;
-        while (pos < raw.size()) {
-            const uint64_t original = getVarint(raw, pos);
-            sage_check_data(original < reads, Corrupt, "order entry ",
-                            original, " is out of range for ", reads,
-                            " reads");
-            sage_check_data(!seen[original], Corrupt, "order entry ",
-                            original, " appears twice");
-            seen[original] = true;
-            order_.push_back(static_cast<uint32_t>(original));
-        }
-        sage_check_data(order_.size() == reads, Corrupt,
-                        "order stream holds ", order_.size(),
-                        " entries for ", reads, " reads");
-    }
-    if (!dna_only && params.hasQuality) {
-        sage_check_data(dir.has("quality"), Corrupt,
-                        "archive declares quality scores but has no "
-                        "quality stream");
-        status = dir.tryLoad(*source_, "quality", raw);
-        if (!status.ok())
-            return status;
-        quals_ = std::make_unique<QualityStore>(unpackQuality(raw));
-        sage_check_data(quals_->readCount() == params.numReads, Corrupt,
-                        "quality stream holds ", quals_->readCount(),
-                        " reads; the archive has ", params.numReads);
-    }
-
     matchCodec_ = std::make_unique<TunedFieldCodec>(params.matchPos);
     lenCodec_ = std::make_unique<TunedFieldCodec>(params.readLen);
     countCodec_ = std::make_unique<TunedFieldCodec>(params.mismatchCount);
@@ -291,6 +230,64 @@ try {
                             kChunkStreamNames[s]);
             chunks_[c].sizes[s] = end - begin;
         }
+    }
+
+    // Host-side streams (skipped entirely in DNA-only mode). Only their
+    // tables are read here, in time linear in chunks and blocks, not in
+    // reads: each header and quality block decodes when a chunk first
+    // needs it. A table that disagrees with the read count or the
+    // chunks is corrupt: serving it would hand out empty or misaligned
+    // fields.
+    std::vector<uint64_t> chunk_reads;
+    chunk_reads.reserve(chunks_.size());
+    for (const ChunkSlice &slice : chunks_)
+        chunk_reads.push_back(slice.readCount);
+    if (!dna_only) {
+        status = dir.tryLoad(*source_, "headers", raw);
+        if (!status.ok())
+            return status;
+        headers_ = std::make_unique<HeaderStore>(
+            std::move(raw), params.numReads, chunk_reads);
+    }
+    // The order stream maps stored read i to its original index. It is
+    // a permutation of [0, numReads), or decodeAll would put reads in
+    // the wrong places or outside its result.
+    if (dir.has("order")) {
+        status = dir.tryLoad(*source_, "order", raw);
+        if (!status.ok())
+            return status;
+        const uint64_t reads = params.numReads;
+        // Each entry takes at least one byte and fits 32 bits: check
+        // before allocating.
+        sage_check_data(reads <= raw.size() && reads <= UINT32_MAX,
+                        Corrupt, "order stream of ", raw.size(),
+                        " bytes cannot hold ", reads, " entries");
+        std::vector<bool> seen(static_cast<size_t>(reads));
+        order_.reserve(static_cast<size_t>(reads));
+        size_t pos = 0;
+        while (pos < raw.size()) {
+            const uint64_t original = getVarint(raw, pos);
+            sage_check_data(original < reads, Corrupt, "order entry ",
+                            original, " is out of range for ", reads,
+                            " reads");
+            sage_check_data(!seen[original], Corrupt, "order entry ",
+                            original, " appears twice");
+            seen[original] = true;
+            order_.push_back(static_cast<uint32_t>(original));
+        }
+        sage_check_data(order_.size() == reads, Corrupt,
+                        "order stream holds ", order_.size(),
+                        " entries for ", reads, " reads");
+    }
+    if (!dna_only && params.hasQuality) {
+        sage_check_data(dir.has("quality"), Corrupt,
+                        "archive declares quality scores but has no "
+                        "quality stream");
+        status = dir.tryLoad(*source_, "quality", raw);
+        if (!status.ok())
+            return status;
+        quals_ = std::make_unique<QualityStore>(std::move(raw),
+                                                chunk_reads);
     }
     return Status();
 } catch (const StatusError &err) {
@@ -354,28 +351,27 @@ arenaReserve(uint64_t bytes)
 
 } // namespace
 
-std::string_view
-SageDecoder::headerOf(uint64_t read_index) const
-{
-    if (headerStarts_.empty())
-        return {};
-    const uint64_t begin = headerStarts_[read_index];
-    return std::string_view(
-        reinterpret_cast<const char *>(headerText_.data()) + begin,
-        static_cast<size_t>(headerStarts_[read_index + 1] - 1 - begin));
-}
-
 Read
-SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index) const
+SageDecoder::decodeOne(ChunkCursor &cur, ChunkHost &host, uint64_t i) const
 {
     Read read;
     // The read owns its buffer, so the flip swaps in one of exact size.
     if (decodeBases(cur, read.bases))
         reverseComplementInPlace(read.bases);
-    read.header.assign(headerOf(read_index));
-    if (quals_)
-        quals_->appendRead(read_index, read.quals);
+    if (headers_)
+        read.header.assign(host.headers[i]);
+    appendQuality(host, i, read.bases.size(), read.quals);
     return read;
+}
+
+void
+SageDecoder::appendQuality(ChunkHost &host, uint64_t i, uint64_t length,
+                           std::string &out) const
+{
+    if (!host.quality.has(i))
+        return;
+    quals_->append(host.qualityAt, length, out);
+    host.qualityAt += length;
 }
 
 uint64_t
@@ -396,31 +392,54 @@ SageDecoder::readLength(BitReader &rla, BitReader &rlga) const
 }
 
 uint64_t
-SageDecoder::checkChunkLengths(const ChunkCursor &cur,
-                               const ChunkSlice &slice) const
+SageDecoder::checkChunkLengths(const ChunkCursor &cur, size_t chunk,
+                               const ChunkQuality &quality) const
 {
     // Copies of the length streams: the cursor itself stays put.
     BitReader rla = cur.rla;
     BitReader rlga = cur.rlga;
-    uint64_t total = 0;
-    const uint64_t end = slice.firstRead + slice.readCount;
-    for (uint64_t r = slice.firstRead; r < end; r++) {
+    const ChunkSlice &slice = chunks_[chunk];
+    uint64_t total = 0, with_quality = 0;
+    bool whole = true;
+    for (uint64_t i = 0; i < slice.readCount; i++) {
         uint64_t length = 0;
         try {
             length = readLength(rla, rlga);
         } catch (const StatusError &) {
-            break;  // The decode fails at this read too.
+            whole = false;  // The decode fails at this read too.
+            break;
         }
-        if (quals_) {
-            const uint64_t quals =
-                quals_->readOffset(r + 1) - quals_->readOffset(r);
-            sage_check_data(quals == 0 || quals == length, Corrupt,
-                            "read ", r, " has ", quals,
+        if (quality.lengths) {
+            const uint64_t stored = quality.lengths[i];
+            sage_check_data(stored == 0 || stored == length, Corrupt,
+                            "read ", slice.firstRead + i, " has ", stored,
                             " quality characters for ", length, " bases");
         }
+        if (quality.has(i))
+            with_quality += length;
         total += length;
     }
+    // Reads before a failing one must not run past the chunk's
+    // characters either.
+    sage_check_data(whole ? with_quality == quality.chars
+                          : with_quality <= quality.chars,
+                    Corrupt, "chunk ", chunk, " has ", quality.chars,
+                    " quality characters for ", with_quality,
+                    " bases of reads with quality");
     return total;
+}
+
+SageDecoder::ChunkHost
+SageDecoder::openHost(const ChunkCursor &cur, size_t chunk) const
+{
+    ChunkHost host;
+    if (quals_)
+        host.quality = quals_->chunk(chunk);
+    host.qualityAt = host.quality.start;
+    host.bases = checkChunkLengths(cur, chunk, host.quality);
+    if (headers_)
+        host.headers = headers_->chunk(chunk);
+    return host;
 }
 
 bool
@@ -670,11 +689,10 @@ SageDecoder::tryDecodeChunkShared(size_t chunk, Read *out) const
     if (!opened.ok())
         return opened.status();
     ChunkCursor &cur = *opened.value();
-    const ChunkSlice &slice = chunks_[chunk];
     return chunkStatus(chunk, [&] {
-        checkChunkLengths(cur, slice);
-        for (uint64_t r = 0; r < slice.readCount; r++)
-            out[r] = decodeOne(cur, slice.firstRead + r);
+        ChunkHost host = openHost(cur, chunk);
+        for (uint64_t i = 0; i < chunks_[chunk].readCount; i++)
+            out[i] = decodeOne(cur, host, i);
     });
 }
 
@@ -699,32 +717,27 @@ SageDecoder::tryDecodeChunkShared(size_t chunk, ReadColumns &out) const
         return opened.status();
     ChunkCursor &cur = *opened.value();
     return chunkStatus(chunk, [&] {
-        const uint64_t first = slice.firstRead;
-        const uint64_t end = first + slice.readCount;
+        ChunkHost host = openHost(cur, chunk);
         // Each arena is sized for the whole chunk before the first
-        // read: bases from a pass over the length streams, headers and
-        // quality from the host stores' offsets.
-        out.bases.reserve(arenaReserve(checkChunkLengths(cur, slice)));
-        if (!headerStarts_.empty()) {
-            out.headers.reserve(arenaReserve(headerStarts_[end] -
-                                             headerStarts_[first] -
-                                             slice.readCount));
-        }
-        if (quals_) {
-            out.quals.reserve(arenaReserve(quals_->readOffset(end) -
-                                           quals_->readOffset(first)));
-        }
+        // read: bases from a pass over the length streams, headers from
+        // the decoded block's line starts, quality from the chunk's
+        // character count.
+        out.bases.reserve(arenaReserve(host.bases));
+        if (headers_)
+            out.headers.reserve(arenaReserve(host.headers.bytes(
+                slice.readCount)));
+        out.quals.reserve(arenaReserve(host.quality.chars));
         // decodeOne's steps in decodeOne's order, so both loops stop
         // at the same read with the same Status.
-        for (uint64_t r = first; r < end; r++) {
+        for (uint64_t i = 0; i < slice.readCount; i++) {
             const size_t at = out.bases.size();
             // Flip only this read's tail: the arena keeps its buffer.
             if (decodeBases(cur, out.bases))
                 reverseComplementInPlace(out.bases.data() + at,
                                          out.bases.size() - at);
-            out.headers.append(headerOf(r));
-            if (quals_)
-                quals_->appendRead(r, out.quals);
+            if (headers_)
+                out.headers.append(host.headers[i]);
+            appendQuality(host, i, out.bases.size() - at, out.quals);
             out.endRead();
         }
     });

@@ -20,22 +20,25 @@
  * without ever loading the full archive. Both calls report bad bytes
  * and failed reads as a Status; nothing here exits.
  *
- * The host-side streams are loaded at open but not expanded per read.
- * Headers are gpzip-decoded into one text buffer indexed by line
- * starts. Quality keeps only its framing (compress/quality.hh:
- * QualityStore); each quality block range-decodes the first time a
- * decoded read needs it and then stays resident for the decoder's
- * lifetime (paper §5.1.5). Every decode copies header and quality
- * fields out of these shared stores rather than using them up. A chunk
- * decodes into Reads, or into ReadColumns (genomics/read.hh: one arena
- * per field, the form the archive service caches) with no allocation
- * per read; both loops run the same per-read steps.
+ * The two host-side streams are loaded at open, but only their tables
+ * are read, so open does no work per read (but for the optional order
+ * stream, and the per-read lengths of a quality stream written before
+ * the per-chunk framing). Both are cut into blocks that decode the
+ * first time a chunk needs them and then stay resident for the
+ * decoder's lifetime (paper §5.1.5): a chunk's headers lie in one
+ * gpzip block (compress/headers.hh: HeaderStore), and its quality in
+ * rANS blocks (compress/quality.hh: QualityStore), each read taking as
+ * many characters as it has bases. Every decode copies header and
+ * quality fields out of these shared stores rather than using them up.
+ * A chunk decodes into Reads, or into ReadColumns (genomics/read.hh:
+ * one arena per field, the form the archive service caches) with no
+ * allocation per read; both loops run the same per-read steps.
  *
  * Container v2 archives carry a chunk index (format.hh): each chunk is
  * an independently decodable slice of the read set, the software
  * analogue of the paper's per-Scan-Unit slices. v1 archives load as a
  * single chunk. Nothing in an opened decoder changes afterwards (the
- * quality blocks' first-use decode aside, which is internally
+ * host blocks' first-use decode aside, which is internally
  * synchronized), so one decoder serves any number of threads.
  *
  * Sequential walks, whole-archive decodes, original-order restore and
@@ -51,7 +54,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/format.hh"
@@ -62,7 +64,9 @@
 
 namespace sage {
 
+class HeaderStore;
 class QualityStore;
+struct ChunkQuality;
 
 /** Per-archive structural info used by the hardware timing model. */
 struct ArchiveInfo
@@ -82,9 +86,11 @@ class SageDecoder
     /**
      * Open an archive through @p source, which must outlive the
      * decoder. Cheap: the DNA streams are not read until a chunk is
-     * decoded. Every framing field, stream table entry and header
-     * stream is bounds-checked, and any malformed or unreadable input
-     * comes back as a Status (Truncated/Corrupt/IoError/...).
+     * decoded, and no header or quality block decodes. Every framing
+     * field, stream table entry and host-stream table is
+     * bounds-checked, and any malformed or unreadable input comes back
+     * as a Status (Truncated/Corrupt/IoError/...). A damaged header or
+     * quality block fails only the chunks it covers, when they decode.
      *
      * @param dna_only skip the host-side quality/header streams: the
      *        read-mapping pipeline never touches quality scores (paper
@@ -92,8 +98,8 @@ class SageDecoder
      *        mismatches during later variant calling), so the prep
      *        stage feeding an accelerator decodes DNA alone. Reads then
      *        come back with empty headers and quality. A full decoder
-     *        already defers quality blocks to first use; dna_only also
-     *        skips loading the quality stream and decoding headers.
+     *        already defers header and quality blocks to first use;
+     *        dna_only also skips loading those two streams.
      * @param verify_checksum stream the whole archive through CRC32
      *        before parsing (reads every byte, so it is opt-in).
      */
@@ -136,9 +142,9 @@ class SageDecoder
      * so any number of threads may call it concurrently: each call
      * opens its own chunk through the thread-safe ByteSource and
      * copies headers and quality out of the shared host stores; the
-     * first call to need a quality block decodes it while concurrent
-     * callers wait for that one decode. The same chunk decodes
-     * repeatably.
+     * first call to need a header or quality block decodes it while
+     * concurrent callers wait for that one decode. The same chunk
+     * decodes repeatably.
      */
     StatusOr<std::vector<Read>> tryDecodeChunkShared(size_t chunk) const;
 
@@ -172,6 +178,7 @@ class SageDecoder
 
   private:
     struct ChunkCursor;
+    struct ChunkHost;
     /** An opened chunk, or why it could not be opened. */
     using OpenedChunk = StatusOr<std::unique_ptr<ChunkCursor>>;
 
@@ -211,22 +218,29 @@ class SageDecoder
      *  length past 2^31 is Corrupt. */
     uint64_t readLength(BitReader &rla, BitReader &rlga) const;
 
-    /** Total bases of @p slice's reads, from copies of @p cur's length
-     *  streams; stops early where the decode itself would fail. Sizes
-     *  a column arena. A read whose quality is neither empty nor one
-     *  character per base is Corrupt, so both chunk loops refuse the
-     *  chunk before any of its quality blocks decodes. */
-    uint64_t checkChunkLengths(const ChunkCursor &cur,
-                               const ChunkSlice &slice) const;
+    /** Total bases of chunk @p chunk's reads, from copies of @p cur's
+     *  length streams; stops early where the decode itself would fail.
+     *  Sizes a column arena. Its reads with quality take one character
+     *  per base, so a chunk whose @p quality holds another number of
+     *  characters is Corrupt, and so is a read whose stored length (the
+     *  per-read framing) is neither 0 nor its base count: both chunk
+     *  loops refuse the chunk before any of its blocks decodes. */
+    uint64_t checkChunkLengths(const ChunkCursor &cur, size_t chunk,
+                               const ChunkQuality &quality) const;
 
-    /** Header of stored-order read @p read_index, in the header text
-     *  (empty in DNA-only mode). */
-    std::string_view headerOf(uint64_t read_index) const;
+    /** Chunk @p chunk's host fields, after checkChunkLengths(), with
+     *  its header block decoded (on first use). */
+    ChunkHost openHost(const ChunkCursor &cur, size_t chunk) const;
 
-    /** Decode one read via @p cur: its bases, plus the header and
-     *  quality of stored-order read @p read_index copied from the host
-     *  stores (decoding quality blocks on first use). */
-    Read decodeOne(ChunkCursor &cur, uint64_t read_index) const;
+    /** Append the quality of the chunk's read @p i, whose bases number
+     *  @p length, to @p out if it has any (decoding quality blocks on
+     *  first use). */
+    void appendQuality(ChunkHost &host, uint64_t i, uint64_t length,
+                       std::string &out) const;
+
+    /** Decode the chunk's read @p i via @p cur: its bases, plus its
+     *  header and quality copied from the host stores. */
+    Read decodeOne(ChunkCursor &cur, ChunkHost &host, uint64_t i) const;
 
     const ByteSource *source_ = nullptr;
     /** Absolute extents of the 13 DNA streams, ChunkStreamIndex order. */
@@ -235,12 +249,9 @@ class SageDecoder
     ArchiveInfo info_;
     std::string consensus_;
 
-    // Host-side stores, indexed by stored-order read index; empty in
-    // DNA-only mode. Read i's header is the line at
-    // [headerStarts_[i], headerStarts_[i + 1] - 1) of headerText_.
-    std::vector<uint8_t> headerText_;
-    std::vector<uint64_t> headerStarts_;
-    /** Null when the archive has no quality scores. */
+    // Host-side stores, indexed by chunk; null in DNA-only mode, and
+    // quals_ also when the archive has no quality scores.
+    std::unique_ptr<HeaderStore> headers_;
     std::unique_ptr<QualityStore> quals_;
     std::vector<uint32_t> order_;
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <optional>
 
-#include "compress/gpzip.hh"
+#include "compress/headers.hh"
 #include "compress/prep.hh"
 #include "compress/quality.hh"
 #include "compress/streams.hh"
@@ -400,23 +400,6 @@ writeDnaStreams(const ReadSet &rs, const PreppedReads &prep,
     }
 }
 
-/** The header stream: every header in encode order, one per line,
- *  gpzip-compressed without a pool. */
-std::vector<uint8_t>
-compressHeaders(const ReadSet &rs, const std::vector<uint32_t> &order)
-{
-    size_t total = 0;
-    for (uint32_t src : order)
-        total += rs.reads[src].header.size() + 1;
-    std::string text;
-    text.reserve(total);
-    for (uint32_t src : order) {
-        text += rs.reads[src].header;
-        text += '\n';
-    }
-    return gpzip::compress(text);
-}
-
 } // namespace
 
 SageArchive
@@ -439,14 +422,16 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
 
     // A read's quality is empty or one character per base, as the FASTQ
     // parser also requires; the decoder refuses a chunk with any other.
-    if (config.keepQuality) {
-        for (size_t i = 0; i < rs.reads.size(); i++) {
-            const Read &read = rs.reads[i];
-            if (!read.quals.empty() && read.quals.size() != read.bases.size())
-                sage_fatal("read ", i, " has ", read.quals.size(),
-                           " quality characters for ", read.bases.size(),
-                           " bases");
-        }
+    // A header is one line of the header stream, so it holds no '\n'.
+    for (size_t i = 0; i < rs.reads.size(); i++) {
+        const Read &read = rs.reads[i];
+        if (config.keepQuality && !read.quals.empty() &&
+            read.quals.size() != read.bases.size())
+            sage_fatal("read ", i, " has ", read.quals.size(),
+                       " quality characters for ", read.bases.size(),
+                       " bases");
+        if (read.header.find('\n') != std::string::npos)
+            sage_fatal("read ", i, " has a header that holds a newline");
     }
 
     // ---- Find mismatch information (mapping) -------------------------
@@ -483,13 +468,12 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
     // Every stream below depends only on the encode order, so they are
     // written at once. The pool takes a job list, longest first: the
     // DNA arrays, then one job per quality block. Meanwhile this thread
-    // joins and gpzips the headers, then takes jobs too. The gpzip
-    // working memory (about 7 bytes per header byte) so lands in this
-    // thread's heap, which malloc_trim returns to the system; a
-    // worker's heap keeps its freed top resident. No job calls back
-    // into the pool.
+    // cuts and gpzips the header blocks, then takes jobs too. The gpzip
+    // working memory so lands in this thread's heap, which malloc_trim
+    // returns to the system; a worker's heap keeps its freed top
+    // resident. No job calls back into the pool.
     DnaStreams dna;
-    std::vector<uint8_t> headers;
+    HeaderArchive headers;
     std::optional<QualityEncoder> quality;
     if (params.hasQuality) {
         std::vector<std::string_view> quals;
@@ -508,7 +492,9 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
         else
             quality->encodeBlock(job - 1);
     };
-    auto write_headers = [&] { headers = compressHeaders(rs, prep.order); };
+    auto write_headers = [&] {
+        headers = compressHeaderBlocks(rs, prep.order, config.chunkReads);
+    };
     if (pool != nullptr) {
         pool->parallelFor(jobs, run_job, write_headers);
     } else {
@@ -544,8 +530,9 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
     if (config.chunkReads > 0)
         bundle.stream("chunks") = dna.chunks.serialize();
 
-    // Host-side streams: headers (gpzip), order, quality (paper §5.1.5).
-    bundle.stream("headers") = std::move(headers);
+    // Host-side streams: headers (gpzip blocks), order, quality (paper
+    // §5.1.5).
+    bundle.stream("headers") = packHeaders(headers);
     if (config.preserveOrder) {
         std::vector<uint8_t> order;
         for (uint32_t src : prep.order)
@@ -553,7 +540,7 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
         bundle.stream("order") = std::move(order);
     }
     if (quality)
-        bundle.stream("quality") = packQuality(quality->take());
+        bundle.stream("quality") = packChunkedQuality(quality->take());
 
     archive.streamSizes = bundle.sizes();
     archive.encodeSeconds = encode_clock.seconds();

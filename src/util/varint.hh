@@ -27,19 +27,20 @@ putVarint(std::vector<uint8_t> &out, uint64_t value)
 }
 
 /**
- * Read a LEB128 varint from @p data at offset @p pos (advanced).
- * Throws StatusError (Truncated/Corrupt) on malformed input — the
- * bytes are usually untrusted archive content. Callers on a fatal
- * path catch at their public boundary (see util/status.hh).
+ * Read a LEB128 varint from the @p size bytes at @p data, at offset
+ * @p pos (advanced). Throws StatusError (Truncated/Corrupt) on
+ * malformed input — the bytes are usually untrusted archive content.
+ * Callers on a fatal path catch at their public boundary (see
+ * util/status.hh).
  */
 inline uint64_t
-getVarint(const std::vector<uint8_t> &data, size_t &pos)
+getVarint(const uint8_t *data, size_t size, size_t &pos)
 {
     uint64_t value = 0;
     unsigned shift = 0;
     for (;;) {
-        sage_check_data(pos < data.size(), Truncated,
-                        "varint underrun at byte ", pos);
+        sage_check_data(pos < size, Truncated, "varint underrun at byte ",
+                        pos);
         const uint8_t byte = data[pos++];
         value |= static_cast<uint64_t>(byte & 0x7f) << shift;
         if (!(byte & 0x80))
@@ -48,6 +49,13 @@ getVarint(const std::vector<uint8_t> &data, size_t &pos)
         sage_check_data(shift < 64, Corrupt, "varint overflow at byte ",
                         pos);
     }
+}
+
+/** getVarint() over the bytes of @p data. */
+inline uint64_t
+getVarint(const std::vector<uint8_t> &data, size_t &pos)
+{
+    return getVarint(data.data(), data.size(), pos);
 }
 
 /** Map a signed value onto unsigned zig-zag space. */

@@ -18,6 +18,7 @@
 #include <thread>
 #include <tuple>
 
+#include "compress/headers.hh"
 #include "compress/quality.hh"
 #include "compress/streams.hh"
 #include "core/sage.hh"
@@ -489,6 +490,100 @@ TEST(LazyQuality, ConcurrentFirstTouchMatchesSerial)
     }
 }
 
+// ---------------------------------------------------------------------
+// Lazy headers: a chunk's header block decodes on its first use
+// ---------------------------------------------------------------------
+
+TEST(LazyHeaders, ConcurrentFirstTouchMatchesSerial)
+{
+    // Headers of about 100 bytes in 64-read chunks: a header block
+    // ends at the first chunk boundary past 32 KiB of text, so each of
+    // the 5 blocks is shared by about 6 chunks. On a fresh decoder,
+    // racing threads first-touch every block from chunks that share
+    // it, through both chunk loops, and get the serial result.
+    SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
+    for (size_t i = 0; i < ds.readSet.reads.size(); i++) {
+        std::string &header = ds.readSet.reads[i].header;
+        header += ' ';
+        header.append(100 - std::min<size_t>(header.size(), 99),
+                      static_cast<char>('a' + i % 26));
+    }
+    SageConfig config;
+    config.chunkReads = 64;
+    const std::vector<uint8_t> bytes =
+        sageCompress(ds.readSet, ds.reference, config).bytes;
+    const HeaderArchive headers = unpackHeaders(
+        StreamBundle::deserialize(bytes).stream("headers"),
+        ds.readSet.reads.size());
+    ASSERT_EQ(headers.blocks.size(), 5u);
+
+    const MemorySource source(bytes);
+    const std::unique_ptr<SageDecoder> serial =
+        orExit(SageDecoder::tryOpen(source));
+    const size_t chunks = serial->chunkCount();
+    ASSERT_GT(chunks, 2 * headers.blocks.size());
+    std::vector<std::vector<Record>> expected;
+    for (size_t c = 0; c < chunks; c++) {
+        StatusOr<std::vector<Read>> reads = serial->tryDecodeChunkShared(c);
+        ASSERT_TRUE(reads.ok()) << reads.status().toString();
+        expected.push_back(records(reads.value()));
+    }
+
+    const std::unique_ptr<SageDecoder> shared =
+        orExit(SageDecoder::tryOpen(source));
+    constexpr unsigned kThreads = 8;
+    std::vector<std::vector<std::vector<Record>>> got(
+        kThreads, std::vector<std::vector<Record>>(chunks));
+    std::vector<std::string> errors(kThreads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            std::vector<size_t> order(chunks);
+            std::iota(order.begin(), order.end(), size_t{0});
+            std::shuffle(order.begin(), order.end(), std::mt19937(t));
+            while (!go.load())
+                std::this_thread::yield();
+            for (const size_t c : order) {
+                // Odd threads take the columnar loop.
+                if (t % 2 == 1) {
+                    ReadColumns columns;
+                    const Status status =
+                        shared->tryDecodeChunkShared(c, columns);
+                    if (!status.ok()) {
+                        errors[t] = status.toString();
+                        return;
+                    }
+                    for (size_t i = 0; i < columns.size(); i++) {
+                        const ReadView read = columns[i];
+                        got[t][c].emplace_back(std::string(read.header),
+                                               std::string(read.bases),
+                                               std::string(read.quals));
+                    }
+                    continue;
+                }
+                StatusOr<std::vector<Read>> reads =
+                    shared->tryDecodeChunkShared(c);
+                if (!reads.ok()) {
+                    errors[t] = reads.status().toString();
+                    return;
+                }
+                got[t][c] = records(reads.value());
+            }
+        });
+    }
+    go.store(true);
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (unsigned t = 0; t < kThreads; t++) {
+        SCOPED_TRACE("thread " + std::to_string(t));
+        EXPECT_EQ(errors[t], "");
+        for (size_t c = 0; c < chunks; c++)
+            EXPECT_TRUE(got[t][c] == expected[c]) << "chunk " << c;
+    }
+}
+
 /** Fold each read's header, bases and quality, each ending in a
  *  newline, into @p crc. */
 void
@@ -505,28 +600,38 @@ addRead(Crc32 &crc, const ReadView &read)
 
 TEST(LegacyQuality, CommittedArchivesDecodeToTheirDigests)
 {
-    // Archives committed before quality blocks moved to rANS: every
-    // block is range-coded, and in the second 3 chunks hold blocks that
-    // start mid-read. Both decode to the reads they held when written
-    // (CRC-32 of the reads in stored order, taken with the range
-    // decoder that came with them), through SageReader and through the
-    // columnar chunk loop.
+    // Archives committed before header blocks and the per-chunk
+    // quality framing: each header stream is one bare gpzip container,
+    // and each quality stream stores every read's length. The first two
+    // were written before quality blocks moved to rANS, so every block
+    // is range-coded; the other two hold the same reads in rANS blocks.
+    // In the small-blocks pair 3 chunks hold blocks that start
+    // mid-read. All decode to the reads they held when written (CRC-32
+    // of the reads in stored order, taken with the decoder that came
+    // with them), through SageReader and through the columnar chunk
+    // loop.
     struct Case
     {
         const char *file;
         size_t chunks;
         size_t reads;
         uint32_t digest;
+        uint8_t codec;
     };
-    for (const Case &c : {Case{"tiny.sage", 1, 4, 0x63a542f3u},
-                          Case{"tiny_small_quality_blocks.sage", 3, 20,
-                               0x0e504066u}}) {
+    for (const Case &c :
+         {Case{"tiny.sage", 1, 4, 0x63a542f3u, 0},
+          Case{"tiny_small_quality_blocks.sage", 3, 20, 0x0e504066u, 0},
+          Case{"tiny_rans.sage", 1, 4, 0x63a542f3u, 1},
+          Case{"tiny_rans_small_blocks.sage", 3, 20, 0x0e504066u, 1}}) {
         SCOPED_TRACE(c.file);
         const std::vector<uint8_t> bytes = corpusFile(c.file);
-        const QualityArchive quality = unpackQuality(
-            StreamBundle::deserialize(bytes).stream("quality"));
+        const StreamBundle bundle = StreamBundle::deserialize(bytes);
+        ASSERT_EQ(bundle.stream("headers")[0], 'G') << "a gpzip container";
+        ASSERT_NE(bundle.stream("quality")[0], 0) << "per-read framing";
+        const QualityArchive quality = unpackQuality(bundle.stream("quality"));
+        ASSERT_EQ(quality.readLengths.size(), c.reads);
         for (const std::vector<uint8_t> &block : quality.blocks)
-            ASSERT_EQ(block[0], 0) << "a range-coded block";
+            ASSERT_EQ(block[0], c.codec) << "the block's codec";
         const MemorySource source(bytes);
         {
             SageReader reader(source);

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "compress/gpzip.hh"
+#include "compress/headers.hh"
 #include "compress/quality.hh"
 #include "compress/range_coder.hh"
 #include "compress/springlike.hh"
@@ -560,12 +562,266 @@ TEST(Quality, RangeCodedBlocksStillDecode)
     for (size_t b = 0; b < archive.blocks.size(); b += 2)
         archive.blocks[b] = encodeRangeBlock(archive.alphabet, blocks[b]);
     EXPECT_EQ(decompressQuality(archive), quals);
-    QualityStore store(unpackQuality(packQuality(archive)));
+    // The store reads the same blocks as one chunk of every read, each
+    // read's characters following the last's.
+    const QualityStore store(packQuality(archive), {quals.size()});
+    uint64_t at = 0;
     for (size_t r = 0; r < quals.size(); r++) {
         std::string got;
-        store.appendRead(r, got);
+        store.append(at, quals[r].size(), got);
+        at += quals[r].size();
         ASSERT_EQ(got, quals[r]) << "read " << r;
     }
+}
+
+/** The StatusCode @p fn throws, or Ok. */
+template <typename Fn>
+StatusCode
+thrownCode(const Fn &fn)
+{
+    try {
+        fn();
+        return StatusCode::Ok;
+    } catch (const StatusError &err) {
+        return err.status().code();
+    }
+}
+
+TEST(QualityFraming, PerChunkRowsRoundTrip)
+{
+    // Three chunks of four reads: every read with quality, none, and
+    // reads 1 and 3 only. Rows carry counts and presence, not lengths:
+    // a read takes its bases' worth of characters from where the
+    // chunk's reads before it end.
+    std::vector<std::string> quals = {"IIII", "I#I#", "##", "I",
+                                      "", "", "", "",
+                                      "", "#I#", "", "I#"};
+    QualityEncoder encoder(
+        std::vector<std::string_view>(quals.begin(), quals.end()), {},
+        nullptr, 4);
+    for (size_t b = 0; b < encoder.blockCount(); b++)
+        encoder.encodeBlock(b);
+    const std::vector<uint8_t> bytes = packChunkedQuality(encoder.take());
+    ASSERT_EQ(bytes[0], 0);
+    const QualityArchive back = unpackQuality(bytes);
+    EXPECT_TRUE(back.readLengths.empty());
+    ASSERT_EQ(back.chunks.size(), 3u);
+    EXPECT_EQ(back.chunks[0].presence, QualityPresence::All);
+    EXPECT_EQ(back.chunks[0].chars, 11u);
+    EXPECT_EQ(back.chunks[1].presence, QualityPresence::None);
+    EXPECT_EQ(back.chunks[2].presence, QualityPresence::Some);
+    EXPECT_EQ(back.chunks[2].reads, 4u);
+    EXPECT_EQ(back.chunks[2].mask, std::vector<uint8_t>{0x0a});
+    EXPECT_EQ(back.chunks[2].chars, 5u);
+
+    const QualityStore store(bytes, {4, 4, 4});
+    for (size_t c = 0; c < 3; c++) {
+        const ChunkQuality chunk = store.chunk(c);
+        EXPECT_EQ(chunk.lengths, nullptr);
+        uint64_t at = chunk.start;
+        for (size_t i = 0; i < 4; i++) {
+            const std::string &want = quals[c * 4 + i];
+            ASSERT_EQ(chunk.has(i), !want.empty()) << c << ", " << i;
+            std::string got;
+            if (chunk.has(i))
+                store.append(at, want.size(), got);
+            at += got.size();
+            EXPECT_EQ(got, want) << c << ", " << i;
+        }
+        EXPECT_EQ(at, chunk.start + chunk.chars);
+    }
+    // The per-read framing of the same reads gives the same rows, and
+    // keeps the stored lengths for the decoder to check.
+    QualityEncoder again(
+        std::vector<std::string_view>(quals.begin(), quals.end()), {},
+        nullptr, 4);
+    for (size_t b = 0; b < again.blockCount(); b++)
+        again.encodeBlock(b);
+    const QualityStore legacy(packQuality(again.take()), {4, 4, 4});
+    for (size_t c = 0; c < 3; c++) {
+        const ChunkQuality chunk = legacy.chunk(c);
+        const ChunkQuality want = store.chunk(c);
+        EXPECT_EQ(chunk.start, want.start);
+        EXPECT_EQ(chunk.chars, want.chars);
+        EXPECT_EQ(chunk.presence, want.presence);
+        ASSERT_NE(chunk.lengths, nullptr);
+        EXPECT_EQ(chunk.lengths[1], quals[c * 4 + 1].size());
+    }
+}
+
+TEST(QualityFraming, MalformedRowsAreRefused)
+{
+    const std::vector<std::string> quals(8, "I#");
+    QualityEncoder encoder(
+        std::vector<std::string_view>(quals.begin(), quals.end()), {},
+        nullptr, 4);
+    encoder.encodeBlock(0);
+    const QualityArchive archive = encoder.take();
+    const std::vector<uint8_t> bytes = packChunkedQuality(archive);
+    // Row 0 follows the 0 byte, the alphabet (a count and two
+    // characters) and the row count: its count's change from 0 (8,
+    // zigzag 16) beside its presence (All). Row 1's count repeats.
+    ASSERT_EQ(bytes[4], 2);
+    ASSERT_EQ(bytes[5], 16 << 2 | 1);
+    ASSERT_EQ(bytes[6], 1);
+    const auto unpacked = [&](std::vector<uint8_t> edited) {
+        return thrownCode([&] { (void)unpackQuality(edited); });
+    };
+    std::vector<uint8_t> edited = bytes;
+    edited[5] = 16 << 2 | 3;  // Presence 3.
+    EXPECT_EQ(unpacked(edited), StatusCode::Corrupt);
+    edited[5] = 16 << 2 | 0;  // No read with quality, and 8 characters.
+    EXPECT_EQ(unpacked(edited), StatusCode::Corrupt);
+    edited[5] = 1 << 2 | 1;   // A count of -1.
+    EXPECT_EQ(unpacked(edited), StatusCode::Corrupt);
+    edited = bytes;
+    edited.resize(6);
+    EXPECT_EQ(unpacked(edited), StatusCode::Truncated);
+
+    const auto indexed = [&](const QualityArchive &a,
+                             std::vector<uint64_t> chunks) {
+        return thrownCode([&] {
+            QualityStore store(a.readLengths.empty() ? packChunkedQuality(a)
+                                                     : packQuality(a),
+                               chunks);
+        });
+    };
+    const QualityArchive rows = unpackQuality(bytes);
+    EXPECT_EQ(indexed(rows, {4, 4}), StatusCode::Ok);
+    EXPECT_EQ(indexed(rows, {4, 4, 0}), StatusCode::Corrupt);
+    QualityArchive some = rows;
+    some.chunks[1].presence = QualityPresence::Some;
+    some.chunks[1].reads = 5;
+    some.chunks[1].mask = {0x1f};
+    EXPECT_EQ(indexed(some, {4, 4}), StatusCode::Corrupt);
+    QualityArchive more = rows;
+    more.chunks[1].chars++;
+    EXPECT_EQ(indexed(more, {4, 4}), StatusCode::Corrupt);
+    // The per-read framing must cover every read.
+    QualityArchive per_read = unpackQuality(packQuality(archive));
+    per_read.readLengths.pop_back();
+    EXPECT_EQ(indexed(per_read, {4, 4}), StatusCode::Corrupt);
+}
+
+// ---------------------------------------------------------------------
+// Header blocks
+// ---------------------------------------------------------------------
+
+/** @p n reads whose headers are @p bytes characters long. */
+ReadSet
+headerSet(size_t n, size_t bytes)
+{
+    ReadSet rs;
+    for (size_t i = 0; i < n; i++) {
+        Read read;
+        read.header = std::to_string(i) + ":";
+        read.header.resize(bytes, static_cast<char>('a' + i % 26));
+        rs.reads.push_back(std::move(read));
+    }
+    return rs;
+}
+
+/** Stored order 0, 1, ..., @p n - 1. */
+std::vector<uint32_t>
+identityOrder(size_t n)
+{
+    std::vector<uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0u);
+    return order;
+}
+
+TEST(HeaderBlocks, EndAtChunkBoundariesPast32KiB)
+{
+    // Lines of 1000 bytes in chunks of 10: a block ends at the first
+    // chunk boundary once it holds 32 KiB, so after 4 chunks.
+    const ReadSet rs = headerSet(100, 999);
+    const HeaderArchive archive =
+        compressHeaderBlocks(rs, identityOrder(100), 10);
+    EXPECT_EQ(archive.blockLines, (std::vector<uint64_t>{40, 40, 20}));
+    const std::vector<uint8_t> bytes = packHeaders(archive);
+    ASSERT_EQ(bytes[0], 0);
+    const HeaderStore store(bytes, 100, std::vector<uint64_t>(10, 10));
+    for (size_t c = 10; c-- > 0;) {
+        const ChunkHeaders headers = store.chunk(c);
+        for (size_t i = 0; i < 10; i++)
+            ASSERT_EQ(headers[i], rs.reads[c * 10 + i].header);
+        EXPECT_EQ(headers.bytes(10), 9990u);
+    }
+    // Without chunks, one block; an empty set, one empty block, and a
+    // chunk of no reads needs no block.
+    EXPECT_EQ(compressHeaderBlocks(rs, identityOrder(100), 0).blockLines,
+              std::vector<uint64_t>{100});
+    const HeaderArchive empty = compressHeaderBlocks(ReadSet{}, {}, 10);
+    EXPECT_EQ(empty.blockLines, std::vector<uint64_t>{0});
+    const HeaderStore none(packHeaders(empty), 0, {0});
+    EXPECT_EQ(none.chunk(0).bytes(0), 0u);
+}
+
+TEST(HeaderBlocks, MalformedStreamsAreRefused)
+{
+    const ReadSet rs = headerSet(100, 999);
+    const HeaderArchive archive =
+        compressHeaderBlocks(rs, identityOrder(100), 10);
+    const std::vector<uint8_t> bytes = packHeaders(archive);
+    const auto unpacked = [](std::vector<uint8_t> edited, uint64_t reads) {
+        return thrownCode([&] { (void)unpackHeaders(edited, reads); });
+    };
+    EXPECT_EQ(unpacked(bytes, 100), StatusCode::Ok);
+    EXPECT_EQ(unpacked(bytes, 99), StatusCode::Corrupt);
+    EXPECT_EQ(unpacked(bytes, 101), StatusCode::Corrupt);
+    std::vector<uint8_t> edited = bytes;
+    edited[0] = 7;  // No layout.
+    EXPECT_EQ(unpacked(edited, 100), StatusCode::Corrupt);
+    edited = bytes;
+    edited.pop_back();
+    EXPECT_EQ(unpacked(edited, 100), StatusCode::Truncated);
+    edited = bytes;
+    edited.push_back(0);
+    EXPECT_EQ(unpacked(edited, 100), StatusCode::Corrupt);
+    EXPECT_EQ(unpacked({}, 0), StatusCode::Truncated);
+
+    // Chunks of 30 reads: chunk 1 holds lines 30..59, across the end
+    // of block 0 at line 40.
+    EXPECT_EQ(thrownCode([&] {
+                  HeaderStore store(bytes, 100, {30, 30, 30, 10});
+              }),
+              StatusCode::Corrupt);
+
+    // A block that decodes to a line fewer than its table says fails
+    // the chunks it covers, on every use, and no other chunk.
+    HeaderArchive short_block = archive;
+    std::string text;
+    for (size_t i = 40; i < 79; i++)
+        text += rs.reads[i].header + "\n";
+    short_block.blocks[1] = gpzip::compress(text);
+    const HeaderStore store(packHeaders(short_block), 100,
+                            std::vector<uint64_t>(10, 10));
+    for (size_t c = 0; c < 10; c++) {
+        for (int use = 0; use < 2; use++) {
+            EXPECT_EQ(thrownCode([&] { (void)store.chunk(c); }),
+                      c / 4 == 1 ? StatusCode::Corrupt : StatusCode::Ok)
+                << "chunk " << c;
+        }
+    }
+    // So does a block whose last line has no newline.
+    text += rs.reads[79].header;
+    short_block.blocks[1] = gpzip::compress(text);
+    const HeaderStore unterminated(packHeaders(short_block), 100,
+                                   std::vector<uint64_t>(10, 10));
+    EXPECT_EQ(thrownCode([&] { (void)unterminated.chunk(5); }),
+              StatusCode::Corrupt);
+
+    // A stream written before header blocks, one bare gpzip container,
+    // is one block of every line.
+    std::string all;
+    for (const Read &read : rs.reads)
+        all += read.header + "\n";
+    const std::vector<uint8_t> legacy = gpzip::compress(all);
+    ASSERT_EQ(legacy[0], 'G');
+    const HeaderArchive one = unpackHeaders(legacy, 100);
+    EXPECT_EQ(one.blockLines, std::vector<uint64_t>{100});
+    const HeaderStore old(legacy, 100, std::vector<uint64_t>(10, 10));
+    EXPECT_EQ(old.chunk(7)[3], rs.reads[73].header);
 }
 
 // ---------------------------------------------------------------------

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "compress/gpzip.hh"
+#include "compress/headers.hh"
 #include "compress/quality.hh"
 #include "compress/streams.hh"
 #include "core/sage.hh"
@@ -349,12 +350,14 @@ TEST(CorruptArchive, EmptyQualityAlphabetIsCorrupt)
 {
     StreamBundle bundle = StreamBundle::deserialize(makeArchiveBytes());
     std::vector<uint8_t> &quality = bundle.stream("quality");
-    // Zero the alphabet-size varint and drop the alphabet itself, so
-    // every later field of the quality framing still parses.
-    size_t pos = 0;
+    // Zero the alphabet-size varint, which follows the per-chunk
+    // framing's leading 0, and drop the alphabet itself, so every later
+    // field of the quality framing still parses.
+    ASSERT_EQ(quality[0], 0);
+    size_t pos = 1;
     const uint64_t alphabet = getVarint(quality, pos);
     ASSERT_GT(alphabet, 0u);
-    std::vector<uint8_t> zeroed = {0};
+    std::vector<uint8_t> zeroed = {0, 0};
     zeroed.insert(zeroed.end(), quality.begin() + pos + alphabet,
                   quality.end());
     quality = std::move(zeroed);
@@ -367,19 +370,237 @@ TEST(CorruptArchive, EmptyQualityAlphabetIsCorrupt)
     EXPECT_THROW(decompressQualityBlock(archive, 0), StatusError);
 }
 
+/** Flip every bit of @p bytes in [first, last), one at a time, handing
+ *  each variant to @p check. */
+template <typename Check>
+void
+forEachBitFlip(std::vector<uint8_t> bytes, size_t first, size_t last,
+               const Check &check)
+{
+    for (size_t at = first; at < last; at++) {
+        for (unsigned bit = 0; bit < 8; bit++) {
+            bytes[at] ^= static_cast<uint8_t>(1u << bit);
+            check(bytes);
+            bytes[at] ^= static_cast<uint8_t>(1u << bit);
+        }
+    }
+}
+
+/** Each chunk's StatusCode, and the CRC-32 of its reads when it
+ *  decodes (0 otherwise). */
+struct ChunkOutcomes
+{
+    std::vector<StatusCode> codes;
+    std::vector<uint32_t> digests;
+};
+
+/** Fold each read's header, bases and quality, each ending in a
+ *  newline, into @p crc. */
+void
+addRead(Crc32 &crc, const Read &read)
+{
+    const uint8_t newline = '\n';
+    for (const std::string *field : {&read.header, &read.bases, &read.quals}) {
+        crc.update(reinterpret_cast<const uint8_t *>(field->data()),
+                   field->size());
+        crc.update(&newline, 1);
+    }
+}
+
+/** Decode each chunk of @p decoder through both loops, which must
+ *  agree on its StatusCode and reads. */
+ChunkOutcomes
+decodeEveryChunk(const SageDecoder &decoder)
+{
+    ChunkOutcomes out;
+    for (size_t c = 0; c < decoder.chunkCount(); c++) {
+        const StatusOr<std::vector<Read>> reads =
+            decoder.tryDecodeChunkShared(c);
+        ReadColumns columns;
+        const Status columnar = decoder.tryDecodeChunkShared(c, columns);
+        const StatusCode code =
+            reads.ok() ? StatusCode::Ok : reads.status().code();
+        EXPECT_EQ(columnar.code(), code) << "chunk " << c;
+        Crc32 crc;
+        if (reads.ok()) {
+            EXPECT_EQ(columns.size(), reads->size()) << "chunk " << c;
+            for (size_t i = 0; i < reads->size(); i++) {
+                addRead(crc, (*reads)[i]);
+                if (i < columns.size()) {
+                    EXPECT_EQ(columns[i].header, (*reads)[i].header);
+                    EXPECT_EQ(columns[i].quals, (*reads)[i].quals);
+                }
+            }
+        }
+        out.codes.push_back(code);
+        out.digests.push_back(reads.ok() ? crc.value() : 0);
+    }
+    return out;
+}
+
+/** True for the codes a damaged block may fail a chunk with. */
+bool
+damaged(StatusCode code)
+{
+    return code == StatusCode::Corrupt || code == StatusCode::Truncated;
+}
+
 TEST(CorruptArchive, ShortHeaderStreamIsCorrupt)
 {
-    StreamBundle bundle = StreamBundle::deserialize(makeArchiveBytes());
+    // A header block that decodes to one line fewer than its table
+    // says. Open reads only the table, so the archive opens; every
+    // chunk the block covers then fails to decode, in both loops, and
+    // so does verifyArchive. A table whose line counts no longer sum
+    // to the read count fails the open. The archive has one block.
+    const StreamBundle bundle = StreamBundle::deserialize(makeArchiveBytes());
+    const uint64_t reads =
+        SageParams::deserialize(bundle.stream("params")).numReads;
+    const HeaderArchive headers =
+        unpackHeaders(bundle.stream("headers"), reads);
+    ASSERT_EQ(headers.blocks.size(), 1u);
     std::vector<uint8_t> text =
-        orExit(gpzip::tryDecompress(bundle.stream("headers")));
+        orExit(gpzip::tryDecompress(headers.blocks[0]));
     ASSERT_FALSE(text.empty());
     ASSERT_EQ(text.back(), '\n');
-    // Drop the last line, keeping the stream well formed.
+    // Drop the last line, keeping the block well formed.
     text.pop_back();
     text.erase(std::find(text.rbegin(), text.rend(), '\n').base(),
                text.end());
-    bundle.stream("headers") = gpzip::compress(text.data(), text.size());
-    EXPECT_EQ(reframedOpenStatus(bundle).code(), StatusCode::Corrupt);
+    HeaderArchive short_block = headers;
+    short_block.blocks[0] = gpzip::compress(text.data(), text.size());
+
+    StreamBundle edited = bundle;
+    edited.stream("headers") = packHeaders(short_block);
+    ASSERT_TRUE(reframedOpenStatus(edited).ok());
+    const std::vector<uint8_t> bytes = edited.serialize();
+    const MemorySource source(bytes);
+    const std::unique_ptr<SageDecoder> decoder =
+        orExit(SageDecoder::tryOpen(source));
+    ASSERT_GT(decoder->chunkCount(), 1u);
+    for (const StatusCode code : decodeEveryChunk(*decoder).codes)
+        EXPECT_EQ(code, StatusCode::Corrupt);
+    EXPECT_EQ(verifyArchive(source).code(), StatusCode::Corrupt);
+
+    short_block.blockLines[0]--;
+    edited.stream("headers") = packHeaders(short_block);
+    EXPECT_EQ(reframedOpenStatus(edited).code(), StatusCode::Corrupt);
+
+    // A stream written before header blocks is one bare gpzip
+    // container, read as one block of every line: short, it fails the
+    // chunks at their decode too.
+    edited.stream("headers") = short_block.blocks[0];
+    ASSERT_TRUE(reframedOpenStatus(edited).ok());
+    const std::vector<uint8_t> legacy_bytes = edited.serialize();
+    const MemorySource legacy_source(legacy_bytes);
+    const std::unique_ptr<SageDecoder> legacy =
+        orExit(SageDecoder::tryOpen(legacy_source));
+    for (const StatusCode code : decodeEveryChunk(*legacy).codes)
+        EXPECT_EQ(code, StatusCode::Corrupt);
+    EXPECT_EQ(verifyArchive(legacy_source).code(), StatusCode::Corrupt);
+}
+
+/** An archive of 4 chunks of 64 reads whose headers, about 600 bytes
+ *  each, give every chunk a header block of its own. */
+std::vector<uint8_t>
+fourHeaderBlockArchive()
+{
+    Rng rng(31);
+    std::string consensus;
+    for (int i = 0; i < 4000; i++)
+        consensus += "ACGT"[rng.nextBelow(4)];
+    ReadSet rs;
+    for (int i = 0; i < 256; i++) {
+        Read read;
+        read.header = "r" + std::to_string(i) + " ";
+        while (read.header.size() < 600)
+            read.header += "abcdefghijklmnopqrstuvwxyz"[rng.nextBelow(26)];
+        read.bases = consensus.substr(rng.nextBelow(3900), 60);
+        read.quals = std::string(60, "#+5?I"[rng.nextBelow(5)]);
+        rs.reads.push_back(std::move(read));
+    }
+    SageConfig config;
+    config.chunkReads = 64;
+    return sageCompress(rs, consensus, config).bytes;
+}
+
+TEST(CorruptArchive, DamagedHeaderBlockFailsOnlyItsChunk)
+{
+    // Each header block is a gpzip container with its own CRC-32 over
+    // its text. Bits flipped across chunk 1's block (its framing, its
+    // code tables and its payload) fail chunk 1 alone, with Corrupt or
+    // Truncated from both loops, and every other chunk decodes to its
+    // digest. The archive opens every time: open reads only the table.
+    // A few flips change no decoded byte (a field the decoder does not
+    // need, such as the block size of a one-block container, a code no
+    // symbol uses, or padding after the end-of-block code); the chunk
+    // then decodes to its own digest, never to other headers.
+    const std::vector<uint8_t> bytes = fourHeaderBlockArchive();
+    const MemorySource clean(bytes);
+    const std::unique_ptr<SageDecoder> decoder =
+        orExit(SageDecoder::tryOpen(clean));
+    ASSERT_EQ(decoder->chunkCount(), 4u);
+    const ChunkOutcomes want = decodeEveryChunk(*decoder);
+    for (const StatusCode code : want.codes)
+        ASSERT_EQ(code, StatusCode::Ok);
+
+    const StreamBundle bundle = StreamBundle::deserialize(bytes);
+    const HeaderArchive headers =
+        unpackHeaders(bundle.stream("headers"), 256);
+    ASSERT_EQ(headers.blocks.size(), 4u);
+    const StreamExtent extent = directoryOf(bytes).extent("headers");
+    size_t block = extent.offset + extent.size;  // Where block 1 starts.
+    for (size_t b = 4; b-- > 1;)
+        block -= headers.blocks[b].size();
+    const size_t size = headers.blocks[1].size();
+    ASSERT_GT(size, 400u);
+    // Every bit of the container framing, of spans of the payload from
+    // its middle and from its end, and one bit of each byte of the code
+    // tables (4 bits for each of 285 + 30 symbols). The other chunks
+    // are checked on every eighth flip.
+    constexpr size_t kFraming = 16;
+    constexpr size_t kTables = (285 + 30) / 2;
+    uint64_t flips = 0, caught = 0;
+    const auto check = [&](const std::vector<uint8_t> &flipped) {
+        const MemorySource source(flipped);
+        const std::unique_ptr<SageDecoder> opened =
+            orExit(SageDecoder::tryOpen(source));
+        const bool all = flips++ % 8 == 0;
+        for (size_t c = 0; c < opened->chunkCount(); c++) {
+            if (c != 1 && !all)
+                continue;
+            const StatusOr<std::vector<Read>> reads =
+                opened->tryDecodeChunkShared(c);
+            ReadColumns columns;
+            const StatusCode columnar =
+                opened->tryDecodeChunkShared(c, columns).code();
+            if (c == 1 && !reads.ok()) {
+                EXPECT_TRUE(damaged(reads.status().code()))
+                    << reads.status().toString();
+                EXPECT_EQ(columnar, reads.status().code());
+                caught++;
+                continue;
+            }
+            ASSERT_TRUE(reads.ok()) << "chunk " << c << ": "
+                                    << reads.status().toString();
+            ASSERT_EQ(columnar, StatusCode::Ok) << "chunk " << c;
+            Crc32 crc;
+            for (const Read &read : *reads)
+                addRead(crc, read);
+            ASSERT_EQ(crc.value(), want.digests[c]) << "chunk " << c;
+        }
+    };
+    forEachBitFlip(bytes, block, block + kFraming, check);
+    std::vector<uint8_t> flipped = bytes;
+    for (size_t at = block + kFraming; at < block + kFraming + kTables;
+         at++) {
+        flipped[at] ^= static_cast<uint8_t>(1u << (at % 8));
+        check(flipped);
+        flipped[at] = bytes[at];
+    }
+    forEachBitFlip(bytes, block + size / 2, block + size / 2 + 16, check);
+    forEachBitFlip(bytes, block + size - 16, block + size, check);
+    // Nearly every flip is caught: all but the few that change nothing.
+    EXPECT_GT(caught, flips * 9 / 10) << caught << " of " << flips;
 }
 
 TEST(CorruptArchive, QualityStreamMustCoverEveryRead)
@@ -412,22 +633,29 @@ TEST(CorruptArchive, QualityStreamMustCoverEveryRead)
 
 TEST(CorruptArchive, QualityLengthMustMatchTheBases)
 {
-    // Read 0's quality grows by 10^8 characters and block 0's count
-    // with it, so the framing agrees and the archive opens. Both chunk
-    // loops refuse chunk 0 from its length streams, before any block
-    // decodes: the stored length no longer matches the 150 or 16
-    // bases. Once, this decoded 10^8 characters in 0.85 s and served
-    // them. One archive has rANS blocks, the other (committed) was
-    // written by the range coder.
+    // Read 0's quality (chunk 0's, in the per-chunk framing) grows by
+    // 10^8 characters and block 0's count with it, so the framing
+    // agrees and the archive opens. Both chunk loops refuse chunk 0
+    // from its length streams, before any block decodes: the stored
+    // count no longer matches the bases. Once, this decoded 10^8
+    // characters in 0.85 s and served them. One archive has rANS
+    // blocks in the per-chunk framing, the other (committed) was
+    // written by the range coder in the per-read framing.
     for (const bool legacy : {false, true}) {
         SCOPED_TRACE(legacy ? "range-coded tiny.sage" : "rANS blocks");
         StreamBundle bundle = StreamBundle::deserialize(
             legacy ? corpusFile("tiny.sage") : makeArchiveBytes());
         QualityArchive quality = unpackQuality(bundle.stream("quality"));
         ASSERT_EQ(quality.blocks[0][0], legacy ? 0 : 1);
-        quality.readLengths[0] += 100000000;
+        // The per-read framing stores read 0's length; the per-chunk
+        // framing, which takes it from the bases, chunk 0's count.
+        if (legacy)
+            quality.readLengths[0] += 100000000;
+        else
+            quality.chunks[0].chars += 100000000;
         quality.blockChars[0] += 100000000;
-        bundle.stream("quality") = packQuality(quality);
+        bundle.stream("quality") =
+            legacy ? packQuality(quality) : packChunkedQuality(quality);
         const std::vector<uint8_t> bytes = bundle.serialize();
         const MemorySource source(bytes);
         const std::unique_ptr<SageDecoder> decoder =
@@ -680,7 +908,8 @@ TEST(VerifyArchive, DecodesWhatTheChecksumPasses)
     const std::vector<uint8_t> good = makeArchiveBytes();
     EXPECT_TRUE(verifyArchive(MemorySource(good)).ok());
 
-    // A flipped header stream: caught by the full open.
+    // A flipped header stream: the open reads only its table, and the
+    // decode of the chunks the flipped block covers catches it.
     std::vector<uint8_t> headers = good;
     const StreamExtent extent = directoryOf(headers).extent("headers");
     headers[extent.offset + extent.size / 2] ^= 0x10;
@@ -741,28 +970,12 @@ TEST(SageReaderTest, CorruptChunkExitsWithItsStatus)
         ::testing::ExitedWithCode(1), "bad base code");
 }
 
-/** Flip every bit of @p bytes in [first, last), one at a time, handing
- *  each variant to @p check. */
-template <typename Check>
-void
-forEachBitFlip(std::vector<uint8_t> bytes, size_t first, size_t last,
-               const Check &check)
-{
-    for (size_t at = first; at < last; at++) {
-        for (unsigned bit = 0; bit < 8; bit++) {
-            bytes[at] ^= static_cast<uint8_t>(1u << bit);
-            check(bytes);
-            bytes[at] ^= static_cast<uint8_t>(1u << bit);
-        }
-    }
-}
-
 TEST(CorruptArchive, GpzipBitFlipsAlwaysReturnStatus)
 {
     // Flips in a gpzip stream's framing (its block sizes) or near the
     // end of its last block can leave a prefix code that needs more
-    // bits than the stream holds. gpzip, and the archive open that
-    // decodes the header stream through it, report that as Truncated.
+    // bits than the stream holds. gpzip, and the chunk decode that
+    // decodes a header block through it, report that as Truncated.
     constexpr size_t kFramingBytes = 16;
     constexpr size_t kTailBytes = 64;
 
@@ -783,21 +996,31 @@ TEST(CorruptArchive, GpzipBitFlipsAlwaysReturnStatus)
                    decompress);
     EXPECT_GT(truncated, 0u);
 
+    // In an archive, the same flips in its header block come back from
+    // the first decode of a chunk the block covers: the open reads
+    // only the header table.
     const std::vector<uint8_t> archive = makeArchiveBytes();
     const StreamExtent headers = directoryOf(archive).extent("headers");
-    ASSERT_GT(headers.size, kFramingBytes + kTailBytes);
+    const HeaderArchive blocks = unpackHeaders(
+        StreamBundle::deserialize(archive).stream("headers"),
+        ds.readSet.reads.size());
+    ASSERT_EQ(blocks.blocks.size(), 1u);
+    const size_t block_size = blocks.blocks[0].size();
+    ASSERT_GT(block_size, kFramingBytes + kTailBytes);
+    const size_t block = headers.offset + headers.size - block_size;
     truncated = 0;
-    const auto open = [&](const std::vector<uint8_t> &bytes) {
+    const auto decode = [&](const std::vector<uint8_t> &bytes) {
         const MemorySource source(bytes);
-        const StatusOr<std::unique_ptr<SageDecoder>> opened =
-            SageDecoder::tryOpen(source);
-        truncated += !opened.ok() &&
-            opened.status().code() == StatusCode::Truncated;
+        const std::unique_ptr<SageDecoder> decoder =
+            orExit(SageDecoder::tryOpen(source));
+        const StatusOr<std::vector<Read>> reads =
+            decoder->tryDecodeChunkShared(0);
+        truncated += !reads.ok() &&
+            reads.status().code() == StatusCode::Truncated;
     };
-    forEachBitFlip(archive, headers.offset, headers.offset + kFramingBytes,
-                   open);
-    forEachBitFlip(archive, headers.offset + headers.size - kTailBytes,
-                   headers.offset + headers.size, open);
+    forEachBitFlip(archive, block, block + kFramingBytes, decode);
+    forEachBitFlip(archive, block + block_size - kTailBytes,
+                   block + block_size, decode);
     EXPECT_GT(truncated, 0u);
 }
 
