@@ -11,8 +11,10 @@
  *   service.submit(a, n, o, f)  -> the request primitive: span
  *                                  [a, a+n), f(RangeResult) on a
  *                                  worker, runs over cached chunks
- *   service.readRange(a, n, o)  -> submit() plus a blocking wait and
- *                                  a copy into owned reads
+ *   service.readRange(a, n, o)  -> the same request, blocking: run
+ *                                  on the caller when nothing of its
+ *                                  priority or higher is queued, then
+ *                                  copied into owned reads
  *   RequestOptions              -> priority, deadline, cancel token
  *                                  (qos.hh)
  *   service.stats()             -> hit rate, latency, queue counters

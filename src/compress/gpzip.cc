@@ -55,6 +55,9 @@ constexpr uint8_t kDistExtra[kNumDistSlots] = {
     7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13,
 };
 
+/** The longest match the length slots can code (228 + 31). */
+constexpr uint64_t kMaxMatchBytes = 259;
+
 constexpr unsigned kEobSymbol = 256;
 constexpr unsigned kNumLitLen = 256 + 1 + kNumLenSlots; // 285 symbols.
 
@@ -231,10 +234,12 @@ encodeBlock(const std::vector<Token> &tokens)
     return bw.take();
 }
 
-/** Decode the @p size-byte block at @p block into @p out (expected
- *  decompressed size known). */
+/** Decode the @p size-byte block at @p block into exactly the
+ *  @p expect bytes at @p out: Corrupt as soon as a literal or a match
+ *  would pass their end, or when the block ends short of it. */
 void
-decodeBlock(const uint8_t *block, size_t size, std::vector<uint8_t> &out)
+decodeBlock(const uint8_t *block, size_t size, uint8_t *out,
+            size_t expect)
 {
     BitReader br(block, size);
     std::vector<uint8_t> lit_lens(kNumLitLen), dist_lens(kNumDistSlots);
@@ -245,31 +250,42 @@ decodeBlock(const uint8_t *block, size_t size, std::vector<uint8_t> &out)
     const PrefixCode lit_code = PrefixCode::fromLengths(lit_lens);
     const PrefixCode dist_code = PrefixCode::fromLengths(dist_lens);
 
+    size_t pos = 0;
     for (;;) {
         const unsigned sym = lit_code.decode(br);
-        if (sym == kEobSymbol)
-            return;
         if (sym < 256) {
-            out.push_back(static_cast<uint8_t>(sym));
+            sage_check_data(pos < expect, Corrupt,
+                            "gpzip block decodes past its ", expect,
+                            " declared bytes");
+            out[pos++] = static_cast<uint8_t>(sym);
             continue;
         }
+        if (sym == kEobSymbol)
+            break;
         const unsigned ls = sym - 257;
         sage_check_data(ls < kNumLenSlots, Corrupt,
                         "corrupt gpzip length slot");
-        const unsigned len = kLenBase[ls]
-            + static_cast<unsigned>(br.readBits(kLenExtra[ls]));
+        const size_t len = kLenBase[ls]
+            + static_cast<size_t>(br.readBits(kLenExtra[ls]));
         const unsigned ds = dist_code.decode(br);
         sage_check_data(ds < kNumDistSlots, Corrupt,
                         "corrupt gpzip distance slot");
-        const uint32_t dist = kDistBase[ds]
-            + static_cast<uint32_t>(br.readBits(kDistExtra[ds]));
-        sage_check_data(dist <= out.size() && dist > 0, Corrupt,
+        const size_t dist = kDistBase[ds]
+            + static_cast<size_t>(br.readBits(kDistExtra[ds]));
+        sage_check_data(dist <= pos && dist > 0, Corrupt,
                         "gpzip distance out of range");
-        // Overlapping copies are valid LZ77 (run encoding).
-        size_t from = out.size() - dist;
-        for (unsigned i = 0; i < len; i++)
-            out.push_back(out[from + i]);
+        sage_check_data(len <= expect - pos, Corrupt,
+                        "gpzip block decodes past its ", expect,
+                        " declared bytes");
+        // Byte by byte: overlapping copies are valid LZ77 (run
+        // encoding).
+        uint8_t *dst = out + pos;
+        for (size_t i = 0; i < len; i++)
+            dst[i] = dst[i - dist];
+        pos += len;
     }
+    sage_check_data(pos == expect, Corrupt,
+                    "gpzip block decoded to unexpected size");
 }
 
 } // namespace
@@ -329,6 +345,15 @@ struct Header
     uint32_t crc;
 };
 
+/** Decoded size block @p b declares: blockSize, or what is left for
+ *  the last block. */
+uint64_t
+blockBytes(const Header &hdr, size_t b)
+{
+    return std::min<uint64_t>(hdr.blockSize,
+                              hdr.originalSize - b * hdr.blockSize);
+}
+
 Header
 parseHeader(const uint8_t *archive, size_t size)
 {
@@ -360,6 +385,30 @@ parseHeader(const uint8_t *archive, size_t size)
         hdr.blocks.emplace_back(off, s);
         off += s;
     }
+    // The declared size must cut into exactly the blocks present, and
+    // no block may declare more than its coded bits can produce (every
+    // symbol takes at least one bit and yields at most kMaxMatchBytes),
+    // so a damaged header cannot make the decoder allocate without
+    // limit.
+    if (hdr.blocks.empty()) {
+        sage_check_data(hdr.originalSize == 0, Corrupt,
+                        "gpzip archive declares ", hdr.originalSize,
+                        " bytes in no block");
+    } else {
+        sage_check_data(hdr.blockSize != 0 && hdr.originalSize != 0 &&
+                            (hdr.originalSize - 1) / hdr.blockSize ==
+                                hdr.blocks.size() - 1,
+                        Corrupt, "gpzip archive declares ",
+                        hdr.originalSize, " bytes in ",
+                        hdr.blocks.size(), " blocks of ", hdr.blockSize);
+    }
+    for (size_t b = 0; b < hdr.blocks.size(); b++) {
+        sage_check_data(blockBytes(hdr, b) <=
+                            hdr.blocks[b].second * 8 * kMaxMatchBytes,
+                        Corrupt, "gpzip block ", b, " declares ",
+                        blockBytes(hdr, b), " bytes from ",
+                        hdr.blocks[b].second, " coded bytes");
+    }
     return hdr;
 }
 
@@ -372,16 +421,12 @@ std::vector<uint8_t>
 decompressOrThrow(const uint8_t *archive, size_t size, ThreadPool *pool)
 {
     const Header hdr = parseHeader(archive, size);
-    std::vector<std::vector<uint8_t>> outputs(hdr.blocks.size());
+    // Every block decodes straight into its own span of the output.
+    std::vector<uint8_t> out(hdr.originalSize);
     auto do_block = [&](size_t b) {
         const auto &[off, len] = hdr.blocks[b];
-        const size_t expect = b + 1 < hdr.blocks.size()
-            ? hdr.blockSize
-            : hdr.originalSize - b * hdr.blockSize;
-        outputs[b].reserve(expect);
-        decodeBlock(archive + off, len, outputs[b]);
-        sage_check_data(outputs[b].size() == expect, Corrupt,
-                        "gpzip block decoded to unexpected size");
+        decodeBlock(archive + off, len, out.data() + b * hdr.blockSize,
+                    blockBytes(hdr, b));
     };
     if (pool != nullptr && hdr.blocks.size() > 1)
         pool->parallelFor(hdr.blocks.size(), do_block);
@@ -389,10 +434,6 @@ decompressOrThrow(const uint8_t *archive, size_t size, ThreadPool *pool)
         for (size_t b = 0; b < hdr.blocks.size(); b++)
             do_block(b);
 
-    std::vector<uint8_t> out;
-    out.reserve(hdr.originalSize);
-    for (auto &block : outputs)
-        out.insert(out.end(), block.begin(), block.end());
     if (Crc32::of(out) != hdr.crc)
         sage_check_data(false, Corrupt,
                         "gpzip CRC mismatch (corrupt archive)");

@@ -5,9 +5,10 @@
  * tokens, and the status a request completes with.
  *
  * A RequestOptions travels with every scheduled request and is checked
- * at the two points where abandoning is cheap: when the scheduler
- * dequeues the request (it may have sat behind a deep backlog) and
- * before each chunk decode (the expensive step). An expired or
+ * at the two points where abandoning is cheap: when the request starts
+ * (dequeued by the scheduler after it may have sat behind a deep
+ * backlog, or begun on a blocking caller) and before each chunk decode
+ * (the expensive step). An expired or
  * cancelled request completes with a distinct RequestStatus instead of
  * burning a worker on an answer nobody is waiting for — that is what
  * lets an interactive client bail out from behind a 64-client batch
@@ -141,8 +142,9 @@ struct RequestOptions
 
     RequestPriority priority = RequestPriority::Normal;
 
-    /** Absolute deadline; Clock::time_point::max() = none. Checked at
-     *  dequeue and before each chunk decode, not mid-decode. */
+    /** Absolute deadline; Clock::time_point::max() = none. Checked
+     *  when the request starts and before each chunk decode, not
+     *  mid-decode. */
     Clock::time_point deadline = Clock::time_point::max();
 
     CancelToken cancel;

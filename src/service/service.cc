@@ -13,14 +13,20 @@ namespace sage {
 
 namespace {
 
-/** Payload bytes (bases + quality) runs deliver to a client. */
+/** Payload bytes (bases + quality) runs deliver to a client, read off
+ *  each run's first and last end entries rather than its reads. */
 uint64_t
 payloadBytes(const std::vector<ReadRun> &runs)
 {
     uint64_t bytes = 0;
     for (const ReadRun &run : runs) {
-        for (const ReadView read : run)
-            bytes += read.bases.size() + read.quals.size();
+        if (run.count == 0)
+            continue;
+        const std::vector<ReadColumns::Ends> &ends = run.chunk->reads.ends;
+        const ReadColumns::Ends start =
+            run.offset == 0 ? ReadColumns::Ends{} : ends[run.offset - 1];
+        const ReadColumns::Ends &end = ends[run.offset + run.count - 1];
+        bytes += (end.bases - start.bases) + (end.quals - start.quals);
     }
     return bytes;
 }
@@ -119,11 +125,33 @@ SageArchiveService::~SageArchiveService()
 // Scheduler
 // ---------------------------------------------------------------------
 
+RangeResult
+SageArchiveService::runRequest(const RequestOptions &options,
+                               const Stopwatch &clock, const Serve &serve)
+{
+    // Start-time QoS check: a request that sat out its deadline behind
+    // a backlog (or was cancelled while queued) completes immediately
+    // with its status — no decode, no assembly.
+    RangeResult result;
+    result.status = options.checkNow();
+    if (result.status == RequestStatus::Ok) {
+        // A throwing request (std::bad_alloc while assembling reads)
+        // must not unwind past finishRequest(): the destructor's drain
+        // would wait on it forever. Request failure is fatal.
+        try {
+            result = serve(options);
+        } catch (const std::exception &error) {
+            sage_fatal("service request failed with exception: ",
+                       error.what());
+        }
+    }
+    recordRequest(options.priority, clock.seconds(), result);
+    return result;
+}
+
 void
-SageArchiveService::schedule(
-    RequestOptions options,
-    std::function<RangeResult(const RequestOptions &)> serve,
-    std::function<void(RangeResult)> done)
+SageArchiveService::schedule(RequestOptions options, Serve serve,
+                             std::function<void(RangeResult)> done)
 {
     const Stopwatch clock;  // Latency includes the queue wait.
     const RequestPriority priority = options.priority;
@@ -131,15 +159,7 @@ SageArchiveService::schedule(
                                   options = std::move(options),
                                   serve = std::move(serve),
                                   done = std::move(done)] {
-        // Dequeue-time QoS check: a request that sat out its deadline
-        // behind a backlog (or was cancelled while queued) completes
-        // immediately with its status — no decode, no assembly.
-        RangeResult result;
-        result.status = options.checkNow();
-        if (result.status == RequestStatus::Ok)
-            result = serve(options);
-        recordRequest(options.priority, clock.seconds(), result);
-        done(std::move(result));
+        done(runRequest(options, clock, serve));
     };
     {
         std::lock_guard<std::mutex> lock(schedMutex_);
@@ -181,24 +201,67 @@ SageArchiveService::runOne()
                       std::memory_order_relaxed);
         executing_++;
     }
-    // A throwing request (std::bad_alloc while assembling reads) must
-    // not unwind past the executing_ decrement below: the destructor's
-    // drain would wait on it forever. Request failure is fatal.
+    // The request body already turns a throwing serve into a fatal
+    // error; this covers the callback, which must not unwind out of
+    // the pool task either.
     try {
         work();
     } catch (const std::exception &error) {
-        sage_fatal("service request failed with exception: ",
+        sage_fatal("service request callback failed with exception: ",
                    error.what());
     }
-    {
-        // Notify under the lock: once the destructor's drain wakes and
-        // takes the mutex, this trampoline no longer touches service
-        // state.
-        std::lock_guard<std::mutex> lock(schedMutex_);
-        executing_--;
-        if (queued_ == 0 && executing_ == 0)
-            schedIdle_.notify_all();
+    finishRequest(false);
+}
+
+RangeResult
+SageArchiveService::serveBlocking(const RequestOptions &options,
+                                  Serve serve)
+{
+    if (startOnCaller(options.priority)) {
+        const Stopwatch clock;
+        RangeResult result = runRequest(options, clock, serve);
+        finishRequest(true);
+        return result;
     }
+    auto promise = std::make_shared<std::promise<RangeResult>>();
+    std::future<RangeResult> future = promise->get_future();
+    schedule(options, std::move(serve), [promise](RangeResult result) {
+        promise->set_value(std::move(result));
+    });
+    return future.get();
+}
+
+bool
+SageArchiveService::startOnCaller(RequestPriority priority)
+{
+    std::lock_guard<std::mutex> lock(schedMutex_);
+    // Never overtake a request the scheduler would run first (FIFO
+    // within a priority, higher first), and never run more of this
+    // service's requests on callers at once than the pool has workers
+    // (which keep draining the queue beside them).
+    if (onCallers_ >= pool_->threadCount())
+        return false;
+    for (size_t p = 0; p <= static_cast<size_t>(priority); p++) {
+        if (!queues_[p].empty())
+            return false;
+    }
+    onCallers_++;
+    executing_++;
+    return true;
+}
+
+void
+SageArchiveService::finishRequest(bool on_caller)
+{
+    // Notify under the lock: once the destructor's drain wakes and
+    // takes the mutex, the finished request no longer touches service
+    // state.
+    std::lock_guard<std::mutex> lock(schedMutex_);
+    executing_--;
+    if (on_caller)
+        onCallers_--;
+    if (queued_ == 0 && executing_ == 0)
+        schedIdle_.notify_all();
 }
 
 // ---------------------------------------------------------------------
@@ -351,14 +414,20 @@ SageArchiveService::recordRequest(RequestPriority priority,
 }
 
 void
-SageArchiveService::submit(uint64_t first_read, uint64_t count,
-                           const RequestOptions &options,
-                           std::function<void(RangeResult)> done)
+SageArchiveService::checkSpan(uint64_t first_read, uint64_t count) const
 {
     sage_assert(first_read <= readCount() &&
                 count <= readCount() - first_read,
                 "read range [", first_read, ", ", first_read + count,
                 ") exceeds the archive's ", readCount(), " reads");
+}
+
+void
+SageArchiveService::submit(uint64_t first_read, uint64_t count,
+                           const RequestOptions &options,
+                           std::function<void(RangeResult)> done)
+{
+    checkSpan(first_read, count);
     schedule(
         options,
         [this, first_read, count](const RequestOptions &live) {
@@ -371,12 +440,14 @@ ReadResult
 SageArchiveService::readRange(uint64_t first_read, uint64_t count,
                               const RequestOptions &options)
 {
-    auto promise = std::make_shared<std::promise<RangeResult>>();
-    std::future<RangeResult> future = promise->get_future();
-    submit(first_read, count, options, [promise](RangeResult result) {
-        promise->set_value(std::move(result));
-    });
-    return future.get().copyReads();
+    checkSpan(first_read, count);
+    return serveBlocking(options,
+                         [this, first_read,
+                          count](const RequestOptions &live) {
+                             return assembleRange(first_read, count,
+                                                  live);
+                         })
+        .copyReads();
 }
 
 void
@@ -476,43 +547,35 @@ ServiceSession::ensureChunk()
         status_ == RequestStatus::Cancelled) {
         return false;
     }
-    // Chunk fetches go through the scheduler like any other request
-    // so a flood of Background warms cannot starve them; the
-    // session's token/deadline covers every fetch it issues. The
-    // fetched chunk travels beside the RangeResult: the worker stores
-    // it before done() fulfils the promise, which orders that store
-    // before this thread reads it.
-    struct Fetch
-    {
-        DecodedChunkPtr chunk;
-        std::promise<RequestStatus> status;
-    };
-    auto fetch = std::make_shared<Fetch>();
-    std::future<RequestStatus> status = fetch->status.get_future();
+    // A chunk fetch is a blocking request like readRange: it runs on
+    // this thread when the scheduler has nothing of its priority or
+    // higher queued, and is queued otherwise, so a flood of
+    // Background warms cannot starve it. The session's token/deadline
+    // covers every fetch it issues. The fetched chunk travels beside
+    // the RangeResult; serveBlocking() returns only once the request
+    // has completed, so the local outlives every write to it.
     const size_t index = service_->chunkForRead(position_);
-    service_->schedule(
-        options_,
-        [service = service_, index, fetch](const RequestOptions &live) {
+    DecodedChunkPtr fetched;
+    const RangeResult outcome = service_->serveBlocking(
+        options_, [service = service_, index,
+                   &fetched](const RequestOptions &live) {
             RangeResult outcome;
-            fetch->chunk = service->fetchChunk(index, live, outcome);
+            fetched = service->fetchChunk(index, live, outcome);
             // Speculate the client's next sequential chunk into the
-            // cache as Background work — the serving-layer analogue
-            // of the reader's prefetch-next-chunk mode, but per client
-            // and deduplicated by the cache's single-flight machinery.
-            // Pointless without a retaining cache (the warm's decode
-            // would be evicted on insert and re-done when the session
-            // arrives), so a zero budget disables speculation.
-            if (fetch->chunk && service->options_.sessionReadahead &&
+            // cache as queued Background work — the serving-layer
+            // analogue of the reader's prefetch-next-chunk mode, but
+            // per client and deduplicated by the cache's single-flight
+            // machinery. Pointless without a retaining cache (the
+            // warm's decode would be evicted on insert and re-done when
+            // the session arrives), so a zero budget disables it.
+            if (fetched && service->options_.sessionReadahead &&
                 service->cache_.budgetBytes() > 0) {
                 service->warmChunk(index + 1);
             }
             return outcome;
-        },
-        [fetch](RangeResult outcome) {
-            fetch->status.set_value(outcome.status);
         });
-    status_ = status.get();
-    chunk_ = std::move(fetch->chunk);
+    status_ = outcome.status;
+    chunk_ = std::move(fetched);
     return chunk_ != nullptr;
 }
 

@@ -20,11 +20,12 @@
  *     request overtakes queued Background warms, requests of equal
  *     priority run in arrival order);
  *   - per-request QoS (service/qos.hh): RequestOptions carry a
- *     deadline and a CancelToken, checked when the request is
- *     dequeued and before each chunk decode, so an interactive
- *     request abandons the queue instead of waiting out a deep batch
- *     backlog; expired/cancelled requests complete with a distinct
- *     RequestStatus and are counted in ServiceStats;
+ *     deadline and a CancelToken, checked when the request starts
+ *     (dequeued, or begun on its caller) and before each chunk
+ *     decode, so an interactive request abandons the queue instead
+ *     of waiting out a deep batch backlog; expired/cancelled requests
+ *     complete with a distinct RequestStatus and are counted in
+ *     ServiceStats;
  *   - per-client ServiceSession handles that track sequential
  *     position, letting the service speculate each client's next
  *     chunk into the cache (the serving-layer analogue of
@@ -40,10 +41,15 @@
  * chunkReadCount(c)) whose outcome is handed to @p done on a pool
  * worker as a RangeResult — ReadRuns over the cached chunks, which
  * pin those chunks while held and yield ReadViews into their columns;
- * no read is copied. readRange() is submit() plus a blocking wait and
- * a copy into owned reads on the caller's thread, and sessions and
- * readahead warms go through the same scheduling body. See
- * docs/service.md for the chunk representation, the cache and
+ * no read is copied. The blocking calls, readRange() and a session's
+ * chunk fetch, run the same request body: on the calling thread when
+ * no request of equal or higher priority is queued and fewer than
+ * pool().threadCount() of this service's requests already run on
+ * their callers, otherwise queued and waited for like a submit().
+ * readRange() then copies the runs into owned reads on its caller.
+ * The pool's workers keep draining the queue meanwhile, so a service
+ * runs up to twice pool().threadCount() requests at once.
+ * See docs/service.md for the chunk representation, the cache and
  * scheduling model, and sizing guidance.
  */
 
@@ -66,6 +72,7 @@
 #include "service/chunk_cache.hh"
 #include "service/qos.hh"
 #include "util/histogram.hh"
+#include "util/timing.hh"
 
 namespace sage {
 
@@ -88,7 +95,9 @@ struct ServiceOptions
 
     /** Worker pool the scheduler drains onto (must outlive the
      *  service). When null the service owns a pool of
-     *  @ref ownedPoolThreads workers. */
+     *  @ref ownedPoolThreads workers. It bounds only the queued
+     *  path: each service sharing it also runs up to threadCount()
+     *  blocking requests on their callers. */
     ThreadPool *pool = nullptr;
 
     /** Owned-pool size when @ref pool is null (0 = hardware
@@ -356,11 +365,12 @@ class SageArchiveService
      * no reads instead of occupying a worker behind a deep backlog.
      *
      * @p done runs exactly once, on a pool worker (never the calling
-     * thread), with the outcome: the span as ReadRuns over the cached
-     * chunks, nothing copied. The runs pin their chunks for as long as
-     * the result is held (outside the cache budget), so a consumer
-     * that serializes them — the network server's reply encoder —
-     * should release them once done. @p done must not block on another
+     * thread, unlike readRange()'s request), with the outcome: the
+     * span as ReadRuns over the cached chunks, nothing copied. The
+     * runs pin their chunks for as long as the result is held
+     * (outside the cache budget), so a consumer that serializes them
+     * — the network server's reply encoder — should release them once
+     * done. @p done must not block on another
      * request to this service (it would occupy the worker it is
      * waiting for). Fatal on an out-of-range span.
      *
@@ -371,9 +381,17 @@ class SageArchiveService
                 const RequestOptions &options,
                 std::function<void(RangeResult)> done);
 
-    /** submit() that blocks the calling client thread until the
-     *  request completes, then copies the runs into owned reads on
-     *  that thread (RangeResult::copyReads). */
+    /**
+     * The span submit() would serve, as owned reads
+     * (RangeResult::copyReads, on the calling thread). The request
+     * runs on the calling thread when no request of equal or higher
+     * priority is queued and fewer than pool().threadCount() of this
+     * service's requests run on their callers already; otherwise it
+     * is queued at @p options.priority and the caller blocks until a
+     * pool worker has served it. Either way it is QoS-checked, timed
+     * and counted like a submit(). Must not be called from a submit()
+     * callback: queued, it would wait for the worker it occupies.
+     */
     ReadResult readRange(uint64_t first_read, uint64_t count,
                          const RequestOptions &options = {});
 
@@ -454,26 +472,57 @@ class SageArchiveService
     /** Classify a terminal chunk-decode failure into the counters. */
     void recordChunkError(const Status &status);
 
+    /** Fatal unless [first, first+count) lies inside the archive. */
+    void checkSpan(uint64_t first_read, uint64_t count) const;
+
     /** Collect [first, first+count) as runs over cached chunks (no
      *  read is copied), re-checking @p options before each chunk
      *  decode. */
     RangeResult assembleRange(uint64_t first_read, uint64_t count,
                               const RequestOptions &options);
 
+    /** What a request does once it runs: the outcome it completes
+     *  with, given its (still live) options. */
+    using Serve = std::function<RangeResult(const RequestOptions &)>;
+
     /**
-     * The scheduling body behind submit(), session chunk fetches and
-     * readahead warms: time the request from enqueue, queue it at
-     * @p options.priority, and on a worker complete it with its QoS
-     * status if it expired or was cancelled while queued (or else run
-     * @p serve), record it, then hand the outcome to @p done.
+     * The request body, on whichever thread runs the request: complete
+     * it with its QoS status if it expired or was cancelled before it
+     * started (or else run @p serve), then record it with its latency
+     * since @p clock started.
      */
-    void schedule(
-        RequestOptions options,
-        std::function<RangeResult(const RequestOptions &)> serve,
-        std::function<void(RangeResult)> done);
+    RangeResult runRequest(const RequestOptions &options,
+                           const Stopwatch &clock, const Serve &serve);
+
+    /**
+     * The queued path behind submit(), readahead warms and blocking
+     * calls that may not run on their caller: time the request from
+     * enqueue, queue it at @p options.priority, and on a pool worker
+     * run the request body, then hand the outcome to @p done.
+     */
+    void schedule(RequestOptions options, Serve serve,
+                  std::function<void(RangeResult)> done);
 
     /** Pop and run the oldest request of the best priority. */
     void runOne();
+
+    /**
+     * The blocking calls' path: run the request body on the calling
+     * thread when startOnCaller() allows it, else schedule() it and
+     * wait for its outcome.
+     */
+    RangeResult serveBlocking(const RequestOptions &options, Serve serve);
+
+    /** Claim a caller-run slot for a request of @p priority: true (and
+     *  counted executing) when no request of equal or higher priority
+     *  is queued and fewer than pool().threadCount() of this
+     *  service's requests run on callers. The pool's workers are not
+     *  counted: they run queued requests beside the callers. */
+    bool startOnCaller(RequestPriority priority);
+
+    /** A running request has finished (@p on_caller: it held a
+     *  caller-run slot); wakes the destructor's drain when idle. */
+    void finishRequest(bool on_caller);
 
     /** Record a completed request's latency, status and the payload
      *  its runs deliver. */
@@ -500,6 +549,7 @@ class SageArchiveService
      *  schedMutex_; atomic so queueDepth() can read it lock-free. */
     std::atomic<uint64_t> queued_{0};
     uint64_t executing_ = 0;    ///< Requests currently running.
+    uint64_t onCallers_ = 0;    ///< Of those, run on their callers.
     std::atomic<uint64_t> maxQueueDepth_{0};
 
     // Counter state (separate lock: hot request completions must not

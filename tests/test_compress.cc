@@ -22,6 +22,7 @@
 #include "util/rng.hh"
 #include "util/status.hh"
 #include "util/thread_pool.hh"
+#include "util/varint.hh"
 
 #include "range_encoder.hh"
 
@@ -121,6 +122,56 @@ TEST(Gpzip, CorruptionDetected)
     auto archive = gpzip::compress(text);
     archive[archive.size() / 2] ^= 0x40;
     EXPECT_FALSE(gpzip::tryDecompress(archive).ok());
+}
+
+/** @p archive (one block) re-framed to declare @p declared decoded
+ *  bytes in a block of that size; the coded block and CRC are kept. */
+std::vector<uint8_t>
+redeclared(const std::vector<uint8_t> &archive, uint64_t declared)
+{
+    size_t pos = 4;
+    getVarint(archive.data(), archive.size(), pos);  // Decoded size.
+    getVarint(archive.data(), archive.size(), pos);  // Block size.
+    EXPECT_EQ(getVarint(archive.data(), archive.size(), pos), 1u);
+    const uint64_t coded = getVarint(archive.data(), archive.size(), pos);
+    std::vector<uint8_t> out(archive.begin(), archive.begin() + 4);
+    putVarint(out, declared);
+    putVarint(out, declared);
+    putVarint(out, 1);
+    putVarint(out, coded);
+    out.insert(out.end(), archive.begin() + static_cast<ptrdiff_t>(pos),
+               archive.end());
+    return out;
+}
+
+TEST(Gpzip, BlockDecodingPastItsDeclaredSizeIsCorrupt)
+{
+    // Long runs code a 259-byte match in a few bits; a block that
+    // decodes past the size its container declares stops there.
+    const std::string text(100000, 'A');
+    const auto archive = gpzip::compress(text);
+    const StatusOr<std::vector<uint8_t>> out =
+        gpzip::tryDecompress(redeclared(archive, 1000));
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::Corrupt)
+        << out.status().toString();
+    EXPECT_NE(out.status().toString().find("past its 1000 declared"),
+              std::string::npos)
+        << out.status().toString();
+    EXPECT_EQ(decompressed(redeclared(archive, text.size())),
+              std::vector<uint8_t>(text.begin(), text.end()));
+}
+
+TEST(Gpzip, DeclaredSizeBeyondTheCodedBitsIsCorrupt)
+{
+    // No block can yield more than 259 bytes per coded bit, so a
+    // header declaring more is rejected before anything is allocated.
+    const auto archive = gpzip::compress(std::string(5000, 'C'));
+    const StatusOr<std::vector<uint8_t>> out =
+        gpzip::tryDecompress(redeclared(archive, uint64_t{1} << 40));
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::Corrupt)
+        << out.status().toString();
 }
 
 TEST(GpzipOnPool, CorruptBlockIsAStatus)

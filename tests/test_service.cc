@@ -14,8 +14,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <thread>
 
 #include "core/sage.hh"
@@ -87,6 +90,169 @@ makeChunk(size_t chunk, uint64_t first_read, size_t reads,
     }
     data->bytes = data->reads.capacityBytes();
     return data;
+}
+
+/** How long a check waits for something that should happen: long
+ *  enough for a sanitizer build, short enough that a call that never
+ *  completes fails the test instead of hanging it. */
+constexpr auto kBound = std::chrono::seconds(10);
+
+/** How long a check waits to see that something does not happen. */
+constexpr auto kGrace = std::chrono::milliseconds(200);
+
+template <typename T>
+bool
+readyWithin(const std::future<T> &future,
+            std::chrono::milliseconds wait = kBound)
+{
+    return future.wait_for(wait) == std::future_status::ready;
+}
+
+/** True once @p service has @p depth requests queued, within kBound. */
+bool
+queueReaches(const SageArchiveService &service, uint64_t depth)
+{
+    const auto deadline = std::chrono::steady_clock::now() + kBound;
+    while (service.queueDepth() < depth) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+/** Runs a callable when it goes out of scope. */
+struct OnExit
+{
+    std::function<void()> run;
+    ~OnExit() { run(); }
+};
+
+/**
+ * Occupies a service's pool workers: each hold() is a submit() whose
+ * callback blocks until release(). The destructor releases too, so a
+ * failed check cannot leave the service's drain waiting on a worker.
+ */
+class WorkerHold
+{
+  public:
+    explicit WorkerHold(SageArchiveService &service) : service_(service) {}
+    ~WorkerHold() { release(); }
+
+    /** Occupy one more worker; false when none started the holding
+     *  request within kBound. */
+    bool
+    hold()
+    {
+        auto started = std::make_shared<std::promise<void>>();
+        std::future<void> running = started->get_future();
+        service_.submit(0, 0, RequestOptions{},
+                        [started, gate = gate_](RangeResult) {
+                            started->set_value();
+                            gate.wait();
+                        });
+        return readyWithin(running);
+    }
+
+    void
+    release()
+    {
+        if (!released_) {
+            released_ = true;
+            open_.set_value();
+        }
+    }
+
+  private:
+    SageArchiveService &service_;
+    std::promise<void> open_;
+    std::shared_future<void> gate_ = open_.get_future().share();
+    bool released_ = false;
+};
+
+/** A memory source whose reads park while it is armed, so a test can
+ *  hold requests inside their chunk decodes. */
+class ParkingSource final : public ByteSource
+{
+  public:
+    explicit ParkingSource(const std::vector<uint8_t> &bytes)
+        : inner_(bytes)
+    {}
+
+    void
+    arm()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        armed_ = true;
+    }
+
+    void
+    release()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        armed_ = false;
+        changed_.notify_all();
+    }
+
+    /** True once @p readers reads are parked, within kBound. */
+    bool
+    waitParked(size_t readers) const
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        return changed_.wait_for(lock, kBound,
+                                 [&] { return parked_ >= readers; });
+    }
+
+    uint64_t size() const override { return inner_.size(); }
+
+    void
+    readAt(uint64_t offset, void *dst, size_t size) const override
+    {
+        park();
+        inner_.readAt(offset, dst, size);
+    }
+
+    Status
+    tryReadAt(uint64_t offset, void *dst, size_t size) const override
+    {
+        park();
+        return inner_.tryReadAt(offset, dst, size);
+    }
+
+    std::string describe() const override { return "<parking>"; }
+
+  private:
+    void
+    park() const
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (!armed_)
+            return;
+        parked_++;
+        changed_.notify_all();
+        changed_.wait(lock, [&] { return !armed_; });
+        parked_--;
+    }
+
+    MemorySource inner_;
+    mutable std::mutex mutex_;
+    mutable std::condition_variable changed_;
+    bool armed_ = false;
+    mutable size_t parked_ = 0;
+};
+
+/** The counters every quiescent service must satisfy. */
+void
+expectIdleAndCounted(const SageArchiveService &service)
+{
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.executing, 0u);
+    EXPECT_EQ(stats.queueDepth, 0u);
+    EXPECT_EQ(stats.requests, stats.latencySamples);
+    uint64_t by_priority = 0;
+    for (const LatencySummary &summary : stats.latencyByPriority)
+        by_priority += summary.samples;
+    EXPECT_EQ(by_priority, stats.requests);
 }
 
 // ---------------------------------------------------------------------
@@ -729,6 +895,32 @@ TEST_F(ServiceTest, HeldRunsPinTheirChunksAcrossEviction)
     EXPECT_EQ(copy_after.bytesServed - copy_before.bytesServed, payload);
 }
 
+TEST_F(ServiceTest, ServedBytesCountOnlyTheSpan)
+{
+    // Payload is counted from each run's end offsets: spans that start
+    // and end inside chunks must count exactly their own reads' bases
+    // and quality, through both the blocking and the async path.
+    SageArchiveService service(path_);
+    const std::vector<std::pair<uint64_t, uint64_t>> spans = {
+        {10, 20}, {0, 5}, {70, 50}, {30, 150}, {64, 64}, {63, 2}};
+    for (const auto &[first, count] : spans) {
+        uint64_t payload = 0;
+        for (uint64_t i = first; i < first + count; i++)
+            payload += expected_[i].bases.size() + expected_[i].quals.size();
+        const ServiceStats before = service.stats();
+        ASSERT_TRUE(service.readRange(first, count).ok());
+        const ServiceStats middle = service.stats();
+        ASSERT_TRUE(submitAsync(service, first, count).get().ok());
+        const ServiceStats after = service.stats();
+        EXPECT_EQ(middle.readsServed - before.readsServed, count);
+        EXPECT_EQ(middle.bytesServed - before.bytesServed, payload)
+            << "span " << first << "+" << count;
+        EXPECT_EQ(after.readsServed - middle.readsServed, count);
+        EXPECT_EQ(after.bytesServed - middle.bytesServed, payload)
+            << "span " << first << "+" << count;
+    }
+}
+
 TEST_F(ServiceTest, DestructorDrainsOutstandingRequests)
 {
     std::future<RangeResult> abandoned;
@@ -753,6 +945,139 @@ TEST_F(ServiceTest, TinyCacheBudgetStillServesCorrectly)
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.cache.residentBytes, 0u);
     EXPECT_GT(stats.cache.evictions + stats.cache.misses, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Blocking calls on their callers: readRange and a session's chunk
+// fetch run on the calling thread unless a request of equal or higher
+// priority is queued or pool().threadCount() already run on callers.
+// ---------------------------------------------------------------------
+
+TEST_F(ServiceTest, BlockingCallsRunOnTheCallerWhileTheWorkerIsHeld)
+{
+    ThreadPool pool(1);
+    ServiceOptions options;
+    options.pool = &pool;
+    SageArchiveService service(path_, options);
+    WorkerHold hold(service);
+    ASSERT_TRUE(hold.hold());
+
+    // One at a time: a one-worker pool allows one caller-run request.
+    std::future<ReadResult> range;
+    std::future<std::vector<Read>> walk;
+    OnExit cleanup{[&] { hold.release(); }};
+    range = std::async(std::launch::async,
+                       [&] { return service.readRange(70, 100); });
+    ASSERT_TRUE(readyWithin(range));
+    const ReadResult got = range.get();
+    ASSERT_TRUE(got.ok());
+    expectSameReads(got.reads,
+                    {expected_.begin() + 70, expected_.begin() + 170});
+
+    // The session crosses chunks while its readahead warms sit queued
+    // behind the held worker: a fetch never waits for its own warm.
+    walk = std::async(std::launch::async, [&] {
+        ServiceSession session = service.openSession();
+        return session.read(200);
+    });
+    ASSERT_TRUE(readyWithin(walk));
+    expectSameReads(walk.get(),
+                    {expected_.begin(), expected_.begin() + 200});
+    EXPECT_GE(service.queueDepth(), 1u);
+
+    hold.release();
+    pool.wait();
+    expectIdleAndCounted(service);
+    EXPECT_EQ(service.stats().readsServed, 300u);
+}
+
+TEST_F(ServiceTest, BlockingCallQueuesBehindAnEqualPriorityRequest)
+{
+    ThreadPool pool(1);
+    ServiceOptions options;
+    options.pool = &pool;
+    SageArchiveService service(path_, options);
+    WorkerHold hold(service);
+    ASSERT_TRUE(hold.hold());
+
+    std::atomic<int> order{0}, queued_done{-1}, blocking_done{-1};
+    service.submit(0, 64, RequestOptions{},
+                   [&](RangeResult) { queued_done = order++; });
+    auto blocking = std::async(std::launch::async, [&] {
+        ReadResult result = service.readRange(64, 64);
+        blocking_done = order++;
+        return result;
+    });
+    OnExit cleanup{[&] { hold.release(); }};
+
+    // Running it on the caller would overtake the queued request.
+    EXPECT_TRUE(queueReaches(service, 2));
+    EXPECT_FALSE(readyWithin(blocking, kGrace));
+    EXPECT_EQ(service.queueDepth(), 2u);
+    hold.release();
+    ASSERT_TRUE(readyWithin(blocking));
+    const ReadResult got = blocking.get();
+    ASSERT_TRUE(got.ok());
+    expectSameReads(got.reads,
+                    {expected_.begin() + 64, expected_.begin() + 128});
+    EXPECT_EQ(queued_done.load(), 0);
+    EXPECT_EQ(blocking_done.load(), 1);
+    pool.wait();
+    expectIdleAndCounted(service);
+}
+
+TEST_F(ServiceTest, CallerRunsAreBoundedByThePoolSize)
+{
+    // Two workers, both held: two blocking calls may decode on their
+    // callers (parked here inside their chunk reads), and a third
+    // queues like a submit() until a worker is free.
+    ParkingSource source(archive_.bytes);
+    ThreadPool pool(2);
+    ServiceOptions options;
+    options.pool = &pool;
+    SageArchiveService service(source, options);
+    WorkerHold hold(service);
+    ASSERT_TRUE(hold.hold());
+    ASSERT_TRUE(hold.hold());
+
+    source.arm();
+    std::vector<std::future<ReadResult>> parked;
+    for (size_t c = 0; c < 2; c++) {
+        parked.push_back(std::async(std::launch::async, [&, c] {
+            return readChunk(service, c);
+        }));
+    }
+    std::future<ReadResult> third;
+    OnExit cleanup{[&] {
+        source.release();
+        hold.release();
+    }};
+    ASSERT_TRUE(source.waitParked(2));
+    EXPECT_EQ(service.stats().executing, 4u);  // Two holds, two callers.
+
+    third = std::async(std::launch::async,
+                       [&] { return readChunk(service, 2); });
+    EXPECT_TRUE(queueReaches(service, 1));
+    EXPECT_FALSE(readyWithin(third, kGrace));
+    EXPECT_EQ(service.queueDepth(), 1u);
+
+    source.release();
+    for (size_t c = 0; c < 2; c++) {
+        ASSERT_TRUE(readyWithin(parked[c]));
+        const ReadResult got = parked[c].get();
+        ASSERT_TRUE(got.ok());
+        expectSameReads(got.reads, {expected_.begin() + 64 * c,
+                                    expected_.begin() + 64 * (c + 1)});
+    }
+    EXPECT_FALSE(readyWithin(third, kGrace));  // Still queued.
+    hold.release();
+    ASSERT_TRUE(readyWithin(third));
+    const ReadResult got = third.get();
+    ASSERT_TRUE(got.ok());
+    expectSameReads(got.reads,
+                    {expected_.begin() + 128, expected_.begin() + 192});
+    pool.wait();
+    expectIdleAndCounted(service);
 }
 
 // ---------------------------------------------------------------------
@@ -1009,6 +1334,50 @@ TEST_F(ServiceQosTest, InteractiveOvertakesBacklogViaDeadline)
     EXPECT_LT(waited, 5.0);
     for (auto &future : backlog)
         EXPECT_EQ(future.get().readCount(), expected_.size());
+}
+
+TEST_F(ServiceQosTest, InteractiveBlockingCallOvertakesAQueuedBacklog)
+{
+    // With only Normal and Background requests queued, an Interactive
+    // readRange has nothing to wait behind: it runs on its caller.
+    ThreadPool pool(1);
+    ServiceOptions service_options;
+    service_options.pool = &pool;
+    SageArchiveService service(path_, service_options);
+    WorkerHold hold(service);
+    ASSERT_TRUE(hold.hold());
+
+    std::vector<std::future<RangeResult>> backlog;
+    for (int i = 0; i < 3; i++)
+        backlog.push_back(submitAsync(service, 0, expected_.size()));
+    service.warmChunk(4);
+    RequestOptions options;
+    options.priority = RequestPriority::Interactive;
+    auto interactive = std::async(std::launch::async, [&] {
+        return service.readRange(130, 64, options);
+    });
+    OnExit cleanup{[&] { hold.release(); }};
+
+    ASSERT_TRUE(readyWithin(interactive));
+    const ReadResult got = interactive.get();
+    ASSERT_TRUE(got.ok());
+    expectSameReads(got.reads,
+                    {expected_.begin() + 130, expected_.begin() + 194});
+    EXPECT_EQ(service.queueDepth(), 4u);  // The backlog still waits.
+
+    hold.release();
+    for (auto &future : backlog)
+        EXPECT_EQ(future.get().readCount(), expected_.size());
+    pool.wait();
+    expectIdleAndCounted(service);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.latencyByPriority[static_cast<size_t>(
+                  RequestPriority::Interactive)]
+                  .samples,
+              1u);
+    EXPECT_EQ(stats.requestsByPriority[static_cast<size_t>(
+                  RequestPriority::Background)],
+              1u);
 }
 
 TEST_F(ServiceQosTest, StatsSnapshotIsConsistentUnderLoad)
