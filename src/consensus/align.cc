@@ -15,14 +15,6 @@ constexpr uint32_t kInf = std::numeric_limits<uint32_t>::max() / 2;
 /** Traceback move codes. */
 enum Move : uint8_t { kNone = 0, kDiag = 1, kUp = 2, kLeft = 3 };
 
-/** True when the two bases should be scored as a match. */
-inline bool
-basesMatch(char q, char t)
-{
-    // N never matches so unknown bases always surface as explicit edits.
-    return q == t && q != 'N' && q != 'n';
-}
-
 struct BandShape
 {
     int64_t diff;     // target length - query length

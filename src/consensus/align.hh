@@ -19,6 +19,15 @@
 
 namespace sage {
 
+/** True when read base @p q scores as a match against consensus base
+ *  @p t. N never matches, so unknown bases always surface as explicit
+ *  edits. */
+inline bool
+basesMatch(char q, char t)
+{
+    return q == t && q != 'N' && q != 'n';
+}
+
 /** Result of a banded alignment. */
 struct AlignResult
 {

@@ -9,6 +9,18 @@
 
 namespace sage {
 
+namespace {
+
+/** The read span from the first of @p seeds to the end of the last: no
+ *  chain over them scores more (a chain's score is its anchors' span). */
+uint32_t
+seedSpan(const std::vector<KmerHit> &seeds, unsigned k)
+{
+    return seeds.empty() ? 0 : seeds.back().pos - seeds.front().pos + k;
+}
+
+} // namespace
+
 /** One seed match: a read offset and a consensus offset. */
 struct ConsensusMapper::Anchor
 {
@@ -190,6 +202,51 @@ ConsensusMapper::buildChains(const std::vector<KmerHit> &seeds,
 }
 
 bool
+ConsensusMapper::alignDiagonal(std::string_view bases, const Anchor *first,
+                               const Anchor *last, uint32_t read_start,
+                               uint32_t read_end, int64_t diag,
+                               std::vector<EditOp> &ops) const
+{
+    // Exact: what bandedAlign's equal-string check gives every piece.
+    const std::string_view read = bases.substr(read_start,
+                                               read_end - read_start);
+    if (read == consensus_.substr(static_cast<size_t>(read_start + diag),
+                                  read.size()) &&
+        read.find('N') == std::string_view::npos &&
+        read.find('n') == std::string_view::npos) {
+        return true;
+    }
+
+    // A piece runs from read_start or an anchor to the next anchor or
+    // read_end, with equal lengths. One with a single mismatching base
+    // has one cost-1 alignment, the substitution, since any indel needs
+    // a second indel to keep the lengths equal: the DP returns it. A
+    // piece with two is left to the DP.
+    const Anchor *next = first;
+    while (next != last && next->read <= read_start)
+        ++next;
+    bool piece_has_sub = false;
+    for (uint32_t r = read_start; r < read_end; r++) {
+        if (next != last && next->read == r) {
+            ++next;
+            piece_has_sub = false;
+        }
+        if (basesMatch(bases[r], consensus_[static_cast<size_t>(r + diag)]))
+            continue;
+        if (piece_has_sub)
+            return false;
+        piece_has_sub = true;
+        EditOp op;
+        op.readPos = r - read_start;
+        op.type = EditType::Sub;
+        op.length = 1;
+        op.bases = std::string(1, bases[r]);
+        ops.push_back(std::move(op));
+    }
+    return true;
+}
+
+bool
 ConsensusMapper::alignChain(std::string_view bases, const Anchor *first,
                             const Anchor *last, uint32_t read_start,
                             uint32_t read_end, AlignedSegment &out) const
@@ -207,14 +264,29 @@ ConsensusMapper::alignChain(std::string_view bases, const Anchor *first,
     // Project the segment's consensus start from the first anchor.
     const int64_t first_diag = static_cast<int64_t>(first->cons)
                                - static_cast<int64_t>(first->read);
-    int64_t cons_start = static_cast<int64_t>(read_start) + first_diag;
-    cons_start = std::clamp<int64_t>(
-        cons_start, 0, static_cast<int64_t>(consensus_.size()) - 1);
+    const int64_t projected = static_cast<int64_t>(read_start) + first_diag;
+    const int64_t cons_size = static_cast<int64_t>(consensus_.size());
+    const int64_t cons_start = std::clamp<int64_t>(projected, 0,
+                                                   cons_size - 1);
 
     out.consensusPos = static_cast<uint64_t>(cons_start);
     out.readStart = read_start;
     out.readLength = read_end - read_start;
     out.ops.clear();
+
+    // Every anchor on the first one's diagonal, and the whole window
+    // inside the consensus: each piece below has equal lengths, and the
+    // common cases need no DP.
+    if (cons_start == projected && projected + out.readLength <= cons_size &&
+        std::all_of(first, inside_end, [&](const Anchor &a) {
+            return static_cast<int64_t>(a.cons)
+                   - static_cast<int64_t>(a.read) == first_diag;
+        }) &&
+        alignDiagonal(bases, first, inside_end, read_start, read_end,
+                      first_diag, out.ops)) {
+        return true;
+    }
+    out.ops.clear(); // A failed alignDiagonal leaves part of a script.
 
     // Piecewise alignment between anchor waypoints. Waypoints tile the
     // consensus contiguously, so the concatenated edit scripts form one
@@ -280,8 +352,25 @@ ConsensusMapper::mapSequence(std::string_view bases) const
     thread_local Scratch scratch;
     extractStrandMinimizers(bases, k, config_.index.w, scratch.fwdSeeds,
                             scratch.revSeeds);
-    buildChains(scratch.fwdSeeds, scratch, scratch.fwd);
-    buildChains(scratch.revSeeds, scratch, scratch.rev);
+
+    // No chain scores more than its strand's seed span. Chain the strand
+    // with the larger span first, and skip the other when it cannot win:
+    // the reverse strand wins only by scoring strictly higher.
+    const uint32_t fwd_bound = seedSpan(scratch.fwdSeeds, k);
+    const uint32_t rev_bound = seedSpan(scratch.revSeeds, k);
+    if (fwd_bound >= rev_bound) {
+        buildChains(scratch.fwdSeeds, scratch, scratch.fwd);
+        if (scratch.fwd.bestScore() >= rev_bound)
+            scratch.rev.chains.clear();
+        else
+            buildChains(scratch.revSeeds, scratch, scratch.rev);
+    } else {
+        buildChains(scratch.revSeeds, scratch, scratch.rev);
+        if (scratch.rev.bestScore() > fwd_bound)
+            scratch.fwd.chains.clear();
+        else
+            buildChains(scratch.fwdSeeds, scratch, scratch.fwd);
+    }
     const bool use_rev = scratch.rev.bestScore() > scratch.fwd.bestScore();
     const StrandChains &strand = use_rev ? scratch.rev : scratch.fwd;
     if (strand.chains.empty())

@@ -12,6 +12,12 @@
  *   (up to N segments for chimeric reads, paper §5.1.2) -> piecewise
  *   banded alignment between anchors -> edit script.
  *
+ * Two exact shortcuts skip work whose outcome is already known: a
+ * strand whose seed span cannot beat the other strand's best chain is
+ * not looked up, and a segment whose anchors share one diagonal is
+ * compared base by base along it, falling back to the piecewise
+ * alignment only when a piece between anchors holds two mismatches.
+ *
  * Note this mapping is internal to compression and independent from the
  * read mapping performed later during genome analysis (paper footnote 6).
  */
@@ -107,6 +113,16 @@ class ConsensusMapper
      *  into @p out, working in @p scratch. */
     void buildChains(const std::vector<KmerHit> &seeds, Scratch &scratch,
                      StrandChains &out) const;
+
+    /** alignChain's script when anchors [@p first, @p last) all lie
+     *  on diagonal @p diag and the window is inside the consensus:
+     *  appends it to @p ops when no piece between anchors holds two
+     *  mismatches, and otherwise returns false with part of a script
+     *  appended. */
+    bool alignDiagonal(std::string_view bases, const Anchor *first,
+                       const Anchor *last, uint32_t read_start,
+                       uint32_t read_end, int64_t diag,
+                       std::vector<EditOp> &ops) const;
 
     /** Align read interval [@p read_start, @p read_end) of @p bases
      *  along one chain's anchors [@p first, @p last) into @p out. */

@@ -34,12 +34,13 @@ fixedTable(unsigned width)
 
 /**
  * Pre-O2 representation: expand indel blocks into single-base mismatch
- * events ("raw mismatch information", Fig. 17 NO/O1 bars).
+ * events ("raw mismatch information", Fig. 17 NO/O1 bars), replacing
+ * the contents of @p out.
  */
-std::vector<EditOp>
-expandBlocks(const std::vector<EditOp> &ops)
+void
+expandBlocks(const std::vector<EditOp> &ops, std::vector<EditOp> &out)
 {
-    std::vector<EditOp> out;
+    out.clear();
     for (const auto &op : ops) {
         if (op.type == EditType::Sub || op.length == 1) {
             out.push_back(op);
@@ -58,7 +59,6 @@ expandBlocks(const std::vector<EditOp> &ops)
             out.push_back(std::move(single));
         }
     }
-    return out;
 }
 
 /** What Algorithm 1 sees of each array's values: a histogram of their
@@ -119,8 +119,15 @@ writeDnaStreams(const ReadSet &rs, const PreppedReads &prep,
 {
     // Pre-O2 representation drops indel blocks; pre-O3 drops chimeras
     // (the mapper already produced maxSegments=1 mappings in that case).
-    auto ops_of = [&](const AlignedSegment &seg) {
-        return config.tuneArrays ? seg.ops : expandBlocks(seg.ops);
+    // A tuned script is used as it is; an expanded one lives in one
+    // buffer until the next segment's.
+    std::vector<EditOp> expanded;
+    auto ops_of = [&](const AlignedSegment &seg)
+        -> const std::vector<EditOp> & {
+        if (config.tuneArrays)
+            return seg.ops;
+        expandBlocks(seg.ops, expanded);
+        return expanded;
     };
 
     // ---- Pass 1: collect value samples and tune (Algorithm 1) --------
@@ -175,7 +182,7 @@ writeDnaStreams(const ReadSet &rs, const PreppedReads &prep,
                     - static_cast<int64_t>(primary))));
                 samples.segLens.add(valueBits(seg.readLength));
             }
-            const auto ops = ops_of(seg);
+            const std::vector<EditOp> &ops = ops_of(seg);
             samples.counts.add(valueBits(ops.size()));
             uint32_t prev_pos = 0;
             for (const EditOp &op : ops) {
@@ -322,7 +329,7 @@ writeDnaStreams(const ReadSet &rs, const PreppedReads &prep,
 
         bool first_event_of_read = true;
         for (const AlignedSegment &seg : cls.mapping.segments) {
-            const auto ops = ops_of(seg);
+            const std::vector<EditOp> &ops = ops_of(seg);
             count_codec.encode(arrays.mca, arrays.mcga, ops.size());
 
             uint32_t prev_pos = 0;

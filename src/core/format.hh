@@ -197,7 +197,10 @@ struct SageArchive
     /** Wall-clock split, for Fig. 18. */
     double mapSeconds = 0.0;
     double encodeSeconds = 0.0;
-    double tuneSeconds = 0.0;  ///< Algorithm 1 share (§8.6).
+    /** Wall time of pass 1 (sampling the field values) plus Algorithm 1
+     *  tuning, taken inside the encode's DNA job while the quality jobs
+     *  and the header gpzip share the cores: not the tuner's own cost. */
+    double tuneSeconds = 0.0;
 
     /** DNA-stream bytes (consensus + arrays + escapes). */
     uint64_t dnaBytes = 0;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "consensus/align.hh"
 #include "consensus/index.hh"
@@ -513,6 +514,178 @@ TEST(Mapper, MapAllOnPoolMatchesSerial)
             }
         }
     }
+}
+
+/** An edit script as text: "S12:A" substitutes A at read offset 12,
+ *  "I40:ACG" inserts ACG there and "D7x3" deletes 3 consensus bases. */
+std::string
+scriptText(const std::vector<EditOp> &ops)
+{
+    std::string text;
+    for (const EditOp &op : ops) {
+        if (!text.empty())
+            text += ' ';
+        switch (op.type) {
+        case EditType::Sub:
+            text += "S" + std::to_string(op.readPos) + ":" + op.bases;
+            break;
+        case EditType::Ins:
+            text += "I" + std::to_string(op.readPos) + ":" + op.bases;
+            break;
+        case EditType::Del:
+            text += "D" + std::to_string(op.readPos) + "x"
+                + std::to_string(op.length);
+            break;
+        }
+    }
+    return text;
+}
+
+/** A base other than @p base. */
+char
+otherBase(char base)
+{
+    return base == 'A' ? 'C' : 'A';
+}
+
+/** Map @p read, expect one forward segment at consensus offset @p pos
+ *  that rebuilds it, and return that segment's script as text. */
+std::string
+mapForward(const ConsensusMapper &mapper, const std::string &read,
+           uint64_t pos)
+{
+    const ReadMapping mapping = mapper.mapSequence(read);
+    EXPECT_TRUE(mapping.mapped);
+    EXPECT_FALSE(mapping.reverse);
+    EXPECT_EQ(reconstructRead(mapper.consensus(), mapping), read);
+    if (mapping.segments.size() != 1) {
+        ADD_FAILURE() << mapping.segments.size() << " segments";
+        return "";
+    }
+    EXPECT_EQ(mapping.segments[0].consensusPos, pos);
+    return scriptText(mapping.segments[0].ops);
+}
+
+TEST(Mapper, OneSubstitutionInEachOfTwoPieces)
+{
+    // Anchors lie between the two mismatches, so each sits alone in an
+    // equal-length piece, where the DP's only cost-1 alignment is the
+    // substitution.
+    Rng rng(71);
+    const std::string consensus = randomSeq(rng, 50000);
+    const ConsensusMapper mapper(consensus);
+    std::string read = consensus.substr(20000, 150);
+    read[20] = otherBase(read[20]);
+    read[120] = otherBase(read[120]);
+    EXPECT_EQ(mapForward(mapper, read, 20000),
+              std::string("S20:") + read[20] + " S120:" + read[120]);
+}
+
+TEST(Mapper, TwoEditsInOnePieceTakeTheDp)
+{
+    // Every k-mer starting at read offset 61..63 covers the mismatch at
+    // 63, so no anchor splits the two: the piece goes to bandedAlign,
+    // which here returns both substitutions.
+    Rng rng(71);
+    const std::string consensus = randomSeq(rng, 50000);
+    const ConsensusMapper mapper(consensus);
+    std::string read = consensus.substr(20000, 150);
+    read[60] = otherBase(read[60]);
+    read[63] = otherBase(read[63]);
+    EXPECT_EQ(mapForward(mapper, read, 20000),
+              std::string("S60:") + read[60] + " S63:" + read[63]);
+
+    // A deletion at 60 and an insertion at 63 leave every anchor on one
+    // diagonal, but read offsets 60-63 all mismatch along it. The DP
+    // aligns them with the two indels, not four substitutions.
+    const std::string window = consensus.substr(20000, 150);
+    read = window.substr(0, 60) + window.substr(61, 3) + "G"
+        + window.substr(64);
+    EXPECT_EQ(mapForward(mapper, read, 20000), "D60x1 I63:G");
+}
+
+TEST(Mapper, InsertionKeepsItsIndelScript)
+{
+    // The anchors after the insertion lie three diagonals off those
+    // before it, so the segment is aligned piece by piece. The script
+    // is the one the piecewise DP gave before any shortcut existed: the
+    // three inserted bases spread over read offsets 73-77.
+    Rng rng(71);
+    const std::string consensus = randomSeq(rng, 50000);
+    const ConsensusMapper mapper(consensus);
+    const std::string read = consensus.substr(30000, 75) + "TGA"
+        + consensus.substr(30075, 72);
+    EXPECT_EQ(mapForward(mapper, read, 30000), "I73:G I75:T I77:A");
+}
+
+TEST(Mapper, OverhangingReadKeepsItsClampedPosition)
+{
+    // A read that starts 10 bases before the consensus projects its
+    // window to offset -10, which clamps to 0; one that runs 10 bases
+    // past the end gets a shortened tail window. Both are aligned piece
+    // by piece (the end case's script pinned from the piecewise DP).
+    Rng rng(71);
+    const std::string consensus = randomSeq(rng, 50000);
+    const ConsensusMapper mapper(consensus);
+    Rng other(72);
+    const std::string before = randomSeq(other, 10);
+    EXPECT_EQ(mapForward(mapper, before + consensus.substr(0, 140), 0),
+              "I0:" + before);
+    const std::string after = randomSeq(other, 10);
+    EXPECT_EQ(mapForward(mapper, consensus.substr(49860) + after, 49860),
+              "I137:CCC I141:TATTAT I148:A");
+}
+
+TEST(Mapper, NAgainstNIsASubstitution)
+{
+    // N never matches, not even an N in the consensus: the read keeps
+    // its N as an explicit substitution, as bandedAlign scores it.
+    Rng rng(71);
+    std::string consensus = randomSeq(rng, 50000);
+    consensus[40070] = 'N';
+    const ConsensusMapper mapper(consensus);
+    EXPECT_EQ(mapForward(mapper, consensus.substr(40000, 150), 40000),
+              "S70:N");
+}
+
+TEST(Mapper, OwnReverseComplementMapsForward)
+{
+    // Both strands of a read equal to its reverse complement chain the
+    // same: the tie goes to the forward strand. A reverse-strand read
+    // maps first on this thread, so reverse chains left over from it
+    // would also show here.
+    Rng rng(71);
+    std::string consensus = randomSeq(rng, 50000);
+    Rng other(73);
+    const std::string half = randomSeq(other, 75);
+    const std::string read = half + reverseComplement(half);
+    ASSERT_EQ(read, reverseComplement(read));
+    consensus.replace(10000, read.size(), read);
+    const ConsensusMapper mapper(consensus);
+
+    const ReadMapping reverse =
+        mapper.mapSequence(reverseComplement(consensus.substr(25000, 150)));
+    ASSERT_TRUE(reverse.mapped);
+    EXPECT_TRUE(reverse.reverse);
+    EXPECT_EQ(mapForward(mapper, read, 10000), "");
+}
+
+TEST(Mapper, StrandTieGoesForwardWhenReverseIsChainedFirst)
+{
+    // The read sits at 2600 and its reverse complement, but for one base
+    // near the read's end, at 45000. The reverse strand's seeds span
+    // more of the read, so it is chained first; its best chain stops
+    // short of the changed base and scores exactly the forward strand's
+    // bound, as the forward chain does. The reverse strand must score
+    // strictly higher to win, so the forward strand is still chained
+    // and wins.
+    Rng rng(71);
+    std::string consensus = randomSeq(rng, 50000);
+    std::string copy = consensus.substr(2600, 150);
+    copy[146] = otherBase(copy[146]);
+    consensus.replace(45000, copy.size(), reverseComplement(copy));
+    const ConsensusMapper mapper(consensus);
+    EXPECT_EQ(mapForward(mapper, consensus.substr(2600, 150), 2600), "");
 }
 
 // ---------------------------------------------------------------------

@@ -420,6 +420,18 @@ const StreamPin kSmallBlockStreams[] = {
     {"sgga", 0, 0x00000000u},
 };
 
+const StreamPin kRs2LikeStreams[] = {
+    {"chunks", 116, 0xf7914262u}, {"consensus", 31250, 0xd1a4b9bfu},
+    {"escape", 798, 0x96d742ffu}, {"flags", 4999, 0xe7451a59u},
+    {"headers", 55388, 0xfeeb17a5u}, {"mbta", 1326, 0x85974f53u},
+    {"mca", 2615, 0xd300be95u}, {"mcga", 2593, 0x1df67bffu},
+    {"mmpa", 3822, 0x1949985eu}, {"mmpga", 938, 0xc6bb0e6au},
+    {"mpa", 8483, 0x4ad8024fu}, {"mpga", 3479, 0xf89bbb9du},
+    {"params", 37, 0x29d8b8afu}, {"rla", 2544, 0x5ca5fc67u},
+    {"rlga", 2515, 0x4a9871bbu}, {"sga", 0, 0x00000000u},
+    {"sgga", 0, 0x00000000u},
+};
+
 TEST(SageEncode, ByteIdenticalAcrossPoolSizes)
 {
     // Pinned size and trailer CRC of each archive: a change to the
@@ -476,6 +488,29 @@ TEST(SageEncode, ByteIdenticalOnRepeatRichReads)
     ASSERT_EQ(serial.size(), 103060u);
     EXPECT_EQ(trailerCrc(serial), 0x4e27acffu);
     expectStreamsBesidesQuality(serial, kRepeatRichStreams);
+}
+
+TEST(SageEncode, ByteIdenticalOnRs2LikeReads)
+{
+    // The ingest benchmark's read shape: RS2-like reads over a reference
+    // sized for their count at RS2's depth, here 20 k reads. Most map
+    // with no edit or a few substitutions, about half on each strand,
+    // so the mapper's shortcuts for those carry nearly every read.
+    DatasetSpec spec = makeRs2Spec();
+    spec.seed = 29;
+    spec.genome.referenceLength = static_cast<uint64_t>(
+        20000.0 * spec.sequencer.readLength / spec.depth);
+    const SimulatedDataset ds = synthesizeDataset(spec);
+    SageConfig config;
+    config.chunkReads = 4096;
+    ThreadPool four(4);
+    const std::vector<uint8_t> serial =
+        sageCompress(ds.readSet, ds.reference, config).bytes;
+    EXPECT_EQ(sageCompress(ds.readSet, ds.reference, config, &four).bytes,
+              serial);
+    ASSERT_EQ(serial.size(), 206408u);
+    EXPECT_EQ(trailerCrc(serial), 0xce0fa9a6u);
+    expectStreamsBesidesQuality(serial, kRs2LikeStreams);
 }
 
 TEST(SageEncode, ByteIdenticalWithSmallQualityBlocks)
